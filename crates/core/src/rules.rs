@@ -140,54 +140,56 @@ impl RuleBackend {
             RuleBackend::Datalog { program, output } => {
                 let mut db = Database::new();
                 for name in catalog.relation_names() {
-                    let table = catalog.get(name)?;
-                    db.load_table(name, table);
+                    db.load_table(name, catalog.get(name)?)?;
                 }
                 let out_db = datalog::evaluate(program, db)?;
-                datalog_output_keys(&out_db.relation_or_empty(output), output)
+                let mut keys = Vec::new();
+                datalog_output_keys(out_db.relation(output), output, &mut keys)?;
+                Ok(keys)
             }
         }
     }
 }
 
-/// Extract the qualified `(ta, intrata)` keys from a Datalog output
-/// relation — shared by the one-shot backend above and the scheduler's
-/// persistent-evaluation path for custom Datalog protocols.
+/// Append the qualified `(ta, intrata)` keys of a Datalog output relation to
+/// `keys` and leave `keys` sorted and deduplicated — shared by the one-shot backend above and
+/// the scheduler's persistent-evaluation path for custom Datalog protocols.
+/// A program that never mentions the output predicate qualifies nothing.
 pub(crate) fn datalog_output_keys(
-    relation: &datalog::Relation,
+    relation: Option<&datalog::Relation>,
     output: &str,
-) -> SchedResult<Vec<RequestKey>> {
-    let mut keys = Vec::with_capacity(relation.len());
+    keys: &mut Vec<RequestKey>,
+) -> SchedResult<()> {
+    let Some(relation) = relation else {
+        return Ok(());
+    };
+    if relation.arity().is_some_and(|arity| arity < 2) {
+        return Err(SchedError::MalformedRuleOutput {
+            protocol: "<datalog>".into(),
+            detail: format!(
+                "output predicate `{output}` has arity {} (need at least 2)",
+                relation.arity().unwrap_or(0)
+            ),
+        });
+    }
+    let int = |value: &relalg::Value, column: &str| {
+        value
+            .as_int()
+            .ok_or_else(|| SchedError::MalformedRuleOutput {
+                protocol: "<datalog>".into(),
+                detail: format!("non-integer {column} value `{value}`"),
+            })
+    };
+    keys.reserve(relation.len());
     for row in relation.rows() {
-        if row.len() < 2 {
-            return Err(SchedError::MalformedRuleOutput {
-                protocol: "<datalog>".into(),
-                detail: format!(
-                    "output predicate `{output}` has arity {} (need at least 2)",
-                    row.len()
-                ),
-            });
-        }
-        let ta = row[0]
-            .as_int()
-            .ok_or_else(|| SchedError::MalformedRuleOutput {
-                protocol: "<datalog>".into(),
-                detail: format!("non-integer ta value `{}`", row[0]),
-            })?;
-        let intra = row[1]
-            .as_int()
-            .ok_or_else(|| SchedError::MalformedRuleOutput {
-                protocol: "<datalog>".into(),
-                detail: format!("non-integer intrata value `{}`", row[1]),
-            })?;
         keys.push(RequestKey {
-            ta: ta as u64,
-            intra: intra as u32,
+            ta: int(row.get(0), "ta")? as u64,
+            intra: int(row.get(1), "intrata")? as u32,
         });
     }
     keys.sort_unstable();
     keys.dedup();
-    Ok(keys)
+    Ok(())
 }
 
 /// A complete declarative protocol definition: its name, its qualification

@@ -1,356 +1,274 @@
-//! Semi-naive, stratified evaluation of Datalog programs.
+//! Execution of compiled rule plans: one executor, semi-naive per stratum.
+//!
+//! The `plan` module has already resolved predicates to relation ids, variables
+//! to frame slots and joins to index probes; what is left is to walk a body's
+//! steps, binding slots as scans match rows, and to build the head tuple when
+//! the last step passes.  A rule's *delta* is never copied: derived rows are
+//! appended to their relation, so "the rows added in the previous pass" is a
+//! range of the relation's own row vector.
 
-use crate::ast::{Atom, BodyItem, Program, Rule, Term};
-use crate::engine::{Database, Relation};
-use crate::error::{DatalogError, DatalogResult};
-use crate::stratify::stratify;
-use relalg::Value;
-use std::collections::HashMap;
+use crate::ast::Program;
+use crate::engine::{join_hash, Database, Probe};
+use crate::error::DatalogResult;
+use crate::plan::{CompiledProgram, Group, Operand, RulePlan, Scan, Step};
+use relalg::{Tuple, Value};
 
-/// Variable bindings accumulated while matching a rule body: a stack of
-/// `(variable, value)` pairs pushed as atoms bind and truncated on
-/// backtrack.  A rule binds a handful of variables, so linear lookup beats
-/// a hash map — and backtracking is a `truncate`, not a map clone per
-/// candidate row.
-type Bindings<'r> = Vec<(&'r str, Value)>;
-
-/// Reusable match-state for [`derive`]: the binding stack plus a ground-probe
-/// buffer for negated atoms.  One instance lives per stratum evaluation and
-/// is cleared, not reallocated, between rules.
-#[derive(Default)]
-struct EvalScratch<'r> {
-    bindings: Bindings<'r>,
-    probe: Vec<Value>,
-}
-
-fn lookup(bindings: &Bindings<'_>, name: &str) -> Option<Value> {
-    bindings
-        .iter()
-        .rev()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| *v)
+/// Reusable evaluation state: the binding frame, the buffer of head tuples a
+/// rule derived, and per relation id the delta range `lo..hi` of the current
+/// semi-naive pass.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    frame: Vec<Value>,
+    derived: Vec<Tuple>,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
 }
 
 /// Evaluate a program against a database of facts, returning a database that
 /// contains both the original facts and all derived relations.
 ///
-/// Evaluation is stratum by stratum.  Within a stratum the rules are run with
-/// semi-naive (delta) iteration: in every round only bindings that use at
-/// least one tuple derived in the previous round are recomputed, which turns
-/// the classic transitive-closure blow-up into linear work per new fact.
+/// The program is compiled once (the `plan` module) against `db` — facts stored
+/// there under an arity the program does not use are rejected with
+/// [`crate::DatalogError::FactArity`] — and then evaluated stratum by
+/// stratum.  Within a stratum the rules run with semi-naive (delta)
+/// iteration: in every pass only bindings that use at least one tuple derived
+/// in the previous pass are recomputed, which turns the classic
+/// transitive-closure blow-up into linear work per new fact.
 pub fn evaluate(program: &Program, mut db: Database) -> DatalogResult<Database> {
-    // Reject unsafe rules up front (the parser already does this, but rules
-    // may also be constructed programmatically by the scheduler crate).
-    for rule in &program.rules {
-        if !rule.is_safe() {
-            return Err(DatalogError::UnsafeRule {
-                rule: rule.to_string(),
-            });
-        }
+    let compiled = CompiledProgram::compile(program, &mut db)?;
+    compiled.load_facts(&mut db, None);
+    let mut scratch = Scratch::default();
+    for group in &compiled.groups {
+        recompute_group(&compiled, group, &mut db, &mut scratch);
     }
-
-    let stratification = stratify(program)?;
-
-    // Facts embedded in the program text.
-    for rule in program.rules.iter().filter(|r| r.is_fact()) {
-        let row: Vec<Value> = rule
-            .head
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(v) => *v,
-                Term::Var(_) => unreachable!("facts with variables are unsafe and rejected above"),
-            })
-            .collect();
-        db.add_fact(rule.head.predicate.clone(), row);
-    }
-
-    // Make sure every referenced predicate exists (possibly empty) so lookups
-    // below never fail on missing EDB relations.
-    for pred in program.edb_predicates() {
-        db.declare(pred);
-    }
-    for pred in program.idb_predicates() {
-        db.declare(pred);
-    }
-
-    for group in &stratification.rule_groups {
-        let rules: Vec<&Rule> = group
-            .iter()
-            .map(|&i| &program.rules[i])
-            .filter(|r| !r.is_fact())
-            .collect();
-        if rules.is_empty() {
-            continue;
-        }
-        evaluate_stratum(&rules, &mut db)?;
-    }
-
     Ok(db)
 }
 
-/// Fixpoint of one stratum's rules.
-pub(crate) fn evaluate_stratum(rules: &[&Rule], db: &mut Database) -> DatalogResult<()> {
-    // Round 0: naive evaluation to seed the deltas.
-    let mut delta: HashMap<String, Relation> = HashMap::new();
-    let mut scratch = EvalScratch::default();
-    let mut derived = Vec::new();
-    for rule in rules {
-        derived.clear();
-        derive(rule, db, None, &mut scratch, &mut derived)?;
-        for row in derived.drain(..) {
-            if db.relation_mut(&rule.head.predicate).insert(row.clone()) {
-                delta
-                    .entry(rule.head.predicate.clone())
-                    .or_default()
-                    .insert(row);
+/// Fixpoint of one group over the current contents of the relations it
+/// reads: every rule runs once over the full relations, then semi-naive
+/// passes follow what that derived.  Rows already in the head relations
+/// (program facts) stay.
+pub(crate) fn recompute_group(
+    program: &CompiledProgram,
+    group: &Group,
+    db: &mut Database,
+    scratch: &mut Scratch,
+) {
+    scratch.fit(db);
+    for &rel in &group.positive {
+        scratch.lo[rel] = db.rel(rel).len();
+    }
+    for &rule in &group.rules {
+        let rule = &program.rules[rule];
+        fire(rule, &rule.full, db, scratch);
+    }
+    drain(program, group, db, scratch);
+}
+
+/// Resume a group's semi-naive iteration: `db` holds a fixpoint of its rules
+/// over the previous facts, and for every relation `rel` the rows from
+/// `delta_start[rel]` on were added since.  Because semi-naive iteration is
+/// insensitive to *when* a delta arrives (every rule is re-derived with each
+/// positive atom restricted to the delta in turn), continuing from the
+/// persisted fixpoint yields exactly the fixpoint over the enlarged fact set,
+/// in time proportional to the new derivations.
+pub(crate) fn resume_group(
+    program: &CompiledProgram,
+    group: &Group,
+    db: &mut Database,
+    scratch: &mut Scratch,
+    delta_start: &[usize],
+) {
+    scratch.fit(db);
+    for &rel in &group.positive {
+        scratch.lo[rel] = delta_start[rel];
+    }
+    drain(program, group, db, scratch);
+}
+
+/// Semi-naive passes until nothing new is derived.  On entry `lo[rel]` marks
+/// where each scanned relation's delta starts; a pass reads `lo..hi` with
+/// `hi` the length at its start, and the rows it appends are the next pass's
+/// delta.
+fn drain(program: &CompiledProgram, group: &Group, db: &mut Database, scratch: &mut Scratch) {
+    loop {
+        for &rel in &group.positive {
+            scratch.hi[rel] = db.rel(rel).len();
+        }
+        let mut grew = false;
+        for &rule in &group.rules {
+            let rule = &program.rules[rule];
+            for (rel, steps) in &rule.deltas {
+                if scratch.lo[*rel] < scratch.hi[*rel] {
+                    grew |= fire(rule, steps, db, scratch);
+                }
             }
         }
+        if !grew {
+            return;
+        }
+        for &rel in &group.positive {
+            scratch.lo[rel] = scratch.hi[rel];
+        }
     }
-    drain_deltas(rules, db, &delta, None)?;
-    Ok(())
 }
 
-/// Resume a stratum's semi-naive iteration from externally supplied deltas —
-/// the cross-round continuation used by [`crate::IncrementalEvaluation`]:
-/// `db` already holds a fixpoint of `rules` over the *previous* facts, and
-/// `delta` holds only the facts added since.  Because semi-naive iteration
-/// is insensitive to *when* a delta arrives (every rule is re-derived with
-/// each positive atom restricted to the delta in turn), continuing from the
-/// persisted fixpoint yields exactly the fixpoint over the enlarged fact
-/// set, in time proportional to the new derivations.  The delta map is
-/// borrowed, not consumed — entries for predicates no rule in this stratum
-/// references are simply never looked up.  Returns the facts newly derived
-/// for each head predicate (the downstream strata's delta).
-pub(crate) fn resume_stratum(
-    rules: &[&Rule],
-    db: &mut Database,
-    delta: &HashMap<String, Relation>,
-) -> DatalogResult<HashMap<String, Relation>> {
-    let mut derived_total = HashMap::new();
-    drain_deltas(rules, db, delta, Some(&mut derived_total))?;
-    Ok(derived_total)
-}
-
-/// Run semi-naive rounds until no rule derives anything new.  When
-/// `derived_total` is given, every newly derived fact is also accumulated
-/// there per head predicate (the resume path needs it to seed downstream
-/// strata); the one-shot path passes `None` and skips that cost.
-fn drain_deltas(
-    rules: &[&Rule],
-    db: &mut Database,
-    seed: &HashMap<String, Relation>,
-    mut derived_total: Option<&mut HashMap<String, Relation>>,
-) -> DatalogResult<()> {
-    let mut scratch = EvalScratch::default();
-    let mut derived = Vec::new();
-    let mut delta = step_deltas(
-        rules,
+/// Run one body of `rule` and insert the head tuples it derives; returns
+/// whether any of them was new.
+fn fire(rule: &RulePlan, steps: &[Step], db: &mut Database, scratch: &mut Scratch) -> bool {
+    scratch.frame.clear();
+    scratch.frame.resize(rule.slots, Value::Null);
+    Exec {
         db,
-        seed,
-        &mut derived_total,
-        &mut scratch,
-        &mut derived,
-    )?;
-    while delta.values().any(|r| !r.is_empty()) {
-        delta = step_deltas(
-            rules,
-            db,
-            &delta,
-            &mut derived_total,
-            &mut scratch,
-            &mut derived,
-        )?;
+        lo: &scratch.lo,
+        hi: &scratch.hi,
+        frame: &mut scratch.frame,
+        head: &rule.head_terms,
+        out: &mut scratch.derived,
     }
-    Ok(())
+    .run(steps);
+    let head = db.rel_mut(rule.head);
+    let mut grew = false;
+    for row in scratch.derived.drain(..) {
+        grew |= head.insert(row.values());
+    }
+    grew
 }
 
-/// One semi-naive round: for each positive body atom whose predicate has a
-/// delta, run the rule with that atom restricted to the delta.  Returns the
-/// next round's delta (facts first derived this round).
-fn step_deltas<'r>(
-    rules: &[&'r Rule],
-    db: &mut Database,
-    delta: &HashMap<String, Relation>,
-    derived_total: &mut Option<&mut HashMap<String, Relation>>,
-    scratch: &mut EvalScratch<'r>,
-    derived: &mut Vec<Vec<Value>>,
-) -> DatalogResult<HashMap<String, Relation>> {
-    let mut next_delta: HashMap<String, Relation> = HashMap::new();
-    for rule in rules {
-        for (pos, item) in rule.body.iter().enumerate() {
-            let BodyItem::Positive(atom) = item else {
-                continue;
-            };
-            let Some(d) = delta.get(&atom.predicate) else {
-                continue;
-            };
-            if d.is_empty() {
-                continue;
-            }
-            derived.clear();
-            derive(rule, db, Some((pos, d)), scratch, derived)?;
-            for row in derived.drain(..) {
-                if db.relation_mut(&rule.head.predicate).insert(row.clone()) {
-                    if let Some(total) = derived_total.as_deref_mut() {
-                        total
-                            .entry(rule.head.predicate.clone())
-                            .or_default()
-                            .insert(row.clone());
-                    }
-                    next_delta
-                        .entry(rule.head.predicate.clone())
-                        .or_default()
-                        .insert(row);
-                }
-            }
-        }
-    }
-    Ok(next_delta)
-}
-
-/// Compute all head tuples derivable by one rule, appending them to
-/// `results`.  When `delta_at` is given, the positive atom at that body
-/// position is matched against the delta relation instead of the full
-/// relation (semi-naive restriction).
-fn derive<'r>(
-    rule: &'r Rule,
-    db: &Database,
-    delta_at: Option<(usize, &Relation)>,
-    scratch: &mut EvalScratch<'r>,
-    results: &mut Vec<Vec<Value>>,
-) -> DatalogResult<()> {
-    scratch.bindings.clear();
-    join_body(rule, 0, scratch, db, delta_at, results)
-}
-
-fn join_body<'r>(
-    rule: &'r Rule,
-    idx: usize,
-    scratch: &mut EvalScratch<'r>,
-    db: &Database,
-    delta_at: Option<(usize, &Relation)>,
-    results: &mut Vec<Vec<Value>>,
-) -> DatalogResult<()> {
-    if idx == rule.body.len() {
-        // All body items satisfied: emit the head tuple.
-        let row: Vec<Value> = rule
-            .head
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(v) => *v,
-                Term::Var(name) => lookup(&scratch.bindings, name)
-                    .expect("safety check guarantees head variables are bound"),
-            })
-            .collect();
-        results.push(row);
-        return Ok(());
-    }
-
-    match &rule.body[idx] {
-        BodyItem::Positive(atom) => {
-            let use_delta = matches!(delta_at, Some((pos, _)) if pos == idx);
-            let delta_rel;
-            let rel: &Relation = if use_delta {
-                delta_rel = delta_at.unwrap().1;
-                delta_rel
-            } else {
-                match db.relation(&atom.predicate) {
-                    Some(r) => r,
-                    None => return Ok(()), // empty relation: no matches
-                }
-            };
-            for row in rel.iter() {
-                if row.len() != atom.arity() {
-                    return Err(DatalogError::FactArity {
-                        predicate: atom.predicate.clone(),
-                        expected: atom.arity(),
-                        got: row.len(),
-                    });
-                }
-                let mark = scratch.bindings.len();
-                if unify(atom, row, &mut scratch.bindings) {
-                    join_body(rule, idx + 1, scratch, db, delta_at, results)?;
-                }
-                scratch.bindings.truncate(mark);
-            }
-            Ok(())
-        }
-        BodyItem::Negative(atom) => {
-            // All variables are bound (safety); build the ground tuple in
-            // the reused probe buffer and test membership.  The probe is
-            // dead once tested, so deeper negations may freely overwrite it.
-            let EvalScratch { bindings, probe } = scratch;
-            probe.clear();
-            probe.extend(atom.terms.iter().map(|t| {
-                match t {
-                    Term::Const(v) => *v,
-                    Term::Var(name) => lookup(bindings, name)
-                        .expect("safety check guarantees negated variables are bound"),
-                }
-            }));
-            let present = db
-                .relation(&atom.predicate)
-                .map(|r| r.contains(probe))
-                .unwrap_or(false);
-            if !present {
-                join_body(rule, idx + 1, scratch, db, delta_at, results)?;
-            }
-            Ok(())
-        }
-        BodyItem::Compare { op, left, right } => {
-            let resolve = |t: &Term| -> Value {
-                match t {
-                    Term::Const(v) => *v,
-                    Term::Var(name) => lookup(&scratch.bindings, name)
-                        .expect("safety check guarantees comparison variables are bound"),
-                }
-            };
-            let l = resolve(left);
-            let r = resolve(right);
-            if op.apply(&l, &r) {
-                join_body(rule, idx + 1, scratch, db, delta_at, results)?;
-            }
-            Ok(())
+impl Scratch {
+    fn fit(&mut self, db: &Database) {
+        if self.lo.len() < db.relation_count() {
+            self.lo.resize(db.relation_count(), 0);
+            self.hi.resize(db.relation_count(), 0);
         }
     }
 }
 
-/// Try to extend `bindings` so that `atom` matches `row`, pushing any new
-/// bindings onto the stack.  On mismatch, partially pushed bindings remain —
-/// the caller truncates back to its mark either way.
-fn unify<'r>(atom: &'r Atom, row: &[Value], bindings: &mut Bindings<'r>) -> bool {
-    for (term, value) in atom.terms.iter().zip(row.iter()) {
-        match term {
-            Term::Const(c) => {
-                if c.sql_eq(value) != Some(true) {
-                    return false;
-                }
+/// The rows a scan visits: a slice of the relation, or one index chain.
+enum Candidates<'a> {
+    Rows(std::slice::Iter<'a, Tuple>),
+    Chain(Probe<'a>),
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = &'a Tuple;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Tuple> {
+        match self {
+            Candidates::Rows(rows) => rows.next(),
+            Candidates::Chain(chain) => chain.next(),
+        }
+    }
+}
+
+/// One run of one rule body.
+struct Exec<'a> {
+    db: &'a Database,
+    lo: &'a [usize],
+    hi: &'a [usize],
+    frame: &'a mut [Value],
+    head: &'a [Operand],
+    out: &'a mut Vec<Tuple>,
+}
+
+impl Exec<'_> {
+    #[inline]
+    fn value<'v>(&'v self, operand: &'v Operand) -> &'v Value {
+        match operand {
+            Operand::Slot(slot) => &self.frame[*slot],
+            Operand::Const(value) => value,
+        }
+    }
+
+    /// Build the ground tuple `terms` denote and hand it to `f` — on the
+    /// stack for every arity a [`Tuple`] stores inline.
+    #[inline]
+    fn with_row<R>(&self, terms: &[Operand], f: impl FnOnce(&[Value]) -> R) -> R {
+        if terms.len() <= Tuple::INLINE {
+            let mut row = [Value::Null; Tuple::INLINE];
+            for (cell, term) in row.iter_mut().zip(terms) {
+                *cell = *self.value(term);
             }
-            Term::Var(name) => match lookup(bindings, name) {
-                Some(existing) => {
-                    if existing.sql_eq(value) != Some(true) {
-                        return false;
+            f(&row[..terms.len()])
+        } else {
+            let row: Vec<Value> = terms.iter().map(|t| *self.value(t)).collect();
+            f(&row)
+        }
+    }
+
+    /// Execute `steps` under the current bindings; returns whether a head
+    /// tuple was emitted.
+    fn run(&mut self, steps: &[Step]) -> bool {
+        let Some((step, rest)) = steps.split_first() else {
+            let row = self.with_row(self.head, Tuple::from_slice);
+            self.out.push(row);
+            return true;
+        };
+        match step {
+            Step::Compare { op, left, right } => {
+                op.apply(self.value(left), self.value(right)) && self.run(rest)
+            }
+            Step::Negate { rel, terms } => {
+                let relation = self.db.rel(*rel);
+                !self.with_row(terms, |row| relation.contains(row)) && self.run(rest)
+            }
+            Step::Scan(scan) => {
+                let relation = self.db.rel(scan.rel);
+                let candidates = if scan.delta {
+                    Candidates::Rows(relation.rows()[self.lo[scan.rel]..self.hi[scan.rel]].iter())
+                } else if let Some(index) = scan.index {
+                    let key = scan.bound.iter().map(|(_, operand)| self.value(operand));
+                    Candidates::Chain(relation.probe(index, join_hash(key)))
+                } else {
+                    Candidates::Rows(relation.rows().iter())
+                };
+                let mut emitted = false;
+                for row in candidates {
+                    emitted |= self.visit(scan, row, rest);
+                    if emitted && scan.once {
+                        break;
                     }
                 }
-                None => bindings.push((name.as_str(), *value)),
-            },
+                emitted
+            }
         }
     }
-    true
+
+    /// Match one candidate row against a scan and, if it fits, continue with
+    /// the rest of the body.
+    #[inline]
+    fn visit(&mut self, scan: &Scan, row: &Tuple, rest: &[Step]) -> bool {
+        let values = row.values();
+        for (col, operand) in &scan.bound {
+            if values[*col].sql_eq(self.value(operand)) != Some(true) {
+                return false;
+            }
+        }
+        for &(col, earlier) in &scan.same {
+            if values[col].sql_eq(&values[earlier]) != Some(true) {
+                return false;
+            }
+        }
+        for &(col, slot) in &scan.binds {
+            self.frame[slot] = values[col];
+        }
+        self.run(rest)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Relation;
+    use crate::error::DatalogError;
     use crate::parser::parse_program;
 
     fn ints(rel: &Relation) -> Vec<Vec<i64>> {
         let mut rows: Vec<Vec<i64>> = rel
             .rows()
             .iter()
-            .map(|r| r.iter().map(|v| v.as_int().unwrap()).collect())
+            .map(|r| r.values().iter().map(|v| v.as_int().unwrap()).collect())
             .collect();
         rows.sort();
         rows
@@ -367,7 +285,7 @@ mod tests {
         .unwrap();
         let mut db = Database::new();
         for (a, b) in [(1, 2), (2, 3), (3, 4)] {
-            db.add_fact("edge", vec![a.into(), b.into()]);
+            db.add_fact("edge", &[a.into(), b.into()]).unwrap();
         }
         let out = evaluate(&program, db).unwrap();
         let reach = ints(out.relation("reach").unwrap());
@@ -410,10 +328,12 @@ mod tests {
         .unwrap();
         let mut db = Database::new();
         for o in 1..=4 {
-            db.add_fact("object", vec![o.into()]);
+            db.add_fact("object", &[o.into()]).unwrap();
         }
-        db.add_fact("history", vec![10.into(), 2.into(), "w".into()]);
-        db.add_fact("history", vec![11.into(), 3.into(), "r".into()]);
+        db.add_fact("history", &[10.into(), 2.into(), "w".into()])
+            .unwrap();
+        db.add_fact("history", &[11.into(), 3.into(), "r".into()])
+            .unwrap();
         let out = evaluate(&program, db).unwrap();
         let free = ints(out.relation("free").unwrap());
         assert_eq!(free, vec![vec![1], vec![3], vec![4]]);
@@ -428,9 +348,9 @@ mod tests {
         )
         .unwrap();
         let mut db = Database::new();
-        db.add_fact("op", vec![1.into(), 7.into()]);
-        db.add_fact("op", vec![2.into(), 7.into()]);
-        db.add_fact("op", vec![3.into(), 8.into()]);
+        db.add_fact("op", &[1.into(), 7.into()]).unwrap();
+        db.add_fact("op", &[2.into(), 7.into()]).unwrap();
+        db.add_fact("op", &[3.into(), 8.into()]).unwrap();
         let out = evaluate(&program, db).unwrap();
         assert_eq!(ints(out.relation("conflict").unwrap()), vec![vec![1, 2]]);
     }
@@ -444,8 +364,10 @@ mod tests {
         )
         .unwrap();
         let mut db = Database::new();
-        db.add_fact("op", vec![1.into(), 5.into(), "r".into()]);
-        db.add_fact("op", vec![2.into(), 5.into(), "w".into()]);
+        db.add_fact("op", &[1.into(), 5.into(), "r".into()])
+            .unwrap();
+        db.add_fact("op", &[2.into(), 5.into(), "w".into()])
+            .unwrap();
         let out = evaluate(&program, db).unwrap();
         assert_eq!(ints(out.relation("writes").unwrap()), vec![vec![2]]);
     }
@@ -459,10 +381,26 @@ mod tests {
         )
         .unwrap();
         let mut db = Database::new();
-        db.add_fact("edge", vec![1.into(), 1.into()]);
-        db.add_fact("edge", vec![1.into(), 2.into()]);
+        db.add_fact("edge", &[1.into(), 1.into()]).unwrap();
+        db.add_fact("edge", &[1.into(), 2.into()]).unwrap();
         let out = evaluate(&program, db).unwrap();
         assert_eq!(ints(out.relation("self").unwrap()), vec![vec![1]]);
+    }
+
+    #[test]
+    fn a_scan_that_only_checks_stops_at_its_first_match() {
+        // `hit` needs one witness per X, however many there are; the head
+        // relation is the same either way.
+        let program = parse_program("hit(X) :- src(X), edge(X, Y), Y > 0.").unwrap();
+        let mut db = Database::new();
+        db.add_fact("src", &[1.into()]).unwrap();
+        db.add_fact("src", &[2.into()]).unwrap();
+        for y in [0, 5, 6, 7] {
+            db.add_fact("edge", &[1.into(), y.into()]).unwrap();
+        }
+        db.add_fact("edge", &[2.into(), 0.into()]).unwrap();
+        let out = evaluate(&program, db).unwrap();
+        assert_eq!(ints(out.relation("hit").unwrap()), vec![vec![1]]);
     }
 
     #[test]
@@ -477,6 +415,24 @@ mod tests {
         let program = parse_program("win(X) :- move(X, Y), !win(Y).").unwrap();
         let err = evaluate(&program, Database::new()).unwrap_err();
         assert!(matches!(err, DatalogError::NotStratifiable { .. }));
+    }
+
+    #[test]
+    fn wrong_arity_facts_are_rejected_before_any_rule_runs() {
+        // No rule ever scans `aux` in a way that matches; the old
+        // evaluator found the arity error only when a rule visited a row.
+        let program = parse_program("q(X) :- p(X), aux(X, Y).").unwrap();
+        let mut db = Database::new();
+        db.add_fact("aux", &[1.into()]).unwrap();
+        let err = evaluate(&program, db).unwrap_err();
+        assert_eq!(
+            err,
+            DatalogError::FactArity {
+                predicate: "aux".into(),
+                expected: 2,
+                got: 1
+            }
+        );
     }
 
     #[test]
@@ -497,21 +453,22 @@ mod tests {
         // txn 1 wrote object 5 and committed; txn 2 wrote object 6, still active.
         db.add_facts(
             "history",
-            vec![
-                vec![1.into(), 5.into(), "w".into()],
-                vec![1.into(), 5.into(), "c".into()],
-                vec![2.into(), 6.into(), "w".into()],
+            [
+                [1.into(), 5.into(), "w".into()],
+                [1.into(), 5.into(), "c".into()],
+                [2.into(), 6.into(), "w".into()],
             ],
-        );
-        // Wait: commit records in this mini-model are (T, O, "c"); reuse object 5 for txn 1's commit row.
+        )
+        .unwrap();
         db.add_facts(
             "pending",
-            vec![
-                vec![100.into(), 3.into(), 5.into()], // object 5 free (txn1 finished)
-                vec![101.into(), 3.into(), 6.into()], // object 6 locked by txn2
-                vec![102.into(), 2.into(), 6.into()], // txn2's own request on 6: allowed
+            [
+                [100.into(), 3.into(), 5.into()], // object 5 free (txn1 finished)
+                [101.into(), 3.into(), 6.into()], // object 6 locked by txn2
+                [102.into(), 2.into(), 6.into()], // txn2's own request on 6: allowed
             ],
-        );
+        )
+        .unwrap();
         let out = evaluate(&program, db).unwrap();
         assert_eq!(
             ints(out.relation("qualified").unwrap()),
@@ -534,7 +491,7 @@ mod tests {
         let mut db = Database::new();
         let n = 200i64;
         for i in 0..n {
-            db.add_fact("edge", vec![i.into(), (i + 1).into()]);
+            db.add_fact("edge", &[i.into(), (i + 1).into()]).unwrap();
         }
         let out = evaluate(&program, db).unwrap();
         let expected = (n * (n + 1) / 2) as usize;

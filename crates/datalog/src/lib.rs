@@ -9,6 +9,8 @@
 //!
 //! Features:
 //!
+//! * rules compiled once into slot-addressed plans that probe hash indexes
+//!   (the crate-private `plan` module), run by one executor ([`eval`]),
 //! * positive rules with semi-naive (delta) evaluation,
 //! * stratified negation (`!atom(...)` in rule bodies),
 //! * built-in comparison constraints (`X < Y`, `X != Y`, ...),
@@ -27,8 +29,8 @@
 //! ).unwrap();
 //!
 //! let mut db = Database::new();
-//! db.add_fact("edge", vec![1.into(), 2.into()]);
-//! db.add_fact("edge", vec![2.into(), 3.into()]);
+//! db.add_fact("edge", &[1.into(), 2.into()]).unwrap();
+//! db.add_fact("edge", &[2.into(), 3.into()]).unwrap();
 //!
 //! let out = evaluate(&program, db).unwrap();
 //! assert_eq!(out.relation("reach").unwrap().len(), 3);
@@ -43,6 +45,9 @@ pub mod error;
 pub mod eval;
 pub mod incremental;
 pub mod parser;
+mod plan;
+#[cfg(test)]
+mod reference;
 pub mod stratify;
 
 pub use ast::{Atom, BodyItem, CompareOp, Program, Rule, Term};

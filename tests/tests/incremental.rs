@@ -269,6 +269,152 @@ proptest! {
     }
 }
 
+/// Wrap a Datalog program as a *custom* protocol: whatever rule it states,
+/// the scheduler cannot recognise its kind and must run it on the compiled,
+/// delta-fed `datalog::IncrementalEvaluation`.
+fn custom_datalog(name: &str, source: &str, ordering: declsched::OrderingSpec) -> Protocol {
+    Protocol::custom(
+        RuleSet::new(
+            name,
+            RuleBackend::Datalog {
+                program: datalog::parse_program(source).expect("embedded program parses"),
+                output: "qualified".to_string(),
+            },
+            ordering,
+        ),
+        "a built-in rule supplied as a user program",
+    )
+}
+
+/// Replay `events` on a custom-rule scheduler and on an oracle that shares
+/// no code with `datalog`, and require the same batches in the same order
+/// every round (protocol names differ, so only the keys are compared).
+fn assert_matches_oracle(
+    label: &str,
+    custom: Protocol,
+    oracle: Protocol,
+    oracle_incremental: bool,
+    events: &[Event],
+    prune: bool,
+) {
+    let mut via_datalog = scheduler_for(custom, true, prune);
+    let mut via_oracle = scheduler_for(oracle, oracle_incremental, prune);
+    let (rounds_a, pending_a, history_a) = replay(&mut via_datalog, events);
+    let (rounds_b, pending_b, history_b) = replay(&mut via_oracle, events);
+    let keys = |rounds: &RoundLog| -> Vec<Vec<(u64, u32)>> {
+        rounds.iter().map(|(_, k)| k.clone()).collect()
+    };
+    assert_eq!(
+        keys(&rounds_a),
+        keys(&rounds_b),
+        "{label} (prune={prune}): the compiled rule and its oracle diverged\nevents: {events:?}"
+    );
+    assert_eq!(pending_a, pending_b, "{label}: final pending diverged");
+    assert_eq!(history_a, history_b, "{label}: final history diverged");
+    let metrics = via_datalog.metrics();
+    assert_eq!(
+        metrics.incremental_rounds, metrics.rounds,
+        "{label}: every round must run on the persistent evaluation"
+    );
+    assert_eq!(metrics.catalog_build_micros, 0, "{label}: no catalog");
+}
+
+/// `premium_only` has no built-in twin; this is the same rule as a
+/// relational-algebra plan, evaluated from scratch by `relalg`.
+fn premium_only_algebra() -> Protocol {
+    use relalg::{Expr, PlanBuilder};
+    let premium = PlanBuilder::scan("sla")
+        .filter(Expr::col("class").eq(Expr::lit("premium")))
+        .project_as(vec![(Expr::col("ta"), "premium_ta")])
+        .distinct();
+    let plan = PlanBuilder::scan("requests")
+        .equi_join(premium, &[("ta", "premium_ta")])
+        .project(vec![Expr::col("ta"), Expr::col("intrata")])
+        .build();
+    Protocol::custom(
+        RuleSet::new(
+            "premium-only-algebra",
+            RuleBackend::Algebra { plan },
+            declsched::OrderingSpec::DeadlineThenId,
+        ),
+        "premium-only admission as an algebra plan",
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The three `schedlang` standard-library protocols, compiled to Datalog
+    /// and run by the compiled executor, against oracles that share nothing
+    /// with it: the hand-written hot qualifier of the same kind for SS2PL
+    /// and relaxed reads, a from-scratch algebra plan for premium-only.
+    #[test]
+    fn schedlang_stdlib_matches_hand_written_oracles(
+        (events, prune_selector) in (events(), 0u8..2)
+    ) {
+        let prune = prune_selector == 1;
+        let compiled = |source: &str| {
+            schedlang::compile_protocol(source).expect("stdlib protocol compiles")
+        };
+        assert_matches_oracle(
+            "schedlang ss2pl",
+            compiled(schedlang::stdlib::SS2PL),
+            Protocol::algebra(ProtocolKind::Ss2pl),
+            true,
+            &events,
+            prune,
+        );
+        assert_matches_oracle(
+            "schedlang relaxed_reads",
+            compiled(schedlang::stdlib::RELAXED_READS),
+            Protocol::algebra(ProtocolKind::RelaxedReads),
+            true,
+            &events,
+            prune,
+        );
+        assert_matches_oracle(
+            "schedlang premium_only",
+            compiled(schedlang::stdlib::PREMIUM_ONLY),
+            premium_only_algebra(),
+            false,
+            &events,
+            prune,
+        );
+    }
+
+    /// The five embedded Datalog programs, each forced onto the compiled
+    /// persistent evaluation by wrapping it as a custom protocol, against
+    /// their relational-algebra twins evaluated from scratch by `relalg`.
+    #[test]
+    fn embedded_datalog_programs_match_their_algebra_twins(
+        (events, prune_selector) in (events(), 0u8..2)
+    ) {
+        use declsched::protocol::{
+            C2PL_DATALOG_SOURCE, FCFS_DATALOG_SOURCE, RATIONING_DATALOG_SOURCE,
+            RELAXED_DATALOG_SOURCE, SS2PL_DATALOG_SOURCE,
+        };
+        let prune = prune_selector == 1;
+        for (kind, source) in [
+            (ProtocolKind::Ss2pl, SS2PL_DATALOG_SOURCE),
+            (ProtocolKind::Conservative2pl, C2PL_DATALOG_SOURCE),
+            (ProtocolKind::Fcfs, FCFS_DATALOG_SOURCE),
+            (ProtocolKind::RelaxedReads, RELAXED_DATALOG_SOURCE),
+            (ProtocolKind::ConsistencyRationing, RATIONING_DATALOG_SOURCE),
+        ] {
+            let twin = Protocol::algebra(kind);
+            let label = format!("custom {}", kind.name());
+            assert_matches_oracle(
+                &label,
+                custom_datalog(&label, source, twin.rules.ordering),
+                twin,
+                false,
+                &events,
+                prune,
+            );
+        }
+    }
+}
+
 /// The sharded deployment runs every shard's scheduler incrementally and
 /// the escalation lane qualifies cross-shard transactions through
 /// `qualify_once` over the union snapshot.  A workload rich in spanning
