@@ -59,23 +59,24 @@ pub enum Hook {
         /// Shard the transaction was routed to.
         shard: usize,
     },
-    /// Top of an escalation-lane job, when the coordinator dequeues it
-    /// (before any runner starts).  `Stall` delays the whole lane.
+    /// A cross-shard job entering the escalation lane's admission, on the
+    /// submitting client's thread.  `Stall` delays that job's admission.
     LaneJob,
-    /// Immediately before the lane sends a two-phase `Prepare` to a
-    /// participant shard.  `Stall` delays the handshake; `Kill` kills the
-    /// participant worker mid-handshake, so the initiator must release
-    /// the shards it already holds and fail the escalation with a typed
-    /// error.
+    /// A two-phase `Prepare` reaching a participant shard, fired by that
+    /// shard's worker before it votes.  `Stall` delays the handshake;
+    /// `Kill` kills the participant mid-handshake, so the deciding shard
+    /// must release every granted sibling and fail the escalation with a
+    /// typed error.
     LanePrepare {
-        /// Participant shard about to receive the prepare.
+        /// Participant shard receiving the prepare.
         shard: usize,
     },
-    /// Immediately before the lane sends the commit-phase execution batch
-    /// to a participant shard it holds.  `Stall` extends the hold;
-    /// `Kill` kills the participant before its slice executes.
+    /// Between a participant's granted vote and the execution of its
+    /// commit-phase sub-batch, fired by that shard's worker.  `Stall`
+    /// extends the hold; `Kill` kills the participant before its slice
+    /// executes.
     LaneCommit {
-        /// Participant shard about to receive the commit batch.
+        /// Participant shard about to execute its sub-batch.
         shard: usize,
     },
     /// Top of the session layer's submission path — fires once per
@@ -229,7 +230,7 @@ impl FaultPlan {
     /// [`Hook::LanePrepare`] point.  It never kills a worker *loop*
     /// ([`Hook::WorkerRound`] `Kill` plans are for targeted tests, not
     /// the matrix); the lane-prepare kill is survivable by construction
-    /// because the initiating lane releases its held shards and fails
+    /// because the deciding shard releases the held siblings and fails
     /// the escalation with a typed error.
     pub fn seeded(seed: u64, profile: BackendProfile) -> Self {
         let mut rng = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -343,8 +344,8 @@ pub struct FiredFault {
 /// The runtime half of a [`FaultPlan`]: threads through the stack (one
 /// per deployment) and answers [`FaultInjector::fire`] at every hook.
 ///
-/// Thread-safe — hooks fire from worker threads, the escalation
-/// coordinator and client sessions concurrently; each hook's state sits
+/// Thread-safe — hooks fire from worker threads and client sessions
+/// concurrently; each hook's state sits
 /// behind its own mutex so disjoint hooks never contend.
 #[derive(Debug, Default)]
 pub struct FaultInjector {

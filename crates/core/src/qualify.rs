@@ -68,6 +68,8 @@ pub struct IncrementalQualifier {
     key_list_pool: Vec<Vec<RequestKey>>,
     /// Reused blocked-transaction set (Conservative 2PL assembly).
     blocked_tas_scratch: HashSet<u64>,
+    /// Reused per-object row buffer of [`Self::slice_admitted`].
+    slice_rows_scratch: Vec<(RequestKey, Operation)>,
 }
 
 impl IncrementalQualifier {
@@ -158,10 +160,7 @@ impl IncrementalQualifier {
             self.kind = Some(kind);
             self.all_dirty = true;
         }
-        if kind == ProtocolKind::ConsistencyRationing && !self.relaxed_built {
-            self.relaxed_objects = relaxed_objects(aux);
-            self.relaxed_built = true;
-        }
+        self.ensure_relaxed_objects(kind, aux);
 
         self.last_delta_rows = 0;
         let mut objects = std::mem::take(&mut self.objects_scratch);
@@ -210,6 +209,63 @@ impl IncrementalQualifier {
         qualified.sort_unstable();
     }
 
+    /// Whether *every* request of an escalated transaction's local `slice`
+    /// (data requests only) qualifies under `kind` against the live
+    /// `history` — the shard's vote in the cross-shard handshake.  The slice
+    /// is judged as if it were the only pending work, by the same
+    /// per-object rule a round applies (`judge_object`), out of reusable
+    /// scratch: no temporary pending relation is built and none of the
+    /// cross-round caches is touched.
+    pub fn slice_admitted(
+        &mut self,
+        kind: ProtocolKind,
+        slice: &[Request],
+        history: &HistoryStore,
+        aux: &[Table],
+    ) -> bool {
+        debug_assert!(
+            Self::supports(kind),
+            "custom rules have no incremental form"
+        );
+        self.ensure_relaxed_objects(kind, aux);
+        let mut rows = std::mem::take(&mut self.slice_rows_scratch);
+        let mut admitted = true;
+        for (i, first) in slice.iter().enumerate() {
+            // Slices are a handful of requests: a quadratic "first row of
+            // its object" scan beats building a grouping map.
+            if slice[..i].iter().any(|r| r.object == first.object) {
+                continue;
+            }
+            rows.clear();
+            rows.extend(
+                slice[i..]
+                    .iter()
+                    .filter(|r| r.object == first.object)
+                    .map(|r| (r.key(), r.op)),
+            );
+            judge_object(
+                kind,
+                first.object,
+                &rows,
+                history,
+                &self.relaxed_objects,
+                |_, blocked| admitted &= !blocked,
+            );
+        }
+        rows.clear();
+        self.slice_rows_scratch = rows;
+        admitted
+    }
+
+    /// Derive the rationing protocol's category-C object set from `aux` on
+    /// first use (and again after [`Self::note_aux_changed`]).
+    fn ensure_relaxed_objects(&mut self, kind: ProtocolKind, aux: &[Table]) {
+        if kind == ProtocolKind::ConsistencyRationing && !self.relaxed_built {
+            self.relaxed_objects = relaxed_objects(aux);
+            self.relaxed_built = true;
+        }
+    }
+
     /// Re-derive the blocked/qualified split of the pending requests on one
     /// object, rebuilding both cached lists from the store's current rows.
     fn recompute_object(
@@ -238,62 +294,21 @@ impl IncrementalQualifier {
         self.last_delta_rows += rows.len() as u64;
 
         let mut qualified_here = self.key_list_pool.pop().unwrap_or_default();
-        // FCFS blocks nothing; rationing admits category-C objects outright.
-        if kind == ProtocolKind::Fcfs
-            || (kind == ProtocolKind::ConsistencyRationing
-                && self.relaxed_objects.contains(&object))
-        {
-            qualified_here.extend(rows.iter().map(|&(key, _)| key));
-            self.qualified_by_object.insert(object, qualified_here);
-            return;
-        }
-
-        // The batch-conflict minima of the paper's
-        // `OpsOnSameObjAsPriorSelectOps` rules: the smallest pending
-        // transaction id on the object, and the smallest with a write.
-        let locks = history.lock_index();
-        let mut min_any_ta = u64::MAX;
-        let mut min_write_ta = u64::MAX;
-        for &(key, op) in rows {
-            min_any_ta = min_any_ta.min(key.ta);
-            if op == Operation::Write {
-                min_write_ta = min_write_ta.min(key.ta);
-            }
-        }
-
-        let relaxed_writes_only = kind == ProtocolKind::RelaxedReads;
         let mut blocked_here = self.key_list_pool.pop().unwrap_or_default();
-        for &(key, op) in rows {
-            let is_write = op == Operation::Write;
-            if relaxed_writes_only && !is_write {
-                // Reads and terminators never wait under relaxed reads.
-                qualified_here.push(key);
-                continue;
-            }
-            // The integer comparisons against the batch minima decide most
-            // deferred requests outright, so they run before the lock-index
-            // hash probes (a pure disjunction — order only affects cost).
-            let blocked = if relaxed_writes_only {
-                // Writes keep SS2PL's write-write exclusion only.
-                min_write_ta < key.ta || locks.write_locked_by_other(object, key.ta)
-            } else {
-                // Full SS2PL blocking (also C2PL's per-request core, and the
-                // category-A branch of consistency rationing):
-                //  1. an earlier pending write on the same object;
-                //  2. a write with any earlier pending request on the object;
-                //  3. the object is write-locked by another transaction;
-                //  4. a write on an object read-locked by another transaction.
-                min_write_ta < key.ta
-                    || (is_write && min_any_ta < key.ta)
-                    || locks.write_locked_by_other(object, key.ta)
-                    || (is_write && locks.read_locked_by_other(object, key.ta))
-            };
-            if blocked {
-                blocked_here.push(key);
-            } else {
-                qualified_here.push(key);
-            }
-        }
+        judge_object(
+            kind,
+            object,
+            rows,
+            history,
+            &self.relaxed_objects,
+            |key, blocked| {
+                if blocked {
+                    blocked_here.push(key);
+                } else {
+                    qualified_here.push(key);
+                }
+            },
+        );
         if blocked_here.is_empty() {
             self.key_list_pool.push(blocked_here);
         } else {
@@ -307,10 +322,74 @@ impl IncrementalQualifier {
     }
 }
 
+/// The per-object rule every built-in protocol reduces to: report, for each
+/// pending `(key, op)` row on `object`, whether `kind` blocks it given the
+/// other rows on the object and the object's lock state in `history`.
+fn judge_object(
+    kind: ProtocolKind,
+    object: i64,
+    rows: &[(RequestKey, Operation)],
+    history: &HistoryStore,
+    relaxed_objects: &HashSet<i64>,
+    mut verdict: impl FnMut(RequestKey, bool),
+) {
+    // FCFS blocks nothing; rationing admits category-C objects outright.
+    if kind == ProtocolKind::Fcfs
+        || (kind == ProtocolKind::ConsistencyRationing && relaxed_objects.contains(&object))
+    {
+        for &(key, _) in rows {
+            verdict(key, false);
+        }
+        return;
+    }
+
+    // The batch-conflict minima of the paper's
+    // `OpsOnSameObjAsPriorSelectOps` rules: the smallest pending
+    // transaction id on the object, and the smallest with a write.
+    let locks = history.lock_index();
+    let mut min_any_ta = u64::MAX;
+    let mut min_write_ta = u64::MAX;
+    for &(key, op) in rows {
+        min_any_ta = min_any_ta.min(key.ta);
+        if op == Operation::Write {
+            min_write_ta = min_write_ta.min(key.ta);
+        }
+    }
+
+    let relaxed_writes_only = kind == ProtocolKind::RelaxedReads;
+    for &(key, op) in rows {
+        let is_write = op == Operation::Write;
+        if relaxed_writes_only && !is_write {
+            // Reads and terminators never wait under relaxed reads.
+            verdict(key, false);
+            continue;
+        }
+        // The integer comparisons against the batch minima decide most
+        // deferred requests outright, so they run before the lock-index
+        // hash probes (a pure disjunction — order only affects cost).
+        let blocked = if relaxed_writes_only {
+            // Writes keep SS2PL's write-write exclusion only.
+            min_write_ta < key.ta || locks.write_locked_by_other(object, key.ta)
+        } else {
+            // Full SS2PL blocking (also C2PL's per-request core, and the
+            // category-A branch of consistency rationing):
+            //  1. an earlier pending write on the same object;
+            //  2. a write with any earlier pending request on the object;
+            //  3. the object is write-locked by another transaction;
+            //  4. a write on an object read-locked by another transaction.
+            min_write_ta < key.ta
+                || (is_write && min_any_ta < key.ta)
+                || locks.write_locked_by_other(object, key.ta)
+                || (is_write && locks.read_locked_by_other(object, key.ta))
+        };
+        verdict(key, blocked);
+    }
+}
+
 /// One-shot qualification through the incremental engine: build a fresh
-/// qualifier, mark everything dirty and evaluate once.  The escalation lane
-/// uses this over its merged multi-shard snapshot — same admission decisions
-/// as the declarative rule, one linear pass instead of a multi-join plan.
+/// qualifier, mark everything dirty and evaluate once — same admission
+/// decisions as the declarative rule, one linear pass instead of a
+/// multi-join plan.
 pub fn qualify_once(
     kind: ProtocolKind,
     pending: &PendingStore,
@@ -413,6 +492,55 @@ mod tests {
             .unwrap();
 
         check_all_kinds(&pending, &history, &[]);
+    }
+
+    /// `slice_admitted` must say exactly what the handshake used to derive
+    /// from a temporary pending store: "every slice key qualified".
+    #[test]
+    fn slice_admitted_matches_qualifying_the_slice_as_the_only_pending_work() {
+        let aux = [object_class_table(&[(6, ObjectClass::Relaxed)])];
+        let mut history = HistoryStore::new();
+        history.insert(&Request::write(1, 10, 0, 5)).unwrap(); // T10 wlocks 5
+        history.insert(&Request::read(2, 11, 0, 6)).unwrap(); // T11 rlocks 6
+        history.insert(&Request::write(3, 12, 0, 7)).unwrap();
+        history.insert(&Request::commit(4, 12, 1)).unwrap(); // 7 is free again
+        let slices: Vec<Vec<Request>> = vec![
+            vec![],
+            vec![Request::write(0, 20, 0, 7), Request::read(0, 20, 1, 8)],
+            vec![Request::read(0, 20, 0, 5)],
+            vec![Request::read(0, 20, 0, 6), Request::write(0, 20, 1, 7)],
+            vec![Request::write(0, 20, 0, 6)],
+            vec![Request::read(0, 20, 0, 6), Request::write(0, 20, 1, 6)],
+            vec![Request::write(0, 10, 1, 5), Request::read(0, 10, 2, 5)],
+            // Not a shape the router produces (one slice, two transactions),
+            // but the per-object minima must still agree.
+            vec![Request::write(0, 21, 0, 8), Request::read(0, 20, 0, 8)],
+        ];
+        let mut q = IncrementalQualifier::new();
+        for &kind in ProtocolKind::all() {
+            if !IncrementalQualifier::supports(kind) {
+                continue;
+            }
+            for slice in &slices {
+                let mut pending = PendingStore::new();
+                let numbered: Vec<Request> = slice
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| Request {
+                        id: i as u64 + 1,
+                        ..*r
+                    })
+                    .collect();
+                pending.insert_batch(numbered).unwrap();
+                let qualified = qualify_once(kind, &pending, &history, &aux);
+                let expected = slice.iter().all(|r| qualified.contains(&r.key()));
+                assert_eq!(
+                    q.slice_admitted(kind, slice, &history, &aux),
+                    expected,
+                    "{kind:?} on {slice:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -409,39 +409,24 @@ impl DeclarativeScheduler {
         self.pending.min_pending_intra(ta).is_some() || self.queue.requests().any(|r| r.ta == ta)
     }
 
-    /// Qualify an escalated request slice against this scheduler's *live*
-    /// history state, without mutating anything.
+    /// Whether an escalated transaction's local `slice` (its data requests
+    /// homed here) is admitted in full by the built-in rule of `kind`
+    /// against this scheduler's *live* history — the shard's vote in the
+    /// two-phase escalation handshake.
     ///
-    /// The slice is loaded into a temporary pending store (ids renumbered
-    /// locally) and the built-in protocol rule is evaluated over
-    /// `slice` ∪ `history` (∪ aux) via the same per-object incremental
-    /// machinery a regular round uses.  Because every built-in rule
-    /// evaluates per object and each object lives on exactly one shard,
-    /// the conjunction of these shard-local verdicts equals the old
-    /// union-snapshot evaluation — that equivalence is what lets the
-    /// two-phase escalation handshake freeze only the touched shards.
-    pub fn qualify_escalated_slice(
-        &self,
+    /// The slice is judged by the same per-object machinery a regular
+    /// round uses, as if it were the only pending work; no scheduling
+    /// state changes.  Because every built-in rule evaluates per object and each
+    /// object lives on exactly one shard, the conjunction of these
+    /// shard-local verdicts equals a union-snapshot evaluation — that
+    /// equivalence is what lets the handshake hold only the touched shards.
+    pub fn escalated_slice_admitted(
+        &mut self,
         kind: crate::protocol::ProtocolKind,
         slice: &[Request],
-    ) -> SchedResult<Vec<RequestKey>> {
-        let mut tmp = PendingStore::new();
-        let renumbered: Vec<Request> = slice
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let mut r = *r;
-                r.id = i as u64 + 1;
-                r
-            })
-            .collect();
-        tmp.insert_batch(renumbered)?;
-        Ok(crate::qualify::qualify_once(
-            kind,
-            &tmp,
-            &self.history,
-            &self.aux,
-        ))
+    ) -> bool {
+        self.qualifier
+            .slice_admitted(kind, slice, &self.history, &self.aux)
     }
 
     /// Whether `object` is completely idle on this scheduler: no queued

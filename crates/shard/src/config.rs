@@ -23,8 +23,9 @@ pub struct ShardConfig {
     /// its home shard (or through the escalation lane, which also executes on
     /// the home shard), so the copies never diverge.
     pub rows: usize,
-    /// Upper bound on escalation re-tries while waiting for conflicting
-    /// shard-local locks to drain, before the transaction is failed.
+    /// Upper bound on one escalation's prepare attempts — the first plus
+    /// every re-arm by a shard round that released a conflicting lock —
+    /// before the transaction is failed as starved.
     pub max_escalation_attempts: u32,
     /// Auxiliary relations (e.g. `object_class` for consistency rationing)
     /// registered with every shard's scheduler and with the escalation

@@ -1,35 +1,42 @@
-//! The cross-shard escalation lane: a small scheduler of two-phase
-//! prepare/commit handshakes.
+//! The cross-shard escalation lane: a two-phase prepare/commit handshake the
+//! participants drive themselves.
 //!
 //! A transaction whose object footprint spans shards cannot be admitted by
 //! any single shard's rule — each shard only sees its own slice of the
 //! `history` relation.  The lane restores whole-transaction admission with
-//! a two-phase handshake over exactly the touched shards:
+//! a handshake over exactly the touched shards.  There is no lane thread:
+//! the router builds one shared [`Handshake`] record per transaction and
+//! every step is taken by the thread that finished the previous one.
 //!
-//! 1. **Prepare**: every touched shard qualifies the transaction's *local
-//!    slice* against its own live history — the same incremental
-//!    conflict-index evaluation local rounds use, no union snapshot — and
-//!    votes.  A granted vote holds the shard (it buffers traffic but runs
-//!    no rounds); a denial releases the siblings and the lane retries after
-//!    a backoff.  Per-shard qualification is sound because locks are per
-//!    object and every object has exactly one home shard: the conjunction
-//!    of the shard votes is precisely the unsharded rule's whole-footprint
-//!    admission decision.  (Custom protocols, whose rules the conflict
-//!    index cannot mirror, instead hand the lane a history snapshot and the
-//!    lane evaluates the declarative rule over the participants' union.)
-//! 2. **Commit**: with every vote granted, each touched shard executes its
-//!    sub-batch (terminals replicated to all participants) and drops its
-//!    hold.  Shards outside the footprint never stop — there is no fleet
-//!    barrier anywhere.
+//! 1. **Admission** (the submitting client's thread): jobs start in arrival
+//!    order; shard-disjoint jobs run concurrently and a job never overtakes
+//!    an earlier one it overlaps, which keeps per-object execution order —
+//!    and therefore the cross-backend invariant oracle — deterministic.
+//!    Starting a job posts `Prepare` onto every touched worker's mailbox.
+//! 2. **Prepare** (each touched worker): the shard qualifies the
+//!    transaction's *local slice* against its own live history — the rule
+//!    local rounds use, no union snapshot — and votes by decrementing the
+//!    record's vote count.  A granted vote holds the shard (it buffers
+//!    traffic but runs no rounds).  Per-shard votes are sound because locks
+//!    are per object and every object has exactly one home shard: their
+//!    conjunction is the unsharded rule's whole-footprint decision.
+//!    (Custom protocols, whose rules the conflict index cannot mirror, park
+//!    a history snapshot in the record instead and the decider evaluates
+//!    the declarative rule over the participants' union.)
+//! 3. **Decision** (the *last voter*): unanimous grant → it posts `Commit`
+//!    to its siblings and executes its own sub-batch at once; a denial → it
+//!    releases the siblings and parks the record on the denying shard,
+//!    whose next round that executes a terminal (the only thing that frees
+//!    a lock) re-arms the handshake; an error → it releases the siblings
+//!    and fails the ticket.
+//! 4. **Commit** (each touched worker): execute the sub-batch (terminals
+//!    replicate to all participants), drop the hold.  The *last finisher*
+//!    resolves the ticket through its round's batched hub publish and
+//!    retires the job, which admits whatever the freed shards unblock.
 //!
-//! Escalations whose shard sets are **disjoint** run concurrently on a
-//! small pool of persistent runner threads (spawning a thread per job would
-//! cost more than the handshake itself); the coordinator admits jobs in
-//! arrival order and
-//! never lets a job overtake an earlier one it overlaps (an overlapping
-//! waiter blocks its shards for everything behind it), which keeps
-//! per-object execution order — and therefore the cross-backend invariant
-//! oracle — deterministic.
+//! Shards outside the footprint never stop, and a two-shard escalation
+//! costs four cross-thread hand-offs: two prepares, one commit, one ticket
+//! wake-up.
 //!
 //! Ordering caveat: the lane serializes against *held locks* (the history
 //! relations), not against local transactions still sitting in shard
@@ -45,641 +52,592 @@
 
 use crate::hub::HubReply;
 use crate::metrics::EscalationStats;
-use crate::router::RehomeOutcome;
-use crate::worker::{PrepareVote, ShardMessage};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::worker::ShardMessage;
+use crossbeam::channel::{SendError, Sender};
 use declsched::protocol::SchedulingPolicy;
-use declsched::{Operation, Placement, Request, RequestKey, SchedError, SchedResult};
+use declsched::{Protocol, Request, SchedError, SchedResult};
 use relalg::{Catalog, Table};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A cross-shard transaction queued for the lane.
-pub(crate) struct EscalationJob {
+/// A shard's answer to a `Prepare`.
+pub(crate) enum Vote {
+    /// The shard admitted its local slice and now holds rounds until the
+    /// matching `Commit`/`Release2pc`.  Custom protocols carry the shard's
+    /// `history` relation at the vote point instead of a local verdict.
+    Granted { snapshot: Option<Table> },
+    /// A conflicting local lock — or, with `own_pending`, an earlier
+    /// submission of the same transaction still queued here.
+    Denied { own_pending: bool },
+    /// The shard could not vote at all (a chaos kill, a lane bug).
+    Error(SchedError),
+}
+
+/// What the thread that concluded a vote round must do on its own shard
+/// (every other participant is told by message).
+pub(crate) enum Own {
+    /// Unanimous grant: execute this shard's sub-batch now.
+    Execute,
+    /// Drop this shard's hold, if it has one.
+    Release,
+}
+
+/// A denied attempt, as the shard it waits on keeps it until a round there
+/// unblocks it.
+pub(crate) struct Parked {
+    pub handshake: Arc<Handshake>,
+    /// The denied attempt: re-arming is a compare-exchange on the record's
+    /// attempt count, so a record parked on several shards (or re-armed
+    /// already) is re-armed by exactly one of them.
+    attempt: u32,
+    shard: usize,
+    denied: bool,
+    /// The shard's release epoch when it voted: a later epoch when the
+    /// record arrives to park means the release already happened.
+    pub releases: u64,
+    /// The denial was an earlier own submission still queued, so the
+    /// wake-up is that submission executing, not a lock release.
+    pub own_pending: bool,
+}
+
+/// The mutex-guarded part of a [`Handshake`]: what only denials, custom
+/// snapshots, errors and the final resolution touch.
+struct Ballot {
+    /// Where this attempt may park if denied: the denying voters, and for
+    /// custom protocols the granting ones too (see [`Lane::decide`]).
+    parks: Vec<Parked>,
+    snapshots: Vec<Table>,
+    /// First error of the current phase (a vote, or a sub-batch).
+    error: Option<SchedError>,
+    reply: Option<HubReply>,
+}
+
+/// The shared record of one cross-shard transaction's handshake.
+pub(crate) struct Handshake {
+    /// Holds are keyed by this id.
+    pub job_id: u64,
     /// The transaction's requests, in intra order.
     pub requests: Vec<Request>,
-    /// The home shard of each request (index-parallel to `requests`),
-    /// captured under the placement fence at routing time; `None` for
-    /// terminals, which replicate to every touched shard.  The lane
-    /// executes with exactly this assignment so a placement flip between
-    /// routing and execution cannot send a request to a shard whose vote
-    /// the handshake never collected.
-    pub assigned: Vec<Option<usize>>,
+    /// The home shard of each data request (index-parallel to `requests`;
+    /// `None` for terminals), captured under the placement fence at routing
+    /// time: a placement flip between routing and execution cannot send a
+    /// request to a shard whose vote the handshake never collected.
+    assigned: Vec<Option<usize>>,
     /// Touched shard ids, ascending and distinct (includes shards holding
     /// locks from the transaction's earlier submissions).
-    pub touched: Vec<usize>,
-    /// Resolved once with the outcome.
-    pub reply: HubReply,
+    touched: Vec<usize>,
+    /// Votes still outstanding in the current attempt; whoever takes it to
+    /// zero decides.
+    votes_left: AtomicUsize,
+    /// Sub-batches still outstanding after a unanimous grant; whoever takes
+    /// it to zero resolves the ticket and retires the job.
+    finishers_left: AtomicUsize,
+    /// Attempts concluded with a denial so far.
+    attempt: AtomicU32,
+    /// Lane-clock stamp (µs) of admission, then of the granting decision.
+    stamp_us: AtomicU64,
+    ballot: Mutex<Ballot>,
 }
 
-/// Coordinator mailbox.
-pub(crate) enum EscalationMessage {
-    /// Run one escalation.
-    Job(EscalationJob),
-    /// A runner thread finished its job (sent by the runner itself through
-    /// a loopback sender) — join it, fold its counters, and start whatever
-    /// the freed shards unblock.
-    JobFinished {
-        /// The lane's id for the finished job.
-        job_id: u64,
-        /// Attempts beyond the first.
-        retries: u64,
-        /// Whether the escalation failed (typed error to the client).
-        failed: bool,
-        /// Requests executed through the lane on success.
-        requests: u64,
-    },
-    /// Migrate an object between shard engines and flip its placement
-    /// entry.  The router only sends this while the lane is completely
-    /// idle (checked under the exclusive placement fence), so the
-    /// migration cannot race a handshake.
-    Rehome {
-        /// The object to migrate.
-        object: i64,
-        /// Its new home shard.
-        to: usize,
-        /// Signalled once with the outcome.
-        reply: Sender<SchedResult<RehomeOutcome>>,
-    },
-    /// Finish queued and running jobs received before this marker, then
-    /// stop.
-    Shutdown,
+impl Handshake {
+    /// The escalated transaction, for the own-submission-pending check.
+    pub(crate) fn ta(&self) -> Option<u64> {
+        self.requests.first().map(|r| r.ta)
+    }
+
+    /// The data requests homed on `shard` — what its vote qualifies.
+    pub(crate) fn slice(&self, shard: usize) -> impl Iterator<Item = &Request> {
+        self.sub_batch(shard).filter(|r| r.op.is_data())
+    }
+
+    /// What `shard` executes on commit: its slice plus the terminals, which
+    /// replicate to every participant so each engine finishes the
+    /// transaction.
+    pub(crate) fn sub_batch(&self, shard: usize) -> impl Iterator<Item = &Request> {
+        self.requests
+            .iter()
+            .zip(&self.assigned)
+            .filter(move |(_, home)| home.is_none_or(|home| home == shard))
+            .map(|(r, _)| r)
+    }
+
+    fn overlaps(&self, other: &Handshake) -> bool {
+        self.touched.iter().any(|s| other.touched.contains(s))
+    }
 }
 
-/// Everything the escalation coordinator thread is born with.
-pub(crate) struct CoordinatorSetup {
-    pub policy: SchedulingPolicy,
-    pub workers: Vec<Sender<ShardMessage>>,
-    pub receiver: Receiver<EscalationMessage>,
-    /// Loopback sender runners report `JobFinished` through.
-    pub loopback: Sender<EscalationMessage>,
-    pub max_attempts: u32,
-    pub aux_relations: Vec<Table>,
-    pub placement: Arc<Placement>,
-    pub lane_active: Arc<AtomicU64>,
-    pub sink: obs::TraceSink,
-    pub registry: Arc<obs::Registry>,
-    pub injector: Arc<chaos::FaultInjector>,
+/// Every update under the lane's mutexes is a single push, take or flag
+/// write, so the data is valid at every step and a panicking holder must
+/// not take the rest of the fleet down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Everything a runner thread needs, shared across the pool.
-struct RunnerShared {
+pub(crate) fn closed(endpoint: &'static str) -> SchedError {
+    SchedError::ChannelClosed { endpoint }
+}
+
+/// The admission state: which jobs wait, which run.
+#[derive(Default)]
+struct Admission {
+    waiting: VecDeque<Arc<Handshake>>,
+    active: Vec<Arc<Handshake>>,
+    /// Set by [`Lane::shutdown`]: later jobs are refused.
+    shutting_down: bool,
+}
+
+impl Admission {
+    fn backlog(&self) -> usize {
+        self.waiting.len() + self.active.len()
+    }
+}
+
+/// Everything the handshake's participants share.
+pub(crate) struct Lane {
     policy: SchedulingPolicy,
     workers: Vec<Sender<ShardMessage>>,
-    loopback: Sender<EscalationMessage>,
     max_attempts: u32,
     aux_relations: Vec<Table>,
-    sink: obs::TraceSink,
     injector: Arc<chaos::FaultInjector>,
+    recorder: obs::SharedRecorder,
+    /// Zero of the lane clock behind `lane.prepare_us`/`lane.commit_us`.
+    epoch: Instant,
+    next_job_id: AtomicU64,
+    admission: Mutex<Admission>,
+    /// Signalled when the last waiting-or-active job retires.
+    idle: Condvar,
+    // The `lane.*` registry cells; [`EscalationStats`] is their snapshot.
+    escalations: obs::Counter,
+    retries: obs::Counter,
+    failed: obs::Counter,
+    escalated_requests: obs::Counter,
+    concurrent_peak: Arc<AtomicU64>,
     prepare_hist: Arc<obs::MetricHistogram>,
     commit_hist: Arc<obs::MetricHistogram>,
 }
 
-/// The escalation coordinator thread body: admits jobs in arrival order,
-/// runs shard-disjoint jobs concurrently, and merges runner outcomes.
-pub(crate) fn run_coordinator(setup: CoordinatorSetup) -> EscalationStats {
-    let CoordinatorSetup {
-        policy,
-        workers,
-        receiver,
-        loopback,
-        max_attempts,
-        aux_relations,
-        placement,
-        lane_active,
-        sink,
-        registry,
-        injector,
-    } = setup;
-    let mut stats = EscalationStats::default();
-    let mut recorder = sink.recorder();
-    // Live mirrors of the `EscalationStats` fields: the struct stays the
-    // shutdown report's source of truth, the counters expose it mid-run.
-    let escalations_ctr = registry.counter("lane.escalations");
-    let retries_ctr = registry.counter("lane.retries");
-    let failed_ctr = registry.counter("lane.failed");
-    let requests_ctr = registry.counter("lane.escalated_requests");
-    let rehomes_ctr = registry.counter("lane.rehomes");
-    let rehomes_busy_ctr = registry.counter("lane.rehomes_busy");
-    let concurrent_gauge = Arc::new(AtomicU64::new(0));
-    registry.adopt_gauge("lane.concurrent_peak", Arc::clone(&concurrent_gauge));
-    let shared = Arc::new(RunnerShared {
-        policy,
-        workers,
-        loopback,
-        max_attempts,
-        aux_relations,
-        sink,
-        injector: Arc::clone(&injector),
-        prepare_hist: registry.histogram("lane.prepare_us"),
-        commit_hist: registry.histogram("lane.commit_us"),
-    });
-
-    // The runner pool: persistent threads consuming admitted jobs.  Sized
-    // to the concurrency the disjointness rule can actually produce — at
-    // most ⌊shards/2⌋ two-shard escalations can be in flight at once — and
-    // bounded, because each runner mostly waits on worker round trips.
-    let runner_count = (shared.workers.len() / 2).clamp(1, 8);
-    let (jobs_tx, jobs_rx) = crossbeam::channel::unbounded::<(u64, EscalationJob)>();
-    // The shim's `Receiver::recv` takes `&self` (Mutex + Condvar inside), so
-    // the pool shares one receiver and the channel does the work stealing.
-    let jobs_rx = Arc::new(jobs_rx);
-    let runner_handles: Vec<JoinHandle<()>> = (0..runner_count)
-        .map(|i| {
-            let jobs_rx = Arc::clone(&jobs_rx);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("declsched-lane-{i}"))
-                .spawn(move || run_pool_runner(jobs_rx, shared))
-                .expect("spawning an escalation runner cannot fail")
+impl Lane {
+    pub(crate) fn new(
+        config: &crate::ShardConfig,
+        workers: Vec<Sender<ShardMessage>>,
+        sink: &obs::TraceSink,
+        registry: &obs::Registry,
+    ) -> Arc<Self> {
+        let concurrent_peak = Arc::new(AtomicU64::new(0));
+        registry.adopt_gauge("lane.concurrent_peak", Arc::clone(&concurrent_peak));
+        Arc::new(Lane {
+            policy: config.policy.clone(),
+            workers,
+            max_attempts: config.max_escalation_attempts,
+            aux_relations: config.aux_relations.clone(),
+            injector: Arc::clone(&config.injector),
+            recorder: sink.shared_recorder(),
+            epoch: Instant::now(),
+            next_job_id: AtomicU64::new(1),
+            admission: Mutex::default(),
+            idle: Condvar::new(),
+            escalations: registry.counter("lane.escalations"),
+            retries: registry.counter("lane.retries"),
+            failed: registry.counter("lane.failed"),
+            escalated_requests: registry.counter("lane.escalated_requests"),
+            concurrent_peak,
+            prepare_hist: registry.histogram("lane.prepare_us"),
+            commit_hist: registry.histogram("lane.commit_us"),
         })
-        .collect();
-    drop(jobs_rx);
-
-    let mut waiting: VecDeque<(u64, EscalationJob)> = VecDeque::new();
-    let mut active: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut next_job_id = 0u64;
-    let mut shutting_down = false;
-
-    loop {
-        if shutting_down && waiting.is_empty() && active.is_empty() {
-            break;
-        }
-        let Ok(message) = receiver.recv() else { break };
-        match message {
-            EscalationMessage::Job(job) => {
-                if shutting_down {
-                    // Arrived after the shutdown marker: refused.  Dropping
-                    // the reply resolves the client's ticket with a typed
-                    // closed-channel error.
-                    lane_active.fetch_sub(1, Ordering::Release);
-                    drop(job);
-                    continue;
-                }
-                // Chaos hook: a `Stall` here delays the whole lane — every
-                // queued cross-shard job waits behind it.
-                if let Some(chaos::Fault::Stall { millis }) = injector.fire(chaos::Hook::LaneJob) {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                stats.escalations += 1;
-                escalations_ctr.inc();
-                next_job_id += 1;
-                waiting.push_back((next_job_id, job));
-            }
-            EscalationMessage::JobFinished {
-                job_id,
-                retries,
-                failed,
-                requests,
-            } => {
-                active.remove(&job_id);
-                stats.retries += retries;
-                retries_ctr.add(retries);
-                if failed {
-                    // The job failed, but the transaction may still hold
-                    // locks from earlier submissions on its recorded home
-                    // shards — the homes entry must survive so a follow-up
-                    // abort routes there.  Reclaim happens when the client
-                    // terminates or abandons the transaction.
-                    stats.failed += 1;
-                    failed_ctr.inc();
-                } else {
-                    stats.escalated_requests += requests;
-                    requests_ctr.add(requests);
-                }
-                // Counted up by the router at enqueue (under the placement
-                // fence); down only once the job has fully finished, so a
-                // fence holder never sees the lane as idle while a job is
-                // queued *or* executing.
-                lane_active.fetch_sub(1, Ordering::Release);
-            }
-            EscalationMessage::Rehome { object, to, reply } => {
-                let outcome = run_rehome(&shared.workers, &placement, object, to);
-                match outcome {
-                    Ok(RehomeOutcome::Done) => {
-                        stats.rehomes += 1;
-                        rehomes_ctr.inc();
-                        // A placement flip is rare enough to be worth a
-                        // post-mortem window around it.
-                        recorder.freeze_anomaly(&format!("rehome: object {object} -> shard {to}"));
-                    }
-                    Ok(RehomeOutcome::Busy) => {
-                        stats.rehomes_busy += 1;
-                        rehomes_busy_ctr.inc();
-                    }
-                    _ => {}
-                }
-                let _ = reply.send(outcome);
-            }
-            EscalationMessage::Shutdown => shutting_down = true,
-        }
-
-        start_disjoint(&mut waiting, &mut active, &jobs_tx);
-        let concurrent = active.len() as u64;
-        if concurrent > stats.concurrent_peak {
-            stats.concurrent_peak = concurrent;
-            concurrent_gauge.fetch_max(concurrent, Ordering::Relaxed);
-        }
     }
-    // No more jobs can be admitted: retire the pool.
-    drop(jobs_tx);
-    for handle in runner_handles {
-        let _ = handle.join();
-    }
-    stats
-}
 
-/// Admit every waiting job whose shard set is disjoint from all running
-/// jobs *and* from every earlier waiter — arrival order is never reordered
-/// between overlapping jobs, which is the deterministic ordering rule that
-/// keeps per-object execution order identical to serialized execution.
-fn start_disjoint(
-    waiting: &mut VecDeque<(u64, EscalationJob)>,
-    active: &mut HashMap<u64, Vec<usize>>,
-    jobs_tx: &Sender<(u64, EscalationJob)>,
-) {
-    let mut blocked: HashSet<usize> = active.values().flatten().copied().collect();
-    let mut index = 0;
-    while index < waiting.len() {
-        let disjoint = waiting[index]
-            .1
-            .touched
-            .iter()
-            .all(|shard| !blocked.contains(shard));
-        if disjoint {
-            let (job_id, job) = waiting.remove(index).expect("index in bounds");
-            blocked.extend(job.touched.iter().copied());
-            active.insert(job_id, job.touched.clone());
-            // The pool outlives the admission loop, so this can only fail
-            // after shutdown — and then waiting/active are already empty.
-            let _ = jobs_tx.send((job_id, job));
-        } else {
-            blocked.extend(waiting[index].1.touched.iter().copied());
-            index += 1;
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
+    /// The protocol a handshake votes under (selected by reference; every
+    /// participant derives the same one from the shared record).
+    pub(crate) fn protocol(&self, handshake: &Handshake) -> &Protocol {
+        self.policy.select(handshake.requests.len())
+    }
+
+    /// Jobs waiting for or inside a handshake — the cross-shard backlog the
+    /// overload controller reads.
+    pub(crate) fn backlog(&self) -> usize {
+        lock(&self.admission).backlog()
+    }
+
+    /// Take in one cross-shard transaction on the caller's thread and start
+    /// whatever the admission rule allows (usually the job itself).
+    /// `assigned` and `touched` are described on [`Handshake`]; `reply` is
+    /// resolved once with the outcome.
+    pub(crate) fn submit(
+        &self,
+        requests: Vec<Request>,
+        assigned: Vec<Option<usize>>,
+        touched: Vec<usize>,
+        reply: HubReply,
+    ) -> SchedResult<()> {
+        // Chaos hook: a `Stall` here delays this job's admission.
+        if let Some(chaos::Fault::Stall { millis }) = self.injector.fire(chaos::Hook::LaneJob) {
+            std::thread::sleep(Duration::from_millis(millis));
         }
-    }
-}
-
-/// One pool runner: executes admitted jobs until the coordinator retires
-/// the pool by dropping the job sender.
-fn run_pool_runner(jobs_rx: Arc<Receiver<(u64, EscalationJob)>>, shared: Arc<RunnerShared>) {
-    let mut recorder = shared.sink.recorder();
-    while let Ok((job_id, job)) = jobs_rx.recv() {
-        let EscalationJob {
+        let handshake = Arc::new(Handshake {
+            job_id: self.next_job_id.fetch_add(1, Ordering::Relaxed),
             requests,
             assigned,
             touched,
-            reply,
-        } = job;
-        let total_requests = requests.len() as u64;
-        let mut retries = 0u64;
-        let result = run_escalation(
-            &shared,
-            job_id,
-            &requests,
-            &assigned,
-            &touched,
-            &mut retries,
-            &mut recorder,
-        );
-        let failed = result.is_err();
-        reply.resolve_now(result);
-        let _ = shared.loopback.send(EscalationMessage::JobFinished {
-            job_id,
-            retries,
-            failed,
-            requests: total_requests,
+            votes_left: AtomicUsize::new(0),
+            finishers_left: AtomicUsize::new(0),
+            attempt: AtomicU32::new(0),
+            stamp_us: AtomicU64::new(0),
+            ballot: Mutex::new(Ballot {
+                parks: Vec::new(),
+                snapshots: Vec::new(),
+                error: None,
+                reply: Some(reply),
+            }),
         });
-    }
-}
-
-/// Move one object's row from its current home engine to `to` and flip the
-/// placement overlay.  The caller holds the router's placement fence
-/// exclusively and the lane is idle, so no submission can be routed (and no
-/// message for the object can be in flight behind this one) while the
-/// migration runs.
-fn run_rehome(
-    workers: &[Sender<ShardMessage>],
-    placement: &Placement,
-    object: i64,
-    to: usize,
-) -> SchedResult<RehomeOutcome> {
-    let from = placement.shard_of(object);
-    if from == to {
-        return Ok(RehomeOutcome::NoOp);
-    }
-    let (reply_tx, reply_rx) = bounded(1);
-    workers[from]
-        .send(ShardMessage::Export {
-            object,
-            reply: reply_tx,
-        })
-        .map_err(|_| SchedError::ChannelClosed {
-            endpoint: "shard worker (export)",
-        })?;
-    let value = reply_rx.recv().map_err(|_| SchedError::ChannelClosed {
-        endpoint: "shard worker (export ack)",
-    })?;
-    let Some(value) = value else {
-        return Ok(RehomeOutcome::Busy);
-    };
-    let (done_tx, done_rx) = bounded(1);
-    workers[to]
-        .send(ShardMessage::Install {
-            object,
-            value,
-            done: done_tx,
-        })
-        .map_err(|_| SchedError::ChannelClosed {
-            endpoint: "shard worker (install)",
-        })?;
-    done_rx.recv().map_err(|_| SchedError::ChannelClosed {
-        endpoint: "shard worker (install ack)",
-    })??;
-    placement.rehome(object, to);
-    Ok(RehomeOutcome::Done)
-}
-
-/// Prepare → commit (or release), retrying while any touched shard denies.
-fn run_escalation(
-    shared: &RunnerShared,
-    job_id: u64,
-    requests: &[Request],
-    assigned: &[Option<usize>],
-    touched: &[usize],
-    retries: &mut u64,
-    recorder: &mut obs::Recorder,
-) -> SchedResult<()> {
-    let workers = &shared.workers;
-    let protocol = shared.policy.select(requests.len()).clone();
-    let custom = protocol.kind == declsched::ProtocolKind::Custom;
-    let ta = requests.first().map(|r| r.ta);
-    let max_attempts = shared.max_attempts;
-    for attempt in 0..max_attempts.max(1) {
-        if attempt > 0 {
-            *retries += 1;
-            // Growing pause so the denying shard gets rounds in to drain
-            // the conflicting locks.  Each retry re-prepares every touched
-            // shard, so the backoff caps well above the workers' ~1 ms
-            // round cadence to keep that cost amortised under contention.
-            std::thread::sleep(Duration::from_micros(100 * u64::from(attempt.min(50))));
+        let mut admission = lock(&self.admission);
+        if admission.shutting_down {
+            // Dropping the record resolves the ticket with the same typed
+            // closed-channel error.
+            return Err(closed("escalation lane (shutting down)"));
         }
+        self.escalations.inc();
+        admission.waiting.push_back(handshake);
+        self.admit(admission);
+        Ok(())
+    }
 
-        // Phase 1 — prepare: fan the vote requests out in ascending shard
-        // order, then collect.  Each shard qualifies its own slice against
-        // its live history; a granted vote holds the shard until our
-        // decision.
-        let prepare_started = Instant::now();
-        let mut votes: Vec<(usize, Receiver<PrepareVote>)> = Vec::with_capacity(touched.len());
-        let mut error: Option<SchedError> = None;
-        for &shard in touched {
-            // Chaos hook: kill a participant right before its prepare
-            // lands — the mid-handshake fault the two-phase protocol must
-            // survive (the dead shard votes a typed error and the lane
-            // backs out, releasing every granted sibling).
-            match shared.injector.fire(chaos::Hook::LanePrepare { shard }) {
-                Some(chaos::Fault::Stall { millis }) => {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                Some(chaos::Fault::Kill) => {
-                    let _ = workers[shard].send(ShardMessage::ChaosKill);
-                }
-                _ => {}
-            }
-            let slice: Vec<Request> = requests
+    /// Start every waiting job whose shard set is disjoint from all running
+    /// jobs *and* from every earlier waiter — arrival order is never
+    /// reordered between overlapping jobs, which is the deterministic
+    /// ordering rule that keeps per-object execution order identical to
+    /// serialized execution.  The first prepares go out after the lock is
+    /// dropped: jobs started together are shard-disjoint, so they cannot
+    /// race each other onto one mailbox.
+    fn admit(&self, mut admission: MutexGuard<'_, Admission>) {
+        let mut started = Vec::new();
+        let mut index = 0;
+        while index < admission.waiting.len() {
+            let job = &admission.waiting[index];
+            let earlier = admission.waiting.iter().take(index);
+            if admission
+                .active
                 .iter()
-                .zip(assigned)
-                .filter(|(r, a)| r.op.is_data() && **a == Some(shard))
-                .map(|(r, _)| *r)
-                .collect();
-            let (vote_tx, vote_rx) = bounded(1);
-            if workers[shard]
-                .send(ShardMessage::Prepare {
-                    job_id,
-                    ta,
-                    kind: protocol.kind,
-                    slice,
-                    want_snapshot: custom,
-                    vote: vote_tx,
-                })
-                .is_err()
+                .chain(earlier)
+                .any(|e| e.overlaps(job))
             {
-                error = Some(SchedError::ChannelClosed {
-                    endpoint: "shard worker (prepare)",
-                });
-                break;
-            }
-            votes.push((shard, vote_rx));
-        }
-        let mut granted: Vec<usize> = Vec::with_capacity(touched.len());
-        let mut all_granted = error.is_none();
-        let mut snapshots: Vec<(usize, Table)> = Vec::new();
-        for (shard, vote_rx) in votes {
-            match vote_rx.recv() {
-                Ok(vote) => {
-                    if let Some(e) = vote.error {
-                        if error.is_none() {
-                            error = Some(e);
-                        }
-                        all_granted = false;
-                    } else if vote.granted {
-                        granted.push(shard);
-                        if let Some(snapshot) = vote.snapshot {
-                            snapshots.push((shard, snapshot));
-                        }
-                    } else {
-                        all_granted = false;
-                    }
-                }
-                Err(_) => {
-                    if error.is_none() {
-                        error = Some(SchedError::ChannelClosed {
-                            endpoint: "shard worker (prepare ack)",
-                        });
-                    }
-                    all_granted = false;
-                }
+                index += 1;
+            } else {
+                let job = admission.waiting.remove(index).expect("index in bounds");
+                admission.active.push(Arc::clone(&job));
+                started.push(job);
             }
         }
-        if let Some(e) = error {
-            // A participant is gone (or voted an error): back out cleanly —
-            // every granted sibling is released, the client gets the typed
-            // error, untouched shards never noticed.
-            release(workers, job_id, &granted);
-            return Err(e);
+        if admission.backlog() == 0 {
+            self.idle.notify_all();
         }
-        if !all_granted {
-            // A shard-local lock (or an earlier own submission) defers the
-            // escalation; release the granted shards so it can drain.
-            release(workers, job_id, &granted);
-            continue;
+        self.concurrent_peak
+            .fetch_max(admission.active.len() as u64, Ordering::Relaxed);
+        drop(admission);
+        for handshake in started {
+            handshake.stamp_us.store(self.now_us(), Ordering::Relaxed);
+            self.post_prepares(&handshake);
         }
-        if custom {
-            // Custom protocols: evaluate the declarative rule over the
-            // union of the participants' snapshots.
-            match qualify_union(&protocol, requests, &snapshots, &shared.aux_relations) {
-                Err(e) => {
-                    release(workers, job_id, &granted);
-                    return Err(e);
-                }
-                Ok(qualified) => {
-                    let admitted = requests
-                        .iter()
-                        .filter(|r| r.op.is_data())
-                        .all(|r| qualified.contains(&r.key()));
-                    if !admitted {
-                        release(workers, job_id, &granted);
-                        continue;
-                    }
-                }
-            }
-        }
-        shared
-            .prepare_hist
-            .observe(prepare_started.elapsed().as_micros() as u64);
+    }
 
+    fn post_prepares(&self, handshake: &Arc<Handshake>) {
+        // Release: the stores of the previous attempt's conclusion (and of
+        // `admit`) are visible to whoever takes the count back to zero.
+        handshake
+            .votes_left
+            .store(handshake.touched.len(), Ordering::Release);
+        for &shard in &handshake.touched {
+            let prepare = ShardMessage::Prepare(Arc::clone(handshake));
+            if self.workers[shard].send(prepare).is_err() {
+                // The shard's thread is gone: vote the typed error in its
+                // place so the handshake backs out instead of hanging.
+                let gone = Vote::Error(closed("shard worker (prepare)"));
+                self.cast_vote(handshake, shard, 0, gone);
+            }
+        }
+    }
+
+    /// Record `shard`'s vote (`releases` is its release epoch).  The last
+    /// voter decides and is told what to do on its own shard; everyone else
+    /// gets `None` and waits for the decider's message.
+    pub(crate) fn cast_vote(
+        &self,
+        handshake: &Arc<Handshake>,
+        shard: usize,
+        releases: u64,
+        vote: Vote,
+    ) -> Option<Own> {
+        let park = |own_pending, denied| Parked {
+            handshake: Arc::clone(handshake),
+            attempt: handshake.attempt.load(Ordering::Acquire),
+            shard,
+            denied,
+            releases,
+            own_pending,
+        };
+        match vote {
+            // The common case touches nothing but the count below.
+            Vote::Granted { snapshot: None } => {}
+            Vote::Granted {
+                snapshot: Some(snapshot),
+            } => {
+                let mut ballot = lock(&handshake.ballot);
+                ballot.snapshots.push(snapshot);
+                ballot.parks.push(park(false, false));
+            }
+            Vote::Denied { own_pending } => {
+                lock(&handshake.ballot).parks.push(park(own_pending, true));
+            }
+            Vote::Error(e) => {
+                lock(&handshake.ballot).error.get_or_insert(e);
+            }
+        }
+        // AcqRel: the decider observes every earlier voter's writes.
+        if handshake.votes_left.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        Some(self.decide(handshake, shard))
+    }
+
+    /// Conclude a vote round on the last voter's thread.
+    fn decide(&self, handshake: &Arc<Handshake>, me: usize) -> Own {
+        let (error, snapshots, mut parks) = {
+            let mut ballot = lock(&handshake.ballot);
+            (
+                ballot.error.take(),
+                std::mem::take(&mut ballot.snapshots),
+                std::mem::take(&mut ballot.parks),
+            )
+        };
+        let starved = handshake.attempt.load(Ordering::Acquire) + 1 >= self.max_attempts;
+        let verdict = if let Some(e) = error {
+            Err(e)
+        } else if parks.iter().any(|p| p.denied) {
+            // Wait where a denial happened (granting custom voters listed
+            // themselves only for the union denial below).
+            parks.retain(|p| p.denied);
+            Ok(false)
+        } else if snapshots.is_empty() {
+            Ok(true)
+        } else {
+            // Custom protocols: evaluate the declarative rule over the
+            // union of the participants' snapshots.  A denial may stem from
+            // any of them, so it parks on all.
+            self.qualify_union(handshake, &snapshots)
+        };
+        let error = match verdict {
+            Ok(true) => return self.commit(handshake, me),
+            Ok(false) if !starved => {
+                // Releases go out before the parking requests, so on every
+                // mailbox the release precedes the re-armed prepare.
+                self.release_siblings(handshake, me);
+                for parked in parks {
+                    let mailbox = &self.workers[parked.shard];
+                    if let Err(SendError(ShardMessage::Park(parked))) =
+                        mailbox.send(ShardMessage::Park(parked))
+                    {
+                        self.rearm(&parked);
+                    }
+                }
+                return Own::Release;
+            }
+            Ok(false) => SchedError::Dispatch {
+                message: format!(
+                    "escalation starved after {} attempts: a touched shard never drained its \
+                     conflicting locks",
+                    self.max_attempts
+                ),
+            },
+            Err(e) => e,
+        };
+        // Back out: every granted sibling is released, the client gets the
+        // typed error, untouched shards never noticed.
+        self.release_siblings(handshake, me);
+        if let Some((reply, outcome)) = self.settle(handshake, Some(error)) {
+            reply.resolve_now(outcome);
+        }
+        Own::Release
+    }
+
+    /// Unanimous grant: tell the siblings, stamp the decision.
+    fn commit(&self, handshake: &Arc<Handshake>, me: usize) -> Own {
+        let now = self.now_us();
+        let admitted = handshake.stamp_us.swap(now, Ordering::Relaxed);
+        self.prepare_hist.observe(now.saturating_sub(admitted));
         // Every vote granted: this is the lane's qualification point.
         // (Dispatched/Executed are recorded by the owning shards as they
         // run the sub-batches.)
-        if let Some(ta) = ta {
-            if recorder.samples(ta) {
-                let qualified_at = recorder.now_us();
-                for request in requests {
-                    recorder.emit_at(ta, request.intra, qualified_at, obs::EventKind::Qualified);
+        if let Some(ta) = handshake.ta().filter(|&ta| self.recorder.samples(ta)) {
+            let intras: Vec<u32> = handshake.requests.iter().map(|r| r.intra).collect();
+            self.recorder.emit_group_at(
+                ta,
+                &intras,
+                self.recorder.now_us(),
+                obs::EventKind::Qualified,
+            );
+        }
+        let has_work = |shard| handshake.sub_batch(shard).next().is_some();
+        // The count is in place before the first sibling can finish.
+        let working = handshake.touched.iter().filter(|&&s| has_work(s)).count();
+        handshake.finishers_left.store(working, Ordering::Release);
+        for &shard in handshake.touched.iter().filter(|&&s| s != me) {
+            // A shard with nothing to execute is released instead.
+            let message = if has_work(shard) {
+                ShardMessage::Commit(Arc::clone(handshake))
+            } else {
+                ShardMessage::Release2pc {
+                    job_id: handshake.job_id,
+                }
+            };
+            if self.workers[shard].send(message).is_err() && has_work(shard) {
+                let gone = closed("shard worker (commit)");
+                if let Some((reply, outcome)) = self.finish(handshake, Err(gone)) {
+                    reply.resolve_now(outcome);
                 }
             }
         }
+        if has_work(me) {
+            Own::Execute
+        } else {
+            Own::Release
+        }
+    }
 
-        // Phase 2 — commit: each shard executes its sub-batch — the
-        // placement captured at routing time (`assigned`) — with terminals
-        // replicated to every touched shard so each participating engine
-        // finishes the transaction.  A shard with nothing to execute is
-        // released instead.
-        let commit_started = Instant::now();
-        let mut result = Ok(());
-        let mut dones = Vec::with_capacity(touched.len());
-        for &shard in touched {
-            let sub_batch: Vec<Request> = requests
-                .iter()
-                .zip(assigned)
-                .filter(|(r, a)| {
-                    if r.op.is_data() {
-                        **a == Some(shard)
-                    } else {
-                        matches!(r.op, Operation::Commit | Operation::Abort)
-                    }
-                })
-                .map(|(r, _)| *r)
-                .collect();
-            if sub_batch.is_empty() {
-                let _ = workers[shard].send(ShardMessage::Release2pc { job_id });
-                continue;
-            }
-            // Chaos hook: kill a participant between its granted vote and
-            // its commit — the worst mid-handshake moment.  The dead shard
-            // refuses the commit with a typed error; siblings that already
-            // executed keep their (locally recorded) slices, exactly like a
-            // worker dying mid-execute did under the old barrier.
-            match shared.injector.fire(chaos::Hook::LaneCommit { shard }) {
-                Some(chaos::Fault::Stall { millis }) => {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                Some(chaos::Fault::Kill) => {
-                    let _ = workers[shard].send(ShardMessage::ChaosKill);
-                }
-                _ => {}
-            }
-            let (done_tx, done_rx) = bounded(1);
-            if workers[shard]
-                .send(ShardMessage::Commit {
-                    job_id,
-                    requests: sub_batch,
-                    done: done_tx,
-                })
-                .is_err()
-            {
-                result = Err(SchedError::ChannelClosed {
-                    endpoint: "shard worker (commit)",
-                });
-                break;
-            }
-            dones.push(done_rx);
+    /// Drop every sibling's hold (a no-op on shards that never granted).
+    fn release_siblings(&self, handshake: &Handshake, me: usize) {
+        for &shard in handshake.touched.iter().filter(|&&s| s != me) {
+            let _ = self.workers[shard].send(ShardMessage::Release2pc {
+                job_id: handshake.job_id,
+            });
         }
-        for done in dones {
-            match done.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-                Err(_) => {
-                    if result.is_ok() {
-                        result = Err(SchedError::ChannelClosed {
-                            endpoint: "shard worker (commit ack)",
-                        });
-                    }
-                }
-            }
-        }
-        if result.is_err() {
-            // Commits were sent before this release on the same FIFO
-            // channels, so a shard that already executed treats the release
-            // as a no-op; one that never saw its commit drops the hold.
-            release(workers, job_id, touched);
-        }
-        shared
-            .commit_hist
-            .observe(commit_started.elapsed().as_micros() as u64);
-        return result;
     }
-    Err(SchedError::Dispatch {
-        message: format!(
-            "escalation starved after {max_attempts} attempts: a touched shard never \
-             drained its conflicting locks"
-        ),
-    })
-}
 
-/// Evaluate a custom protocol's declarative rule over `requests` ∪ the
-/// merged history snapshots of the prepared shards (∪ empty `sla`).
-/// Built-in protocols never reach this: their admission decomposes into the
-/// per-shard votes.
-fn qualify_union(
-    protocol: &declsched::Protocol,
-    requests: &[Request],
-    snapshots: &[(usize, Table)],
-    aux_relations: &[Table],
-) -> SchedResult<HashSet<RequestKey>> {
-    let mut pending = Table::new("requests", Request::schema());
-    for (i, request) in requests.iter().enumerate() {
-        let mut row = *request;
-        row.id = i as u64 + 1;
-        pending
-            .push(row.to_tuple())
-            .map_err(declsched::SchedError::from)?;
+    /// Start the next attempt of a denied handshake — called by the parking
+    /// shard whose round released a lock (or found the release already
+    /// happened).  Only the first caller per attempt wins.
+    pub(crate) fn rearm(&self, parked: &Parked) {
+        let Parked {
+            handshake, attempt, ..
+        } = parked;
+        if handshake
+            .attempt
+            .compare_exchange(*attempt, attempt + 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            self.retries.inc();
+            self.post_prepares(handshake);
+        }
     }
-    let mut history = Table::new("history", Request::schema());
-    for (_, snapshot) in snapshots {
-        history
-            .extend(snapshot.rows().iter().cloned())
-            .map_err(declsched::SchedError::from)?;
-    }
-    let mut catalog = Catalog::new();
-    catalog.register(pending);
-    catalog.register(history);
-    catalog.register(Table::new("sla", Request::sla_schema()));
-    for aux in aux_relations {
-        catalog.replace(aux.clone());
-    }
-    Ok(protocol.rules.qualify(&catalog)?.into_iter().collect())
-}
 
-fn release(workers: &[Sender<ShardMessage>], job_id: u64, shards: &[usize]) {
-    for &shard in shards {
-        let _ = workers[shard].send(ShardMessage::Release2pc { job_id });
+    /// Record one participant's commit outcome.  The last finisher gets the
+    /// ticket's reply and the handshake's result to publish — a worker does
+    /// so through its round's batched hub flush.
+    pub(crate) fn finish(
+        &self,
+        handshake: &Arc<Handshake>,
+        result: SchedResult<()>,
+    ) -> Option<(HubReply, SchedResult<()>)> {
+        if let Err(e) = result {
+            lock(&handshake.ballot).error.get_or_insert(e);
+        }
+        // AcqRel: the last finisher observes every earlier finisher's error.
+        if handshake.finishers_left.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return None;
+        }
+        let decided = handshake.stamp_us.load(Ordering::Relaxed);
+        self.commit_hist
+            .observe(self.now_us().saturating_sub(decided));
+        // Siblings of a failed participant keep the (locally recorded)
+        // slices they executed, exactly like a worker dying mid-execute.
+        let error = lock(&handshake.ballot).error.take();
+        self.settle(handshake, error)
+    }
+
+    /// Count the outcome, retire the job — which admits whatever its shards
+    /// were blocking — and hand back the reply to resolve.  A failed
+    /// transaction may still hold locks from earlier submissions on its
+    /// recorded home shards: the router's homes entry survives so a
+    /// follow-up abort routes there.
+    fn settle(
+        &self,
+        handshake: &Arc<Handshake>,
+        error: Option<SchedError>,
+    ) -> Option<(HubReply, SchedResult<()>)> {
+        let outcome = match error {
+            Some(e) => {
+                self.failed.inc();
+                Err(e)
+            }
+            None => {
+                self.escalated_requests.add(handshake.requests.len() as u64);
+                Ok(())
+            }
+        };
+        let mut admission = lock(&self.admission);
+        admission.active.retain(|job| !Arc::ptr_eq(job, handshake));
+        self.admit(admission);
+        let reply = lock(&handshake.ballot).reply.take();
+        reply.map(|reply| (reply, outcome))
+    }
+
+    /// Evaluate a custom protocol's declarative rule over the handshake's
+    /// requests ∪ the merged history snapshots of the prepared shards
+    /// (∪ empty `sla`): are all its data requests admitted?  Built-in
+    /// protocols never reach this: their admission decomposes into the
+    /// per-shard votes.
+    fn qualify_union(&self, handshake: &Handshake, snapshots: &[Table]) -> SchedResult<bool> {
+        let mut pending = Table::new("requests", Request::schema());
+        for (i, request) in handshake.requests.iter().enumerate() {
+            let mut row = *request;
+            row.id = i as u64 + 1;
+            pending.push(row.to_tuple()).map_err(SchedError::from)?;
+        }
+        let mut history = Table::new("history", Request::schema());
+        for snapshot in snapshots {
+            history
+                .extend(snapshot.rows().iter().cloned())
+                .map_err(SchedError::from)?;
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(pending);
+        catalog.register(history);
+        catalog.register(Table::new("sla", Request::sla_schema()));
+        for aux in &self.aux_relations {
+            catalog.replace(aux.clone());
+        }
+        let qualified = self.protocol(handshake).rules.qualify(&catalog)?;
+        Ok(handshake
+            .requests
+            .iter()
+            .filter(|r| r.op.is_data())
+            .all(|r| qualified.contains(&r.key())))
+    }
+
+    /// Refuse later jobs, wait for the lane-idle event — every job admitted
+    /// before this call has then resolved its ticket — and report.
+    pub(crate) fn shutdown(&self) -> EscalationStats {
+        let mut admission = lock(&self.admission);
+        admission.shutting_down = true;
+        while admission.backlog() > 0 {
+            admission = self
+                .idle
+                .wait(admission)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(admission);
+        EscalationStats {
+            escalations: self.escalations.get(),
+            failed: self.failed.get(),
+            retries: self.retries.get(),
+            escalated_requests: self.escalated_requests.get(),
+            concurrent_peak: self.concurrent_peak.load(Ordering::Relaxed),
+            // Migrations are the router's (they run while this lane idles).
+            ..EscalationStats::default()
+        }
     }
 }

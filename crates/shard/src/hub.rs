@@ -251,8 +251,8 @@ impl HubReply {
         self.inflight.fetch_sub(self.weight, Ordering::Relaxed);
     }
 
-    /// Resolve immediately (failure paths and the escalation lane, where
-    /// completions are rare enough that batching buys nothing).
+    /// Resolve immediately (failure paths, where completions are rare
+    /// enough that batching buys nothing).
     pub(crate) fn resolve_now(mut self, result: SchedResult<()>) {
         self.settle();
         self.hub.resolve_one(self.token, result);

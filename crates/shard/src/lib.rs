@@ -35,14 +35,16 @@
 //!   Per-object serialization is preserved because an object has exactly one
 //!   home shard.
 //! * Transactions whose footprint **spans** shards take a **two-phase
-//!   handshake** that involves only the touched shards: the lane sends each
-//!   one a *prepare* carrying its slice of the footprint, the shard
-//!   qualifies that slice against its local `history` (locks are per-object
-//!   and each object has exactly one home, so the conjunction of per-shard
-//!   slice admissions is exactly the union-relation admission the unsharded
-//!   scheduler would compute), votes, and holds its round loop; on
-//!   unanimous grant the lane *commits* on every voter, otherwise it
-//!   *releases* and retries.  Untouched shards never stop, and escalations
+//!   handshake** that involves only the touched shards and that they drive
+//!   themselves — there is no lane thread: the submitting client posts each
+//!   one a *prepare*, the shard qualifies its slice of the footprint against
+//!   its local `history` (locks are per-object and each object has exactly
+//!   one home, so the conjunction of per-shard slice admissions is exactly
+//!   the union-relation admission the unsharded scheduler would compute),
+//!   votes, and holds its round loop; the last voter *commits* on every
+//!   voter on unanimous grant, otherwise it *releases* them and the denying
+//!   shard's next lock release re-arms the handshake; the last finisher
+//!   resolves the ticket.  Untouched shards never stop, and escalations
 //!   over **disjoint shard sets execute concurrently** (FIFO admission
 //!   without overtaking keeps the outcome equal to serialized execution).
 //!   Custom datalog protocols — whose rules may not decompose by object —
@@ -187,37 +189,57 @@ mod tests {
         assert!((report.metrics.cross_shard_rate() - 1.0).abs() < f64::EPSILON);
     }
 
+    /// A sub-batch whose second request fails on the engine leaves its first
+    /// request executed — and holding its engine lock.  The executed prefix
+    /// must reach the shard's history so the rule keeps later writers of
+    /// that object pending until the transaction terminates, instead of
+    /// dispatching them into an engine lock it cannot see.
     #[test]
-    fn escalation_waits_for_conflicting_local_lock_to_drain() {
+    fn failed_escalated_sub_batch_records_its_executed_prefix_in_history() {
         let router = ShardRouter::start(config(2)).unwrap();
         let shards = router.shards();
         let a = object_on_shard(0, shards);
         let b = object_on_shard(1, shards);
-        // T1 takes a write lock on `a` and holds it (no terminal yet).
-        exec(&router, txn(1, &[a], false)).unwrap();
-        // T2 spans both shards and conflicts with T1's lock; let the lane
-        // spin on it while the main thread later commits T1.
-        let ticket = router.submit_transaction(txn(2, &[a, b], true)).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        // Commit T1 (terminal-only submission routes to T1's home shard).
-        exec(&router, vec![Request::commit(0, 1, 5)]).unwrap();
-        ticket.wait().unwrap();
+        // Reads outside the table fail on the engine; this one is homed on
+        // shard 0, behind the write to `a` in that shard's sub-batch.
+        let missing = (1_000..2_000i64)
+            .find(|&o| shard_of(o, shards) == 0)
+            .expect("some out-of-table key hashes to shard 0");
+        let err = exec(
+            &router,
+            vec![
+                Request::write(0, 1, 0, a),
+                Request::read(0, 1, 1, missing),
+                Request::write(0, 1, 2, b),
+            ],
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("does not exist"), "{err}");
+
+        // T2 wants `a`: the rule must see T1's write lock and defer it.
+        let follower = router.submit_transaction(txn(2, &[a], true)).unwrap();
+        // T1 aborts on both homes through the lane; only then may T2 run.
+        exec(&router, vec![Request::abort(0, 1, 3)]).unwrap();
+        follower.wait().unwrap();
+
         let report = router.shutdown();
-        assert_eq!(report.metrics.escalation.escalations, 1);
-        assert!(
-            report.metrics.escalation.retries > 0,
-            "the lane must have retried while T1 held its lock"
-        );
-        assert_eq!(report.metrics.dispatch.writes, 3);
-        // Per-object execution order on shard 0: T1's write strictly before
-        // T2's.
-        let shard0: Vec<u64> = report.shards[0]
+        assert_eq!(report.metrics.escalation.failed, 1);
+        assert_eq!(report.metrics.unreclaimed_homes, 0);
+        let on_a: Vec<(u64, Operation)> = report.shards[0]
             .executed_log
             .iter()
-            .filter(|r| r.op == Operation::Write && r.object == a)
-            .map(|r| r.ta)
+            .filter(|r| r.ta == 1 || r.object == a)
+            .map(|r| (r.ta, r.op))
             .collect();
-        assert_eq!(shard0, vec![1, 2]);
+        assert_eq!(
+            on_a,
+            vec![
+                (1, Operation::Write),
+                (1, Operation::Abort),
+                (2, Operation::Write)
+            ],
+            "T2's write must wait for T1's abort"
+        );
     }
 
     #[test]

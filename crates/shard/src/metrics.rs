@@ -37,21 +37,22 @@ pub struct ShardReport {
     pub executed_log: Vec<Request>,
 }
 
-/// Counters kept by the escalation coordinator.
+/// Counters kept by the escalation lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EscalationStats {
-    /// Cross-shard transactions escalated to the serialized lane.
+    /// Cross-shard transactions escalated to the lane.
     pub escalations: u64,
     /// Escalations that failed (rule error, starvation bound hit, or a
     /// touched shard gone).
     pub failed: u64,
-    /// Prepare/commit attempts beyond the first, summed over all
-    /// escalations — the price paid waiting for shard-local locks to drain.
+    /// Prepare rounds beyond the first, summed over all escalations: each
+    /// is one re-arm of a denied handshake by the shard round that released
+    /// the conflicting lock.
     pub retries: u64,
     /// Requests executed through the lane.
     pub escalated_requests: u64,
-    /// Placement migrations completed through the lane (hot objects moved
-    /// to a new home shard).
+    /// Placement migrations completed while the lane was idle (hot objects
+    /// moved to a new home shard).
     pub rehomes: u64,
     /// Placement migrations refused because the object was not idle on its
     /// current home (the control plane retries these).

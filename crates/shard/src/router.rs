@@ -1,5 +1,5 @@
 //! The shard router: partitions client transactions by object footprint and
-//! owns the shard worker fleet plus the escalation coordinator.
+//! owns the shard worker fleet plus the escalation lane's shared state.
 //!
 //! Routing consults the [`Placement`] layer — hash default plus an overlay
 //! of re-homed hot objects — rather than the raw `shard_of` hash, so an
@@ -19,7 +19,7 @@
 //! worker round.
 
 use crate::config::ShardConfig;
-use crate::escalation::{run_coordinator, CoordinatorSetup, EscalationJob, EscalationMessage};
+use crate::escalation::{closed, Lane};
 use crate::hub::{CompletionHub, HubReply};
 use crate::metrics::{EscalationStats, RouterSnapshot, ShardReport, ShardedMetrics};
 use crate::worker::{run_worker, ShardMessage, Submission, WorkerSetup};
@@ -78,16 +78,15 @@ struct Counters {
 
 /// The per-transaction homes map — `ta` → shards currently holding state
 /// for that transaction — shared between the router (which records homes as
-/// it routes), the shard workers and the escalation coordinator (which
-/// reclaim entries when they fail a transaction), and the session façade
+/// it routes), the shard workers (which reclaim entries when they fail a
+/// transaction), and the session façade
 /// (which reclaims when a client abandons a transaction mid-flight).
 ///
 /// Every reclaim path goes through [`TxnHomes::remove`]/
 /// [`TxnHomes::remove_many`] so entries cannot outlive their transaction:
 /// the router removes on terminal routing and on failed sends, workers
-/// remove every transaction they fail, the coordinator removes on
-/// escalation failure, and `Session::drop` removes transactions abandoned
-/// without a terminal.
+/// remove every transaction they fail, and `Session::drop` removes
+/// transactions abandoned without a terminal.
 ///
 /// The map is striped by `ta` so the lock doubles as the *per-transaction*
 /// submission lock without serializing unrelated transactions: `submit`
@@ -160,7 +159,9 @@ impl TxnHomes {
 /// without a central router thread hop.
 pub(crate) struct RouterCore {
     workers: Vec<Sender<ShardMessage>>,
-    escalation: Sender<EscalationMessage>,
+    /// The cross-shard handshake's shared state: admission, counters and
+    /// the worker mailboxes its participants post to.
+    lane: Arc<Lane>,
     shards: usize,
     counters: Counters,
     /// Object placement consulted for every routed request.
@@ -179,15 +180,6 @@ pub(crate) struct RouterCore {
     /// Live per-shard queue depth (incoming + pending), written by each
     /// worker once per loop iteration.
     depths: Vec<Arc<AtomicU64>>,
-    /// Escalation jobs enqueued (under the fence) and not yet fully
-    /// executed.  A migration may only be enqueued when the lane is
-    /// completely idle: a queued or in-flight job can be deferring on a
-    /// lock whose releasing commit the held placement fence would block —
-    /// waiting behind it would deadlock the fleet until the job's retry
-    /// budget runs out.  Incremented by `submit` at enqueue time (so a
-    /// fence holder can never miss a job the coordinator has dequeued but
-    /// not finished), decremented by the coordinator on completion.
-    lane_active: Arc<AtomicU64>,
     /// The shared completion hub tickets wait on.
     hub: Arc<CompletionHub>,
     /// Per-shard submission buffers, drained by the flusher thread (or
@@ -214,6 +206,10 @@ pub(crate) struct RouterCore {
     flush_micros: u64,
     /// Distribution of flushed batch sizes (`router.batch_size`).
     batch_hist: Arc<obs::MetricHistogram>,
+    /// Placement migrations completed / refused because the object was not
+    /// idle (`lane.rehomes`, `lane.rehomes_busy`).
+    rehomes: obs::Counter,
+    rehomes_busy: obs::Counter,
     /// Flight recorder for routing decisions (`Routed`/`Escalated` events).
     recorder: obs::SharedRecorder,
     /// Chaos fault injector: the router fires `RouterSend` before every
@@ -311,39 +307,26 @@ impl RouterCore {
         } else {
             // The handshake must observe every earlier same-transaction
             // submission: flush the touched shards' buffers *before*
-            // enqueueing the job, so the workers' FIFO mailboxes order the
-            // buffered batches ahead of the lane's prepare.
-            let mut flushed = Ok(());
-            for &shard in &touched {
-                if let Err(e) = self.flush_shard(shard) {
-                    flushed = Err(e);
-                    break;
-                }
-            }
-            match flushed {
-                Ok(()) => {
+            // admitting the job, so the workers' FIFO mailboxes order the
+            // buffered batches ahead of the handshake's prepare.
+            touched
+                .iter()
+                .try_for_each(|&shard| self.flush_shard(shard))
+                .and_then(|()| {
                     // Capture each data request's home under the fence: the
-                    // escalation lane executes with exactly this
-                    // assignment, so a later placement flip cannot re-route
-                    // a queued job onto a shard whose vote the handshake
-                    // never collected.
+                    // handshake executes with exactly this assignment, so a
+                    // later placement flip cannot re-route a queued job onto
+                    // a shard whose vote it never collected.  The job joins
+                    // the lane's admission state under the fence too, so a
+                    // fence holder never sees the lane idle while a job is
+                    // queued *or* executing.
                     let assigned: Vec<Option<usize>> = requests
                         .iter()
                         .map(|r| r.op.is_data().then(|| self.placement.shard_of(r.object)))
                         .collect();
-                    self.escalation
-                        .send(EscalationMessage::Job(EscalationJob {
-                            requests,
-                            assigned,
-                            touched: touched.iter().copied().collect(),
-                            reply,
-                        }))
-                        .map_err(|_| SchedError::ChannelClosed {
-                            endpoint: "escalation coordinator",
-                        })
-                }
-                Err(e) => Err(e),
-            }
+                    let touched = touched.iter().copied().collect();
+                    self.lane.submit(requests, assigned, touched, reply)
+                })
         };
 
         match sent {
@@ -354,7 +337,6 @@ impl RouterCore {
                 self.counters.transactions.fetch_add(1, Ordering::Relaxed);
                 if cross_shard {
                     self.counters.cross_shard.fetch_add(1, Ordering::Relaxed);
-                    self.lane_active.fetch_add(1, Ordering::Release);
                 }
                 if let (Some(ta), Some(intras)) = (ta, &sampled) {
                     if cross_shard {
@@ -440,8 +422,8 @@ impl RouterCore {
             })
     }
 
-    /// Migrate `object` to shard `to` behind the exclusive placement fence.
-    /// Runs inline on the escalation coordinator, which is guaranteed idle
+    /// Migrate `object` to shard `to` behind the exclusive placement fence,
+    /// on the caller's thread.  Runs only while the escalation lane is idle
     /// (checked below), so the migration cannot race a handshake.
     pub(crate) fn rehome(&self, object: i64, to: usize) -> SchedResult<RehomeOutcome> {
         if to >= self.shards {
@@ -452,32 +434,50 @@ impl RouterCore {
         let _fence = self.fence.write().map_err(|_| SchedError::Poisoned {
             what: "router placement fence",
         })?;
-        if self.placement.shard_of(object) == to {
+        let from = self.placement.shard_of(object);
+        if from == to {
             return Ok(RehomeOutcome::NoOp);
         }
-        // Only migrate through an *idle* escalation lane.  A queued or
+        // Only migrate past an *idle* escalation lane.  A waiting, parked or
         // executing job may be waiting for shard-local locks to drain, and
         // the commit that would drain them cannot be submitted while this
-        // fence is held — enqueueing behind such a job would stall every
-        // submission until the job's retry budget expires.  Jobs are
-        // counted at enqueue time under the fence, so no job can slip past
-        // this check unobserved.
-        if self.lane_active.load(Ordering::Acquire) > 0 {
+        // fence is held.  Jobs enter the lane's admission state under the
+        // shared fence, so none can slip past this check unobserved.
+        if self.lane.backlog() > 0 {
             return Ok(RehomeOutcome::Busy);
         }
-        let (reply_tx, reply_rx) = bounded(1);
-        self.escalation
-            .send(EscalationMessage::Rehome {
+        // With the fence held and the lane idle, no submission can be routed
+        // and no message for the object can be behind these while its row
+        // moves between the shard engines.
+        let (reply, exported) = bounded(1);
+        self.workers[from]
+            .send(ShardMessage::Export { object, reply })
+            .map_err(|_| closed("shard worker (export)"))?;
+        let value = exported
+            .recv()
+            .map_err(|_| closed("shard worker (export ack)"))?;
+        let Some(value) = value else {
+            self.rehomes_busy.inc();
+            return Ok(RehomeOutcome::Busy);
+        };
+        let (done, installed) = bounded(1);
+        self.workers[to]
+            .send(ShardMessage::Install {
                 object,
-                to,
-                reply: reply_tx,
+                value,
+                done,
             })
-            .map_err(|_| SchedError::ChannelClosed {
-                endpoint: "escalation coordinator",
-            })?;
-        reply_rx.recv().map_err(|_| SchedError::ChannelClosed {
-            endpoint: "escalation coordinator (rehome ack)",
-        })?
+            .map_err(|_| closed("shard worker (install)"))?;
+        installed
+            .recv()
+            .map_err(|_| closed("shard worker (install ack)"))??;
+        self.placement.rehome(object, to);
+        self.rehomes.inc();
+        // A placement flip is rare enough to be worth a post-mortem window
+        // around it.
+        self.recorder
+            .freeze_anomaly(&format!("rehome: object {object} -> shard {to}"));
+        Ok(RehomeOutcome::Done)
     }
 
     /// Per-shard backlog: the worker's own gauge (incoming + pending,
@@ -497,11 +497,12 @@ impl RouterCore {
     }
 
     /// The deepest backlog anywhere in the fleet: the worst shard queue or
-    /// the escalation lane's mailbox, whichever is larger — cross-shard
-    /// overload piles up in the lane, not on any worker.
+    /// the escalation lane's waiting + running jobs, whichever is larger —
+    /// cross-shard overload piles up in the lane's admission state, not on
+    /// any worker.
     pub(crate) fn max_queue_depth(&self) -> usize {
         let worker = self.queue_depths().into_iter().max().unwrap_or(0) as usize;
-        worker.max(self.escalation.len())
+        worker.max(self.lane.backlog())
     }
 }
 
@@ -588,15 +589,14 @@ pub struct ShardedReport {
 pub struct ShardRouter {
     core: Arc<RouterCore>,
     worker_handles: Vec<JoinHandle<ShardReport>>,
-    escalation_handle: JoinHandle<EscalationStats>,
     flusher_stop: Arc<AtomicBool>,
     flusher_handle: Option<JoinHandle<()>>,
     started: Instant,
 }
 
 impl ShardRouter {
-    /// Start the fleet: one worker thread per shard (each with a private
-    /// scheduler and dispatcher) plus the escalation coordinator.
+    /// Start the fleet: one worker thread per shard, each with a private
+    /// scheduler and dispatcher.
     pub fn start(config: ShardConfig) -> SchedResult<Self> {
         Self::start_observed(
             config,
@@ -621,10 +621,14 @@ impl ShardRouter {
         let placement = Arc::new(Placement::new(shards));
         let homes = Arc::new(TxnHomes::new());
         let hub = CompletionHub::new();
-        let mut workers = Vec::with_capacity(shards);
+        // Mailboxes first: the lane posts to every worker, and every worker
+        // is born holding the lane.
+        let (workers, receivers): (Vec<_>, Vec<_>) =
+            (0..shards).map(|_| unbounded::<ShardMessage>()).unzip();
+        let lane = Lane::new(&config, workers.clone(), &sink, &registry);
         let mut worker_handles = Vec::with_capacity(shards);
         let mut depths = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        for (shard, rx) in receivers.into_iter().enumerate() {
             let mut scheduler =
                 DeclarativeScheduler::new(config.policy.clone(), config.scheduler.clone());
             for aux in &config.aux_relations {
@@ -632,12 +636,12 @@ impl ShardRouter {
             }
             let dispatcher = Dispatcher::new(config.table.clone(), config.rows)?;
             let rows = config.rows;
-            let (tx, rx) = unbounded::<ShardMessage>();
             let depth = Arc::new(AtomicU64::new(0));
             let gauge = Arc::clone(&depth);
             registry.adopt_gauge(&format!("shard.{shard}.queue_depth"), Arc::clone(&depth));
             let worker_homes = Arc::clone(&homes);
             let worker_hub = Arc::clone(&hub);
+            let worker_lane = Arc::clone(&lane);
             let worker_sink = sink.clone();
             let worker_registry = Arc::clone(&registry);
             let worker_injector = Arc::clone(&config.injector);
@@ -653,36 +657,16 @@ impl ShardRouter {
                         depth: gauge,
                         homes: worker_homes,
                         hub: worker_hub,
+                        lane: worker_lane,
                         sink: worker_sink,
                         registry: worker_registry,
                         injector: worker_injector,
                     })
                 })
                 .expect("spawning a shard worker cannot fail");
-            workers.push(tx);
             worker_handles.push(handle);
             depths.push(depth);
         }
-
-        let (escalation_tx, escalation_rx) = unbounded::<EscalationMessage>();
-        let lane_active = Arc::new(AtomicU64::new(0));
-        let coordinator_setup = CoordinatorSetup {
-            policy: config.policy.clone(),
-            workers: workers.clone(),
-            receiver: escalation_rx,
-            loopback: escalation_tx.clone(),
-            max_attempts: config.max_escalation_attempts,
-            aux_relations: config.aux_relations.clone(),
-            placement: Arc::clone(&placement),
-            lane_active: Arc::clone(&lane_active),
-            sink: sink.clone(),
-            registry: Arc::clone(&registry),
-            injector: Arc::clone(&config.injector),
-        };
-        let escalation_handle = std::thread::Builder::new()
-            .name("declsched-escalation".to_string())
-            .spawn(move || run_coordinator(coordinator_setup))
-            .expect("spawning the escalation coordinator cannot fail");
 
         let transactions = Arc::new(AtomicU64::new(0));
         let cross_shard = Arc::new(AtomicU64::new(0));
@@ -696,7 +680,7 @@ impl ShardRouter {
 
         let core = Arc::new(RouterCore {
             workers,
-            escalation: escalation_tx,
+            lane,
             shards,
             counters: Counters {
                 transactions,
@@ -707,7 +691,6 @@ impl ShardRouter {
             homes,
             sketch: Mutex::new(FreqSketch::new(SKETCH_CAPACITY)),
             depths,
-            lane_active,
             hub,
             buffers: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             closed: AtomicBool::new(false),
@@ -716,6 +699,8 @@ impl ShardRouter {
             next_token: AtomicU64::new(0),
             flush_micros,
             batch_hist: registry.histogram("router.batch_size"),
+            rehomes: registry.counter("lane.rehomes"),
+            rehomes_busy: registry.counter("lane.rehomes_busy"),
             recorder: sink.shared_recorder(),
             injector: Arc::clone(&config.injector),
         });
@@ -747,7 +732,6 @@ impl ShardRouter {
         Ok(ShardRouter {
             core,
             worker_handles,
-            escalation_handle,
             flusher_stop,
             flusher_handle,
             started: Instant::now(),
@@ -804,7 +788,7 @@ impl ShardRouter {
         self.submit_transaction(requests)?.wait()
     }
 
-    /// Shut down: finish queued escalations, drain every shard, join all
+    /// Shut down: finish admitted escalations, drain every shard, join all
     /// threads and return the merged report.  Transactions submitted through
     /// still-alive handles after this call are not executed.
     pub fn shutdown(self) -> ShardedReport {
@@ -821,14 +805,14 @@ impl ShardRouter {
             let _ = self.core.flush_shard(shard);
         }
 
-        // Stop the escalation lane next so no handshake can outlive a
-        // worker: the coordinator finishes every job queued before the
-        // marker, then exits.
-        let _ = self.core.escalation.send(EscalationMessage::Shutdown);
-        let escalation = self
-            .escalation_handle
-            .join()
-            .expect("escalation coordinator never panics during an orderly shutdown");
+        // Quiesce the escalation lane next so no handshake can outlive a
+        // worker: every job admitted before this point resolves its ticket,
+        // then the lane reports (it refuses anything later).
+        let escalation = EscalationStats {
+            rehomes: self.core.rehomes.get(),
+            rehomes_busy: self.core.rehomes_busy.get(),
+            ..self.core.lane.shutdown()
+        };
 
         for worker in &self.core.workers {
             let _ = worker.send(ShardMessage::Shutdown);

@@ -8,16 +8,19 @@
 //! resolved tickets are buffered over a scheduling round and published to
 //! the shared [`crate::hub::CompletionHub`] in one call.
 //!
-//! Besides client transactions, the worker speaks the two-phase escalation
-//! handshake: on `Prepare` it qualifies the escalated transaction's *local
-//! slice* against its own live history (the same incremental-qualifier
-//! evaluation local rounds use) and votes; a granted vote holds the shard —
-//! it keeps accepting and buffering traffic but schedules no rounds — until
-//! the initiating lane sends `Commit` (execute the slice here) or
-//! `Release2pc` (a sibling shard voted no; resume immediately).  Prepare
-//! only ever lands at a message boundary, so a shard is never interrupted
-//! mid-rule, and shards outside the transaction's footprint never stop.
+//! Besides client transactions, the worker drives its part of the two-phase
+//! escalation handshake (see [`crate::escalation`]): on `Prepare` it
+//! qualifies the escalated transaction's *local slice* against its own live
+//! history (the same per-object rule local rounds use) and votes; a granted
+//! vote holds the shard — it keeps accepting and buffering traffic but
+//! schedules no rounds — until `Commit` (execute the sub-batch here) or
+//! `Release2pc` (a sibling shard voted no; resume immediately).  The worker
+//! whose vote is the last one decides for all, and the worker whose
+//! sub-batch finishes last resolves the client's ticket.  Prepare only ever
+//! lands at a message boundary, so a shard is never interrupted mid-rule,
+//! and shards outside the transaction's footprint never stop.
 
+use crate::escalation::{Handshake, Lane, Own, Parked, Vote};
 use crate::hub::{CompletionHub, HubReply};
 use crate::metrics::ShardReport;
 use crate::router::TxnHomes;
@@ -25,7 +28,6 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use declsched::{
     DeclarativeScheduler, Dispatcher, ProtocolKind, Request, RequestKey, SchedError, SchedResult,
 };
-use relalg::Table;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,94 +41,30 @@ pub(crate) struct Submission {
     pub reply: HubReply,
 }
 
-/// A shard's answer to a `Prepare`.
-pub(crate) struct PrepareVote {
-    /// The shard qualified its local slice and is now holding rounds for
-    /// the initiating lane.  A denial (not granted, no error) means either
-    /// a conflicting local lock or an earlier submission of the same
-    /// transaction still queued here — both cases the lane handles the same
-    /// way: release the siblings, back off, retry.
-    pub granted: bool,
-    /// For custom protocols only: the shard's `history` relation at the
-    /// vote point, so the lane can evaluate the declarative rule over the
-    /// union of the participants' snapshots.
-    pub snapshot: Option<Table>,
-    /// The shard could not vote at all (rule failure or a chaos kill); the
-    /// lane fails the escalation with this error.
-    pub error: Option<SchedError>,
-}
-
-impl PrepareVote {
-    fn granted(snapshot: Option<Table>) -> Self {
-        PrepareVote {
-            granted: true,
-            snapshot,
-            error: None,
-        }
-    }
-
-    fn denied() -> Self {
-        PrepareVote {
-            granted: false,
-            snapshot: None,
-            error: None,
-        }
-    }
-
-    fn error(error: SchedError) -> Self {
-        PrepareVote {
-            granted: false,
-            snapshot: None,
-            error: Some(error),
-        }
-    }
-}
-
 /// Messages understood by a shard worker.
 pub(crate) enum ShardMessage {
     /// A batch of client transactions accumulated by the router — one
     /// channel hop for the whole batch.
     Batch(Vec<Submission>),
-    /// Escalation lane, phase 1: qualify the local slice of escalation
-    /// `job_id` and vote.  A granted vote holds the shard (no rounds) until
+    /// Escalation handshake, phase 1: qualify this shard's slice of the
+    /// record and vote.  A granted vote holds the shard (no rounds) until
     /// the matching `Commit` or `Release2pc`.
-    Prepare {
-        /// The lane's id for this escalation (holds are keyed by it).
-        job_id: u64,
-        /// The escalated transaction, for the own-submission-pending check.
-        ta: Option<u64>,
-        /// Protocol to qualify the slice under.
-        kind: ProtocolKind,
-        /// The data requests of the escalation that live on this shard.
-        slice: Vec<Request>,
-        /// Ask for a history snapshot instead of local qualification
-        /// (custom protocols, whose rules the lane evaluates over the
-        /// union).
-        want_snapshot: bool,
-        /// Where to send the vote.
-        vote: Sender<PrepareVote>,
-    },
-    /// Escalation lane, phase 2 (only valid while held by `job_id`):
-    /// execute these requests on this shard's engine, record them in its
-    /// history, and release the hold.
-    Commit {
-        /// The escalation this commit belongs to.
-        job_id: u64,
-        /// The escalated requests owned by this shard, in intra order.
-        requests: Vec<Request>,
-        /// Signalled once with the execution outcome.
-        done: Sender<SchedResult<()>>,
-    },
-    /// Escalation lane: a sibling shard voted no (or the lane is backing
-    /// out of a failed handshake); drop the hold for `job_id` and resume.
+    Prepare(Arc<Handshake>),
+    /// Escalation handshake, phase 2 (only valid while held by the record's
+    /// job): execute this shard's sub-batch on its engine, record it in its
+    /// history, and release the hold.  Sent by the deciding sibling.
+    Commit(Arc<Handshake>),
+    /// Escalation handshake: the decider is backing out (a sibling denied
+    /// or failed) or this shard has nothing to execute; drop the hold for
+    /// `job_id` and resume.
     Release2pc {
         /// The escalation being released.
         job_id: u64,
     },
-    /// Chaos: kill this worker as if its thread had died mid-handshake
-    /// (sent by the lane when a `LanePrepare`/`LaneCommit` hook fires
-    /// `Kill`).
-    ChaosKill,
+    /// Escalation handshake: an attempt was denied here (or, for a custom
+    /// rule, somewhere); keep the record until a round of this shard
+    /// releases a lock, then re-arm it.
+    Park(Parked),
     /// Placement migration, step 1: if `object` is completely idle here (no
     /// queued or pending request targets it, no live lock), reply with its
     /// current row value; reply `None` (busy) otherwise.  Sent only while
@@ -182,8 +120,17 @@ struct WorkerState {
     /// granted and whose `Commit`/`Release2pc` it is waiting for.  While
     /// held the worker keeps draining its mailbox (and buffering client
     /// traffic) but schedules no rounds, so the history the vote was based
-    /// on cannot shift under the lane.
+    /// on cannot shift under the handshake.
     held: Option<u64>,
+    /// The escalation lane this worker's handshakes run through.
+    lane: Arc<Lane>,
+    /// Denied handshakes waiting here for the round that unblocks them.
+    parked: Vec<Parked>,
+    /// Rounds of this shard that executed a terminal — the only thing that
+    /// frees a lock, so the epoch a parked handshake's denial is dated by.
+    releases: u64,
+    /// Reusable buffer for a handshake's local slice / sub-batch.
+    escalated_scratch: Vec<Request>,
     /// Live queue-depth gauge sampled by the control plane.
     depth: Arc<AtomicU64>,
     /// The router's homes map, for reclaiming entries of transactions this
@@ -229,6 +176,10 @@ impl WorkerState {
     /// Enqueue a client transaction into the local scheduler (queues only —
     /// safe while held, because rounds are what a hold suspends).
     fn submit_transaction(&mut self, requests: Vec<Request>, reply: HubReply) {
+        if self.killed {
+            reply.resolve_now(Err(self.dead("transaction refused")));
+            return;
+        }
         if requests.is_empty() {
             reply.resolve_now(Ok(()));
             return;
@@ -341,78 +292,172 @@ impl WorkerState {
 
     /// Vote on an escalation's `Prepare`: qualify the transaction's local
     /// slice against this shard's live history and, if admitted, hold the
-    /// shard for the lane's decision.  Qualification runs the same
-    /// conflict-index evaluation local rounds use — over the shard's own
-    /// relations, incrementally maintained, with no union snapshot — which
-    /// is sound because locks live per object and every object has exactly
-    /// one home shard.
-    fn prepare(
-        &mut self,
-        job_id: u64,
-        ta: Option<u64>,
-        kind: ProtocolKind,
-        slice: &[Request],
-        want_snapshot: bool,
-    ) -> PrepareVote {
-        if self.held.is_some() {
-            // Defensive: the lane only runs shard-disjoint jobs
-            // concurrently, so a second prepare while held means a lane bug
-            // — deny rather than deadlock.
-            return PrepareVote::denied();
+    /// shard for the decision.  Qualification runs the same per-object rule
+    /// local rounds use — over the shard's own relations, incrementally
+    /// maintained, with no union snapshot — which is sound because locks
+    /// live per object and every object has exactly one home shard.
+    fn prepare(&mut self, handshake: &Handshake) -> Vote {
+        if self.killed {
+            return Vote::Error(self.dead("prepare refused"));
         }
-        if let Some(ta) = ta {
+        if self.held.is_some() {
+            // Admission only runs shard-disjoint jobs concurrently, so a
+            // second prepare while held means a lane bug — fail loudly
+            // rather than park on a release that is not coming.
+            return Vote::Error(SchedError::Dispatch {
+                message: format!("escalation prepare on held shard {}", self.shard),
+            });
+        }
+        if let Some(ta) = handshake.ta() {
             // An earlier submission of this very transaction still waiting
             // here must execute before the escalated batch — replicating
             // the terminal now would finish the transaction on this engine
             // with the earlier statement unexecuted.
             if self.scheduler.transaction_pending(ta) {
-                return PrepareVote::denied();
+                return Vote::Denied { own_pending: true };
             }
         }
-        if want_snapshot {
-            // Custom protocols: the lane evaluates the declarative rule
+        let kind = self.lane.protocol(handshake).kind;
+        if kind == ProtocolKind::Custom {
+            // Custom protocols: the decider evaluates the declarative rule
             // over the union of the participants' snapshots; this shard
             // just holds and hands over its history.
-            self.held = Some(job_id);
-            return PrepareVote::granted(Some(self.scheduler.history_table().clone()));
+            self.held = Some(handshake.job_id);
+            return Vote::Granted {
+                snapshot: Some(self.scheduler.history_table().clone()),
+            };
         }
-        match self.scheduler.qualify_escalated_slice(kind, slice) {
-            Err(e) => PrepareVote::error(e),
-            Ok(qualified) => {
-                let qualified: std::collections::HashSet<RequestKey> =
-                    qualified.into_iter().collect();
-                if slice.iter().all(|r| qualified.contains(&r.key())) {
-                    self.held = Some(job_id);
-                    PrepareVote::granted(None)
-                } else {
-                    PrepareVote::denied()
-                }
-            }
+        let mut slice = std::mem::take(&mut self.escalated_scratch);
+        slice.clear();
+        slice.extend(handshake.slice(self.shard));
+        let admitted = self.scheduler.escalated_slice_admitted(kind, &slice);
+        self.escalated_scratch = slice;
+        if admitted {
+            self.held = Some(handshake.job_id);
+            Vote::Granted { snapshot: None }
+        } else {
+            Vote::Denied { own_pending: false }
         }
     }
 
-    /// Execute an escalated batch: run it on the engine and record it in the
-    /// local history so the shard's own rule sees any locks it leaves behind
-    /// (an escalated transaction submitted without its terminal keeps its
-    /// write locks until the client commits it, exactly like a local one).
-    fn execute_escalated(&mut self, requests: &[Request]) -> SchedResult<()> {
-        self.escalated_ctr.add(requests.len() as u64);
-        for request in requests {
+    fn release(&mut self, job_id: u64) {
+        if self.held == Some(job_id) {
+            self.held = None;
+        }
+    }
+
+    /// Fire a chaos hook on this worker's own thread: `Stall` sleeps here,
+    /// `Kill` is this worker dying — at a handshake step (the hooks are
+    /// fired by the participant itself right before it takes the step) it
+    /// then votes, or refuses the commit, with the typed error and the
+    /// decider backs out, releasing every granted sibling.
+    fn fire_hook(&mut self, hook: chaos::Hook) {
+        match self.injector.fire(hook) {
+            Some(chaos::Fault::Stall { millis }) => {
+                std::thread::sleep(Duration::from_millis(millis));
+            }
+            Some(chaos::Fault::Kill) if !self.killed => self.kill(),
+            _ => {}
+        }
+    }
+
+    /// Commit phase on this shard — reached by the decider directly and by
+    /// its siblings through `Commit`: execute the sub-batch, drop the hold,
+    /// and, as the last finisher, queue the ticket's resolution for this
+    /// iteration's hub flush.
+    fn commit_escalated(&mut self, handshake: &Arc<Handshake>) {
+        // The worst mid-handshake moment for a participant to die: between
+        // its granted vote and its commit.  Siblings that already executed
+        // keep their (locally recorded) slices, the client gets the error.
+        self.fire_hook(chaos::Hook::LaneCommit { shard: self.shard });
+        let result = if self.killed {
+            Err(self.dead("escalated execute refused"))
+        } else if self.held == Some(handshake.job_id) {
+            self.held = None;
+            self.execute_escalated(handshake)
+        } else {
+            Err(SchedError::Dispatch {
+                message: "escalated commit outside a prepared handshake".to_string(),
+            })
+        };
+        if let Some((reply, outcome)) = self.lane.finish(handshake, result) {
+            reply.resolve_into(outcome, &mut self.completions);
+        }
+    }
+
+    /// Execute an escalated sub-batch: run it on the engine and record it in
+    /// the local history so the shard's own rule sees any locks it leaves
+    /// behind (an escalated transaction submitted without its terminal
+    /// keeps its write locks until the client commits it, exactly like a
+    /// local one).  On an engine error the requests executed before it are
+    /// recorded all the same: they hold engine locks the rule must see.
+    fn execute_escalated(&mut self, handshake: &Handshake) -> SchedResult<()> {
+        let mut batch = std::mem::take(&mut self.escalated_scratch);
+        batch.clear();
+        batch.extend(handshake.sub_batch(self.shard));
+        self.escalated_ctr.add(batch.len() as u64);
+        let mut executed = 0;
+        let mut outcome = Ok(());
+        for request in &batch {
             let key = request.key();
             let sampled = self.recorder.samples(key.ta);
             if sampled {
                 self.recorder
                     .emit(key.ta, key.intra, obs::EventKind::Dispatched);
             }
-            self.dispatcher.execute_request(request)?;
+            if let Err(e) = self.dispatcher.execute_request(request) {
+                outcome = Err(e);
+                break;
+            }
             if sampled {
                 self.recorder
                     .emit(key.ta, key.intra, obs::EventKind::Executed);
             }
             self.executed_log.push(*request);
+            executed += 1;
         }
-        self.scheduler.preload_history(requests)?;
-        Ok(())
+        let recorded = self.scheduler.preload_history(&batch[..executed]);
+        self.escalated_scratch = batch;
+        outcome.and(recorded)
+    }
+
+    /// Keep a denied handshake until a round here unblocks it — unless that
+    /// already happened between this shard's vote and now.
+    fn park(&mut self, parked: Parked) {
+        let already = if parked.own_pending {
+            self.own_submission_done(&parked.handshake)
+        } else {
+            self.releases != parked.releases
+        };
+        // (A killed worker hands the record straight back: its next
+        // prepare is refused here, failing the handshake typed.)
+        if already || self.killed {
+            self.lane.rearm(&parked);
+        } else {
+            self.parked.push(parked);
+        }
+    }
+
+    fn own_submission_done(&self, handshake: &Handshake) -> bool {
+        handshake
+            .ta()
+            .is_none_or(|ta| !self.scheduler.transaction_pending(ta))
+    }
+
+    /// After a round that executed something: re-arm the parked handshakes
+    /// it may have unblocked — all of them if it `released` a lock, else
+    /// those whose earlier own submission has now left the queue.
+    fn wake_parked(&mut self, released: bool) {
+        let mut index = 0;
+        while index < self.parked.len() {
+            let parked = &self.parked[index];
+            if released || (parked.own_pending && self.own_submission_done(&parked.handshake)) {
+                let parked = self.parked.swap_remove(index);
+                self.lane.rearm(&parked);
+            } else {
+                index += 1;
+            }
+        }
     }
 
     /// Export one object's row for migration if it is idle here.  Safe at
@@ -420,18 +465,19 @@ impl WorkerState {
     /// routed to this shard before the migration fence closed has already
     /// been folded into the scheduler state the idle check reads.
     fn export(&mut self, object: i64, reply: &Sender<Option<i64>>) {
-        let value = self
-            .scheduler
-            .object_idle(object)
+        // A dead shard's rows cannot migrate away: it reports busy.
+        let value = (!self.killed && self.scheduler.object_idle(object))
             .then(|| self.dispatcher.read_row(object));
         let _ = reply.send(value);
     }
 
     /// Chaos `Kill`: fail everything in flight (reclaiming the dead
     /// transactions' homes entries so nothing leaks), purge the
-    /// un-admitted scheduler state, drop any escalation hold (the lane
-    /// backing out of the handshake will see the typed refusal), and flip
-    /// into refuse-everything mode.  History — and therefore the locks of
+    /// un-admitted scheduler state, drop any escalation hold (the decider
+    /// backing out of the handshake will see the typed refusal), hand parked
+    /// handshakes back (their next prepare is refused here, failing them
+    /// typed instead of waiting on a round that never comes), and flip into
+    /// refuse-everything mode.  History — and therefore the locks of
     /// already-admitted transactions — is kept for post-mortem inspection;
     /// the worker never schedules again, so they can no longer block
     /// anything here.
@@ -446,52 +492,24 @@ impl WorkerState {
         });
         let now_ms = self.now_ms();
         self.scheduler.purge_unscheduled(now_ms);
+        for parked in std::mem::take(&mut self.parked) {
+            self.lane.rearm(&parked);
+        }
     }
 
-    /// A killed worker answers every message with a typed error (or a
-    /// refusal) instead of hanging its sender: `Prepare` votes an error —
-    /// which is what lets the initiating lane back out of a mid-handshake
-    /// kill cleanly — `Commit` refuses, `Export` reports busy (a dead
-    /// shard's rows cannot migrate away) and `Install` refuses (nothing
-    /// should migrate in).
-    fn refuse(&mut self, message: ShardMessage) {
-        let dead = |what: &str| SchedError::Dispatch {
+    fn dead(&self, what: &str) -> SchedError {
+        SchedError::Dispatch {
             message: format!("chaos: shard worker killed ({what})"),
-        };
-        match message {
-            ShardMessage::Batch(mut submissions) => {
-                for submission in submissions.drain(..) {
-                    submission
-                        .reply
-                        .resolve_now(Err(dead("transaction refused")));
-                }
-                self.hub.recycle_batch_buffer(submissions);
-            }
-            ShardMessage::Prepare { vote, .. } => {
-                let _ = vote.send(PrepareVote::error(dead("prepare refused")));
-            }
-            ShardMessage::Commit { done, .. } => {
-                let _ = done.send(Err(dead("escalated execute refused")));
-            }
-            ShardMessage::Export { reply, .. } => {
-                let _ = reply.send(None);
-            }
-            ShardMessage::Install { done, .. } => {
-                let _ = done.send(Err(dead("install refused")));
-            }
-            ShardMessage::Release2pc { .. } | ShardMessage::ChaosKill => {}
-            ShardMessage::Shutdown => self.disconnected = true,
         }
     }
 
     /// Handle one message.  Never blocks: a granted `Prepare` records the
     /// hold and returns — the worker keeps draining its mailbox (buffering
-    /// client traffic) until the lane's `Commit`/`Release2pc` lands.
+    /// client traffic) until the decider's `Commit`/`Release2pc` lands.  A
+    /// killed worker answers every message with a typed error (or a
+    /// refusal) instead of hanging its sender; each handler below starts
+    /// with that guard.
     fn handle(&mut self, message: ShardMessage) {
-        if self.killed {
-            self.refuse(message);
-            return;
-        }
         match message {
             ShardMessage::Batch(mut submissions) => {
                 for submission in submissions.drain(..) {
@@ -501,48 +519,24 @@ impl WorkerState {
                 // reuses it instead of allocating.
                 self.hub.recycle_batch_buffer(submissions);
             }
-            ShardMessage::Prepare {
-                job_id,
-                ta,
-                kind,
-                slice,
-                want_snapshot,
-                vote,
-            } => {
-                let decision = self.prepare(job_id, ta, kind, &slice, want_snapshot);
-                if vote.send(decision).is_err() {
-                    // Lane went away mid-handshake; do not stay held for a
-                    // decision that will never come.
-                    if self.held == Some(job_id) {
-                        self.held = None;
-                    }
+            ShardMessage::Prepare(handshake) => {
+                // Chaos hook: a participant dying right before its prepare
+                // lands — the mid-handshake fault the two-phase protocol
+                // must survive.
+                self.fire_hook(chaos::Hook::LanePrepare { shard: self.shard });
+                let vote = self.prepare(&handshake);
+                match self
+                    .lane
+                    .cast_vote(&handshake, self.shard, self.releases, vote)
+                {
+                    Some(Own::Execute) => self.commit_escalated(&handshake),
+                    Some(Own::Release) => self.release(handshake.job_id),
+                    None => {}
                 }
             }
-            ShardMessage::Commit {
-                job_id,
-                requests,
-                done,
-            } => {
-                let result = if self.held == Some(job_id) {
-                    self.held = None;
-                    self.execute_escalated(&requests)
-                } else {
-                    Err(SchedError::Dispatch {
-                        message: "escalated commit outside a prepared handshake".to_string(),
-                    })
-                };
-                let _ = done.send(result);
-            }
-            ShardMessage::Release2pc { job_id } => {
-                if self.held == Some(job_id) {
-                    self.held = None;
-                }
-            }
-            ShardMessage::ChaosKill => {
-                if !self.killed {
-                    self.kill();
-                }
-            }
+            ShardMessage::Commit(handshake) => self.commit_escalated(&handshake),
+            ShardMessage::Release2pc { job_id } => self.release(job_id),
+            ShardMessage::Park(parked) => self.park(parked),
             ShardMessage::Shutdown => self.disconnected = true,
             ShardMessage::Export { object, reply } => self.export(object, &reply),
             ShardMessage::Install {
@@ -550,7 +544,12 @@ impl WorkerState {
                 value,
                 done,
             } => {
-                let _ = done.send(self.dispatcher.install_row(object, value));
+                let installed = if self.killed {
+                    Err(self.dead("install refused"))
+                } else {
+                    self.dispatcher.install_row(object, value)
+                };
+                let _ = done.send(installed);
             }
         }
     }
@@ -566,6 +565,7 @@ pub(crate) struct WorkerSetup {
     pub depth: Arc<AtomicU64>,
     pub homes: Arc<TxnHomes>,
     pub hub: Arc<CompletionHub>,
+    pub lane: Arc<Lane>,
     pub sink: obs::TraceSink,
     pub registry: Arc<obs::Registry>,
     pub injector: Arc<chaos::FaultInjector>,
@@ -596,6 +596,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         depth,
         homes,
         hub,
+        lane,
         sink,
         registry,
         injector,
@@ -616,6 +617,10 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         disconnected: false,
         killed: false,
         held: None,
+        lane,
+        parked: Vec::new(),
+        releases: 0,
+        escalated_scratch: Vec::new(),
         depth,
         homes,
         hub,
@@ -641,7 +646,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         // Collect what has arrived; block briefly so an idle shard does not
         // spin (an unproductive round cannot unblock anything by itself, so
         // waiting for traffic is safe then).  A held shard also waits here:
-        // the lane's decision arrives as a message.
+        // the decision arrives as a message.
         let timeout = if made_progress {
             Duration::ZERO
         } else {
@@ -662,17 +667,11 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         made_progress = false;
 
         // Chaos hook: once per loop iteration, after the mailbox drain.
-        match state.injector.fire(chaos::Hook::WorkerRound { shard }) {
-            Some(chaos::Fault::Stall { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis));
-            }
-            Some(chaos::Fault::Kill) if !state.killed => state.kill(),
-            _ => {}
-        }
+        state.fire_hook(chaos::Hook::WorkerRound { shard });
 
         if state.disconnected {
-            // The lane joins before the workers at shutdown, so a hold
-            // surviving to this point belongs to a handshake that died
+            // The lane is idle before the workers are told to stop, so a
+            // hold surviving to this point belongs to a handshake that died
             // mid-flight; dropping it is what lets the drain below finish.
             state.held = None;
         }
@@ -684,7 +683,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         let now_ms = state.now_ms();
         // When shutting down, keep scheduling until everything drained.  A
         // held worker schedules nothing: the history its granted vote was
-        // qualified against must not shift until the lane decides.
+        // qualified against must not shift until the decision lands.
         let batch = if state.killed || state.held.is_some() {
             None
         } else if state.disconnected
@@ -726,6 +725,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                         // reads.
                         let mut last_us = qualified_at;
                         let mut last_fresh = true;
+                        let mut released = false;
                         for request in &batch.requests {
                             let key = request.key();
                             let sampled = state.recorder.samples(key.ta);
@@ -761,6 +761,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                             // executes extends every lock the transaction
                             // holds.
                             if request.op.is_terminal() {
+                                released = true;
                                 if let Some(chaos::Fault::Stall { millis }) =
                                     state.injector.fire(chaos::Hook::WorkerCommit { shard })
                                 {
@@ -783,6 +784,14 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                             state.resolve(key, result);
                         }
                         state.round_no += 1;
+                        // A terminal frees locks, an executed statement may
+                        // be the earlier submission a handshake waits for:
+                        // either way this round is the event parked
+                        // handshakes are re-armed by.
+                        state.releases += u64::from(released);
+                        if made_progress && !state.parked.is_empty() {
+                            state.wake_parked(released);
+                        }
                     }
                 }
                 Err(e) => {
@@ -796,6 +805,10 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                     let err = e.clone();
                     let reclaim = state.disconnected;
                     state.fail_all_waiting(reclaim, |_| err.clone());
+                    // A shard whose rule fails releases nothing: hand parked
+                    // handshakes back, so their attempt bound (or the same
+                    // rule error) settles them instead of a wedged shard.
+                    state.wake_parked(true);
                     if state.disconnected {
                         // The drain loop cannot make progress if the rule
                         // keeps erroring (run_round never empties the

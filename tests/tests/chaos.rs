@@ -182,10 +182,10 @@ fn killed_shard_worker_spares_the_live_shard_and_leaks_no_homes() {
 }
 
 /// Killing a two-phase participant mid-handshake: a `Kill` at the
-/// `LanePrepare` hook takes down shard 1 immediately before the lane's
-/// prepare lands there, after shard 0 has already granted its hold.  The
-/// escalation must fail with the typed "killed" dispatch error, the
-/// initiator must back out of the shards it already holds (later shard-0
+/// `LanePrepare` hook takes down shard 1 right as its prepare lands,
+/// while shard 0 grants (or has granted) its hold.  The escalation must
+/// fail with the typed "killed" dispatch error, the decider must back
+/// out of the shards that hold for it (later shard-0
 /// writers to the very object the dead escalation touched still commit),
 /// and shutdown must show zero leaked homes entries.
 #[test]
@@ -217,10 +217,9 @@ fn killed_prepare_participant_fails_typed_and_releases_the_initiator() {
         .wait()
         .expect("shard-1 warmup commits");
 
-    // The spanning transaction escalates.  The lane prepares shard 0
-    // (granted, held), then fires the hook before shard 1's prepare — the
-    // participant dies, votes the typed error, and the initiator must
-    // release shard 0.
+    // The spanning transaction escalates.  Shard 0 grants and holds;
+    // shard 1 fires the hook on its prepare, dies and votes the typed
+    // error; whichever of the two votes last must release shard 0.
     let spanning = session
         .submit(Txn::new(3).write(a, 99).write(b, 99).commit())
         .expect("cross-shard submission routes");
@@ -264,6 +263,77 @@ fn killed_prepare_participant_fails_typed_and_releases_the_initiator() {
     // never executed anywhere.
     assert_eq!(report.final_rows[a as usize], 13);
     assert_eq!(report.final_rows[b as usize], 1);
+}
+
+/// Killing a participant between its granted vote and its commit: a `Kill`
+/// at `LaneCommit` takes the victim down as it is about to execute its
+/// sub-batch.  A `Stall` on shard 1's prepare makes shard 1 the last voter
+/// — the decider — so victim 0 dies as the decider's *sibling* (on the
+/// `Commit` message) and victim 1 as the decider itself.  Either way the
+/// escalation fails typed, the survivor keeps the slice it executed, every
+/// hold is released (the survivor goes on committing on the very object
+/// the escalation wrote) and no homes entry leaks.
+#[test]
+fn killed_commit_participant_fails_typed_and_releases_every_hold() {
+    for victim in 0..2usize {
+        let scheduler = builder()
+            .shards(2)
+            .chaos(
+                FaultPlan::new()
+                    .inject(
+                        Hook::LanePrepare { shard: 1 },
+                        0,
+                        Fault::Stall { millis: 30 },
+                    )
+                    .inject(Hook::LaneCommit { shard: victim }, 0, Fault::Kill),
+            )
+            .build()
+            .expect("fleet starts");
+        let mut session = scheduler.connect();
+        let object_on = |shard: usize| -> i64 {
+            (0..TABLE_ROWS as i64)
+                .find(|&o| shard_of(o, 2) == shard)
+                .expect("both shards own objects")
+        };
+        let objects = [object_on(0), object_on(1)];
+        let survivor = 1 - victim;
+
+        let err = session
+            .submit(
+                Txn::new(1)
+                    .write(objects[0], 99)
+                    .write(objects[1], 99)
+                    .commit(),
+            )
+            .expect("cross-shard submission routes")
+            .wait()
+            .expect_err("a participant dying before its commit fails the escalation");
+        match &err {
+            SchedError::Dispatch { message } => {
+                assert!(message.contains("killed"), "unexpected message: {message}")
+            }
+            other => panic!("expected a dispatch error, got {other:?}"),
+        }
+
+        for ta in 10..14u64 {
+            session
+                .submit(Txn::new(ta).write(objects[survivor], ta as i64).commit())
+                .expect("post-failure submission routes")
+                .wait()
+                .expect("the survivor commits after the handshake backed out");
+        }
+        assert!(session.drain().is_err());
+
+        let report = scheduler.shutdown();
+        let detail = report.sharded.expect("sharded detail");
+        assert_eq!(detail.escalation.escalations, 1);
+        assert_eq!(detail.escalation.failed, 1, "victim {victim}");
+        assert_eq!(detail.unreclaimed_homes, 0, "victim {victim}");
+        // The victim never executed its slice; the survivor's landed before
+        // its later local writers.
+        assert_eq!(report.final_rows[objects[victim] as usize], 0);
+        assert_eq!(report.final_rows[objects[survivor] as usize], 13);
+    }
 }
 
 /// The passthrough forward thread honours `Kill` the same way: queued and

@@ -319,6 +319,106 @@ fn shedding_rejects_low_tiers_with_a_typed_outcome() {
     assert!(premium_tier.max_latency_us > 0);
 }
 
+/// Overload control must see a backlog that is cross-shard only: escalations
+/// parked behind a held lock sit in the lane's admission state — on no
+/// worker's queue — and still have to push low-tier openings over the
+/// watermark.
+#[test]
+fn shedding_triggers_on_a_cross_shard_only_backlog() {
+    let scheduler = Scheduler::builder()
+        .table("bench", 256)
+        .scheduler_config(SchedulerConfig {
+            trigger: TriggerPolicy::Hybrid {
+                interval_ms: 1,
+                threshold: 4,
+            },
+            ..SchedulerConfig::default()
+        })
+        .shards(2)
+        .shed_policy(ShedPolicy::new(3, 3))
+        .build()
+        .expect("fleet starts");
+    let mut session = scheduler.connect();
+    let free = SlaMeta {
+        priority: 1,
+        class: "free",
+        arrival_ms: 0,
+        deadline_ms: 1_000,
+    };
+    let object_on = |shard: usize, nth: usize| -> i64 {
+        (0..256i64)
+            .filter(|&o| shard_of(o, 2) == shard)
+            .nth(nth)
+            .expect("enough objects per shard")
+    };
+    let (a, b) = (object_on(0, 0), object_on(1, 0));
+
+    // An idle fleet admits the free tier.
+    session
+        .submit(
+            Txn::new(1)
+                .write(object_on(0, 1), 1)
+                .commit()
+                .with_sla(free),
+        )
+        .expect("submit")
+        .wait()
+        .expect("below the watermark nothing is shed");
+
+    // T2 holds `a`; three spanning transactions are denied on it (one
+    // parked, two waiting behind it): a backlog of three, all in the lane.
+    session
+        .submit(Txn::new(2).write(a, 2))
+        .expect("submit")
+        .wait()
+        .expect("T2 takes its lock");
+    let spanning: Vec<_> = (3..6u64)
+        .map(|ta| {
+            session
+                .submit(
+                    Txn::new(ta)
+                        .write(a, ta as i64)
+                        .write(b, ta as i64)
+                        .commit(),
+                )
+                .expect("cross-shard submission routes")
+        })
+        .collect();
+    let err = session
+        .submit(
+            Txn::new(6)
+                .write(object_on(1, 1), 6)
+                .commit()
+                .with_sla(free),
+        )
+        .expect("submit returns a ticket")
+        .wait()
+        .expect_err("the lane's backlog reaches the watermark");
+    assert!(err.is_shed(), "unexpected error: {err}");
+
+    // Releasing the lock drains the lane.
+    session
+        .submit(Txn::resume(2, 1).commit())
+        .expect("submit")
+        .wait()
+        .expect("T2 commits");
+    for ticket in spanning {
+        ticket.wait().expect("the parked escalations complete");
+    }
+
+    let report = scheduler.shutdown();
+    let detail = report.sharded.as_ref().expect("sharded detail");
+    assert_eq!(detail.escalation.escalations, 3);
+    assert_eq!(detail.escalation.failed, 0);
+    let free_tier = report
+        .tiers
+        .iter()
+        .find(|t| t.class == "free")
+        .expect("free tier accounted");
+    assert_eq!(free_tier.shed, 1);
+    assert_eq!(free_tier.completed, 1);
+}
+
 /// Manual placement migration end to end: the row value moves with the
 /// object, later writes land on the new home, a locked object reports
 /// `Busy`, and the final report merges rows by the live placement.

@@ -416,8 +416,8 @@ proptest! {
 }
 
 /// The sharded deployment runs every shard's scheduler incrementally and
-/// the escalation lane qualifies cross-shard transactions through
-/// `qualify_once` over the union snapshot.  A workload rich in spanning
+/// the escalation lane qualifies cross-shard transactions through the
+/// same per-object rule, one vote per touched shard.  A workload rich in spanning
 /// footprints must still commit everything and agree with the unsharded
 /// deployment on the final database state.
 #[test]

@@ -26,8 +26,16 @@ fn to_requests(txn: &TransactionSpec) -> Vec<Request> {
         .collect()
 }
 
-fn run_with_shards(transactions: &[TransactionSpec], shards: usize) -> ShardedReport {
-    let config = ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Ss2pl))
+/// The objects of `shard` under hash placement on `shards` shards.
+fn objects_on(shard: usize, shards: usize) -> Vec<i64> {
+    (0..TABLE_ROWS as i64)
+        .filter(|&o| shard_of(o, shards) == shard)
+        .collect()
+}
+
+/// A fleet under `policy` with the suite's trigger and table.
+fn start_router(shards: usize, policy: Protocol) -> ShardRouter {
+    let config = ShardConfig::new(shards, policy)
         .with_scheduler(SchedulerConfig {
             trigger: TriggerPolicy::Hybrid {
                 interval_ms: 1,
@@ -36,7 +44,11 @@ fn run_with_shards(transactions: &[TransactionSpec], shards: usize) -> ShardedRe
             ..SchedulerConfig::default()
         })
         .with_table("bench", TABLE_ROWS);
-    let router = ShardRouter::start(config).expect("router starts");
+    ShardRouter::start(config).expect("router starts")
+}
+
+fn run_with_shards(transactions: &[TransactionSpec], shards: usize) -> ShardedReport {
+    let router = start_router(shards, Protocol::algebra(ProtocolKind::Ss2pl));
     let tickets: Vec<_> = transactions
         .iter()
         .map(|txn| {
@@ -124,8 +136,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Escalations with disjoint shard sets run concurrently through the
-    /// lane's runner pool; serialized execution is the oracle.  For any
+    /// Escalations with disjoint shard sets run concurrently, each driven by
+    /// its own participants; serialized execution is the oracle.  For any
     /// workload of spanning transactions over two disjoint shard pairs and
     /// any client interleaving (pipelined in order, pipelined reversed,
     /// concurrent submitters), the outcome must be indistinguishable from
@@ -164,15 +176,7 @@ proptest! {
             })
             .collect();
 
-        let start = || {
-            let config = ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Ss2pl))
-                .with_scheduler(SchedulerConfig {
-                    trigger: TriggerPolicy::Hybrid { interval_ms: 1, threshold: 8 },
-                    ..SchedulerConfig::default()
-                })
-                .with_table("bench", TABLE_ROWS);
-            ShardRouter::start(config).expect("router starts")
-        };
+        let start = || start_router(shards, Protocol::algebra(ProtocolKind::Ss2pl));
 
         // Oracle: strictly serialized — submit one, wait for it, then the
         // next.  At most one escalation is ever in flight.
@@ -267,7 +271,7 @@ proptest! {
 }
 
 /// The escalation path end to end: a workload with a nonzero cross-shard
-/// fraction routes its spanning transactions through the serialized lane,
+/// fraction routes its spanning transactions through the handshake lane,
 /// commits them on every touched engine, and preserves per-object write
 /// order against concurrent single-shard traffic.
 #[test]
@@ -399,4 +403,210 @@ fn sharded_middleware_with_concurrent_cross_shard_clients() {
     assert_eq!(detail.cross_shard_transactions, 2);
     assert_eq!(detail.escalation.failed, 0);
     assert_eq!(report.dispatch.writes, 4 + 2 * 2);
+}
+
+/// Overlapping-footprint stress: eight submitters push transactions over
+/// every shard pair and every three-shard span of a four-shard fleet, so
+/// admission constantly has overlapping jobs waiting behind running ones
+/// while four workers decide, commit, retire and admit concurrently — no
+/// thread serializes the handshakes.  Every object belongs to one
+/// submitter and no two in-flight transactions of a submitter share one,
+/// so per-object order is fixed by submission order and must equal a
+/// single-shard replay of the same streams.
+#[test]
+fn overlapping_footprints_from_many_submitters_neither_deadlock_nor_reorder() {
+    const SHARDS: usize = 4;
+    const SUBMITTERS: usize = 8;
+    const PER_SUBMITTER: usize = 640;
+    const WINDOW: usize = 4;
+    const SPANS: [&[usize]; 10] = [
+        &[0, 1],
+        &[2, 3],
+        &[0, 2],
+        &[1, 3],
+        &[0, 3],
+        &[1, 2],
+        &[0, 1, 2],
+        &[1, 2, 3],
+        &[0, 2, 3],
+        &[0, 1, 3],
+    ];
+
+    // Submitter `t` owns every `SUBMITTERS`-th object of each shard and
+    // cycles through them with a period far above the window.
+    let pools: Vec<Vec<i64>> = (0..SHARDS).map(|s| objects_on(s, SHARDS)).collect();
+    let streams: Vec<Vec<Vec<Request>>> = (0..SUBMITTERS)
+        .map(|t| {
+            (0..PER_SUBMITTER)
+                .map(|i| {
+                    let ta = (t * 1_000_000 + i + 1) as u64;
+                    let span = SPANS[(i + t) % SPANS.len()];
+                    let mut requests: Vec<Request> = span
+                        .iter()
+                        .enumerate()
+                        .map(|(intra, &shard)| {
+                            let owned = pools[shard].len() / SUBMITTERS;
+                            let object = pools[shard][t + SUBMITTERS * (i % owned)];
+                            Request::write(0, ta, intra as u32, object)
+                        })
+                        .collect();
+                    requests.push(Request::commit(0, ta, span.len() as u32));
+                    requests
+                })
+                .collect()
+        })
+        .collect();
+    assert!(pools.iter().all(|p| p.len() / SUBMITTERS > WINDOW));
+
+    let drive = |shards: usize| -> ShardedReport {
+        let router = start_router(shards, Protocol::algebra(ProtocolKind::Ss2pl));
+        std::thread::scope(|scope| {
+            for stream in &streams {
+                let router = &router;
+                scope.spawn(move || {
+                    let mut inflight = std::collections::VecDeque::with_capacity(WINDOW);
+                    for requests in stream {
+                        if inflight.len() == WINDOW {
+                            let ticket: shard::TxnTicket =
+                                inflight.pop_front().expect("window is full");
+                            ticket.wait().expect("escalated transaction commits");
+                        }
+                        inflight.push_back(
+                            router
+                                .submit_transaction(requests.clone())
+                                .expect("submission succeeds"),
+                        );
+                    }
+                    for ticket in inflight {
+                        ticket.wait().expect("escalated transaction commits");
+                    }
+                });
+            }
+        });
+        router.shutdown()
+    };
+
+    // Watchdog: a handshake that never completes must fail the test, not
+    // hang the suite.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let sharded = drive(SHARDS);
+            let replay = drive(1);
+            let _ = done_tx.send((sharded, replay));
+        });
+        let (sharded, replay) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the fleet deadlocked under overlapping escalations");
+
+        let total = (SUBMITTERS * PER_SUBMITTER) as u64;
+        let metrics = &sharded.metrics;
+        assert_eq!(metrics.transactions, total);
+        assert_eq!(metrics.escalation.escalations, total);
+        assert_eq!(metrics.escalation.failed, 0);
+        assert_eq!(metrics.unreclaimed_homes, 0);
+        assert!(metrics.escalations_concurrent_peak >= 1);
+        assert_eq!(replay.metrics.escalation.escalations, 0);
+        assert_eq!(executed_keys(&sharded), executed_keys(&replay));
+        assert_eq!(per_object_orders(&sharded), per_object_orders(&replay));
+    });
+}
+
+/// Event-driven retry: T1, submitted incrementally, holds a write lock on
+/// shard 0; the spanning T2 is denied there and parked; T1's commit is the
+/// round that re-arms it.  Exactly one re-arm — the releasing round — not a
+/// poll count, and T1's write stays strictly ahead of T2's.
+#[test]
+fn denied_escalation_is_rearmed_once_by_the_releasing_round() {
+    let router = start_router(2, Protocol::algebra(ProtocolKind::Ss2pl));
+    let (a, b) = (objects_on(0, 2)[0], objects_on(1, 2)[0]);
+    router
+        .submit_transaction(vec![Request::write(0, 1, 0, a)])
+        .unwrap()
+        .wait()
+        .expect("T1 takes its lock");
+    // The prepare reaches shard 0's mailbox ahead of the commit below, so
+    // the first vote there is a denial by construction.
+    let spanning = router
+        .submit_transaction(vec![
+            Request::write(0, 2, 0, a),
+            Request::write(0, 2, 1, b),
+            Request::commit(0, 2, 2),
+        ])
+        .unwrap();
+    router
+        .submit_transaction(vec![Request::commit(0, 1, 1)])
+        .unwrap()
+        .wait()
+        .expect("T1 commits");
+    spanning.wait().expect("T2 commits once T1 released");
+
+    let report = router.shutdown();
+    assert_eq!(report.metrics.escalation.escalations, 1);
+    assert_eq!(report.metrics.escalation.failed, 0);
+    assert_eq!(
+        report.metrics.escalation.retries, 1,
+        "one denial, one re-arm by the round that executed T1's commit"
+    );
+    let writers: Vec<u64> = report.shards[0]
+        .executed_log
+        .iter()
+        .filter(|r| r.op == Operation::Write && r.object == a)
+        .map(|r| r.ta)
+        .collect();
+    assert_eq!(writers, vec![1, 2]);
+}
+
+/// SS2PL declared in `schedlang` votes with history snapshots and is
+/// decided over their union; the built-in SS2PL votes shard-locally.  On
+/// the same cross-shard run — serialized spanning transactions plus one
+/// denied-then-re-armed escalation — the two must agree key for key.
+#[test]
+fn custom_ss2pl_escalations_equal_the_builtin_run() {
+    let shards = 3usize;
+    let pools: Vec<Vec<i64>> = (0..shards).map(|s| objects_on(s, shards)).collect();
+    let run = |policy: Protocol| -> ShardedReport {
+        let router = start_router(shards, policy);
+        let exec = |requests: Vec<Request>| {
+            router
+                .submit_transaction(requests)
+                .expect("submission succeeds")
+                .wait()
+                .expect("transaction executes")
+        };
+        for ta in 1..=12u64 {
+            let (s1, s2) = (ta as usize % shards, (ta as usize + 1) % shards);
+            exec(vec![
+                Request::write(0, ta, 0, pools[s1][ta as usize % 5]),
+                Request::read(0, ta, 1, pools[s2][ta as usize % 7]),
+                Request::write(0, ta, 2, pools[s2][ta as usize % 3]),
+                Request::commit(0, ta, 3),
+            ]);
+        }
+        // A lock held across submissions denies the next escalation until
+        // its holder commits.
+        exec(vec![Request::write(0, 100, 0, pools[0][1])]);
+        let blocked = router
+            .submit_transaction(vec![
+                Request::write(0, 101, 0, pools[0][1]),
+                Request::write(0, 101, 1, pools[2][1]),
+                Request::commit(0, 101, 2),
+            ])
+            .expect("submission succeeds");
+        exec(vec![Request::commit(0, 100, 1)]);
+        blocked.wait().expect("the denied escalation completes");
+        router.shutdown()
+    };
+
+    let builtin = run(Protocol::algebra(ProtocolKind::Ss2pl));
+    let custom = run(schedlang::compile_protocol(schedlang::stdlib::SS2PL).expect("compiles"));
+    assert_eq!(custom.metrics.escalation, builtin.metrics.escalation);
+    assert_eq!(custom.metrics.escalation.escalations, 13);
+    assert_eq!(custom.metrics.escalation.failed, 0);
+    assert_eq!(custom.metrics.escalation.retries, 1);
+    assert_eq!(executed_keys(&custom), executed_keys(&builtin));
+    assert_eq!(per_object_orders(&custom), per_object_orders(&builtin));
+    for (c, b) in custom.shards.iter().zip(&builtin.shards) {
+        assert_eq!(c.final_rows, b.final_rows, "shard {}", c.shard);
+    }
 }
