@@ -60,7 +60,9 @@ pub enum Hook {
         shard: usize,
     },
     /// A cross-shard job entering the escalation lane's admission, on the
-    /// submitting client's thread.  `Stall` delays that job's admission.
+    /// submitting client's thread.  `Stall` delays that job's admission —
+    /// and, since the client holds the router's placement fence there,
+    /// whatever waits for that fence.
     LaneJob,
     /// A two-phase `Prepare` reaching a participant shard, fired by that
     /// shard's worker before it votes.  `Stall` delays the handshake;

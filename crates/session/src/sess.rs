@@ -120,13 +120,16 @@ impl Session {
         // Recorded before the backend sees the requests so the `Submitted`
         // timestamp precedes the router's `Routed`/`Escalated` one.
         self.observe.record_submitted(ta, sampled_intras.as_deref());
+        // Tier latency is stamped before the hand-over too: the
+        // transaction may complete before `submit` returns.
+        let stamped = sla.map(|s| (s, Instant::now()));
         let rx = self.backend.submit(requests)?;
-        let tier = sla.map(|s| {
+        let tier = stamped.map(|(s, submitted)| {
             self.tiers.record_submitted(s.class);
             TierTrack {
                 registry: Arc::clone(&self.tiers),
                 class: s.class,
-                submitted: Instant::now(),
+                submitted,
             }
         });
         let cell = TicketCell::new(

@@ -10,9 +10,10 @@
 //!
 //! 1. **Admission** (the submitting client's thread): jobs start in arrival
 //!    order; shard-disjoint jobs run concurrently and a job never overtakes
-//!    an earlier one it overlaps, which keeps per-object execution order —
-//!    and therefore the cross-backend invariant oracle — deterministic.
-//!    Starting a job posts `Prepare` onto every touched worker's mailbox.
+//!    an earlier one it overlaps — unless that one is parked on a denial and
+//!    holds nothing — which keeps per-object execution order, and therefore
+//!    the cross-backend invariant oracle, deterministic.  Starting a job
+//!    posts `Prepare` onto every touched worker's mailbox.
 //! 2. **Prepare** (each touched worker): the shard qualifies the
 //!    transaction's *local slice* against its own live history — the rule
 //!    local rounds use, no union snapshot — and votes by decrementing the
@@ -25,10 +26,11 @@
 //!    the declarative rule over the participants' union.)
 //! 3. **Decision** (the *last voter*): unanimous grant → it posts `Commit`
 //!    to its siblings and executes its own sub-batch at once; a denial → it
-//!    releases the siblings and parks the record on the denying shard,
-//!    whose next round that executes a terminal (the only thing that frees
-//!    a lock) re-arms the handshake; an error → it releases the siblings
-//!    and fails the ticket.
+//!    releases the siblings, steps the job aside (the jobs behind it go
+//!    ahead: the lock holder's own commit may be one of them) and parks the
+//!    record on the denying shard, where the next terminal to execute (the
+//!    only thing that frees a lock) re-arms the handshake into its arrival
+//!    position; an error → it releases the siblings and fails the ticket.
 //! 4. **Commit** (each touched worker): execute the sub-batch (terminals
 //!    replicate to all participants), drop the hold.  The *last finisher*
 //!    resolves the ticket through its round's batched hub publish and
@@ -88,12 +90,9 @@ pub(crate) enum Own {
 /// unblocks it.
 pub(crate) struct Parked {
     pub handshake: Arc<Handshake>,
-    /// The denied attempt: re-arming is a compare-exchange on the record's
-    /// attempt count, so a record parked on several shards (or re-armed
+    /// The denied attempt: a record parked on several shards (or re-armed
     /// already) is re-armed by exactly one of them.
     attempt: u32,
-    shard: usize,
-    denied: bool,
     /// The shard's release epoch when it voted: a later epoch when the
     /// record arrives to park means the release already happened.
     pub releases: u64,
@@ -105,10 +104,12 @@ pub(crate) struct Parked {
 /// The mutex-guarded part of a [`Handshake`]: what only denials, custom
 /// snapshots, errors and the final resolution touch.
 struct Ballot {
-    /// Where this attempt may park if denied: the denying voters, and for
-    /// custom protocols the granting ones too (see [`Lane::decide`]).
-    parks: Vec<Parked>,
-    snapshots: Vec<Table>,
+    /// This attempt's denying voters: shard, release epoch at the vote,
+    /// `own_pending`.
+    denials: Vec<(usize, u64, bool)>,
+    /// Custom protocols: every granting voter's shard, release epoch and
+    /// `history` relation at the vote.
+    snapshots: Vec<(usize, u64, Table)>,
     /// First error of the current phase (a vote, or a sub-batch).
     error: Option<SchedError>,
     reply: Option<HubReply>,
@@ -134,7 +135,8 @@ pub(crate) struct Handshake {
     /// Sub-batches still outstanding after a unanimous grant; whoever takes
     /// it to zero resolves the ticket and retires the job.
     finishers_left: AtomicUsize,
-    /// Attempts concluded with a denial so far.
+    /// Attempts concluded with a denial so far.  Written under the
+    /// admission lock by the re-arm, read by the attempt it starts.
     attempt: AtomicU32,
     /// Lane-clock stamp (µs) of admission, then of the granting decision.
     stamp_us: AtomicU64,
@@ -179,18 +181,40 @@ pub(crate) fn closed(endpoint: &'static str) -> SchedError {
     SchedError::ChannelClosed { endpoint }
 }
 
-/// The admission state: which jobs wait, which run.
+/// The admission state: which jobs wait, which run, which stepped aside.
 #[derive(Default)]
 struct Admission {
+    /// The last job id handed out: ids follow arrival order.
+    next_job_id: u64,
+    /// In arrival order.
     waiting: VecDeque<Arc<Handshake>>,
     active: Vec<Arc<Handshake>>,
+    /// Denied jobs waiting for a lock release.  They hold nothing, so they
+    /// block nobody; a re-arm puts them back into `waiting`.
+    parked: Vec<Arc<Handshake>>,
     /// Set by [`Lane::shutdown`]: later jobs are refused.
     shutting_down: bool,
 }
 
 impl Admission {
-    fn backlog(&self) -> usize {
+    /// Jobs waiting for or inside a vote round or a commit.
+    fn running(&self) -> usize {
         self.waiting.len() + self.active.len()
+    }
+
+    fn backlog(&self) -> usize {
+        self.running() + self.parked.len()
+    }
+
+    /// Take `parked`'s record out of the parked set — unless another shard
+    /// it was parked on got there first.
+    fn unpark(&mut self, parked: &Parked) -> bool {
+        let current = |job: &Arc<Handshake>| {
+            Arc::ptr_eq(job, &parked.handshake)
+                && job.attempt.load(Ordering::Relaxed) == parked.attempt
+        };
+        let found = self.parked.iter().position(current);
+        found.map(|index| self.parked.swap_remove(index)).is_some()
     }
 }
 
@@ -204,9 +228,8 @@ pub(crate) struct Lane {
     recorder: obs::SharedRecorder,
     /// Zero of the lane clock behind `lane.prepare_us`/`lane.commit_us`.
     epoch: Instant,
-    next_job_id: AtomicU64,
     admission: Mutex<Admission>,
-    /// Signalled when the last waiting-or-active job retires.
+    /// Signalled, once shutting down, whenever no job is left running.
     idle: Condvar,
     // The `lane.*` registry cells; [`EscalationStats`] is their snapshot.
     escalations: obs::Counter,
@@ -235,7 +258,6 @@ impl Lane {
             injector: Arc::clone(&config.injector),
             recorder: sink.shared_recorder(),
             epoch: Instant::now(),
-            next_job_id: AtomicU64::new(1),
             admission: Mutex::default(),
             idle: Condvar::new(),
             escalations: registry.counter("lane.escalations"),
@@ -258,8 +280,8 @@ impl Lane {
         self.policy.select(handshake.requests.len())
     }
 
-    /// Jobs waiting for or inside a handshake — the cross-shard backlog the
-    /// overload controller reads.
+    /// Jobs waiting for, inside or parked by a handshake — the cross-shard
+    /// backlog the overload controller reads.
     pub(crate) fn backlog(&self) -> usize {
         lock(&self.admission).backlog()
     }
@@ -275,12 +297,22 @@ impl Lane {
         touched: Vec<usize>,
         reply: HubReply,
     ) -> SchedResult<()> {
-        // Chaos hook: a `Stall` here delays this job's admission.
+        // Chaos hook: a `Stall` here delays this job's admission (and, as
+        // the caller holds the placement fence, whatever waits for that).
         if let Some(chaos::Fault::Stall { millis }) = self.injector.fire(chaos::Hook::LaneJob) {
             std::thread::sleep(Duration::from_millis(millis));
         }
-        let handshake = Arc::new(Handshake {
-            job_id: self.next_job_id.fetch_add(1, Ordering::Relaxed),
+        let mut admission = lock(&self.admission);
+        if admission.shutting_down {
+            // Dropping `reply` resolves the ticket with the same typed
+            // closed-channel error.
+            return Err(closed("escalation lane (shutting down)"));
+        }
+        self.escalations.inc();
+        admission.next_job_id += 1;
+        let job_id = admission.next_job_id;
+        admission.waiting.push_back(Arc::new(Handshake {
+            job_id,
             requests,
             assigned,
             touched,
@@ -289,20 +321,12 @@ impl Lane {
             attempt: AtomicU32::new(0),
             stamp_us: AtomicU64::new(0),
             ballot: Mutex::new(Ballot {
-                parks: Vec::new(),
+                denials: Vec::new(),
                 snapshots: Vec::new(),
                 error: None,
                 reply: Some(reply),
             }),
-        });
-        let mut admission = lock(&self.admission);
-        if admission.shutting_down {
-            // Dropping the record resolves the ticket with the same typed
-            // closed-channel error.
-            return Err(closed("escalation lane (shutting down)"));
-        }
-        self.escalations.inc();
-        admission.waiting.push_back(handshake);
+        }));
         self.admit(admission);
         Ok(())
     }
@@ -311,7 +335,8 @@ impl Lane {
     /// jobs *and* from every earlier waiter — arrival order is never
     /// reordered between overlapping jobs, which is the deterministic
     /// ordering rule that keeps per-object execution order identical to
-    /// serialized execution.  The first prepares go out after the lock is
+    /// serialized execution.  (Parked jobs are in neither set: they hold
+    /// nothing.)  The first prepares go out after the lock is
     /// dropped: jobs started together are shard-disjoint, so they cannot
     /// race each other onto one mailbox.
     fn admit(&self, mut admission: MutexGuard<'_, Admission>) {
@@ -333,7 +358,7 @@ impl Lane {
                 started.push(job);
             }
         }
-        if admission.backlog() == 0 {
+        if admission.shutting_down && admission.running() == 0 {
             self.idle.notify_all();
         }
         self.concurrent_peak
@@ -341,23 +366,19 @@ impl Lane {
         drop(admission);
         for handshake in started {
             handshake.stamp_us.store(self.now_us(), Ordering::Relaxed);
-            self.post_prepares(&handshake);
-        }
-    }
-
-    fn post_prepares(&self, handshake: &Arc<Handshake>) {
-        // Release: the stores of the previous attempt's conclusion (and of
-        // `admit`) are visible to whoever takes the count back to zero.
-        handshake
-            .votes_left
-            .store(handshake.touched.len(), Ordering::Release);
-        for &shard in &handshake.touched {
-            let prepare = ShardMessage::Prepare(Arc::clone(handshake));
-            if self.workers[shard].send(prepare).is_err() {
-                // The shard's thread is gone: vote the typed error in its
-                // place so the handshake backs out instead of hanging.
-                let gone = Vote::Error(closed("shard worker (prepare)"));
-                self.cast_vote(handshake, shard, 0, gone);
+            // Release: the stores above and of the previous attempt's
+            // conclusion are visible to whoever takes the count to zero.
+            handshake
+                .votes_left
+                .store(handshake.touched.len(), Ordering::Release);
+            for &shard in &handshake.touched {
+                let prepare = ShardMessage::Prepare(Arc::clone(&handshake));
+                if self.workers[shard].send(prepare).is_err() {
+                    // The shard's thread is gone: vote the typed error in
+                    // its place so the handshake backs out, not hangs.
+                    let gone = Vote::Error(closed("shard worker (prepare)"));
+                    self.cast_vote(&handshake, shard, 0, gone);
+                }
             }
         }
     }
@@ -372,26 +393,18 @@ impl Lane {
         releases: u64,
         vote: Vote,
     ) -> Option<Own> {
-        let park = |own_pending, denied| Parked {
-            handshake: Arc::clone(handshake),
-            attempt: handshake.attempt.load(Ordering::Acquire),
-            shard,
-            denied,
-            releases,
-            own_pending,
-        };
         match vote {
             // The common case touches nothing but the count below.
             Vote::Granted { snapshot: None } => {}
             Vote::Granted {
                 snapshot: Some(snapshot),
-            } => {
-                let mut ballot = lock(&handshake.ballot);
-                ballot.snapshots.push(snapshot);
-                ballot.parks.push(park(false, false));
-            }
+            } => lock(&handshake.ballot)
+                .snapshots
+                .push((shard, releases, snapshot)),
             Vote::Denied { own_pending } => {
-                lock(&handshake.ballot).parks.push(park(own_pending, true));
+                lock(&handshake.ballot)
+                    .denials
+                    .push((shard, releases, own_pending))
             }
             Vote::Error(e) => {
                 lock(&handshake.ballot).error.get_or_insert(e);
@@ -406,21 +419,18 @@ impl Lane {
 
     /// Conclude a vote round on the last voter's thread.
     fn decide(&self, handshake: &Arc<Handshake>, me: usize) -> Own {
-        let (error, snapshots, mut parks) = {
+        let (error, snapshots, mut denials) = {
             let mut ballot = lock(&handshake.ballot);
             (
                 ballot.error.take(),
                 std::mem::take(&mut ballot.snapshots),
-                std::mem::take(&mut ballot.parks),
+                std::mem::take(&mut ballot.denials),
             )
         };
-        let starved = handshake.attempt.load(Ordering::Acquire) + 1 >= self.max_attempts;
+        let attempt = handshake.attempt.load(Ordering::Relaxed);
         let verdict = if let Some(e) = error {
             Err(e)
-        } else if parks.iter().any(|p| p.denied) {
-            // Wait where a denial happened (granting custom voters listed
-            // themselves only for the union denial below).
-            parks.retain(|p| p.denied);
+        } else if !denials.is_empty() {
             Ok(false)
         } else if snapshots.is_empty() {
             Ok(true)
@@ -428,28 +438,38 @@ impl Lane {
             // Custom protocols: evaluate the declarative rule over the
             // union of the participants' snapshots.  A denial may stem from
             // any of them, so it parks on all.
+            denials.extend(snapshots.iter().map(|(shard, at, _)| (*shard, *at, false)));
             self.qualify_union(handshake, &snapshots)
         };
         let error = match verdict {
             Ok(true) => return self.commit(handshake, me),
-            Ok(false) if !starved => {
-                // Releases go out before the parking requests, so on every
-                // mailbox the release precedes the re-armed prepare.
-                self.release_siblings(handshake, me);
-                for parked in parks {
-                    let mailbox = &self.workers[parked.shard];
+            Ok(false) if attempt + 1 < self.max_attempts => {
+                // Every release is posted before admission can start the
+                // next job on these shards, and before the parking requests.
+                self.release(handshake, |shard| shard != me);
+                let mut admission = lock(&self.admission);
+                admission.active.retain(|job| !Arc::ptr_eq(job, handshake));
+                admission.parked.push(Arc::clone(handshake));
+                self.admit(admission);
+                for (shard, releases, own_pending) in denials {
+                    let parked = Parked {
+                        handshake: Arc::clone(handshake),
+                        attempt,
+                        releases,
+                        own_pending,
+                    };
                     if let Err(SendError(ShardMessage::Park(parked))) =
-                        mailbox.send(ShardMessage::Park(parked))
+                        self.workers[shard].send(ShardMessage::Park(parked))
                     {
-                        self.rearm(&parked);
+                        self.rearm(&parked, false);
                     }
                 }
                 return Own::Release;
             }
             Ok(false) => SchedError::Dispatch {
                 message: format!(
-                    "escalation starved after {} attempts: a touched shard never drained its \
-                     conflicting locks",
+                    "escalation starved: a touched shard did not drain its conflicting locks \
+                     within {} attempts or by shutdown",
                     self.max_attempts
                 ),
             },
@@ -457,7 +477,7 @@ impl Lane {
         };
         // Back out: every granted sibling is released, the client gets the
         // typed error, untouched shards never noticed.
-        self.release_siblings(handshake, me);
+        self.release(handshake, |shard| shard != me);
         if let Some((reply, outcome)) = self.settle(handshake, Some(error)) {
             reply.resolve_now(outcome);
         }
@@ -481,20 +501,17 @@ impl Lane {
                 obs::EventKind::Qualified,
             );
         }
-        let has_work = |shard| handshake.sub_batch(shard).next().is_some();
+        let has_work = |shard: usize| handshake.sub_batch(shard).next().is_some();
         // The count is in place before the first sibling can finish.
         let working = handshake.touched.iter().filter(|&&s| has_work(s)).count();
         handshake.finishers_left.store(working, Ordering::Release);
+        // A shard with nothing to execute is released instead — before the
+        // first `Commit` goes out: the last finisher retires the job, and
+        // the next job's prepare must find no hold of this one left.
+        self.release(handshake, |shard| shard != me && !has_work(shard));
         for &shard in handshake.touched.iter().filter(|&&s| s != me) {
-            // A shard with nothing to execute is released instead.
-            let message = if has_work(shard) {
-                ShardMessage::Commit(Arc::clone(handshake))
-            } else {
-                ShardMessage::Release2pc {
-                    job_id: handshake.job_id,
-                }
-            };
-            if self.workers[shard].send(message).is_err() && has_work(shard) {
+            let commit = ShardMessage::Commit(Arc::clone(handshake));
+            if has_work(shard) && self.workers[shard].send(commit).is_err() {
                 let gone = closed("shard worker (commit)");
                 if let Some((reply, outcome)) = self.finish(handshake, Err(gone)) {
                     reply.resolve_now(outcome);
@@ -508,9 +525,10 @@ impl Lane {
         }
     }
 
-    /// Drop every sibling's hold (a no-op on shards that never granted).
-    fn release_siblings(&self, handshake: &Handshake, me: usize) {
-        for &shard in handshake.touched.iter().filter(|&&s| s != me) {
+    /// Drop the hold of every touched shard `which` selects (a no-op on
+    /// shards that never granted).
+    fn release(&self, handshake: &Handshake, which: impl Fn(usize) -> bool) {
+        for &shard in handshake.touched.iter().filter(|&&s| which(s)) {
             let _ = self.workers[shard].send(ShardMessage::Release2pc {
                 job_id: handshake.job_id,
             });
@@ -518,20 +536,28 @@ impl Lane {
     }
 
     /// Start the next attempt of a denied handshake — called by the parking
-    /// shard whose round released a lock (or found the release already
-    /// happened).  Only the first caller per attempt wins.
-    pub(crate) fn rearm(&self, parked: &Parked) {
-        let Parked {
-            handshake, attempt, ..
-        } = parked;
-        if handshake
-            .attempt
-            .compare_exchange(*attempt, attempt + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            self.retries.inc();
-            self.post_prepares(handshake);
+    /// shard that released a lock (or found the release already happened).
+    /// The job re-enters admission at its arrival position: it waits only
+    /// for what started on its shards while it stood aside.  On shutdown's
+    /// `last_call` no release is coming, so the attempt is the final one.
+    pub(crate) fn rearm(&self, parked: &Parked, last_call: bool) {
+        let handshake = &parked.handshake;
+        let mut admission = lock(&self.admission);
+        if !admission.unpark(parked) {
+            return;
         }
+        let next = if last_call {
+            self.max_attempts - 1
+        } else {
+            parked.attempt + 1
+        };
+        handshake.attempt.store(next, Ordering::Relaxed);
+        self.retries.inc();
+        let at = admission
+            .waiting
+            .partition_point(|job| job.job_id < handshake.job_id);
+        admission.waiting.insert(at, Arc::clone(handshake));
+        self.admit(admission);
     }
 
     /// Record one participant's commit outcome.  The last finisher gets the
@@ -590,7 +616,11 @@ impl Lane {
     /// (∪ empty `sla`): are all its data requests admitted?  Built-in
     /// protocols never reach this: their admission decomposes into the
     /// per-shard votes.
-    fn qualify_union(&self, handshake: &Handshake, snapshots: &[Table]) -> SchedResult<bool> {
+    fn qualify_union(
+        &self,
+        handshake: &Handshake,
+        snapshots: &[(usize, u64, Table)],
+    ) -> SchedResult<bool> {
         let mut pending = Table::new("requests", Request::schema());
         for (i, request) in handshake.requests.iter().enumerate() {
             let mut row = *request;
@@ -598,7 +628,7 @@ impl Lane {
             pending.push(row.to_tuple()).map_err(SchedError::from)?;
         }
         let mut history = Table::new("history", Request::schema());
-        for snapshot in snapshots {
+        for (_, _, snapshot) in snapshots {
             history
                 .extend(snapshot.rows().iter().cloned())
                 .map_err(SchedError::from)?;
@@ -619,15 +649,25 @@ impl Lane {
     }
 
     /// Refuse later jobs, wait for the lane-idle event — every job admitted
-    /// before this call has then resolved its ticket — and report.
+    /// before this call has then resolved its ticket — and report.  Jobs
+    /// still parked once nothing else runs get a last call: each parking
+    /// shard gives them a final attempt as soon as it has drained whatever
+    /// could still release a lock (an abandoned holder never does).
     pub(crate) fn shutdown(&self) -> EscalationStats {
         let mut admission = lock(&self.admission);
         admission.shutting_down = true;
+        let mut called = false;
         while admission.backlog() > 0 {
-            admission = self
-                .idle
-                .wait(admission)
-                .unwrap_or_else(PoisonError::into_inner);
+            if admission.running() == 0 && !std::mem::replace(&mut called, true) {
+                for worker in &self.workers {
+                    let _ = worker.send(ShardMessage::LastCall);
+                }
+            } else {
+                admission = self
+                    .idle
+                    .wait(admission)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
         drop(admission);
         EscalationStats {

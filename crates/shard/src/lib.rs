@@ -111,9 +111,7 @@ pub use router::{ControlHandle, RehomeOutcome, ShardRouter, ShardedReport, TxnTi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use declsched::{
-        shard_of, Operation, Protocol, ProtocolKind, Request, SchedulerConfig, TriggerPolicy,
-    };
+    use declsched::{shard_of, Protocol, ProtocolKind, Request, SchedulerConfig, TriggerPolicy};
 
     fn config(shards: usize) -> ShardConfig {
         ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Ss2pl))
@@ -187,59 +185,6 @@ mod tests {
         assert_eq!(report.shards[0].dispatch.writes, 1);
         assert_eq!(report.shards[1].dispatch.writes, 1);
         assert!((report.metrics.cross_shard_rate() - 1.0).abs() < f64::EPSILON);
-    }
-
-    /// A sub-batch whose second request fails on the engine leaves its first
-    /// request executed — and holding its engine lock.  The executed prefix
-    /// must reach the shard's history so the rule keeps later writers of
-    /// that object pending until the transaction terminates, instead of
-    /// dispatching them into an engine lock it cannot see.
-    #[test]
-    fn failed_escalated_sub_batch_records_its_executed_prefix_in_history() {
-        let router = ShardRouter::start(config(2)).unwrap();
-        let shards = router.shards();
-        let a = object_on_shard(0, shards);
-        let b = object_on_shard(1, shards);
-        // Reads outside the table fail on the engine; this one is homed on
-        // shard 0, behind the write to `a` in that shard's sub-batch.
-        let missing = (1_000..2_000i64)
-            .find(|&o| shard_of(o, shards) == 0)
-            .expect("some out-of-table key hashes to shard 0");
-        let err = exec(
-            &router,
-            vec![
-                Request::write(0, 1, 0, a),
-                Request::read(0, 1, 1, missing),
-                Request::write(0, 1, 2, b),
-            ],
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("does not exist"), "{err}");
-
-        // T2 wants `a`: the rule must see T1's write lock and defer it.
-        let follower = router.submit_transaction(txn(2, &[a], true)).unwrap();
-        // T1 aborts on both homes through the lane; only then may T2 run.
-        exec(&router, vec![Request::abort(0, 1, 3)]).unwrap();
-        follower.wait().unwrap();
-
-        let report = router.shutdown();
-        assert_eq!(report.metrics.escalation.failed, 1);
-        assert_eq!(report.metrics.unreclaimed_homes, 0);
-        let on_a: Vec<(u64, Operation)> = report.shards[0]
-            .executed_log
-            .iter()
-            .filter(|r| r.ta == 1 || r.object == a)
-            .map(|r| (r.ta, r.op))
-            .collect();
-        assert_eq!(
-            on_a,
-            vec![
-                (1, Operation::Write),
-                (1, Operation::Abort),
-                (2, Operation::Write)
-            ],
-            "T2's write must wait for T1's abort"
-        );
     }
 
     #[test]

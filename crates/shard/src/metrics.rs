@@ -46,8 +46,8 @@ pub struct EscalationStats {
     /// touched shard gone).
     pub failed: u64,
     /// Prepare rounds beyond the first, summed over all escalations: each
-    /// is one re-arm of a denied handshake by the shard round that released
-    /// the conflicting lock.
+    /// is one re-arm of a denied handshake by a terminal executing on the
+    /// shard it was parked on.
     pub retries: u64,
     /// Requests executed through the lane.
     pub escalated_requests: u64,

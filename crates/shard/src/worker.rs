@@ -65,6 +65,10 @@ pub(crate) enum ShardMessage {
     /// rule, somewhere); keep the record until a round of this shard
     /// releases a lock, then re-arm it.
     Park(Parked),
+    /// The lane is shutting down with only parked handshakes left: those
+    /// parked here get their final attempt once nothing local can release a
+    /// lock any more.
+    LastCall,
     /// Placement migration, step 1: if `object` is completely idle here (no
     /// queued or pending request targets it, no live lock), reply with its
     /// current row value; reply `None` (busy) otherwise.  Sent only while
@@ -129,6 +133,8 @@ struct WorkerState {
     /// Rounds of this shard that executed a terminal — the only thing that
     /// frees a lock, so the epoch a parked handshake's denial is dated by.
     releases: u64,
+    /// `LastCall` has arrived.
+    last_call: bool,
     /// Reusable buffer for a handshake's local slice / sub-batch.
     escalated_scratch: Vec<Request>,
     /// Live queue-depth gauge sampled by the control plane.
@@ -380,8 +386,14 @@ impl WorkerState {
                 message: "escalated commit outside a prepared handshake".to_string(),
             })
         };
+        let executed = result.is_ok();
         if let Some((reply, outcome)) = self.lane.finish(handshake, result) {
             reply.resolve_into(outcome, &mut self.completions);
+        }
+        // An escalated terminal frees this shard's locks like a local one.
+        if executed && handshake.requests.iter().any(|r| r.op.is_terminal()) {
+            self.releases += 1;
+            self.wake_parked(true);
         }
     }
 
@@ -432,7 +444,7 @@ impl WorkerState {
         // (A killed worker hands the record straight back: its next
         // prepare is refused here, failing the handshake typed.)
         if already || self.killed {
-            self.lane.rearm(&parked);
+            self.lane.rearm(&parked, false);
         } else {
             self.parked.push(parked);
         }
@@ -453,7 +465,7 @@ impl WorkerState {
             let parked = &self.parked[index];
             if released || (parked.own_pending && self.own_submission_done(&parked.handshake)) {
                 let parked = self.parked.swap_remove(index);
-                self.lane.rearm(&parked);
+                self.lane.rearm(&parked, false);
             } else {
                 index += 1;
             }
@@ -493,7 +505,7 @@ impl WorkerState {
         let now_ms = self.now_ms();
         self.scheduler.purge_unscheduled(now_ms);
         for parked in std::mem::take(&mut self.parked) {
-            self.lane.rearm(&parked);
+            self.lane.rearm(&parked, false);
         }
     }
 
@@ -537,6 +549,7 @@ impl WorkerState {
             ShardMessage::Commit(handshake) => self.commit_escalated(&handshake),
             ShardMessage::Release2pc { job_id } => self.release(job_id),
             ShardMessage::Park(parked) => self.park(parked),
+            ShardMessage::LastCall => self.last_call = true,
             ShardMessage::Shutdown => self.disconnected = true,
             ShardMessage::Export { object, reply } => self.export(object, &reply),
             ShardMessage::Install {
@@ -620,6 +633,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         lane,
         parked: Vec::new(),
         releases: 0,
+        last_call: false,
         escalated_scratch: Vec::new(),
         depth,
         homes,
@@ -684,11 +698,12 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         // When shutting down, keep scheduling until everything drained.  A
         // held worker schedules nothing: the history its granted vote was
         // qualified against must not shift until the decision lands.
+        // The lane's last call drains the same way while anything is parked
+        // here: whatever could still release a lock runs now, trigger or not.
+        let draining = state.disconnected || (state.last_call && !state.parked.is_empty());
         let batch = if state.killed || state.held.is_some() {
             None
-        } else if state.disconnected
-            && (state.scheduler.queued() > 0 || state.scheduler.pending() > 0)
-        {
+        } else if draining && (state.scheduler.queued() > 0 || state.scheduler.pending() > 0) {
             Some(state.scheduler.run_round(now_ms))
         } else {
             match state.scheduler.tick(now_ms) {
@@ -816,6 +831,14 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                         stop = true;
                     }
                 }
+            }
+        }
+
+        // Last call, local fixpoint: no release is coming for what is still
+        // parked here, so its next attempt is the final one.
+        if state.last_call && !made_progress && state.held.is_none() {
+            for parked in std::mem::take(&mut state.parked) {
+                state.lane.rearm(&parked, true);
             }
         }
 

@@ -63,6 +63,29 @@ fn run_with_shards(transactions: &[TransactionSpec], shards: usize) -> ShardedRe
     router.shutdown()
 }
 
+/// Run `body` under a watchdog: a handshake that never completes must fail
+/// the test, not hang the suite.
+fn within<T: Send>(seconds: u64, what: &str, body: impl FnOnce() -> T + Send) -> T {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let _ = done_tx.send(body());
+        });
+        match done_rx.recv_timeout(std::time::Duration::from_secs(seconds)) {
+            Ok(value) => value,
+            // `body` panicked: the scope re-raises that once it has joined.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("the watched body panicked")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                // The stuck thread can never be joined: stop the process.
+                eprintln!("watchdog: {what}");
+                std::process::abort()
+            }
+        }
+    })
+}
+
 /// Per-object execution sequence of data operations, over all shards.
 /// An object lives on exactly one shard, so its shard-local log order *is*
 /// its total execution order.
@@ -486,30 +509,118 @@ fn overlapping_footprints_from_many_submitters_neither_deadlock_nor_reorder() {
         router.shutdown()
     };
 
-    // Watchdog: a handshake that never completes must fail the test, not
-    // hang the suite.
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let sharded = drive(SHARDS);
-            let replay = drive(1);
-            let _ = done_tx.send((sharded, replay));
-        });
-        let (sharded, replay) = done_rx
-            .recv_timeout(std::time::Duration::from_secs(120))
-            .expect("the fleet deadlocked under overlapping escalations");
+    let (sharded, replay) = within(
+        120,
+        "the fleet deadlocked under overlapping escalations",
+        || (drive(SHARDS), drive(1)),
+    );
 
-        let total = (SUBMITTERS * PER_SUBMITTER) as u64;
-        let metrics = &sharded.metrics;
-        assert_eq!(metrics.transactions, total);
-        assert_eq!(metrics.escalation.escalations, total);
-        assert_eq!(metrics.escalation.failed, 0);
-        assert_eq!(metrics.unreclaimed_homes, 0);
-        assert!(metrics.escalations_concurrent_peak >= 1);
-        assert_eq!(replay.metrics.escalation.escalations, 0);
-        assert_eq!(executed_keys(&sharded), executed_keys(&replay));
-        assert_eq!(per_object_orders(&sharded), per_object_orders(&replay));
+    let total = (SUBMITTERS * PER_SUBMITTER) as u64;
+    let metrics = &sharded.metrics;
+    assert_eq!(metrics.transactions, total);
+    assert_eq!(metrics.escalation.escalations, total);
+    assert_eq!(metrics.escalation.failed, 0);
+    assert_eq!(metrics.unreclaimed_homes, 0);
+    assert!(metrics.escalations_concurrent_peak >= 1);
+    assert_eq!(replay.metrics.escalation.escalations, 0);
+    assert_eq!(executed_keys(&sharded), executed_keys(&replay));
+    assert_eq!(per_object_orders(&sharded), per_object_orders(&replay));
+}
+
+/// A participant with nothing to execute is released, not committed.  That
+/// release must be on its mailbox before any `Commit` goes out: the working
+/// sibling that finishes last retires the job, and the next overlapping
+/// job's prepare would otherwise find the idle participant still held.
+/// T grows shard by shard without a terminal (its third statement touches
+/// {0,2,3} and works on shard 0 only) while spanning transactions over
+/// {1,2} and {1,3} commit alongside.
+#[test]
+fn idle_participants_are_released_before_the_commit_can_retire_the_job() {
+    const SHARDS: usize = 4;
+    const ROUNDS: u64 = 3000;
+    let pools: Vec<Vec<i64>> = (0..SHARDS).map(|s| objects_on(s, SHARDS)).collect();
+    let router = start_router(SHARDS, Protocol::algebra(ProtocolKind::Ss2pl));
+    let exec = |requests: Vec<Request>| {
+        router
+            .submit_transaction(requests)
+            .expect("submission succeeds")
+            .wait()
+            .expect("no handshake meets a stale hold")
+    };
+    within(120, "an incremental escalation hung", || {
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for ta in 1..=ROUNDS {
+                    exec(vec![Request::write(0, ta, 0, pools[2][0])]);
+                    exec(vec![Request::write(0, ta, 1, pools[3][0])]);
+                    exec(vec![Request::write(0, ta, 2, pools[0][0])]);
+                    exec(vec![Request::commit(0, ta, 3)]);
+                }
+            });
+            for other in [2usize, 3] {
+                let (exec, pools) = (&exec, &pools);
+                scope.spawn(move || {
+                    for i in 1..=ROUNDS {
+                        let ta = other as u64 * 1_000_000 + i;
+                        exec(vec![
+                            Request::write(0, ta, 0, pools[1][other]),
+                            Request::write(0, ta, 1, pools[other][other]),
+                            Request::commit(0, ta, 2),
+                        ]);
+                    }
+                });
+            }
+        });
     });
+    let report = router.shutdown();
+    assert_eq!(report.metrics.escalation.failed, 0);
+    assert_eq!(report.metrics.escalation.escalations, 5 * ROUNDS);
+    assert_eq!(report.metrics.unreclaimed_homes, 0);
+}
+
+/// A sub-batch whose second request fails on the engine leaves its first
+/// request executed — and holding its engine lock.  The executed prefix
+/// must reach the shard's history so the rule keeps later writers of that
+/// object pending until the transaction terminates, instead of dispatching
+/// them into an engine lock it cannot see.
+#[test]
+fn failed_escalated_sub_batch_records_its_executed_prefix_in_history() {
+    let router = start_router(2, Protocol::algebra(ProtocolKind::Ss2pl));
+    let (a, b) = (objects_on(0, 2)[0], objects_on(1, 2)[0]);
+    let exec = |requests: Vec<Request>| router.submit_transaction(requests).unwrap().wait();
+    // Reads outside the table fail on the engine; this one is homed on
+    // shard 0, behind the write to `a` in that shard's sub-batch.
+    let missing = (1_000..2_000i64)
+        .find(|&o| shard_of(o, 2) == 0)
+        .expect("some out-of-table key hashes to shard 0");
+    let err = exec(vec![
+        Request::write(0, 1, 0, a),
+        Request::read(0, 1, 1, missing),
+        Request::write(0, 1, 2, b),
+    ])
+    .unwrap_err();
+    assert!(err.to_string().contains("does not exist"), "{err}");
+
+    // T2 wants `a`: the rule must see T1's write lock and defer it.
+    let follower = router
+        .submit_transaction(vec![Request::write(0, 2, 0, a), Request::commit(0, 2, 1)])
+        .unwrap();
+    // T1 aborts on both homes through the lane; only then may T2 run.
+    exec(vec![Request::abort(0, 1, 3)]).unwrap();
+    follower.wait().unwrap();
+
+    let report = router.shutdown();
+    assert_eq!(report.metrics.escalation.failed, 1);
+    assert_eq!(report.metrics.unreclaimed_homes, 0);
+    let on_a: Vec<(u64, Operation)> = report.shards[0]
+        .executed_log
+        .iter()
+        .filter(|r| r.ta == 1 || r.object == a)
+        .map(|r| (r.ta, r.op))
+        .collect();
+    let expected = [(1, Operation::Write), (1, Operation::Abort)];
+    assert_eq!(on_a[..2], expected, "T2's write must wait for T1's abort");
+    assert_eq!(on_a[2], (2, Operation::Write));
 }
 
 /// Event-driven retry: T1, submitted incrementally, holds a write lock on
@@ -609,4 +720,78 @@ fn custom_ss2pl_escalations_equal_the_builtin_run() {
     for (c, b) in custom.shards.iter().zip(&builtin.shards) {
         assert_eq!(c.final_rows, b.final_rows, "shard {}", c.shard);
     }
+}
+
+/// A parked escalation holds nothing, so it must not keep its shards from
+/// the jobs behind it: the lock holder's own commit may be one of them.  T1
+/// holds a@0; T2 spans {0,1}, is denied on shard 0 and parks; T1 then
+/// finishes with a write on shard 1 — a job over the same two shards — whose
+/// commit on shard 0 is the release that re-arms T2.
+#[test]
+fn lock_holders_commit_passes_the_escalation_parked_on_its_lock() {
+    let router = start_router(2, Protocol::algebra(ProtocolKind::Ss2pl));
+    let (a, b) = (objects_on(0, 2)[0], objects_on(1, 2)[0]);
+    let submit = |requests: Vec<Request>| router.submit_transaction(requests).unwrap();
+    submit(vec![Request::write(0, 1, 0, a)])
+        .wait()
+        .expect("T1 takes its lock");
+    let spanning = submit(vec![
+        Request::write(0, 2, 0, a),
+        Request::write(0, 2, 1, b),
+        Request::commit(0, 2, 2),
+    ]);
+    let holder = submit(vec![Request::write(0, 1, 1, b), Request::commit(0, 1, 2)]);
+    within(60, "T1's commit deadlocked behind the parked T2", || {
+        holder.wait().expect("T1 commits past the parked T2");
+        spanning.wait().expect("T2 commits once T1 released");
+    });
+
+    let report = router.shutdown();
+    assert_eq!(report.metrics.escalation.escalations, 2);
+    assert_eq!(report.metrics.escalation.failed, 0);
+    assert_eq!(report.metrics.escalation.retries, 1);
+    assert_eq!(report.metrics.unreclaimed_homes, 0);
+    let orders = per_object_orders(&report);
+    let writers = |object: i64| -> Vec<u64> { orders[&object].iter().map(|w| w.0).collect() };
+    assert_eq!((writers(a), writers(b)), (vec![1, 2], vec![1, 2]));
+}
+
+/// Shutdown terminates with a handshake parked on an abandoned lock — the
+/// parking shard gives it its final attempt once it has nothing left to run
+/// — yet a commit submitted before the shutdown still gets to release one.
+#[test]
+fn shutdown_fails_what_an_abandoned_holder_parked_and_completes_the_rest() {
+    let router = start_router(2, Protocol::algebra(ProtocolKind::Ss2pl));
+    let (pool0, pool1) = (objects_on(0, 2), objects_on(1, 2));
+    let submit = |requests: Vec<Request>| router.submit_transaction(requests).unwrap();
+    let spanning = |ta: u64, slot: usize| {
+        vec![
+            Request::write(0, ta, 0, pool0[slot]),
+            Request::write(0, ta, 1, pool1[slot]),
+            Request::commit(0, ta, 2),
+        ]
+    };
+    // T1 never terminates; T3's commit is in flight when the fleet stops.
+    for (ta, slot) in [(1, 0), (3, 1)] {
+        submit(vec![Request::write(0, ta, 0, pool0[slot])])
+            .wait()
+            .expect("the holder takes its lock");
+    }
+    let stranded = submit(spanning(2, 0));
+    let released = submit(spanning(4, 1));
+    let commit = submit(vec![Request::commit(0, 3, 1)]);
+    let report = within(60, "shutdown hung on a parked escalation", || {
+        router.shutdown()
+    });
+
+    commit
+        .wait()
+        .expect("T3's commit was admitted before shutdown");
+    released.wait().expect("T4 is re-armed by T3's commit");
+    let error = stranded.wait().expect_err("T1 never released a@0");
+    assert!(error.to_string().contains("escalation starved"), "{error}");
+    assert_eq!(report.metrics.escalation.escalations, 2);
+    assert_eq!(report.metrics.escalation.failed, 1);
+    // Every terminal on shard 0 re-arms all that is parked there, T2 too.
+    assert!(report.metrics.escalation.retries >= 1);
 }
