@@ -29,8 +29,10 @@
 //!   with the server's own locking disabled.
 //! * A [`passthrough`] mode forwards requests without scheduling, which is
 //!   how the paper measures the pure scheduling overhead.
-//! * [`middleware`] adds the client-worker / control-instance threading
-//!   described in Section 3.3, built on crossbeam channels.
+//! * This crate spawns no thread and polls no mailbox: the client-worker /
+//!   control-instance threading of the paper's Section 3.3 is the `shard`
+//!   crate's worker, which every scheduling deployment runs (an unsharded
+//!   deployment is a fleet of one).
 //!
 //! ## Sharded topology
 //!
@@ -56,9 +58,8 @@
 //! a serialized coordinator lane that freezes the touched shards at a round
 //! boundary (a batch-epoch barrier) so SS2PL/C2PL semantics survive the
 //! partitioning.  This crate contributes the building blocks the shard layer
-//! composes: [`request::footprint`] / [`request::shard_of`] extraction,
-//! [`SchedulerMetrics::merge`] for fleet-wide aggregation, and
-//! transaction-granularity submission on the middleware client handle.
+//! composes: [`request::footprint`] / [`request::shard_of`] extraction and
+//! [`SchedulerMetrics::merge`] for fleet-wide aggregation.
 //!
 //! Protocols shipped (all expressed declaratively, see [`protocol`]):
 //! SS2PL (the paper's example), conservative 2PL, FCFS, SLA priority,
@@ -74,7 +75,6 @@ pub mod dispatch;
 pub mod error;
 pub mod history;
 pub mod metrics;
-pub mod middleware;
 pub mod passthrough;
 pub mod pending;
 pub mod placement;
@@ -93,7 +93,6 @@ pub use error::{SchedError, SchedResult};
 // depending on `relalg` directly.
 pub use history::HistoryStore;
 pub use metrics::SchedulerMetrics;
-pub use middleware::{ClientHandle, Middleware, MiddlewareReport, TxnTicket};
 pub use pending::PendingStore;
 pub use placement::{FreqSketch, Placement};
 pub use protocol::{

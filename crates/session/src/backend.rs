@@ -10,15 +10,16 @@ use std::fmt;
 /// [`Backend::submit`].  Resolves exactly once, when every request has
 /// executed (or failed).
 ///
-/// Channel-based backends (unsharded, passthrough, custom) wrap a
-/// single-shot reply channel; the sharded fleet hands back its hub-backed
-/// ticket directly, so a pipelined session costs one hub synchronization
-/// per completion *batch* rather than one channel pair per transaction.
+/// Channel-based backends (passthrough, custom) wrap a single-shot reply
+/// channel; the worker fleet — sharded or the unsharded fleet of one —
+/// hands back its hub-backed ticket directly, so a pipelined session costs
+/// one hub synchronization per completion *batch* rather than one channel
+/// pair per transaction.
 pub enum Completion {
     /// A single-shot reply channel; the sender dropping without replying
     /// reads as a closed backend.
     Channel(Receiver<SchedResult<()>>),
-    /// A shard-fleet ticket waiting on the fleet's completion hub.
+    /// A worker-fleet ticket waiting on the fleet's completion hub.
     Sharded(shard::TxnTicket),
 }
 
@@ -41,7 +42,7 @@ impl Completion {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The paper's single-scheduler middleware (one declarative rule over
-    /// one global pending/history relation pair).
+    /// one global pending/history relation pair): a worker fleet of one.
     Unsharded,
     /// The shard router fleet: N schedulers over hash-partitioned
     /// relations, with a serialized escalation lane for spanning
@@ -71,11 +72,11 @@ impl fmt::Display for BackendKind {
 
 /// A running scheduler deployment that [`crate::Session`]s submit to.
 ///
-/// All three shipped deployments (unsharded middleware, shard router fleet,
-/// passthrough) implement this; custom backends only need the same two
-/// operations.  `submit` must not block on transaction *execution* — it
-/// returns a `Completion` that resolves exactly once, which is what
-/// makes pipelined submission possible.
+/// The shipped deployments (the worker fleet behind `.unsharded()` and
+/// `.shards(n)`, and passthrough) implement this; custom backends only
+/// need the same two operations.  `submit` must not block on transaction
+/// *execution* — it returns a `Completion` that resolves exactly once,
+/// which is what makes pipelined submission possible.
 pub trait Backend: Send + Sync {
     /// Which deployment this is.
     fn kind(&self) -> BackendKind;

@@ -7,11 +7,10 @@ use crate::report::Report;
 use crate::sess::Session;
 use crate::sharded::ShardedBackend;
 use crate::tier::TierRegistry;
-use crate::unsharded::UnshardedBackend;
 use declsched::protocol::SchedulingPolicy;
-use declsched::{Middleware, Protocol, ProtocolKind, SchedResult, SchedulerConfig};
+use declsched::{Protocol, ProtocolKind, SchedResult, SchedulerConfig};
 use relalg::Table;
-use shard::{ShardConfig, ShardedMiddleware};
+use shard::{ShardConfig, ShardRouter};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -94,8 +93,9 @@ impl ShedState {
 /// Which deployment the builder will start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Topology {
-    Unsharded,
-    Sharded(usize),
+    /// A fleet of shard workers and the label it reports under: the
+    /// unsharded deployment is the fleet of one.
+    Fleet(BackendKind, usize),
     Passthrough,
 }
 
@@ -122,7 +122,7 @@ impl SchedulerBuilder {
             config: SchedulerConfig::default(),
             table: "bench".to_string(),
             rows: 10_000,
-            topology: Topology::Unsharded,
+            topology: Topology::Fleet(BackendKind::Unsharded, 1),
             aux_relations: Vec::new(),
             shed: None,
             trace: obs::TraceConfig::off(),
@@ -152,15 +152,16 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Deploy the paper's single-scheduler middleware (the default).
+    /// Deploy the paper's single-scheduler middleware (the default): one
+    /// worker thread, nothing to route.
     pub fn unsharded(mut self) -> Self {
-        self.topology = Topology::Unsharded;
+        self.topology = Topology::Fleet(BackendKind::Unsharded, 1);
         self
     }
 
     /// Deploy the shard router fleet with `shards` worker shards.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.topology = Topology::Sharded(shards.max(1));
+        self.topology = Topology::Fleet(BackendKind::Sharded, shards.max(1));
         self
     }
 
@@ -218,19 +219,7 @@ impl SchedulerBuilder {
             None => chaos::FaultInjector::disabled(),
         });
         let backend: Arc<dyn Backend> = match self.topology {
-            Topology::Unsharded => {
-                Arc::new(UnshardedBackend::new(Middleware::start_chaos_observed(
-                    self.policy,
-                    self.config,
-                    self.table,
-                    self.rows,
-                    self.aux_relations,
-                    sink.clone(),
-                    Arc::clone(&registry),
-                    Arc::clone(&injector),
-                )?))
-            }
-            Topology::Sharded(shards) => {
+            Topology::Fleet(kind, shards) => {
                 let mut config = ShardConfig::new(shards, self.policy)
                     .with_scheduler(self.config)
                     .with_table(self.table, self.rows)
@@ -238,13 +227,9 @@ impl SchedulerBuilder {
                 for aux in self.aux_relations {
                     config = config.with_aux_relation(aux);
                 }
-                Arc::new(ShardedBackend::new(
-                    ShardedMiddleware::with_config_observed(
-                        config,
-                        sink.clone(),
-                        Arc::clone(&registry),
-                    )?,
-                ))
+                let router =
+                    ShardRouter::start_observed(config, sink.clone(), Arc::clone(&registry))?;
+                Arc::new(ShardedBackend::new(kind, router))
             }
             Topology::Passthrough => Arc::new(PassthroughBackend::start_chaos(
                 self.table,

@@ -65,7 +65,6 @@ mod sharded;
 mod ticket;
 mod tier;
 mod txn;
-mod unsharded;
 
 /// The observability crate, re-exported so deployments can name its types
 /// ([`obs::TraceConfig`], [`obs::Registry`], [`obs::Trace`]) without a

@@ -1,9 +1,9 @@
-//! The unified run report, replacing the per-deployment
-//! `MiddlewareReport` / `ShardedReport` pair at the client surface.
+//! The unified run report: one shape at the client surface, whatever
+//! deployment produced it.
 
 use crate::backend::BackendKind;
 use crate::tier::TierReport;
-use declsched::{shard_of, DispatchReport, MiddlewareReport, Request, SchedulerMetrics};
+use declsched::{shard_of, DispatchReport, Request, SchedulerMetrics};
 use shard::{EscalationStats, ShardReport, ShardedReport};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -109,25 +109,10 @@ impl Report {
             .collect()
     }
 
-    pub(crate) fn from_unsharded(report: MiddlewareReport, transactions: u64) -> Self {
-        Report {
-            backend: BackendKind::Unsharded,
-            transactions,
-            rounds: report.scheduler.rounds,
-            scheduler: report.scheduler,
-            dispatch: report.dispatch,
-            executed_log: report.executed_log,
-            final_rows: report.final_rows,
-            sharded: None,
-            server: None,
-            tiers: Vec::new(),
-            trace: obs::Trace::default(),
-            anomalies: Vec::new(),
-            wall: report.wall,
-        }
-    }
-
-    pub(crate) fn from_sharded(report: ShardedReport) -> Self {
+    /// The report of a worker fleet running under the label `kind`: a
+    /// `.shards(n)` deployment carries the per-shard detail, the fleet of
+    /// one behind `.unsharded()` has none to carry.
+    pub(crate) fn from_fleet(kind: BackendKind, mut report: ShardedReport) -> Self {
         let metrics = &report.metrics;
         let shards = metrics.shards.max(1);
         // Merge final rows by *final* home shard — the hash default plus
@@ -155,20 +140,26 @@ impl Report {
                     .unwrap_or(0)
             })
             .collect();
-        let executed_log: Vec<Request> = report
-            .shards
-            .iter()
-            .flat_map(|s| s.executed_log.iter().cloned())
-            .collect();
+        let detailed = kind == BackendKind::Sharded;
+        // The per-shard logs stay in the detail; a fleet of one keeps none,
+        // so its only worker's log moves out instead of being copied.
+        let executed_log: Vec<Request> = if detailed {
+            let logs = report.shards.iter();
+            logs.flat_map(|s| s.executed_log.iter().copied()).collect()
+        } else {
+            let only = report.shards.first_mut();
+            only.map(|s| std::mem::take(&mut s.executed_log))
+                .unwrap_or_default()
+        };
         Report {
-            backend: BackendKind::Sharded,
+            backend: kind,
             transactions: metrics.transactions,
             rounds: metrics.merged.rounds,
             scheduler: metrics.merged,
             dispatch: metrics.dispatch,
             executed_log,
             final_rows,
-            sharded: Some(ShardedDetail {
+            sharded: detailed.then_some(ShardedDetail {
                 shards,
                 cross_shard_transactions: metrics.cross_shard_transactions,
                 escalation: metrics.escalation,

@@ -34,9 +34,17 @@ pub struct Session {
     /// Chaos fault injector; `SessionSubmit` fires once per submission.
     injector: Arc<chaos::FaultInjector>,
     inflight: Vec<Arc<TicketCell>>,
+    /// `inflight` length at which `submit_raw` next drops the resolved
+    /// cells: twice what the last trim left, so trimming costs amortised
+    /// O(1) per submission and the vector stays within twice the
+    /// unresolved count (plus [`MIN_TRIM`]).
+    trim_at: usize,
     /// Transactions this session routed without a terminal yet.
     open: HashSet<u64>,
 }
+
+/// Below this many tracked cells a trim is not worth its pass.
+const MIN_TRIM: usize = 64;
 
 impl Session {
     pub(crate) fn new(
@@ -53,6 +61,7 @@ impl Session {
             observe,
             injector,
             inflight: Vec::new(),
+            trim_at: MIN_TRIM,
             open: HashSet::new(),
         }
     }
@@ -141,6 +150,10 @@ impl Session {
             sampled_intras,
         );
         self.inflight.push(Arc::clone(&cell));
+        if self.inflight.len() >= self.trim_at {
+            self.inflight.retain(|cell| !cell.resolved());
+            self.trim_at = (2 * self.inflight.len()).max(MIN_TRIM);
+        }
         if statements > 0 {
             if has_terminal {
                 self.open.remove(&ta);
@@ -195,5 +208,89 @@ impl Drop for Session {
         for &ta in &self.open {
             self.backend.abandon(ta);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{BackendKind, Completion};
+    use crate::{Report, Scheduler};
+    use crossbeam::channel::{bounded, Sender};
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// Answers every transaction at once, or — with `hold` — only when the
+    /// test releases the kept reply senders.
+    #[derive(Default)]
+    struct Stub {
+        hold: bool,
+        held: Mutex<Vec<Sender<SchedResult<()>>>>,
+    }
+
+    impl Backend for Stub {
+        fn kind(&self) -> BackendKind {
+            BackendKind::Passthrough
+        }
+
+        fn submit(&self, _requests: Vec<Request>) -> SchedResult<Completion> {
+            let (reply, completion) = bounded(1);
+            if self.hold {
+                self.held.lock().unwrap().push(reply);
+            } else {
+                reply.send(Ok(())).expect("receiver in scope");
+            }
+            Ok(Completion::Channel(completion))
+        }
+
+        fn shutdown(&self) -> SchedResult<Report> {
+            unreachable!("the tests never shut the stub down")
+        }
+    }
+
+    fn txn(ta: u64) -> Txn {
+        Txn::new(ta).write(7, 1).commit()
+    }
+
+    /// `execute` in a loop never calls `in_flight()` or `drain()`, so the
+    /// session itself must drop the cells whose result was observed.
+    #[test]
+    fn observed_results_do_not_accumulate_in_the_session() {
+        let scheduler = Scheduler::from_backend(Arc::new(Stub::default()));
+        let mut session = scheduler.connect();
+        for ta in 1..=100_000u64 {
+            session.execute(txn(ta)).unwrap();
+            assert!(session.inflight.len() <= MIN_TRIM, "at T{ta}");
+        }
+    }
+
+    /// A waiter keeps its cell locked across the wait (the open loop's
+    /// collector thread does exactly that), so the trim inside `submit`
+    /// must step over that cell instead of queueing behind it.
+    #[test]
+    fn submitting_never_waits_behind_a_ticket_being_awaited() {
+        let backend = Arc::new(Stub {
+            hold: true,
+            ..Stub::default()
+        });
+        let scheduler = Scheduler::from_backend(Arc::clone(&backend) as Arc<dyn Backend>);
+        let mut session = scheduler.connect();
+        let first = session.submit(txn(1)).unwrap();
+        let waiter = std::thread::spawn(move || first.wait());
+        let (done, submitted) = bounded(1);
+        let submitter = std::thread::spawn(move || {
+            for ta in 2..=4 * MIN_TRIM as u64 {
+                session.submit(txn(ta)).unwrap();
+            }
+            done.send(()).unwrap();
+        });
+        let unblocked = submitted.recv_timeout(Duration::from_secs(10));
+        // Release everything either way, so a failure reports, not hangs.
+        for reply in backend.held.lock().unwrap().drain(..) {
+            let _ = reply.send(Ok(()));
+        }
+        waiter.join().unwrap().unwrap();
+        submitter.join().unwrap();
+        assert!(unblocked.is_ok(), "submit blocked behind an awaited ticket");
     }
 }

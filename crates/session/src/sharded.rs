@@ -1,34 +1,37 @@
-//! [`Backend`] over the shard router fleet.
+//! [`Backend`] over the shard worker fleet — both the `.shards(n)`
+//! deployment and, as a fleet of one, the `.unsharded()` deployment.
 
 use crate::backend::{Backend, BackendKind, Completion};
 use crate::report::Report;
 use declsched::{Request, SchedError, SchedResult};
-use shard::{ShardedClientHandle, ShardedMiddleware};
+use shard::ShardRouter;
 use std::sync::Mutex;
 
 pub(crate) struct ShardedBackend {
-    /// Submission side: routes directly through the shared router core.
-    handle: ShardedClientHandle,
-    /// Control-plane side: cheap clone of the router's control handle,
-    /// usable without touching the shutdown lock.
-    control: shard::ControlHandle,
+    /// The label this fleet runs under: [`BackendKind::Unsharded`] for the
+    /// fleet of one behind `.unsharded()`, [`BackendKind::Sharded`] for
+    /// `.shards(n)`.  Only what is reported differs, never what runs.
+    kind: BackendKind,
+    /// Submission and control-plane side: a cheap clone of the fleet's
+    /// handle, usable without touching the shutdown lock.
+    handle: shard::ControlHandle,
     /// Ownership side: consumed by the first shutdown.
-    middleware: Mutex<Option<ShardedMiddleware>>,
+    router: Mutex<Option<ShardRouter>>,
 }
 
 impl ShardedBackend {
-    pub(crate) fn new(middleware: ShardedMiddleware) -> Self {
+    pub(crate) fn new(kind: BackendKind, router: ShardRouter) -> Self {
         ShardedBackend {
-            handle: middleware.connect(),
-            control: middleware.control(),
-            middleware: Mutex::new(Some(middleware)),
+            kind,
+            handle: router.control(),
+            router: Mutex::new(Some(router)),
         }
     }
 }
 
 impl Backend for ShardedBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::Sharded
+        self.kind
     }
 
     fn submit(&self, requests: Vec<Request>) -> SchedResult<Completion> {
@@ -38,15 +41,16 @@ impl Backend for ShardedBackend {
     }
 
     fn shutdown(&self) -> SchedResult<Report> {
-        let middleware = self
-            .middleware
+        let backend = self.kind.label();
+        let router = self
+            .router
             .lock()
             .map_err(|_| SchedError::Poisoned {
-                what: "sharded backend shutdown lock",
+                what: "backend shutdown lock",
             })?
             .take()
-            .ok_or(SchedError::BackendShutdown { backend: "sharded" })?;
-        Ok(Report::from_sharded(middleware.shutdown()))
+            .ok_or(SchedError::BackendShutdown { backend })?;
+        Ok(Report::from_fleet(self.kind, router.shutdown()))
     }
 
     fn queue_depth(&self) -> usize {
@@ -58,6 +62,6 @@ impl Backend for ShardedBackend {
     }
 
     fn sharded_control(&self) -> Option<shard::ControlHandle> {
-        Some(self.control.clone())
+        (self.kind == BackendKind::Sharded).then(|| self.handle.clone())
     }
 }

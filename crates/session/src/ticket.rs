@@ -4,7 +4,7 @@ use crate::backend::Completion;
 use crate::observe::SessionObs;
 use crate::tier::TierRegistry;
 use declsched::{SchedError, SchedResult};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
 /// What [`Ticket::wait`] returns once a transaction has fully executed.
@@ -115,14 +115,16 @@ impl TicketCell {
         result
     }
 
-    /// Whether the result has already been observed.  A poisoned cell
-    /// counts as resolved: its panicked observer already consumed the
-    /// result.
+    /// Whether the result has already been observed.  Never blocks: a cell
+    /// another holder is waiting on right now (it keeps the lock across the
+    /// wait) is not resolved yet.  A poisoned cell counts as resolved: its
+    /// panicked observer already consumed the result.
     pub(crate) fn resolved(&self) -> bool {
-        self.state
-            .lock()
-            .map(|state| state.done.is_some())
-            .unwrap_or(true)
+        match self.state.try_lock() {
+            Ok(state) => state.done.is_some(),
+            Err(TryLockError::WouldBlock) => false,
+            Err(TryLockError::Poisoned(_)) => true,
+        }
     }
 }
 

@@ -21,7 +21,7 @@
 
 use crate::worker::Submission;
 use declsched::{SchedError, SchedResult};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -42,9 +42,10 @@ type BucketArray = Vec<Vec<(u64, SchedResult<()>)>>;
 
 /// Shared completion state for a whole fleet.
 ///
-/// A completion for a ticket that is never waited on stays in the map
-/// until shutdown — bounded by the number of abandoned tickets, and
-/// reclaimed wholesale when the fleet stops.
+/// A ticket dropped without waiting leaves nothing behind: its drop
+/// reclaims an already-published completion, or marks the token abandoned
+/// so the publisher discards the completion instead of storing it
+/// ([`CompletionHub::abandon`]).
 ///
 /// The hub also doubles as the fleet's buffer exchange: it is the one
 /// object the router and every worker share, so the `Vec<Submission>`
@@ -68,7 +69,20 @@ struct Stripe {
 
 struct HubInner {
     results: HashMap<u64, SchedResult<()>>,
+    /// Tokens whose ticket was dropped before the completion arrived.
+    abandoned: HashSet<u64>,
     closed: bool,
+}
+
+impl HubInner {
+    /// Store a completion for its waiter — unless the ticket is gone.  The
+    /// first result for a token wins.  (The set is almost always empty, and
+    /// asking it that is cheaper than hashing the token to find out.)
+    fn publish(&mut self, token: u64, result: SchedResult<()>) {
+        if self.abandoned.is_empty() || !self.abandoned.remove(&token) {
+            self.results.entry(token).or_insert(result);
+        }
+    }
 }
 
 impl CompletionHub {
@@ -78,6 +92,7 @@ impl CompletionHub {
                 .map(|_| Stripe {
                     inner: Mutex::new(HubInner {
                         results: HashMap::new(),
+                        abandoned: HashSet::new(),
                         closed: false,
                     }),
                     cond: Condvar::new(),
@@ -134,7 +149,7 @@ impl CompletionHub {
     pub(crate) fn resolve_one(&self, token: u64, result: SchedResult<()>) {
         let stripe = self.stripe(token);
         let mut inner = Self::lock(stripe);
-        inner.results.entry(token).or_insert(result);
+        inner.publish(token, result);
         drop(inner);
         stripe.cond.notify_all();
     }
@@ -164,7 +179,7 @@ impl CompletionHub {
             // `drain` (not `into_iter`) keeps each bucket's capacity for
             // the next flush through the pool.
             for (token, result) in bucket.drain(..) {
-                inner.results.entry(token).or_insert(result);
+                inner.publish(token, result);
             }
             drop(inner);
             stripe.cond.notify_all();
@@ -189,6 +204,28 @@ impl CompletionHub {
             drop(inner);
             stripe.cond.notify_all();
         }
+    }
+
+    /// The ticket for `token` was dropped unwaited: take its completion out
+    /// if it is already published, else have the publisher discard it.  (A
+    /// closed hub publishes nothing more, so there is nothing to mark.)
+    pub(crate) fn abandon(&self, token: u64) {
+        let mut inner = Self::lock(self.stripe(token));
+        if inner.results.remove(&token).is_none() && !inner.closed {
+            inner.abandoned.insert(token);
+        }
+    }
+
+    /// Completions and abandonment marks currently stored, over all stripes.
+    #[cfg(test)]
+    pub(crate) fn residue(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|stripe| {
+                let inner = Self::lock(stripe);
+                inner.results.len() + inner.abandoned.len()
+            })
+            .sum()
     }
 
     /// Block until `token`'s completion is published (removing it), or

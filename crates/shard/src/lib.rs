@@ -53,8 +53,10 @@
 //! * [`ShardedMetrics`] merges per-shard `SchedulerMetrics` and dispatch
 //!   totals with routing counters (throughput, fleet-wide in-flight peak,
 //!   cross-shard escalation rate, concurrent-escalation peak).
-//! * [`ShardedMiddleware`] is the client-facing sharded counterpart of
-//!   `declsched::middleware::Middleware`.
+//! * A fleet of **one** shard is the paper's single global scheduler: it
+//!   has nothing to route, so the router posts each transaction straight
+//!   onto the worker's mailbox and starts no flusher.  The `session`
+//!   façade's `.unsharded()` deployment is exactly this.
 //!
 //! The scaling story is measured by the `shard_scaling` bench binary
 //! (`BENCH_shard_scaling.json`): on a uniform single-object workload the
@@ -68,27 +70,25 @@
 //!
 //! ```
 //! use declsched::{Protocol, ProtocolKind, Request, SchedulerConfig, TriggerPolicy};
-//! use shard::ShardedMiddleware;
+//! use shard::{ShardConfig, ShardRouter};
 //!
-//! let middleware = ShardedMiddleware::start(
-//!     Protocol::algebra(ProtocolKind::Ss2pl),
-//!     SchedulerConfig {
+//! let config = ShardConfig::new(2, Protocol::algebra(ProtocolKind::Ss2pl))
+//!     .with_scheduler(SchedulerConfig {
 //!         trigger: TriggerPolicy::Hybrid { interval_ms: 1, threshold: 4 },
 //!         ..SchedulerConfig::default()
-//!     },
-//!     "bench",
-//!     1_000,
-//!     2, // shards
-//! ).unwrap();
+//!     })
+//!     .with_table("bench", 1_000);
+//! let router = ShardRouter::start(config).unwrap();
 //!
-//! let client = middleware.connect();
+//! // One cloneable handle per client worker.
+//! let client = router.control();
 //! client
 //!     .submit_transaction(vec![Request::write(0, 1, 0, 7), Request::commit(0, 1, 1)])
 //!     .unwrap()
 //!     .wait()
 //!     .unwrap();
 //!
-//! let report = middleware.shutdown();
+//! let report = router.shutdown();
 //! assert_eq!(report.metrics.dispatch.commits, 1);
 //! ```
 
@@ -99,13 +99,11 @@ mod config;
 mod escalation;
 mod hub;
 mod metrics;
-mod middleware;
 mod router;
 mod worker;
 
 pub use config::ShardConfig;
 pub use metrics::{EscalationStats, RouterSnapshot, ShardReport, ShardedMetrics};
-pub use middleware::{ShardedClientHandle, ShardedMiddleware};
 pub use router::{ControlHandle, RehomeOutcome, ShardRouter, ShardedReport, TxnTicket};
 
 #[cfg(test)]
@@ -285,24 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_middleware_serves_concurrent_clients() {
-        let mw = ShardedMiddleware::start(
-            Protocol::algebra(ProtocolKind::Ss2pl),
-            SchedulerConfig {
-                trigger: TriggerPolicy::Hybrid {
-                    interval_ms: 1,
-                    threshold: 4,
-                },
-                ..SchedulerConfig::default()
-            },
-            "bench",
-            1_000,
-            4,
-        )
-        .unwrap();
+    fn cloned_handles_serve_concurrent_clients() {
+        let router = ShardRouter::start(config(4)).unwrap();
         let mut joins = Vec::new();
         for ta in 1..=8u64 {
-            let client = mw.connect();
+            let client = router.control();
             joins.push(std::thread::spawn(move || {
                 let object = object_on_shard((ta % 4) as usize, 4);
                 client
@@ -318,7 +303,7 @@ mod tests {
         for join in joins {
             join.join().unwrap();
         }
-        let report = mw.shutdown();
+        let report = router.shutdown();
         assert_eq!(report.metrics.dispatch.writes, 8);
         assert_eq!(report.metrics.dispatch.commits, 8);
         assert_eq!(report.metrics.transactions, 8);

@@ -17,6 +17,11 @@
 //! per *batch* rather than per transaction.  Completions come back through
 //! the shared [`CompletionHub`] the same way — one hub synchronization per
 //! worker round.
+//!
+//! A fleet of **one** shard — which is also what the unsharded deployment
+//! runs — has nothing to route: [`RouterCore::submit`] posts the
+//! transaction straight onto the worker's mailbox, and no flusher thread is
+//! started.
 
 use crate::config::ShardConfig;
 use crate::escalation::{closed, Lane};
@@ -44,15 +49,28 @@ const MAX_BATCH: usize = 128;
 
 /// A pending completion for one submitted transaction, waited on through
 /// the fleet's shared completion hub.
+///
+/// Dropping a ticket without waiting is safe and leaves nothing behind: the
+/// transaction still executes, and the hub discards its completion.
 pub struct TxnTicket {
     hub: Arc<CompletionHub>,
     token: u64,
+    waited: bool,
 }
 
 impl TxnTicket {
     /// Block until the transaction has fully executed.
-    pub fn wait(self) -> SchedResult<()> {
+    pub fn wait(mut self) -> SchedResult<()> {
+        self.waited = true;
         self.hub.wait(self.token)
+    }
+}
+
+impl Drop for TxnTicket {
+    fn drop(&mut self) {
+        if !self.waited {
+            self.hub.abandon(self.token);
+        }
     }
 }
 
@@ -218,14 +236,51 @@ pub(crate) struct RouterCore {
 }
 
 impl RouterCore {
+    /// Allocate a hub token for a transaction of `weight` requests and
+    /// count it in flight: the fleet-side reply, the client-side ticket, and
+    /// the in-flight request count before this transaction.
+    fn open_ticket(&self, weight: u64) -> (HubReply, TxnTicket, u64) {
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let before = self.inflight.fetch_add(weight, Ordering::Relaxed);
+        self.peak_inflight
+            .fetch_max(before + weight, Ordering::Relaxed);
+        let reply = HubReply::new(
+            Arc::clone(&self.hub),
+            token,
+            weight,
+            Arc::clone(&self.inflight),
+        );
+        let ticket = TxnTicket {
+            hub: Arc::clone(&self.hub),
+            token,
+            waited: false,
+        };
+        (reply, ticket, before)
+    }
+
     /// Route one transaction: single-shard footprints go into their
     /// shard's submission buffer, spanning footprints to the escalation
-    /// lane.
+    /// lane.  A fleet of one has no routing decision to make and posts the
+    /// transaction straight onto its only worker's mailbox.
     pub(crate) fn submit(&self, requests: Vec<Request>) -> SchedResult<TxnTicket> {
         if self.closed.load(Ordering::Acquire) {
             return Err(SchedError::ChannelClosed {
                 endpoint: "shard router (shutting down)",
             });
+        }
+        let weight = requests.len().max(1) as u64;
+        if self.shards == 1 {
+            // Nothing below applies: every object lives on shard 0, so
+            // there is no footprint to compute, no placement epoch to pin,
+            // no home to remember, no hot object to move and no batch to
+            // amortise a second mailbox over.  (A failed send drops the
+            // reply and the ticket, which settle each other in the hub.)
+            let (reply, ticket, _) = self.open_ticket(weight);
+            self.workers[0]
+                .send(ShardMessage::Submit(Submission { requests, reply }))
+                .map_err(|_| closed("shard worker"))?;
+            self.counters.transactions.fetch_add(1, Ordering::Relaxed);
+            return Ok(ticket);
         }
         let _fence = self.fence.read().map_err(|_| SchedError::Poisoned {
             what: "router placement fence",
@@ -244,21 +299,7 @@ impl RouterCore {
             }
         }
 
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let weight = requests.len().max(1) as u64;
-        let before = self.inflight.fetch_add(weight, Ordering::Relaxed);
-        self.peak_inflight
-            .fetch_max(before + weight, Ordering::Relaxed);
-        let reply = HubReply::new(
-            Arc::clone(&self.hub),
-            token,
-            weight,
-            Arc::clone(&self.inflight),
-        );
-        let ticket = TxnTicket {
-            hub: Arc::clone(&self.hub),
-            token,
-        };
+        let (reply, ticket, before) = self.open_ticket(weight);
 
         let mut homes = self.homes.lock(ta.unwrap_or(0))?;
         // Union with the shards already touched by earlier submissions of
@@ -492,29 +533,50 @@ impl RouterCore {
             .collect()
     }
 
-    pub(crate) fn abandon(&self, ta: u64) {
-        self.homes.remove(ta);
-    }
-
     /// The deepest backlog anywhere in the fleet: the worst shard queue or
     /// the escalation lane's waiting + running jobs, whichever is larger —
     /// cross-shard overload piles up in the lane's admission state, not on
     /// any worker.
-    pub(crate) fn max_queue_depth(&self) -> usize {
+    fn max_queue_depth(&self) -> usize {
         let worker = self.queue_depths().into_iter().max().unwrap_or(0) as usize;
         worker.max(self.lane.backlog())
     }
 }
 
-/// The control plane's window into a running router: per-shard load, the
-/// hot-object sketch, and the placement-migration lever.  Cheap to clone;
-/// usable from any thread while the fleet is up.
+/// A handle onto a running fleet that outlives borrowing the
+/// [`ShardRouter`]: client submission, and the control plane's window
+/// (per-shard load, the hot-object sketch, the placement-migration lever).
+/// Cheap to clone — one per client worker — and usable from any thread
+/// while the fleet is up.
 #[derive(Clone)]
 pub struct ControlHandle {
     core: Arc<RouterCore>,
 }
 
 impl ControlHandle {
+    /// Submit a whole transaction — pre-built requests in intra order —
+    /// without blocking.  The returned ticket resolves once every request
+    /// has executed on its home shard (or through the escalation lane when
+    /// the footprint spans shards), so a client can pipeline many
+    /// transactions before waiting on any of them.
+    pub fn submit_transaction(&self, requests: Vec<Request>) -> SchedResult<TxnTicket> {
+        self.core.submit(requests)
+    }
+
+    /// Reclaim the router's homes entry for `ta` — a transaction its client
+    /// abandoned mid-flight (no terminal will ever be submitted).  Without
+    /// this, the entry would live until shutdown.  The session façade calls
+    /// it from `Session::drop`.
+    pub fn abandon_transaction(&self, ta: u64) {
+        self.core.homes.remove(ta);
+    }
+
+    /// The deepest backlog anywhere in the fleet — the watermark the
+    /// session layer's overload-shedding policy samples.
+    pub fn max_queue_depth(&self) -> usize {
+        self.core.max_queue_depth()
+    }
+
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.core.shards
@@ -706,10 +768,10 @@ impl ShardRouter {
         });
 
         // The flusher enforces the latency bound on buffered submissions.
-        // With batching disabled every submission flushes inline, so no
-        // thread is needed.
+        // With batching disabled every submission flushes inline, and a
+        // fleet of one buffers nothing, so neither needs the thread.
         let flusher_stop = Arc::new(AtomicBool::new(false));
-        let flusher_handle = if flush_micros > 0 {
+        let flusher_handle = if flush_micros > 0 && shards > 1 {
             let flusher_core = Arc::clone(&core);
             let stop = Arc::clone(&flusher_stop);
             Some(
@@ -743,13 +805,9 @@ impl ShardRouter {
         self.core.shards
     }
 
-    /// Shared routing state for client handles.
-    pub(crate) fn core(&self) -> Arc<RouterCore> {
-        Arc::clone(&self.core)
-    }
-
-    /// The control plane's handle onto this fleet (load sampling, hot-object
-    /// sketch, placement migration).
+    /// A cloneable handle onto this fleet: client submission plus the
+    /// control plane's levers (load sampling, hot-object sketch, placement
+    /// migration).
     pub fn control(&self) -> ControlHandle {
         ControlHandle {
             core: Arc::clone(&self.core),
@@ -760,32 +818,6 @@ impl ShardRouter {
     /// request has executed.
     pub fn submit_transaction(&self, requests: Vec<Request>) -> SchedResult<TxnTicket> {
         self.core.submit(requests)
-    }
-
-    /// Submit a transaction and wait for it to execute.
-    ///
-    /// Deprecated: for direct router use the exact replacement is
-    /// [`ShardRouter::submit_transaction`] followed by `wait()`; client
-    /// code should instead go through `session::Session::submit_requests`
-    /// on a `session::Scheduler::builder().shards(n)` deployment, which
-    /// routes through this same fleet behind the unified façade.
-    ///
-    /// # Migration
-    ///
-    /// ```ignore
-    /// // Before (deprecated):
-    /// router.execute_transaction(requests)?;
-    ///
-    /// // After, same crate (non-blocking ticket):
-    /// router.submit_transaction(requests)?.wait()?;
-    ///
-    /// // After, client code (backend-agnostic):
-    /// let scheduler = session::Scheduler::builder().shards(4).build()?;
-    /// scheduler.connect().submit_requests(requests)?.wait()?;
-    /// ```
-    #[deprecated(note = "use `submit_transaction(...)?.wait()` or the `session::Session` façade")]
-    pub fn execute_transaction(&self, requests: Vec<Request>) -> SchedResult<()> {
-        self.submit_transaction(requests)?.wait()
     }
 
     /// Shut down: finish admitted escalations, drain every shard, join all
@@ -848,6 +880,39 @@ impl ShardRouter {
             shards: reports,
             metrics,
             placement: self.core.placement.overlay(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use declsched::{Protocol, ProtocolKind};
+
+    /// A ticket dropped without `wait()` must leave nothing in the hub —
+    /// whether its completion was already published (the drop reclaims it)
+    /// or not yet (the publisher discards it).  Covers the one-shard path
+    /// every unsharded deployment takes and the buffered multi-shard path.
+    #[test]
+    fn dropped_tickets_leave_no_residue_in_the_hub() {
+        for shards in [1, 2] {
+            let config = ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Ss2pl))
+                .with_table("bench", 1_000);
+            let router = ShardRouter::start(config).unwrap();
+            let hub = Arc::clone(&router.core.hub);
+            for ta in 1..=10_000u64 {
+                let object = (ta % 1_000) as i64;
+                let ticket = router
+                    .submit_transaction(vec![
+                        Request::write(0, ta, 0, object),
+                        Request::commit(0, ta, 1),
+                    ])
+                    .unwrap();
+                drop(ticket);
+            }
+            let report = router.shutdown();
+            assert_eq!(report.metrics.dispatch.commits, 10_000, "{shards} shard(s)");
+            assert_eq!(hub.residue(), 0, "{shards} shard(s)");
         }
     }
 }

@@ -2,9 +2,15 @@
 //! (incoming queue → pending relation → declarative rule → history relation
 //! → dispatcher) for the slice of the object space that hashes to it.
 //!
+//! This is the repository's only threaded scheduling engine — the paper's
+//! Section 3.3 loop (client workers fill an incoming queue, a trigger
+//! starts a round, the rule qualifies, the dispatcher executes, clients are
+//! answered).  The unsharded deployment is a fleet of one of these.
+//!
 //! Client traffic arrives in [`ShardMessage::Batch`]es — the router
 //! accumulates submissions per shard and the worker drains a whole batch
-//! per channel synchronization.  Completions flow back the same way:
+//! per channel synchronization — or, in a fleet of one, as single
+//! [`ShardMessage::Submit`]s.  Completions flow back the same way:
 //! resolved tickets are buffered over a scheduling round and published to
 //! the shared [`crate::hub::CompletionHub`] in one call.
 //!
@@ -46,6 +52,9 @@ pub(crate) enum ShardMessage {
     /// A batch of client transactions accumulated by the router — one
     /// channel hop for the whole batch.
     Batch(Vec<Submission>),
+    /// One client transaction, posted directly by a fleet of one (which
+    /// has no router buffer to batch in).
+    Submit(Submission),
     /// Escalation handshake, phase 1: qualify this shard's slice of the
     /// record and vote.  A granted vote holds the shard (no rounds) until
     /// the matching `Commit` or `Release2pc`.
@@ -531,6 +540,9 @@ impl WorkerState {
                 // reuses it instead of allocating.
                 self.hub.recycle_batch_buffer(submissions);
             }
+            ShardMessage::Submit(submission) => {
+                self.submit_transaction(submission.requests, submission.reply);
+            }
             ShardMessage::Prepare(handshake) => {
                 // Chaos hook: a participant dying right before its prepare
                 // lands — the mid-handshake fault the two-phase protocol
@@ -617,6 +629,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
     let rounds_ctr = registry.counter(&format!("shard.{shard}.rounds"));
     let executed_ctr = registry.counter(&format!("shard.{shard}.requests_executed"));
     let rule_failures_ctr = registry.counter(&format!("shard.{shard}.rule_failures"));
+    let batch_hist = registry.histogram(&format!("shard.{shard}.batch_size"));
     let mut state = WorkerState {
         shard,
         scheduler,
@@ -729,15 +742,19 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                     } else {
                         made_progress = !batch.is_empty();
                         rounds_ctr.inc();
+                        batch_hist.observe(batch.requests.len() as u64);
                         let qualified_at = if state.recorder.enabled() && !batch.is_empty() {
                             state.recorder.now_us()
                         } else {
                             0
                         };
-                        // Chained stamps, as in the core loop: sequential
-                        // batch execution makes a request's `Executed` moment
-                        // the next one's `Dispatched` moment, halving clock
-                        // reads.
+                        // Batch execution is sequential, so a request's
+                        // `Executed` stamp is exactly the next request's
+                        // `Dispatched` moment — chaining `last_us` halves the
+                        // hot-path clock reads.  The stamp goes stale only
+                        // when an unsampled request executes in between
+                        // (sampled tracing), in which case the next dispatch
+                        // re-reads.
                         let mut last_us = qualified_at;
                         let mut last_fresh = true;
                         let mut released = false;
@@ -798,6 +815,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                             state.executed_log.push(*request);
                             state.resolve(key, result);
                         }
+                        state.scheduler.recycle_batch(batch.requests);
                         state.round_no += 1;
                         // A terminal frees locks, an executed statement may
                         // be the earlier submission a handshake waits for:

@@ -9,7 +9,7 @@ use declsched::{
 };
 use proptest::prelude::*;
 use session::{Scheduler, ShedPolicy, Txn};
-use shard::{RehomeOutcome, ShardConfig, ShardedMiddleware};
+use shard::{RehomeOutcome, ShardConfig, ShardRouter};
 
 fn sharded_scheduler(shards: usize) -> Scheduler {
     Scheduler::builder()
@@ -177,8 +177,8 @@ fn routed_transaction_counters_match_successful_submissions_across_shutdown() {
             ..SchedulerConfig::default()
         })
         .with_table("bench", 512);
-    let middleware = ShardedMiddleware::with_config(config).expect("fleet starts");
-    let handle = middleware.connect();
+    let router = ShardRouter::start(config).expect("fleet starts");
+    let handle = router.control();
 
     let shard0_object = (0..512i64).find(|&o| shard_of(o, 2) == 0).expect("exists");
     let shard1_objects: Vec<i64> = (0..512i64).filter(|&o| shard_of(o, 2) == 1).collect();
@@ -195,7 +195,7 @@ fn routed_transaction_counters_match_successful_submissions_across_shutdown() {
     }
 
     // Shut down concurrently: the call blocks until shard 1 drains.
-    let shutdown = std::thread::spawn(move || middleware.shutdown());
+    let shutdown = std::thread::spawn(move || router.shutdown());
 
     // Meanwhile, trickle submissions at shard 0.  Pacing leaves the worker
     // empty instants in which it can exit; once it does, these sends fail

@@ -134,6 +134,104 @@ fn backends_are_equivalent_on_the_same_scenario() {
     assert_eq!(unsharded.final_rows, sharded.final_rows);
 }
 
+/// `.unsharded()` is the worker fleet `.shards(1)` starts, under another
+/// label: on a contended stream — 64 read/write transactions over eight
+/// rows, every third one premium — both execute the identical request
+/// sequence and leave the identical rows, under a lock protocol and under
+/// a priority-ordering one.  The trigger never fires, so every round runs
+/// in the shutdown drain over the same queue and the comparison is exact.
+#[test]
+fn unsharded_and_a_fleet_of_one_are_the_same_code_path() {
+    let contended = ShardedSpec {
+        shards: 1,
+        cross_shard_fraction: 0.0,
+        transactions: 64,
+        statements_per_txn: 3,
+        update_fraction: 0.5,
+        table_rows: 8,
+        table: "bench".to_string(),
+        seed: 19,
+    }
+    .generate(|_| 0);
+    for kind in [ProtocolKind::Ss2pl, ProtocolKind::SlaPriority] {
+        let run = |builder: SchedulerBuilder| {
+            let scheduler = builder
+                .policy(Protocol::algebra(kind))
+                .scheduler_config(SchedulerConfig {
+                    trigger: TriggerPolicy::FillLevel {
+                        threshold: 1_000_000,
+                    },
+                    ..SchedulerConfig::default()
+                })
+                .build()
+                .unwrap();
+            let mut session = scheduler.connect();
+            let tickets: Vec<Ticket> = contended
+                .iter()
+                .enumerate()
+                .map(|(index, spec)| {
+                    let premium = index % 3 == 0;
+                    let txn = Txn::from_statements(&spec.statements).with_sla(SlaMeta {
+                        priority: if premium { 3 } else { 1 },
+                        class: if premium { "premium" } else { "free" },
+                        arrival_ms: 0,
+                        deadline_ms: 1_000,
+                    });
+                    session.submit(txn).unwrap()
+                })
+                .collect();
+            let report = scheduler.shutdown();
+            for ticket in tickets {
+                ticket.wait().unwrap();
+            }
+            report
+        };
+        let unsharded = run(builder().unsharded());
+        let fleet_of_one = run(builder().shards(1));
+        assert_eq!(unsharded.backend, BackendKind::Unsharded);
+        assert_eq!(fleet_of_one.backend, BackendKind::Sharded);
+        assert_eq!(unsharded.dispatch.commits, 64, "{kind:?}");
+        let sequence = |report: &Report| -> Vec<RequestKey> {
+            report.executed_log.iter().map(|r| r.key()).collect()
+        };
+        assert_eq!(sequence(&unsharded), sequence(&fleet_of_one), "{kind:?}");
+        assert_eq!(unsharded.final_rows, fleet_of_one.final_rows, "{kind:?}");
+        assert_eq!(unsharded.rounds, fleet_of_one.rounds, "{kind:?}");
+    }
+}
+
+/// What an unsharded run looks like from outside: it is worker 0 of a
+/// fleet (`shard.0.*` instruments), and nothing was routed — no router
+/// batch was ever flushed and no request carries a `Routed` event.
+#[test]
+fn unsharded_runs_one_worker_with_nothing_to_route() {
+    let scheduler = builder()
+        .unsharded()
+        .trace(obs::TraceConfig::full(4_096))
+        .build()
+        .unwrap();
+    let registry = scheduler.registry();
+    let report = drive(scheduler, &scenario(1));
+    assert_eq!(report.backend, BackendKind::Unsharded);
+    assert!(report.sharded.is_none());
+    let snapshot = registry.snapshot();
+    assert!(snapshot.counter("shard.0.rounds") > 0);
+    assert_eq!(snapshot.counter("shard.0.rounds"), report.rounds);
+    assert_eq!(snapshot.counter("shard.0.requests_executed"), 32 * 3);
+    // (observations, sum): one per round, every executed request in one.
+    let batches = snapshot.histograms["shard.0.batch_size"];
+    assert_eq!(batches, (report.rounds, 32 * 3));
+    assert_eq!(registry.histogram("router.batch_size").count(), 0);
+    assert_eq!(report.trace.dropped(), 0);
+    let routed = |kind: &obs::EventKind| matches!(kind, obs::EventKind::Routed { .. });
+    assert!(!report.trace.events().iter().any(|e| routed(&e.kind)));
+    assert!(report
+        .trace
+        .events()
+        .iter()
+        .any(|e| e.kind == obs::EventKind::Executed));
+}
+
 /// Satellite: one session with K in-flight tickets completes all
 /// transactions — against the unsharded middleware and the sharded fleet.
 #[test]
