@@ -132,7 +132,7 @@ struct RoundScratch {
     batch_pool: Vec<Vec<Request>>,
 }
 
-/// How many spare batch buffers the scheduler keeps.  The worker loop
+/// How many spare batch buffers the scheduler keeps.  A dispatch loop
 /// recycles one batch per round, so a tiny pool suffices; the cap only
 /// guards against a caller recycling buffers it never got from us.
 const BATCH_POOL_CAP: usize = 8;

@@ -2,7 +2,8 @@
 //! worker fleet of one — through the public `session` surface.
 
 use declsched::{
-    Protocol, ProtocolKind, Request, SchedResult, SchedulerConfig, SlaMeta, TriggerPolicy,
+    Protocol, ProtocolKind, Request, SchedError, SchedResult, SchedulerConfig, SlaMeta,
+    TriggerPolicy,
 };
 use session::{Scheduler, SchedulerBuilder, Session, Ticket, Txn};
 
@@ -154,6 +155,34 @@ fn dropping_tickets_does_not_wedge_the_scheduler() {
     drop(session);
     let report = scheduler.shutdown();
     assert_eq!(report.dispatch.commits, 8);
+}
+
+/// A fleet of one sends straight to its worker, and that send still
+/// visits the `RouterSend` chaos hook: a scripted `SendFail` fails exactly
+/// that transaction, typed, and nothing else.
+#[test]
+fn a_scripted_send_failure_refuses_one_transaction() {
+    let hook = chaos::Hook::RouterSend { shard: 0 };
+    let plan = chaos::FaultPlan::new().inject(hook, 1, chaos::Fault::SendFail);
+    let trigger = TriggerPolicy::Always;
+    let scheduler = unsharded(ProtocolKind::Ss2pl, trigger, 100)
+        .chaos(plan)
+        .build()
+        .unwrap();
+    let mut session = scheduler.connect();
+    let outcomes: Vec<SchedResult<_>> = (1..=3u64)
+        .map(|ta| session.execute(Txn::new(ta).write(ta as i64, 1).commit()))
+        .collect();
+    assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
+    assert!(
+        matches!(outcomes[1], Err(SchedError::ChannelClosed { .. })),
+        "{:?}",
+        outcomes[1]
+    );
+    let fired = scheduler.chaos_injector().fired();
+    assert_eq!(fired.len(), 1);
+    assert_eq!((fired[0].hook, fired[0].at_visit), (hook, 1));
+    assert_eq!(scheduler.shutdown().dispatch.commits, 2);
 }
 
 #[test]

@@ -258,6 +258,16 @@ impl RouterCore {
         (reply, ticket, before)
     }
 
+    /// Chaos hook, visited before every fast-path send — buffered, or
+    /// direct in a fleet of one: whether a scripted `SendFail` refuses this
+    /// one as if the worker's mailbox were gone.
+    fn chaos_refuses_send(&self, shard: usize) -> bool {
+        matches!(
+            self.injector.fire(chaos::Hook::RouterSend { shard }),
+            Some(chaos::Fault::SendFail)
+        )
+    }
+
     /// Route one transaction: single-shard footprints go into their
     /// shard's submission buffer, spanning footprints to the escalation
     /// lane.  A fleet of one has no routing decision to make and posts the
@@ -276,6 +286,10 @@ impl RouterCore {
             // amortise a second mailbox over.  (A failed send drops the
             // reply and the ticket, which settle each other in the hub.)
             let (reply, ticket, _) = self.open_ticket(weight);
+            if self.chaos_refuses_send(0) {
+                reply.resolve_now(Err(closed("shard worker (chaos send failure)")));
+                return Ok(ticket);
+            }
             self.workers[0]
                 .send(ShardMessage::Submit(Submission { requests, reply }))
                 .map_err(|_| closed("shard worker"))?;
@@ -320,19 +334,11 @@ impl RouterCore {
             .map(|_| requests.iter().map(|r| r.intra).collect());
         let target = touched.first().copied().unwrap_or(0);
         let sent = if !cross_shard {
-            // Chaos hook: a scripted `SendFail` refuses the fast-path
-            // submission as if the worker's mailbox were gone.  The ticket
-            // resolves with the error (the client sees a failed
-            // transaction, not a hung one) and the homes entry is dropped
-            // below — exactly the failed-send contract.
-            if matches!(
-                self.injector
-                    .fire(chaos::Hook::RouterSend { shard: target }),
-                Some(chaos::Fault::SendFail)
-            ) {
-                reply.resolve_now(Err(SchedError::ChannelClosed {
-                    endpoint: "shard worker (chaos send failure)",
-                }));
+            // The ticket of a refused send resolves with the error (the
+            // client sees a failed transaction, not a hung one) and the
+            // homes entry is dropped — exactly the failed-send contract.
+            if self.chaos_refuses_send(target) {
+                reply.resolve_now(Err(closed("shard worker (chaos send failure)")));
                 if let Some(ta) = ta {
                     homes.remove(&ta);
                 }
@@ -605,7 +611,9 @@ impl ControlHandle {
     }
 
     /// Take the hot-object counters accumulated since the last drain,
-    /// hottest first.
+    /// hottest first.  A fleet of one routes nothing — it has nowhere to
+    /// move a hot object to — so it feeds no sketch (and emits no `Routed`
+    /// event): the list is always empty there.
     pub fn drain_hot_objects(&self) -> Vec<(i64, u64)> {
         match self.core.sketch.lock() {
             Ok(mut sketch) => sketch.drain_top(),

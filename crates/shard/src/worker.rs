@@ -815,7 +815,6 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                             state.executed_log.push(*request);
                             state.resolve(key, result);
                         }
-                        state.scheduler.recycle_batch(batch.requests);
                         state.round_no += 1;
                         // A terminal frees locks, an executed statement may
                         // be the earlier submission a handshake waits for:
