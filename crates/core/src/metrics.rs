@@ -21,7 +21,9 @@ pub struct SchedulerMetrics {
     /// request waiting N rounds contributes N.  This is what
     /// `requests_deferred` used to (mis)report.
     pub deferred_request_rounds: u64,
-    /// Total wall-clock microseconds spent evaluating the declarative rule.
+    /// Total wall-clock microseconds spent evaluating the declarative rule
+    /// (for a custom Datalog rule: feeding its inputs, at the round's start
+    /// and end, included).
     pub rule_eval_micros: u64,
     /// Total wall-clock microseconds spent per round end to end (drain,
     /// insert, rule, delete, history insert) — the quantity the paper's
@@ -39,6 +41,15 @@ pub struct SchedulerMetrics {
     /// rounds (its unit of work: requests on objects whose pending or lock
     /// state changed since the previous round).
     pub delta_rows: u64,
+    /// Strata of a custom Datalog rule patched in place from their inputs'
+    /// row deltas, across all rounds (`datalog::EvaluationStats::maintained`).
+    pub strata_maintained: u64,
+    /// Strata of a custom Datalog rule cleared and recomputed, across all
+    /// rounds: every stratum on the rule's first round, afterwards only
+    /// those above an input that was fed whole (or inside a recursion that
+    /// lost a row).  A steady state leaves this where the first round put
+    /// it.
+    pub strata_recomputed: u64,
     /// `tick` calls short-circuited because nothing changed since the last
     /// round (no arrival, no history change, no aux update) — the rule
     /// would provably re-derive the same result, so no round runs.
@@ -98,6 +109,8 @@ impl SchedulerMetrics {
         self.catalog_build_micros += other.catalog_build_micros;
         self.incremental_rounds += other.incremental_rounds;
         self.delta_rows += other.delta_rows;
+        self.strata_maintained += other.strata_maintained;
+        self.strata_recomputed += other.strata_recomputed;
         self.rounds_skipped += other.rounds_skipped;
         self.max_batch = self.max_batch.max(other.max_batch);
         self.overload_rounds += other.overload_rounds;
@@ -136,6 +149,8 @@ mod tests {
             catalog_build_micros: 5,
             incremental_rounds: 2,
             delta_rows: 11,
+            strata_maintained: 6,
+            strata_recomputed: 3,
             rounds_skipped: 4,
             max_batch: 9,
             overload_rounds: 1,
@@ -151,6 +166,8 @@ mod tests {
         assert_eq!(a.catalog_build_micros, 5);
         assert_eq!(a.incremental_rounds, 2);
         assert_eq!(a.delta_rows, 11);
+        assert_eq!(a.strata_maintained, 6);
+        assert_eq!(a.strata_recomputed, 3);
         assert_eq!(a.rounds_skipped, 4);
         assert_eq!(a.max_batch, 9);
         assert_eq!(a.overload_rounds, 1);

@@ -97,20 +97,29 @@ impl RuleBackend {
     }
 
     /// Evaluate the rule against the scheduler catalog, returning the keys of
-    /// qualified pending requests.
+    /// qualified pending requests.  Errors name the back-end; evaluate
+    /// through [`RuleSet::qualify`] to have them name the protocol.
     pub fn evaluate(&self, catalog: &Catalog) -> SchedResult<Vec<RequestKey>> {
+        let placeholder = match self {
+            RuleBackend::Algebra { .. } => "<algebra>",
+            RuleBackend::Datalog { .. } => "<datalog>",
+        };
+        self.evaluate_as(placeholder, catalog)
+    }
+
+    fn evaluate_as(&self, protocol: &str, catalog: &Catalog) -> SchedResult<Vec<RequestKey>> {
         match self {
             RuleBackend::Algebra { plan } => {
                 let result = relalg::execute(plan, catalog)?;
                 let ta_idx = result.schema().index_of("ta").ok_or_else(|| {
                     SchedError::MalformedRuleOutput {
-                        protocol: "<algebra>".into(),
+                        protocol: protocol.into(),
                         detail: "output has no `ta` column".into(),
                     }
                 })?;
                 let intra_idx = result.schema().index_of("intrata").ok_or_else(|| {
                     SchedError::MalformedRuleOutput {
-                        protocol: "<algebra>".into(),
+                        protocol: protocol.into(),
                         detail: "output has no `intrata` column".into(),
                     }
                 })?;
@@ -118,13 +127,13 @@ impl RuleBackend {
                 for row in result.rows() {
                     let ta = row.get(ta_idx).as_int().ok_or_else(|| {
                         SchedError::MalformedRuleOutput {
-                            protocol: "<algebra>".into(),
+                            protocol: protocol.into(),
                             detail: format!("non-integer ta value `{}`", row.get(ta_idx)),
                         }
                     })?;
                     let intra = row.get(intra_idx).as_int().ok_or_else(|| {
                         SchedError::MalformedRuleOutput {
-                            protocol: "<algebra>".into(),
+                            protocol: protocol.into(),
                             detail: format!("non-integer intrata value `{}`", row.get(intra_idx)),
                         }
                     })?;
@@ -144,7 +153,7 @@ impl RuleBackend {
                 }
                 let out_db = datalog::evaluate(program, db)?;
                 let mut keys = Vec::new();
-                datalog_output_keys(out_db.relation(output), output, &mut keys)?;
+                datalog_output_keys(out_db.relation(output), output, protocol, &mut keys)?;
                 Ok(keys)
             }
         }
@@ -152,12 +161,15 @@ impl RuleBackend {
 }
 
 /// Append the qualified `(ta, intrata)` keys of a Datalog output relation to
-/// `keys` and leave `keys` sorted and deduplicated — shared by the one-shot backend above and
-/// the scheduler's persistent-evaluation path for custom Datalog protocols.
-/// A program that never mentions the output predicate qualifies nothing.
+/// `keys` and leave `keys` sorted and deduplicated — shared by the one-shot
+/// backend above and the scheduler's persistent-evaluation path for custom
+/// Datalog protocols.  A program that never mentions the output predicate
+/// qualifies nothing.  `protocol` names the rule in the error a malformed
+/// output raises.
 pub(crate) fn datalog_output_keys(
     relation: Option<&datalog::Relation>,
     output: &str,
+    protocol: &str,
     keys: &mut Vec<RequestKey>,
 ) -> SchedResult<()> {
     let Some(relation) = relation else {
@@ -165,31 +177,37 @@ pub(crate) fn datalog_output_keys(
     };
     if relation.arity().is_some_and(|arity| arity < 2) {
         return Err(SchedError::MalformedRuleOutput {
-            protocol: "<datalog>".into(),
+            protocol: protocol.into(),
             detail: format!(
                 "output predicate `{output}` has arity {} (need at least 2)",
                 relation.arity().unwrap_or(0)
             ),
         });
     }
-    let int = |value: &relalg::Value, column: &str| {
-        value
-            .as_int()
-            .ok_or_else(|| SchedError::MalformedRuleOutput {
-                protocol: "<datalog>".into(),
-                detail: format!("non-integer {column} value `{value}`"),
-            })
-    };
     keys.reserve(relation.len());
     for row in relation.rows() {
-        keys.push(RequestKey {
-            ta: int(row.get(0), "ta")? as u64,
-            intra: int(row.get(1), "intrata")? as u32,
-        });
+        keys.push(datalog_output_key(row, protocol)?);
     }
     keys.sort_unstable();
     keys.dedup();
     Ok(())
+}
+
+/// The request key one row (of arity two or more) of a Datalog output
+/// relation names.
+pub(crate) fn datalog_output_key(row: &relalg::Tuple, protocol: &str) -> SchedResult<RequestKey> {
+    let int = |value: &relalg::Value, column: &str| {
+        value
+            .as_int()
+            .ok_or_else(|| SchedError::MalformedRuleOutput {
+                protocol: protocol.into(),
+                detail: format!("non-integer {column} value `{value}`"),
+            })
+    };
+    Ok(RequestKey {
+        ta: int(row.get(0), "ta")? as u64,
+        intra: int(row.get(1), "intrata")? as u32,
+    })
 }
 
 /// A complete declarative protocol definition: its name, its qualification
@@ -216,17 +234,15 @@ impl RuleSet {
 
     /// Evaluate the qualification rule.
     pub fn qualify(&self, catalog: &Catalog) -> SchedResult<Vec<RequestKey>> {
-        self.backend.evaluate(catalog).map_err(|e| match e {
-            SchedError::RuleEvaluation { message, .. } => SchedError::RuleEvaluation {
-                protocol: self.name.clone(),
-                message,
-            },
-            SchedError::MalformedRuleOutput { detail, .. } => SchedError::MalformedRuleOutput {
-                protocol: self.name.clone(),
-                detail,
-            },
-            other => other,
-        })
+        self.backend
+            .evaluate_as(&self.name, catalog)
+            .map_err(|e| match e {
+                SchedError::RuleEvaluation { message, .. } => SchedError::RuleEvaluation {
+                    protocol: self.name.clone(),
+                    message,
+                },
+                other => other,
+            })
     }
 }
 
@@ -320,6 +336,41 @@ mod tests {
             .evaluate(&catalog_with_requests())
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn a_malformed_datalog_output_names_the_protocol_that_produced_it() {
+        for (source, detail) in [
+            // The operation column where `ta` belongs.
+            (
+                "qualified(Op, I) :- requests(Id, T, I, Op, O).",
+                "non-integer ta value",
+            ),
+            (
+                "qualified(T, Op) :- requests(Id, T, I, Op, O).",
+                "non-integer intrata value",
+            ),
+            ("qualified(T) :- requests(Id, T, I, Op, O).", "has arity 1"),
+        ] {
+            let backend = RuleBackend::Datalog {
+                program: datalog::parse_program(source).unwrap(),
+                output: "qualified".into(),
+            };
+            let named = |protocol: &str, err: SchedError| match err {
+                SchedError::MalformedRuleOutput {
+                    protocol: got,
+                    detail: text,
+                } => {
+                    assert_eq!(got, protocol, "{source}");
+                    assert!(text.contains(detail), "{source}: {text}");
+                }
+                other => panic!("{source}: unexpected {other:?}"),
+            };
+            let catalog = catalog_with_requests();
+            named("<datalog>", backend.evaluate(&catalog).unwrap_err());
+            let rules = RuleSet::new("bad-rule", backend, OrderingSpec::FifoById);
+            named("bad-rule", rules.qualify(&catalog).unwrap_err());
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::protocol::SchedulingPolicy;
 use crate::qualify::IncrementalQualifier;
 use crate::queue::IncomingQueue;
 use crate::request::{Request, RequestKey};
-use crate::rules::{datalog_output_keys, RuleBackend};
+use crate::rules::{datalog_output_key, datalog_output_keys, RuleBackend};
 use crate::trigger::TriggerPolicy;
 use relalg::{Catalog, Symbol, Table, Tuple};
 use std::collections::{HashMap, HashSet};
@@ -48,7 +48,9 @@ pub struct SchedulerConfig {
     /// the O(delta) [`crate::qualify::IncrementalQualifier`] (driven by the
     /// history store's per-object conflict index and cross-round dirty
     /// tracking), and custom Datalog protocols through the engine-level
-    /// [`datalog::IncrementalEvaluation`], instead of re-evaluating the
+    /// [`datalog::IncrementalEvaluation`], which is fed each round's
+    /// arrivals, batch and pruned transactions as row deltas and patches
+    /// the rule's strata from them — instead of re-evaluating the
     /// declarative rule over the full `requests` ∪ `history` state every
     /// round.  Both paths produce exactly the sets the from-scratch rule
     /// does (enforced by the property suite); disable only to measure the
@@ -137,33 +139,38 @@ struct RoundScratch {
 /// guards against a caller recycling buffers it never got from us.
 const BATCH_POOL_CAP: usize = 8;
 
-/// The persistent Datalog evaluation for a custom protocol, plus what it
-/// has been fed — enough to describe the next round's inputs as rows in and
-/// rows out instead of handing over both relations again.
+/// The persistent Datalog evaluation for a custom protocol, plus what ties
+/// it to the stores: the round feeds it its own outcome (the batch taken
+/// out of `requests` and into `history`, the transactions a prune removed)
+/// and the next round its arrivals, so the inputs move by rows in and rows
+/// out and the qualified set by the rule's own delta.
 #[derive(Debug)]
 struct DatalogCache {
     /// Interned name of the protocol the program belongs to (an adaptive
     /// policy may swap custom protocols; a name change rebuilds the cache).
     protocol: &'static str,
     eval: datalog::IncrementalEvaluation,
-    /// The `requests` rows the rule qualified last round.  Those no longer
-    /// pending were scheduled: they leave `requests`, and the terminals
-    /// among them name the transactions a prune took out of `history`.
-    qualified: Vec<Tuple>,
-    /// The `history` rows fed so far, by transaction — what a prune
-    /// retracts.  Kept only when the scheduler prunes.
-    history_by_ta: HashMap<u64, Vec<Tuple>>,
-    history_prune_epoch: u64,
-    /// Store generations when the inputs were last fed (`None`: never).  A
-    /// round moves them by a known amount; anything else — a superseded
-    /// duplicate key, a purge, rounds run under another protocol — means
-    /// the deltas below do not describe the change and the input is fed
-    /// whole.
+    /// The output relation as request keys, sorted — kept in step with it
+    /// from its delta, read whole only when the evaluation recomputed it.
+    qualified: Vec<RequestKey>,
+    /// The round that last evaluated the rule (the one whose outcome is fed
+    /// back at its end).
+    round: u64,
+    /// The store generations the fed inputs stand for (`None`: not fed, or
+    /// the row counts disagreed after a feed).  The next round expects to
+    /// find them unmoved but for its own arrivals; anything else — a purge,
+    /// a preload, rounds run under another protocol — means no delta
+    /// describes the change and the input is fed whole.
     pending_generation: Option<u64>,
     history_generation: Option<u64>,
     sla_generation: u64,
     aux_generation: u64,
+    /// The taken batch as rows (reused across rounds).
+    batch_rows: Vec<Tuple>,
 }
+
+/// Position of `ta` in the `requests` / `history` rows.
+const TA_COLUMN: usize = 1;
 
 impl DatalogCache {
     fn fed_rows(&self, predicate: &str) -> usize {
@@ -173,90 +180,105 @@ impl DatalogCache {
             .map_or(0, |relation| relation.len())
     }
 
-    /// Bring `requests` up to date: last round's scheduled rows (what is
-    /// left in `qualified`) go out, this round's `arrivals` — the tail of
-    /// the pending table — come in.  Returns the rows fed or retracted.
-    fn feed_requests(&mut self, pending: &PendingStore, arrivals: usize) -> SchedResult<usize> {
+    /// Bring the inputs up to date at the start of a round: `requests`
+    /// takes the round's `arrivals` (the tail of the pending table),
+    /// `history` is in step already; an input whose store moved otherwise
+    /// is replaced.
+    fn feed_round_start(
+        &mut self,
+        pending: &PendingStore,
+        history: &HistoryStore,
+        arrivals: usize,
+    ) -> SchedResult<()> {
         let rows = pending.table().rows();
-        let in_step = self.pending_generation.map(|generation| {
-            generation + u64::from(!self.qualified.is_empty()) + u64::from(arrivals > 0)
-        }) == Some(pending.generation());
-        self.pending_generation = Some(pending.generation());
-        let mut fed = 0;
-        if in_step && arrivals <= rows.len() {
+        let expected = self
+            .pending_generation
+            .map(|generation| generation + u64::from(arrivals > 0));
+        let mut in_step = expected == Some(pending.generation()) && arrivals <= rows.len();
+        if in_step {
             let arrived = &rows[rows.len() - arrivals..];
             self.eval
-                .retract_input("requests", self.qualified.iter().map(Tuple::values))?;
-            self.eval
                 .extend_input("requests", arrived.iter().map(Tuple::values))?;
-            fed = self.qualified.len() + arrivals;
-            if self.fed_rows("requests") == rows.len() {
-                return Ok(fed);
-            }
+            // A superseded duplicate key left the table without a round.
+            in_step = self.fed_rows("requests") == rows.len();
         }
-        self.eval
-            .replace_input("requests", rows.iter().map(Tuple::values))?;
-        Ok(fed + rows.len())
-    }
-
-    /// Bring `history` up to date: the scheduled rows were appended to it,
-    /// and if it was pruned since, the rows of the transactions whose
-    /// terminal was scheduled are gone.  Returns the rows fed or retracted.
-    fn feed_history(&mut self, history: &HistoryStore, prunes: bool) -> SchedResult<usize> {
-        let rows = history.table().rows();
-        let pruned = self.history_prune_epoch != history.prune_epoch();
-        let in_step = self
-            .history_generation
-            .map(|generation| generation + self.qualified.len() as u64 + u64::from(pruned))
-            == Some(history.generation());
-        self.history_generation = Some(history.generation());
-        self.history_prune_epoch = history.prune_epoch();
-        let mut fed = 0;
-        if in_step {
-            if pruned {
-                let finished = self
-                    .qualified
-                    .iter()
-                    .filter_map(Request::from_tuple)
-                    .filter(|request| request.op.is_terminal());
-                for terminal in finished {
-                    if let Some(gone) = self.history_by_ta.remove(&terminal.ta) {
-                        self.eval
-                            .retract_input("history", gone.iter().map(Tuple::values))?;
-                        fed += gone.len();
-                    }
-                }
-            }
-            // What is still fed are the rows the prune left, in table
-            // order; whatever follows them was appended since.
-            let appended = rows.get(self.fed_rows("history")..).unwrap_or(&[]);
+        if !in_step {
             self.eval
-                .extend_input("history", appended.iter().map(Tuple::values))?;
-            fed += appended.len();
-            if self.fed_rows("history") == rows.len() {
-                self.remember_history(appended, prunes);
-                return Ok(fed);
-            }
+                .replace_input("requests", rows.iter().map(Tuple::values))?;
         }
-        self.eval
-            .replace_input("history", rows.iter().map(Tuple::values))?;
-        self.history_by_ta.clear();
-        self.remember_history(rows, prunes);
-        Ok(fed + rows.len())
+        self.pending_generation = Some(pending.generation());
+        if self.history_generation != Some(history.generation()) {
+            let rows = history.table().rows();
+            self.eval
+                .replace_input("history", rows.iter().map(Tuple::values))?;
+            self.history_generation = Some(history.generation());
+        }
+        Ok(())
     }
 
-    fn remember_history(&mut self, rows: &[Tuple], prunes: bool) {
-        if !prunes {
-            return;
+    /// Feed a round's outcome: the `batch` left `requests` and entered
+    /// `history`, except that a prune (`pruned`) has already taken out every
+    /// row — fed earlier or in this batch — of the transactions whose
+    /// terminal the batch carries.
+    fn feed_round_outcome(
+        &mut self,
+        batch: &[Request],
+        pruned: bool,
+        pending: &PendingStore,
+        history: &HistoryStore,
+    ) -> SchedResult<()> {
+        let mut rows = std::mem::take(&mut self.batch_rows);
+        rows.clear();
+        rows.extend(batch.iter().map(Request::to_tuple));
+        self.eval
+            .retract_input("requests", rows.iter().map(Tuple::values))?;
+        let terminals = || batch.iter().filter(|r| pruned && r.op.is_terminal());
+        for terminal in terminals() {
+            let ta = relalg::Value::Int(terminal.ta as i64);
+            self.eval.retract_matching("history", TA_COLUMN, &ta)?;
         }
-        for row in rows {
-            if let Some(request) = Request::from_tuple(row) {
-                self.history_by_ta
-                    .entry(request.ta)
-                    .or_default()
-                    .push(row.clone());
+        let kept = batch
+            .iter()
+            .zip(&rows)
+            .filter(|(r, _)| !terminals().any(|terminal| terminal.ta == r.ta));
+        self.eval
+            .extend_input("history", kept.map(|(_, row)| row.values()))?;
+        self.batch_rows = rows;
+        // Cheap cross-check; a mismatch (a preloaded terminal pruned with
+        // this batch, say) costs one whole feed next round.
+        self.pending_generation =
+            (self.fed_rows("requests") == pending.len()).then_some(pending.generation());
+        self.history_generation =
+            (self.fed_rows("history") == history.len()).then_some(history.generation());
+        Ok(())
+    }
+
+    /// Bring the sorted key set up to date with the `output` relation after
+    /// an evaluation.
+    fn refresh_qualified(&mut self, output: &str) -> SchedResult<()> {
+        let relation = self.eval.database().relation(output);
+        // Beyond arity 2 several rows may share a key: no row-wise upkeep.
+        let delta = match relation.and_then(|r| r.arity()) {
+            Some(2) => self.eval.derived_delta(output),
+            _ => None,
+        };
+        let Some((inserted, retracted)) = delta else {
+            self.qualified.clear();
+            return datalog_output_keys(relation, output, self.protocol, &mut self.qualified);
+        };
+        for row in retracted {
+            let key = datalog_output_key(row, self.protocol)?;
+            if let Ok(at) = self.qualified.binary_search(&key) {
+                self.qualified.remove(at);
             }
         }
+        for row in inserted {
+            let key = datalog_output_key(row, self.protocol)?;
+            if let Err(at) = self.qualified.binary_search(&key) {
+                self.qualified.insert(at, key);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -588,6 +610,18 @@ impl DeclarativeScheduler {
         } else {
             0
         };
+        // A custom Datalog rule is told what its round did, as rows — part
+        // of what evaluating it costs.
+        let mut rule_eval_micros = rule_eval_micros;
+        if let Some(cache) = self
+            .datalog_cache
+            .as_mut()
+            .filter(|c| c.round == self.round)
+        {
+            let feed_start = Instant::now();
+            cache.feed_round_outcome(&batch, pruned > 0, &self.pending, &self.history)?;
+            rule_eval_micros += feed_start.elapsed().as_micros() as u64;
+        }
 
         let pending_after = self.pending.len();
         let round_micros = round_start.elapsed().as_micros() as u64;
@@ -707,21 +741,26 @@ impl DeclarativeScheduler {
     /// Qualification for custom Datalog protocols via the engine-level
     /// persistent evaluation: the program is compiled once, the fixpoint
     /// and the input relations survive across rounds, and the inputs are
-    /// fed as deltas borrowed from the stores' tuples —
+    /// fed as deltas —
     ///
-    /// * `requests`: the rows qualified last round that are no longer
-    ///   pending go out, this round's `arrivals` (the tail of the pending
-    ///   table) come in;
-    /// * `history`: after a prune the rows of the transactions whose
-    ///   terminal was scheduled go out, and the tail of the history table
-    ///   past what was already fed comes in;
+    /// * `requests`: this round's `arrivals` (the tail of the pending
+    ///   table, borrowed) come in here; the batch a round takes goes out at
+    ///   that round's end (see [`DatalogCache::feed_round_outcome`]);
+    /// * `history`: the same batch comes in at the round's end, and after a
+    ///   prune the rows of the transactions whose terminal it carried go
+    ///   out, found by an index probe on `ta`;
     /// * `sla` and auxiliary relations are small and replaced when their
     ///   generation moves.
     ///
-    /// The rows fed and retracted — O(arrivals + scheduled + pruned) per
-    /// round — are counted in [`SchedulerMetrics::delta_rows`].  If a store
-    /// changed in a way these deltas do not describe, that input is fed
-    /// whole once (see [`DatalogCache`]).
+    /// The evaluation pushes those rows through the rule's strata
+    /// ([`datalog::IncrementalEvaluation`]) and the qualified keys follow
+    /// the output relation's own delta.  The input rows consumed (arrivals,
+    /// scheduled, pruned: O(delta) per round) are counted in
+    /// [`SchedulerMetrics::delta_rows`], the strata patched and recomputed in
+    /// [`SchedulerMetrics::strata_maintained`] and
+    /// [`SchedulerMetrics::strata_recomputed`].  If a store changed in a way
+    /// no delta describes, that input is fed whole once (see
+    /// [`DatalogCache`]).
     fn qualify_custom_datalog(
         &mut self,
         pending_before: usize,
@@ -732,7 +771,6 @@ impl DeclarativeScheduler {
         self.refresh_sla_table();
         let DeclarativeScheduler {
             policy,
-            config,
             pending,
             history,
             aux,
@@ -741,6 +779,7 @@ impl DeclarativeScheduler {
             sla_generation,
             aux_generation,
             datalog_cache,
+            round,
             ..
         } = self;
         let RuleBackend::Datalog { program, output } = &policy.select(pending_before).rules.backend
@@ -752,30 +791,24 @@ impl DeclarativeScheduler {
                 protocol: name,
                 eval: datalog::IncrementalEvaluation::new(program)?,
                 qualified: Vec::new(),
-                history_by_ta: HashMap::new(),
-                history_prune_epoch: history.prune_epoch(),
+                round: 0,
                 pending_generation: None,
                 history_generation: None,
                 sla_generation: u64::MAX,
                 aux_generation: u64::MAX,
+                batch_rows: Vec::new(),
             });
         }
         let cache = datalog_cache
             .as_mut()
             .expect("cache was just ensured above");
+        cache.round = *round;
 
-        // What was qualified last round and is no longer pending was
-        // scheduled.
-        cache
-            .qualified
-            .retain(|row| Request::from_tuple(row).is_some_and(|r| pending.get(r.key()).is_none()));
-        let mut fed = cache.feed_requests(pending, arrivals)?;
-        fed += cache.feed_history(history, config.prune_history)?;
+        cache.feed_round_start(pending, history, arrivals)?;
         if cache.sla_generation != *sla_generation {
             cache
                 .eval
                 .replace_input("sla", sla_table.rows().iter().map(Tuple::values))?;
-            fed += sla_table.len();
             cache.sla_generation = *sla_generation;
         }
         if cache.aux_generation != *aux_generation {
@@ -783,20 +816,17 @@ impl DeclarativeScheduler {
                 cache
                     .eval
                     .replace_input(table.name(), table.rows().iter().map(Tuple::values))?;
-                fed += table.len();
             }
             cache.aux_generation = *aux_generation;
         }
-        metrics.delta_rows += fed as u64;
 
-        let db = cache.eval.evaluate();
-        datalog_output_keys(db.relation(output), output, keys)?;
-        cache.qualified.clear();
-        cache.qualified.extend(
-            keys.iter()
-                .filter_map(|&key| pending.get(key))
-                .map(Request::to_tuple),
-        );
+        cache.eval.evaluate();
+        let stats = cache.eval.last_stats();
+        metrics.delta_rows += stats.delta_rows_in as u64;
+        metrics.strata_maintained += stats.maintained as u64;
+        metrics.strata_recomputed += stats.recomputed as u64;
+        cache.refresh_qualified(output)?;
+        keys.extend_from_slice(&cache.qualified);
         Ok(())
     }
 
@@ -1148,6 +1178,9 @@ mod tests {
         s.submit(Request::write(0, 2, 0, 6), 0);
         assert_eq!(s.run_round(0).unwrap().len(), 2);
         assert_eq!(fed(&s, 0), 2);
+        let recomputed_by_round_one = s.metrics().strata_recomputed;
+        assert!(recomputed_by_round_one > 0);
+        assert_eq!(s.metrics().strata_maintained, 0);
 
         // Round 2: both leave `requests` and enter `history` (2 + 2), T3's
         // read of object 5 arrives (1) and is blocked.
@@ -1171,6 +1204,9 @@ mod tests {
         assert_eq!(fed(&s, mark), 2);
         assert_eq!(s.metrics().incremental_rounds, 4);
         assert_eq!(s.metrics().catalog_build_micros, 0);
+        // Only the first round had no delta to go by.
+        assert_eq!(s.metrics().strata_recomputed, recomputed_by_round_one);
+        assert!(s.metrics().strata_maintained > 0);
     }
 
     #[test]
@@ -1220,6 +1256,41 @@ mod tests {
         let batch = s.run_round(4).unwrap();
         assert_eq!(batch.requests.len(), 1, "T3 takes the released object");
         assert_eq!(batch.requests[0].ta, 3);
+    }
+
+    #[test]
+    fn a_custom_rule_with_a_malformed_output_names_itself() {
+        use crate::error::SchedError;
+        use crate::rules::{OrderingSpec, RuleBackend, RuleSet};
+        // The operation where `ta` belongs.
+        let program =
+            datalog::parse_program("qualified(Op, I) :- requests(Id, T, I, Op, O).").unwrap();
+        let rules = RuleSet::new(
+            "op-for-ta",
+            RuleBackend::Datalog {
+                program,
+                output: "qualified".into(),
+            },
+            OrderingSpec::FifoById,
+        );
+        for incremental in [true, false] {
+            let mut s = DeclarativeScheduler::new(
+                Protocol::custom(rules.clone(), "a rule whose output is not a request key"),
+                SchedulerConfig {
+                    trigger: TriggerPolicy::Always,
+                    incremental,
+                    ..SchedulerConfig::default()
+                },
+            );
+            s.submit(Request::write(0, 1, 0, 5), 0);
+            match s.run_round(0) {
+                Err(SchedError::MalformedRuleOutput { protocol, detail }) => {
+                    assert_eq!(protocol, "op-for-ta", "incremental={incremental}");
+                    assert!(detail.contains("non-integer ta value"), "{detail}");
+                }
+                other => panic!("incremental={incremental}: unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -97,6 +97,18 @@ pub(crate) fn join_hash<'v>(key: impl Iterator<Item = &'v Value>) -> u64 {
     hash_values::<true>(key)
 }
 
+/// Identity of two values, as membership has it (NULL is NULL): `==`, with
+/// integers and interned strings — nearly every comparison — decided without
+/// the detour through an ordering.
+#[inline]
+pub(crate) fn identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(a), Value::Int(b)) => a == b,
+        (Value::Str(a), Value::Str(b)) => a == b,
+        _ => a == b,
+    }
+}
+
 /// One family of intrusive doubly-linked chains over a relation's rows:
 /// rows with the same key hash form one chain.
 #[derive(Debug, Clone, Default)]
@@ -235,6 +247,11 @@ impl Relation {
         self.find(row) != NIL
     }
 
+    /// Where `row` is in [`Relation::rows`], if it is a member.
+    pub(crate) fn position(&self, row: &[Value]) -> Option<u32> {
+        Some(self.find(row)).filter(|&id| id != NIL)
+    }
+
     /// All tuples — in insertion order as long as nothing was retracted.
     pub fn rows(&self) -> &[Tuple] {
         &self.rows
@@ -258,9 +275,15 @@ impl Relation {
     }
 
     fn find(&self, row: &[Value]) -> u32 {
-        let mut id = self.members.first(hash_values::<false>(row.iter()));
+        self.find_hashed(row, hash_values::<false>(row.iter()))
+    }
+
+    /// [`Self::find`] given the membership hash of `row`.
+    fn find_hashed(&self, row: &[Value], hash: u64) -> u32 {
+        let mut id = self.members.first(hash);
         while id != NIL {
-            if self.rows[id as usize].values() == row {
+            let stored = self.rows[id as usize].values();
+            if stored.len() == row.len() && stored.iter().zip(row).all(|(a, b)| identical(a, b)) {
                 return id;
             }
             id = self.members.next[id as usize];
@@ -271,11 +294,12 @@ impl Relation {
     /// Insert a tuple of the pinned arity; returns `true` if it was new.
     pub(crate) fn insert(&mut self, row: &[Value]) -> bool {
         debug_assert_eq!(self.arity, Some(row.len()), "arity is checked on entry");
-        if self.find(row) != NIL {
+        let hash = hash_values::<false>(row.iter());
+        if self.find_hashed(row, hash) != NIL {
             return false;
         }
         assert!(self.rows.len() < NIL as usize, "row ids are 32 bits");
-        self.members.push(hash_values::<false>(row.iter()));
+        self.members.push(hash);
         for index in &mut self.indexes {
             let hash = index.hash_row(row);
             index.chains.push(hash);
@@ -287,12 +311,13 @@ impl Relation {
     /// Remove a tuple; returns `true` if it was present.  The last row
     /// takes its slot.
     pub(crate) fn retract(&mut self, row: &[Value]) -> bool {
-        let id = self.find(row);
+        let hash = hash_values::<false>(row.iter());
+        let id = self.find_hashed(row, hash);
         if id == NIL {
             return false;
         }
         let last = self.rows.len() - 1;
-        self.members.unlink(hash_values::<false>(row.iter()), id);
+        self.members.unlink(hash, id);
         for index in &mut self.indexes {
             let hash = index.hash_row(row);
             index.chains.unlink(hash, id);
@@ -356,6 +381,48 @@ impl Relation {
     #[cfg(test)]
     pub(crate) fn index_columns(&self) -> Vec<Vec<usize>> {
         self.indexes.iter().map(|i| i.cols.clone()).collect()
+    }
+}
+
+/// How one relation changed between two evaluations of a persistent
+/// program: the rows it gained and the rows it lost, or — `whole` — that it
+/// was rebuilt and no such account exists.  (Within an evaluation a delta is
+/// a range of the row vector; across evaluations it cannot be, because a
+/// retraction moves the last row into the hole.)
+#[derive(Debug, Default)]
+pub(crate) struct Delta {
+    /// Rows present now that were absent at the last evaluation.
+    pub plus: Vec<Tuple>,
+    /// Rows absent now that were present at the last evaluation.
+    pub minus: Vec<Tuple>,
+    /// The relation was replaced or recomputed: treat everything as changed.
+    pub whole: bool,
+    /// A retraction was recorded after an insertion, so a row of `plus` may
+    /// be gone again (an input between evaluations only; the evaluation
+    /// settles it).
+    pub unsettled: bool,
+}
+
+impl Delta {
+    /// Whether the relation is known not to have changed.
+    pub(crate) fn is_empty(&self) -> bool {
+        !self.whole && self.plus.is_empty() && self.minus.is_empty()
+    }
+
+    /// Forget the change (the buffers keep their capacity).
+    pub(crate) fn clear(&mut self) {
+        self.plus.clear();
+        self.minus.clear();
+        self.whole = false;
+        self.unsettled = false;
+    }
+
+    /// Record that `row` left the relation.
+    pub(crate) fn retracted(&mut self, row: &[Value]) {
+        if !self.whole {
+            self.unsettled |= !self.plus.is_empty();
+            self.minus.push(Tuple::from_slice(row));
+        }
     }
 }
 

@@ -1,27 +1,39 @@
-//! Execution of compiled rule plans: one executor, semi-naive per stratum.
+//! Execution of compiled rule plans: one executor, semi-naive per stratum,
+//! and the signed-delta maintenance of the strata that do not recurse.
 //!
 //! The `plan` module has already resolved predicates to relation ids, variables
 //! to frame slots and joins to index probes; what is left is to walk a body's
 //! steps, binding slots as scans match rows, and to build the head tuple when
-//! the last step passes.  A rule's *delta* is never copied: derived rows are
-//! appended to their relation, so "the rows added in the previous pass" is a
-//! range of the relation's own row vector.
+//! the last step passes.  Within one fixpoint a rule's *delta* is never
+//! copied: derived rows are appended to their relation, so "the rows added in
+//! the previous pass" is a range of the relation's own row vector.  Across
+//! evaluations a relation's change is an explicit `Delta` — rows in, rows
+//! out — because a retraction moves rows around.
 
 use crate::ast::Program;
-use crate::engine::{join_hash, Database, Probe};
+use crate::engine::{identical, join_hash, Database, Delta, Probe, Relation};
 use crate::error::DatalogResult;
 use crate::plan::{CompiledProgram, Group, Operand, RulePlan, Scan, Step};
 use relalg::{Tuple, Value};
 
 /// Reusable evaluation state: the binding frame, the buffer of head tuples a
-/// rule derived, and per relation id the delta range `lo..hi` of the current
-/// semi-naive pass.
+/// rule derived, per relation id the delta range `lo..hi` of the current
+/// semi-naive pass, and what a maintenance pass has still to decide —
+/// `doubted`, the head rows that may have lost their last derivation (row
+/// ids; a row is listed once, `stamps[id] == epoch` marks it), and per head
+/// relation id `hoped`, the set of tuples that may have gained their first.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     frame: Vec<Value>,
     derived: Vec<Tuple>,
     lo: Vec<usize>,
     hi: Vec<usize>,
+    /// Per head relation id, its length when the group was last resumed.
+    resumed_at: Vec<usize>,
+    doubted: Vec<u32>,
+    stamps: Vec<u32>,
+    epoch: u32,
+    hoped: Vec<Relation>,
 }
 
 /// Evaluate a program against a database of facts, returning a database that
@@ -35,7 +47,7 @@ pub(crate) struct Scratch {
 /// in the previous pass are recomputed, which turns the classic
 /// transitive-closure blow-up into linear work per new fact.
 pub fn evaluate(program: &Program, mut db: Database) -> DatalogResult<Database> {
-    let compiled = CompiledProgram::compile(program, &mut db)?;
+    let compiled = CompiledProgram::compile(program, &mut db, false)?;
     compiled.load_facts(&mut db, None);
     let mut scratch = Scratch::default();
     for group in &compiled.groups {
@@ -55,78 +67,122 @@ pub(crate) fn recompute_group(
     scratch: &mut Scratch,
 ) {
     scratch.fit(db);
-    for &rel in &group.positive {
-        scratch.lo[rel] = db.rel(rel).len();
+    for &head in &group.heads {
+        scratch.lo[head] = db.rel(head).len();
     }
     for &rule in &group.rules {
         let rule = &program.rules[rule];
-        fire(rule, &rule.full, db, scratch);
+        fire(rule, &rule.full, db, scratch, Seed::Rows(&[]));
     }
-    drain(program, group, db, scratch);
+    drain(program, group, db, scratch, &[]);
 }
 
-/// Resume a group's semi-naive iteration: `db` holds a fixpoint of its rules
-/// over the previous facts, and for every relation `rel` the rows from
-/// `delta_start[rel]` on were added since.  Because semi-naive iteration is
-/// insensitive to *when* a delta arrives (every rule is re-derived with each
-/// positive atom restricted to the delta in turn), continuing from the
-/// persisted fixpoint yields exactly the fixpoint over the enlarged fact set,
-/// in time proportional to the new derivations.
+/// Resume a recursive group's semi-naive iteration: `db` holds a fixpoint
+/// of its rules over the previous facts, and `deltas[rel].plus` are the rows
+/// the relations it reads gained since (none lost any).  Because semi-naive
+/// iteration is insensitive to *when* a delta arrives (every rule is
+/// re-derived with each positive atom restricted to the delta in turn),
+/// continuing from the persisted fixpoint yields exactly the fixpoint over
+/// the enlarged fact set, in time proportional to the new derivations.  What
+/// the heads gain is recorded in their own deltas.
 pub(crate) fn resume_group(
     program: &CompiledProgram,
     group: &Group,
     db: &mut Database,
     scratch: &mut Scratch,
-    delta_start: &[usize],
+    deltas: &mut [Delta],
 ) {
     scratch.fit(db);
-    for &rel in &group.positive {
-        scratch.lo[rel] = delta_start[rel];
+    for &head in &group.heads {
+        scratch.lo[head] = db.rel(head).len();
+        scratch.resumed_at[head] = scratch.lo[head];
     }
-    drain(program, group, db, scratch);
+    drain(program, group, db, scratch, deltas);
+    for &head in &group.heads {
+        let gained = &db.rel(head).rows()[scratch.resumed_at[head]..];
+        deltas[head].plus.extend_from_slice(gained);
+    }
 }
 
-/// Semi-naive passes until nothing new is derived.  On entry `lo[rel]` marks
-/// where each scanned relation's delta starts; a pass reads `lo..hi` with
-/// `hi` the length at its start, and the rows it appends are the next pass's
-/// delta.
-fn drain(program: &CompiledProgram, group: &Group, db: &mut Database, scratch: &mut Scratch) {
+/// Semi-naive passes until nothing new is derived.  On entry `lo[head]`
+/// marks where each head's delta starts; a pass reads `lo..hi` with `hi` the
+/// length at its start, and the rows it appends are the next pass's delta.
+/// The relations the group reads but does not derive contribute `inputs`
+/// (their gained rows, possibly none) to the first pass only.
+fn drain(
+    program: &CompiledProgram,
+    group: &Group,
+    db: &mut Database,
+    scratch: &mut Scratch,
+    mut inputs: &[Delta],
+) {
     loop {
-        for &rel in &group.positive {
-            scratch.hi[rel] = db.rel(rel).len();
+        for &head in &group.heads {
+            scratch.hi[head] = db.rel(head).len();
         }
         let mut grew = false;
         for &rule in &group.rules {
             let rule = &program.rules[rule];
             for (rel, steps) in &rule.deltas {
-                if scratch.lo[*rel] < scratch.hi[*rel] {
-                    grew |= fire(rule, steps, db, scratch);
+                if group.heads.contains(rel) {
+                    let (lo, hi) = (scratch.lo[*rel], scratch.hi[*rel]);
+                    if lo < hi {
+                        grew |= fire(rule, steps, db, scratch, Seed::Range(*rel, lo, hi));
+                    }
+                } else if inputs.get(*rel).is_some_and(|d| !d.plus.is_empty()) {
+                    grew |= fire(rule, steps, db, scratch, Seed::Rows(&inputs[*rel].plus));
                 }
             }
         }
+        inputs = &[];
         if !grew {
             return;
         }
-        for &rel in &group.positive {
-            scratch.lo[rel] = scratch.hi[rel];
+        for &head in &group.heads {
+            scratch.lo[head] = scratch.hi[head];
         }
     }
 }
 
-/// Run one body of `rule` and insert the head tuples it derives; returns
-/// whether any of them was new.
-fn fire(rule: &RulePlan, steps: &[Step], db: &mut Database, scratch: &mut Scratch) -> bool {
-    scratch.frame.clear();
-    scratch.frame.resize(rule.slots, Value::Null);
-    Exec {
+/// The rows a body's `delta` scan reads.
+#[derive(Clone, Copy)]
+enum Seed<'a> {
+    /// `rows()[lo..hi]` of a relation: a pass's delta inside one fixpoint.
+    Range(usize, usize, usize),
+    /// An explicit buffer: a relation's change between evaluations.
+    Rows(&'a [Tuple]),
+}
+
+/// Run one body of `rule` over the relations as they are and leave the head
+/// tuples it derives in `scratch.derived`.
+fn derive(rule: &RulePlan, steps: &[Step], db: &Database, scratch: &mut Scratch, seed: Seed) {
+    let seed = match seed {
+        Seed::Range(rel, lo, hi) => &db.rel(rel).rows()[lo..hi],
+        Seed::Rows(rows) => rows,
+    };
+    scratch.blank_frame(rule);
+    Exec::<_, false> {
         db,
-        lo: &scratch.lo,
-        hi: &scratch.hi,
+        seed,
+        deltas: &[],
         frame: &mut scratch.frame,
         head: &rule.head_terms,
+        head_rel: rule.head,
         out: &mut scratch.derived,
     }
     .run(steps);
+}
+
+/// Run one body of `rule` and insert the head tuples it derives; returns
+/// whether any of them was new.
+fn fire(
+    rule: &RulePlan,
+    steps: &[Step],
+    db: &mut Database,
+    scratch: &mut Scratch,
+    seed: Seed,
+) -> bool {
+    derive(rule, steps, db, scratch, seed);
     let head = db.rel_mut(rule.head);
     let mut grew = false;
     for row in scratch.derived.drain(..) {
@@ -135,16 +191,231 @@ fn fire(rule: &RulePlan, steps: &[Step], db: &mut Database, scratch: &mut Scratc
     grew
 }
 
+/// Bring the head of a non-recursive group from its value over the previous
+/// state of the relations it reads to its value over their current state,
+/// given their signed `deltas`, and record the head's own delta there.
+/// Returns the number of head rows inserted or retracted.
+///
+/// A head tuple changes only if some derivation of it uses a changed row,
+/// so the affected tuples are found by running each rule from each changed
+/// atom's delta:
+///
+/// * a positive atom that **gained** rows can only add derivations, and what
+///   the delta-first body derives over the current state holds: it is
+///   inserted as is (the semi-naive step);
+/// * a positive atom that **lost** rows, or a negated atom that gained some,
+///   can only remove derivations.  The delta-first body then runs over a
+///   superset of the previous state (current rows plus the retracted ones,
+///   negations not applied, NULL matching NULL) and yields *candidates*;
+///   each candidate that is in the head is decided by the head-bound
+///   existence probe over the current state and retracted if no rule
+///   derives it any more;
+/// * a negated atom that lost rows can only add derivations: candidates the
+///   same way, each one not in the head decided and inserted if derivable.
+///
+/// Losses are settled before gains, so a tuple that trades one derivation
+/// for another is decided once, against the final state, and stays.
+pub(crate) fn maintain_group(
+    program: &CompiledProgram,
+    group: &Group,
+    db: &mut Database,
+    scratch: &mut Scratch,
+    deltas: &mut [Delta],
+) -> usize {
+    scratch.fit(db);
+    let head = group.heads[0];
+    let mut changed = std::mem::take(&mut deltas[head]);
+    let rules = || group.rules.iter().map(|&rule| &program.rules[rule]);
+
+    // Losses.  The head stands still while its rows are doubted (row ids
+    // hold) and while they are decided (no rule of the group reads it).
+    scratch.epoch = scratch.epoch.wrapping_add(1);
+    if scratch.epoch == 0 {
+        scratch.stamps.fill(0);
+        scratch.epoch = 1;
+    }
+    if scratch.stamps.len() < db.rel(head).len() {
+        scratch.stamps.resize(db.rel(head).len(), 0);
+    }
+    let mut doubted = Doubted {
+        rows: std::mem::take(&mut scratch.doubted),
+        stamps: std::mem::take(&mut scratch.stamps),
+        epoch: scratch.epoch,
+        at: 0,
+    };
+    for rule in rules() {
+        for (rel, steps) in &rule.deltas {
+            collect(
+                rule,
+                steps,
+                db,
+                scratch,
+                deltas,
+                &deltas[*rel].minus,
+                &mut doubted,
+            );
+        }
+        for (rel, steps) in &rule.negated {
+            collect(
+                rule,
+                steps,
+                db,
+                scratch,
+                deltas,
+                &deltas[*rel].plus,
+                &mut doubted,
+            );
+        }
+    }
+    for id in doubted.rows.drain(..) {
+        let row = &db.rel(head).rows()[id as usize];
+        if !derivable(program, group, db, scratch, row.values()) {
+            changed.minus.push(row.clone());
+        }
+    }
+    scratch.doubted = doubted.rows;
+    scratch.stamps = doubted.stamps;
+    for row in &changed.minus {
+        db.rel_mut(head).retract(row.values());
+    }
+
+    // Gains.
+    for rule in rules() {
+        for (rel, steps) in &rule.deltas {
+            if !deltas[*rel].plus.is_empty() {
+                derive(rule, steps, db, scratch, Seed::Rows(&deltas[*rel].plus));
+                for row in scratch.derived.drain(..) {
+                    if db.rel_mut(head).insert(row.values()) {
+                        changed.plus.push(row);
+                    }
+                }
+            }
+        }
+    }
+    let mut hoped = std::mem::take(&mut scratch.hoped[head]);
+    if hoped.arity().is_none() {
+        let arity = db.rel(head).arity();
+        let arity = arity.expect("compilation pinned every arity");
+        hoped.pin_arity(arity).expect("pinned once, here");
+    }
+    for rule in rules() {
+        for (rel, steps) in &rule.negated {
+            collect(
+                rule,
+                steps,
+                db,
+                scratch,
+                deltas,
+                &deltas[*rel].minus,
+                &mut hoped,
+            );
+        }
+    }
+    for row in hoped.rows() {
+        if derivable(program, group, db, scratch, row.values()) {
+            db.rel_mut(head).insert(row.values());
+            changed.plus.push(row.clone());
+        }
+    }
+    hoped.clear();
+    scratch.hoped[head] = hoped;
+
+    let rows = changed.plus.len() + changed.minus.len();
+    deltas[head] = changed;
+    rows
+}
+
+/// Run a delta-first body of `rule` from `seed` over a superset of the
+/// previous and the current state, and hand the head tuples it reaches to
+/// `candidates`.
+fn collect(
+    rule: &RulePlan,
+    steps: &[Step],
+    db: &Database,
+    scratch: &mut Scratch,
+    deltas: &[Delta],
+    seed: &[Tuple],
+    candidates: &mut impl Sink,
+) {
+    if seed.is_empty() {
+        return;
+    }
+    scratch.blank_frame(rule);
+    Exec::<_, true> {
+        db,
+        seed,
+        deltas,
+        frame: &mut scratch.frame,
+        head: &rule.head_terms,
+        head_rel: rule.head,
+        out: candidates,
+    }
+    .run(steps);
+}
+
+/// Whether some rule of the group (or a fact of the program text) derives
+/// the head tuple `row` over the current state.
+fn derivable(
+    program: &CompiledProgram,
+    group: &Group,
+    db: &Database,
+    scratch: &mut Scratch,
+    row: &[Value],
+) -> bool {
+    let by_rule = group.rules.iter().any(|&rule| {
+        let rule = &program.rules[rule];
+        scratch.blank_frame(rule);
+        // Preset the head variables; a constant or a repeated variable in
+        // the head decides some tuples without running the body.
+        for (col, term) in rule.head_terms.iter().enumerate() {
+            let fits = match term {
+                Operand::Const(value) => *value == row[col],
+                Operand::Slot(slot) => {
+                    match rule.head_terms[..col].iter().position(|t| t == term) {
+                        Some(earlier) => row[earlier] == row[col],
+                        None => {
+                            scratch.frame[*slot] = row[col];
+                            true
+                        }
+                    }
+                }
+                Operand::Pinned(_) => unreachable!("head terms are slots and constants"),
+            };
+            if !fits {
+                return false;
+            }
+        }
+        Exec::<_, false> {
+            db,
+            seed: &[],
+            deltas: &[],
+            frame: &mut scratch.frame,
+            head: &rule.head_terms,
+            head_rel: rule.head,
+            out: &mut Found,
+        }
+        .run(&rule.decide)
+    });
+    by_rule || program.states_fact(group.heads[0], row)
+}
+
 impl Scratch {
+    fn blank_frame(&mut self, rule: &RulePlan) {
+        self.frame.clear();
+        self.frame.resize(rule.slots, Value::Null);
+    }
+
     fn fit(&mut self, db: &Database) {
         if self.lo.len() < db.relation_count() {
             self.lo.resize(db.relation_count(), 0);
             self.hi.resize(db.relation_count(), 0);
+            self.resumed_at.resize(db.relation_count(), 0);
+            self.hoped.resize_with(db.relation_count(), Relation::new);
         }
     }
 }
 
-/// The rows a scan visits: a slice of the relation, or one index chain.
+/// The rows a scan visits: a slice of rows, or one index chain.
 enum Candidates<'a> {
     Rows(std::slice::Iter<'a, Tuple>),
     Chain(Probe<'a>),
@@ -162,38 +433,131 @@ impl<'a> Iterator for Candidates<'a> {
     }
 }
 
-/// One run of one rule body.
-struct Exec<'a> {
+/// One run of one rule body.  `LOOSE` runs it over a superset of the
+/// previous and the current state, to find the head tuples a retraction may
+/// have cost a derivation: every scan also visits the rows its relation lost
+/// since the last evaluation, negations pass, and columns compare by
+/// identity-or-equality (NULL matches NULL, as it does where a variable is
+/// bound rather than compared).
+struct Exec<'a, S: Sink, const LOOSE: bool> {
     db: &'a Database,
-    lo: &'a [usize],
-    hi: &'a [usize],
+    /// What a `delta` scan reads.
+    seed: &'a [Tuple],
+    /// Per relation id, its change since the last evaluation (`LOOSE` only:
+    /// the rows a scan marked `old` visits besides the current ones).
+    deltas: &'a [Delta],
     frame: &'a mut [Value],
     head: &'a [Operand],
-    out: &'a mut Vec<Tuple>,
+    head_rel: usize,
+    out: &'a mut S,
 }
 
-impl Exec<'_> {
+/// What a body run is looking for: which head tuples are worth the rest of
+/// the body once they are known ([`Step::Head`]), and where the ones it
+/// reaches go.
+trait Sink {
+    /// Whether `row`, given `head` as it stands, is still of interest.
+    fn admits(&mut self, head: &Relation, row: &[Value]) -> bool;
+    /// `row` was reached (after `admits(row)`, where the body has a
+    /// [`Step::Head`]).
+    fn emit(&mut self, row: &[Value]);
+}
+
+/// Derived tuples, for the caller to insert: one already in the head gains
+/// nothing from one more derivation.
+impl Sink for Vec<Tuple> {
+    fn admits(&mut self, head: &Relation, row: &[Value]) -> bool {
+        !head.contains(row)
+    }
+    fn emit(&mut self, row: &[Value]) {
+        self.push(Tuple::from_slice(row));
+    }
+}
+
+/// Tuples that may have gained a first derivation: a set (a relation of its
+/// own, so duplicates fall away) of tuples not in the head.
+impl Sink for Relation {
+    fn admits(&mut self, head: &Relation, row: &[Value]) -> bool {
+        !head.contains(row)
+    }
+    fn emit(&mut self, row: &[Value]) {
+        self.insert(row);
+    }
+}
+
+/// Head rows that may have lost their last derivation, by row id, each
+/// listed once.  A tuple that is not in the head has none to lose.
+struct Doubted {
+    rows: Vec<u32>,
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// The row `admits` last let through — the one `emit` lists.
+    at: u32,
+}
+
+impl Sink for Doubted {
+    fn admits(&mut self, head: &Relation, row: &[Value]) -> bool {
+        match head.position(row) {
+            Some(at) if self.stamps[at as usize] != self.epoch => {
+                self.at = at;
+                true
+            }
+            _ => false,
+        }
+    }
+    fn emit(&mut self, _: &[Value]) {
+        self.stamps[self.at as usize] = self.epoch;
+        self.rows.push(self.at);
+    }
+}
+
+/// Only whether anything was reached matters (decide plans).
+struct Found;
+
+impl Sink for Found {
+    fn admits(&mut self, _: &Relation, _: &[Value]) -> bool {
+        true
+    }
+    fn emit(&mut self, _: &[Value]) {}
+}
+
+/// Build the ground tuple `terms` denote under `frame` and hand it to `f` —
+/// on the stack for every arity a [`Tuple`] stores inline.
+#[inline]
+fn with_row<R>(frame: &[Value], terms: &[Operand], f: impl FnOnce(&[Value]) -> R) -> R {
+    let value = |term: &Operand| match term {
+        Operand::Slot(slot) | Operand::Pinned(slot) => frame[*slot],
+        Operand::Const(value) => *value,
+    };
+    if terms.len() <= Tuple::INLINE {
+        let mut row = [Value::Null; Tuple::INLINE];
+        for (cell, term) in row.iter_mut().zip(terms) {
+            *cell = value(term);
+        }
+        f(&row[..terms.len()])
+    } else {
+        let row: Vec<Value> = terms.iter().map(value).collect();
+        f(&row)
+    }
+}
+
+/// SQL equality, the join condition: integers and interned strings — nearly
+/// every comparison — without the detour through an ordering.
+#[inline]
+fn joins(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(a), Value::Int(b)) => a == b,
+        (Value::Str(a), Value::Str(b)) => a == b,
+        _ => a.sql_eq(b) == Some(true),
+    }
+}
+
+impl<S: Sink, const LOOSE: bool> Exec<'_, S, LOOSE> {
     #[inline]
     fn value<'v>(&'v self, operand: &'v Operand) -> &'v Value {
         match operand {
-            Operand::Slot(slot) => &self.frame[*slot],
+            Operand::Slot(slot) | Operand::Pinned(slot) => &self.frame[*slot],
             Operand::Const(value) => value,
-        }
-    }
-
-    /// Build the ground tuple `terms` denote and hand it to `f` — on the
-    /// stack for every arity a [`Tuple`] stores inline.
-    #[inline]
-    fn with_row<R>(&self, terms: &[Operand], f: impl FnOnce(&[Value]) -> R) -> R {
-        if terms.len() <= Tuple::INLINE {
-            let mut row = [Value::Null; Tuple::INLINE];
-            for (cell, term) in row.iter_mut().zip(terms) {
-                *cell = *self.value(term);
-            }
-            f(&row[..terms.len()])
-        } else {
-            let row: Vec<Value> = terms.iter().map(|t| *self.value(t)).collect();
-            f(&row)
         }
     }
 
@@ -201,30 +565,40 @@ impl Exec<'_> {
     /// tuple was emitted.
     fn run(&mut self, steps: &[Step]) -> bool {
         let Some((step, rest)) = steps.split_first() else {
-            let row = self.with_row(self.head, Tuple::from_slice);
-            self.out.push(row);
+            with_row(self.frame, self.head, |row| self.out.emit(row));
             return true;
         };
         match step {
             Step::Compare { op, left, right } => {
                 op.apply(self.value(left), self.value(right)) && self.run(rest)
             }
+            Step::Branch(bodies) => bodies.iter().any(|body| self.run(body)),
+            Step::Head => {
+                let relation = self.db.rel(self.head_rel);
+                with_row(self.frame, self.head, |row| self.out.admits(relation, row))
+                    && self.run(rest)
+            }
             Step::Negate { rel, terms } => {
                 let relation = self.db.rel(*rel);
-                !self.with_row(terms, |row| relation.contains(row)) && self.run(rest)
+                (LOOSE || !with_row(self.frame, terms, |row| relation.contains(row)))
+                    && self.run(rest)
             }
             Step::Scan(scan) => {
                 let relation = self.db.rel(scan.rel);
                 let candidates = if scan.delta {
-                    Candidates::Rows(relation.rows()[self.lo[scan.rel]..self.hi[scan.rel]].iter())
+                    Candidates::Rows(self.seed.iter())
                 } else if let Some(index) = scan.index {
                     let key = scan.bound.iter().map(|(_, operand)| self.value(operand));
                     Candidates::Chain(relation.probe(index, join_hash(key)))
                 } else {
                     Candidates::Rows(relation.rows().iter())
                 };
+                let gone: &[Tuple] = match self.deltas.get(scan.rel) {
+                    Some(delta) if LOOSE && scan.old => &delta.minus,
+                    _ => &[],
+                };
                 let mut emitted = false;
-                for row in candidates {
+                for row in candidates.chain(gone) {
                     emitted |= self.visit(scan, row, rest);
                     if emitted && scan.once {
                         break;
@@ -241,12 +615,23 @@ impl Exec<'_> {
     fn visit(&mut self, scan: &Scan, row: &Tuple, rest: &[Step]) -> bool {
         let values = row.values();
         for (col, operand) in &scan.bound {
-            if values[*col].sql_eq(self.value(operand)) != Some(true) {
+            let known = self.value(operand);
+            let fits = if LOOSE || matches!(operand, Operand::Pinned(_)) {
+                identical(&values[*col], known)
+            } else {
+                joins(&values[*col], known)
+            };
+            if !fits {
                 return false;
             }
         }
         for &(col, earlier) in &scan.same {
-            if values[col].sql_eq(&values[earlier]) != Some(true) {
+            let fits = if LOOSE {
+                identical(&values[col], &values[earlier])
+            } else {
+                joins(&values[col], &values[earlier])
+            };
+            if !fits {
                 return false;
             }
         }

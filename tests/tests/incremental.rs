@@ -415,6 +415,150 @@ proptest! {
     }
 }
 
+/// A seeded closed loop over a few hot objects: `depth` transactions in
+/// flight, each two reads, two writes and a commit submitted whole; a
+/// transaction's successor arrives the round after its commit is scheduled.
+/// `compiled` (a `schedlang` source) runs on the maintained Datalog
+/// evaluation, `oracle` on the hand-written qualifier, in lock-step; every
+/// round's batch must agree.  With `supersede_at`, that round first
+/// re-submits a pending request's key on another object — a change no delta
+/// describes.  Returns the custom scheduler's `strata_recomputed` after the
+/// first round and at the end, and its `strata_maintained` at the end.
+fn contended_stream(
+    compiled: &str,
+    oracle: ProtocolKind,
+    prune: bool,
+    supersede_at: Option<usize>,
+) -> (u64, u64, u64) {
+    const TRANSACTIONS: u64 = 400; // × 5 = 2 000 requests
+    const DEPTH: usize = 12;
+    const HOT_OBJECTS: u64 = 8;
+    let config = || SchedulerConfig {
+        trigger: TriggerPolicy::Always,
+        prune_history: prune,
+        ..SchedulerConfig::default()
+    };
+    let custom = schedlang::compile_protocol(compiled).expect("stdlib protocol compiles");
+    let mut via_datalog = DeclarativeScheduler::new(custom, config());
+    let mut via_oracle = DeclarativeScheduler::new(Protocol::algebra(oracle), config());
+
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut object = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        // Skewed: the product of two draws favours the low objects.
+        (((state >> 33) % HOT_OBJECTS) * ((state >> 43) % HOT_OBJECTS) / HOT_OBJECTS) as i64
+    };
+    let (mut next_ta, mut in_flight, mut committed) = (1u64, 0usize, 0u64);
+    let mut after_first_round = None;
+    let mut round = 0usize;
+    while committed < TRANSACTIONS {
+        while in_flight < DEPTH && next_ta <= TRANSACTIONS {
+            for intra in 0..5u32 {
+                let request = match intra {
+                    0 | 1 => Request::read(0, next_ta, intra, object()),
+                    2 | 3 => Request::write(0, next_ta, intra, object()),
+                    _ => Request::commit(0, next_ta, intra),
+                };
+                via_datalog.submit(request, round as u64);
+                via_oracle.submit(request, round as u64);
+            }
+            next_ta += 1;
+            in_flight += 1;
+        }
+        if supersede_at == Some(round) {
+            // Move the oldest data request still pending from an earlier
+            // round to a cold object.
+            let victim = via_datalog
+                .pending_table()
+                .rows()
+                .iter()
+                .filter_map(Request::from_tuple)
+                .find(|request| request.op.is_data())
+                .expect("contention leaves requests pending");
+            let moved = Request::new(0, victim.ta, victim.intra, victim.op, 1_000);
+            via_datalog.submit(moved, round as u64);
+            via_oracle.submit(moved, round as u64);
+        }
+        let got = via_datalog.run_round(round as u64).expect("rule evaluates");
+        let want = via_oracle.run_round(round as u64).expect("rule evaluates");
+        let keys = |batch: &declsched::ScheduleBatch| -> Vec<(u64, u32)> {
+            batch.requests.iter().map(|r| (r.ta, r.intra)).collect()
+        };
+        assert_eq!(
+            keys(&got),
+            keys(&want),
+            "{oracle:?} (prune={prune}): round {round} diverged"
+        );
+        for request in &got.requests {
+            if request.op.is_terminal() {
+                in_flight -= 1;
+                committed += 1;
+            }
+        }
+        after_first_round.get_or_insert(via_datalog.metrics().strata_recomputed);
+        round += 1;
+        assert!(round < 20_000, "the stream must drain");
+    }
+    let metrics = via_datalog.metrics();
+    assert_eq!(metrics.requests_scheduled, TRANSACTIONS * 5);
+    assert_eq!(metrics.incremental_rounds, metrics.rounds);
+    (
+        after_first_round.expect("at least one round ran"),
+        metrics.strata_recomputed,
+        metrics.strata_maintained,
+    )
+}
+
+/// Steady state recomputes nothing: after the round that first evaluates
+/// the rule, every stratum of the declared SS2PL and RELAXED_READS is
+/// patched from row deltas — scheduling, arrivals, commits and pruning
+/// included — and the schedule is the hand-written qualifier's.
+#[test]
+fn custom_rule_strata_are_maintained_not_recomputed_in_steady_state() {
+    for (source, oracle) in [
+        (schedlang::stdlib::SS2PL, ProtocolKind::Ss2pl),
+        (schedlang::stdlib::RELAXED_READS, ProtocolKind::RelaxedReads),
+    ] {
+        for prune in [true, false] {
+            let (first, last, maintained) = contended_stream(source, oracle, prune, None);
+            assert!(first > 0, "the first round has no delta to go by");
+            assert_eq!(
+                last, first,
+                "{oracle:?} (prune={prune}): a stratum was recomputed after the first round"
+            );
+            assert!(
+                maintained > 1_000,
+                "{oracle:?} (prune={prune}): {maintained}"
+            );
+        }
+    }
+}
+
+/// A superseded duplicate key changes `requests` in a way the round's
+/// deltas do not describe: the input is fed whole once, the strata that
+/// read it recompute once, and the schedule still is the oracle's.
+#[test]
+fn custom_rule_falls_back_to_a_whole_refeed_and_still_matches_the_oracle() {
+    for prune in [true, false] {
+        let (first, last, maintained) = contended_stream(
+            schedlang::stdlib::SS2PL,
+            ProtocolKind::Ss2pl,
+            prune,
+            Some(40),
+        );
+        assert!(
+            last > first,
+            "the refeed must have recomputed (prune={prune})"
+        );
+        // Only the strata downstream of `requests` (blocked, qualified),
+        // and only that once.
+        assert_eq!(last - first, 2, "prune={prune}");
+        assert!(maintained > 1_000);
+    }
+}
+
 /// The sharded deployment runs every shard's scheduler incrementally and
 /// the escalation lane qualifies cross-shard transactions through the
 /// same per-object rule, one vote per touched shard.  A workload rich in spanning
