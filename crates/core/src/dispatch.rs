@@ -82,6 +82,15 @@ impl Dispatcher {
         self.totals
     }
 
+    /// Whether the engine has finished (committed or aborted) transaction
+    /// `ta` — in which case it refuses every later statement of it.
+    pub fn transaction_finished(&self, ta: u64) -> bool {
+        self.engine
+            .txns()
+            .state(txnstore::TxnId(ta))
+            .is_some_and(|state| state.is_finished())
+    }
+
     /// Snapshot the final value of benchmark rows `0..rows` (see
     /// [`snapshot_final_rows`]).  Reports embed this so backends can be
     /// compared for final-state equivalence without exposing their engines.
@@ -218,6 +227,9 @@ mod tests {
             vec![Value::Int(0)]
         );
         assert_eq!(d.totals().aborts, 1);
+        assert!(d.transaction_finished(7));
+        assert!(!d.transaction_finished(8), "never seen");
+        assert!(d.execute_request(&Request::read(3, 7, 2, 3)).is_err());
     }
 
     #[test]

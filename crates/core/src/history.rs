@@ -5,37 +5,38 @@
 //! this history database, all necessary information about the current
 //! database state etc. can be obtained."
 //!
-//! Besides the relational view the declarative rules evaluate against, the
-//! store maintains a **per-object conflict index** ([`LockIndex`])
-//! incrementally on every insert: for each object, the set of unfinished
-//! transactions holding a write lock and the set holding a (non-upgraded)
-//! read lock, exactly the `WLockedObjects` / `RLockedObjects` CTEs of the
-//! paper's Listing 1.  Where the lock oracles used to re-scan the whole
-//! history relation per call, they now read the index in O(locks) — and the
-//! incremental qualification engine ([`crate::qualify`]) uses the same index
-//! to decide admission in O(changed objects) per round instead of
-//! O(pending + history).
+//! The store keeps the scheduled requests themselves, in insertion order,
+//! plus what a round reads of them: the set of finished transactions and a
+//! **per-object conflict index** ([`LockIndex`]) maintained on every
+//! insert — for each object, the set of unfinished transactions holding a
+//! write lock and the set holding a (non-upgraded) read lock, exactly the
+//! `WLockedObjects` / `RLockedObjects` CTEs of the paper's Listing 1.  The
+//! incremental qualification engine ([`crate::qualify`]) decides admission
+//! from that index in O(changed objects) per round.  The paper's `history`
+//! relation is *built* from the rows by [`HistoryStore::table`] when a
+//! consumer asks for it (the from-scratch rule catalog, a custom rule's
+//! whole-input feed, a custom rule's escalation snapshot); a built-in round
+//! never does.
 
-use crate::error::SchedResult;
 use crate::request::{Operation, Request};
+use obs::{FastIdMap, FastIdSet};
 use relalg::Table;
-use std::collections::{HashMap, HashSet};
 
-/// Per-object lock state derived incrementally from the history relation.
+/// Per-object lock state derived incrementally from the history.
 ///
-/// Invariant (matching Listing 1's CTEs over the current history table):
+/// Invariant (matching Listing 1's CTEs over the current history rows):
 /// `writers[o]` = transactions with a `w` row on `o` and no terminal row;
 /// `readers[o]` = transactions with an `r` row on `o`, no terminal row and
 /// no `w` row on `o` (a write *upgrades* the read lock).
 #[derive(Debug, Default)]
 pub struct LockIndex {
     /// object -> write-holding unfinished transactions.
-    writers: HashMap<i64, HashSet<u64>>,
+    writers: FastIdMap<i64, FastIdSet<u64>>,
     /// object -> read-holding unfinished transactions (that did not also
     /// write the object).
-    readers: HashMap<i64, HashSet<u64>>,
+    readers: FastIdMap<i64, FastIdSet<u64>>,
     /// transaction -> objects it holds any lock on (for O(held) release).
-    held: HashMap<u64, HashSet<i64>>,
+    held: FastIdMap<u64, FastIdSet<i64>>,
 }
 
 impl LockIndex {
@@ -74,8 +75,8 @@ impl LockIndex {
 
     /// Total number of (object, transaction) lock entries.
     pub fn len(&self) -> usize {
-        self.writers.values().map(HashSet::len).sum::<usize>()
-            + self.readers.values().map(HashSet::len).sum::<usize>()
+        self.writers.values().map(|set| set.len()).sum::<usize>()
+            + self.readers.values().map(|set| set.len()).sum::<usize>()
     }
 
     /// Whether no locks are held.
@@ -132,50 +133,36 @@ impl LockIndex {
 /// Stores requests that have been scheduled (and sent to the server), so that
 /// protocol rules can reason about held locks, finished transactions and
 /// prior conflicting operations.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HistoryStore {
-    table: Table,
-    finished: HashSet<u64>,
+    /// The retained history, in insertion order.
+    rows: Vec<Request>,
+    finished: FastIdSet<u64>,
     total_inserted: u64,
     locks: LockIndex,
     generation: u64,
-    prune_epoch: u64,
-}
-
-impl Default for HistoryStore {
-    fn default() -> Self {
-        HistoryStore::new()
-    }
 }
 
 impl HistoryStore {
-    /// Create an empty history.  The relation is named `history`, matching
-    /// the paper's Listing 1.
+    /// Create an empty history.
     pub fn new() -> Self {
-        HistoryStore {
-            table: Table::new("history", Request::schema()),
-            finished: HashSet::new(),
-            total_inserted: 0,
-            locks: LockIndex::default(),
-            generation: 0,
-            prune_epoch: 0,
-        }
+        HistoryStore::default()
     }
 
     /// Record a scheduled request, returning the objects whose lock state
     /// changed: the request's own object for data operations, or every
     /// object whose locks a terminal released.
-    pub fn insert(&mut self, request: &Request) -> SchedResult<Vec<i64>> {
+    pub fn insert(&mut self, request: &Request) -> Vec<i64> {
         let mut changed = Vec::new();
-        self.insert_into(request, &mut changed)?;
-        Ok(changed)
+        self.insert_into(request, &mut changed);
+        changed
     }
 
     /// [`HistoryStore::insert`] appending the changed objects to a
     /// caller-owned buffer — the round loop's variant, reusing one buffer
     /// across rounds instead of allocating a `Vec` per recorded request.
-    pub fn insert_into(&mut self, request: &Request, changed: &mut Vec<i64>) -> SchedResult<()> {
-        self.table.push(request.to_tuple())?;
+    pub fn insert_into(&mut self, request: &Request, changed: &mut Vec<i64>) {
+        self.rows.push(*request);
         self.total_inserted += 1;
         self.generation += 1;
         match request.op {
@@ -196,7 +183,6 @@ impl HistoryStore {
                 }
             }
         }
-        Ok(())
     }
 
     /// Record a batch of scheduled requests, returning all changed objects
@@ -204,10 +190,10 @@ impl HistoryStore {
     pub fn insert_batch<'a>(
         &mut self,
         requests: impl IntoIterator<Item = &'a Request>,
-    ) -> SchedResult<Vec<i64>> {
+    ) -> Vec<i64> {
         let mut changed = Vec::new();
-        self.insert_batch_into(requests, &mut changed)?;
-        Ok(changed)
+        self.insert_batch_into(requests, &mut changed);
+        changed
     }
 
     /// [`HistoryStore::insert_batch`] appending into a caller-owned buffer
@@ -216,23 +202,22 @@ impl HistoryStore {
         &mut self,
         requests: impl IntoIterator<Item = &'a Request>,
         changed: &mut Vec<i64>,
-    ) -> SchedResult<()> {
+    ) {
         for r in requests {
-            self.insert_into(r, changed)?;
+            self.insert_into(r, changed);
         }
         changed.sort_unstable();
         changed.dedup();
-        Ok(())
     }
 
     /// Number of history rows currently retained.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.rows.len()
     }
 
     /// Whether the history is empty.
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.rows.is_empty()
     }
 
     /// Total rows ever inserted (monotonic, unaffected by pruning).
@@ -247,17 +232,11 @@ impl HistoryStore {
         self.generation
     }
 
-    /// Monotonic counter bumped whenever pruning removed rows.  Consumers
-    /// that maintain append-only views of the history (the persistent
-    /// Datalog evaluation) use it to detect that rows were *removed*, which
-    /// forces them to rebuild rather than extend.
-    pub fn prune_epoch(&self) -> u64 {
-        self.prune_epoch
-    }
-
-    /// The relational view (`history` relation) for rule evaluation.
-    pub fn table(&self) -> &Table {
-        &self.table
+    /// Build the relational view — the `history` relation of the paper's
+    /// Listing 1 — with one row per retained request in insertion order.
+    /// O(history): only the cold consumers call it.
+    pub fn table(&self) -> Table {
+        Request::relation("history", &self.rows)
     }
 
     /// The incrementally maintained per-object conflict index.
@@ -290,20 +269,15 @@ impl HistoryStore {
         if self.finished.is_empty() {
             return 0;
         }
-        // Move the set out instead of cloning it: `delete_where` needs
-        // `&mut self.table` while the predicate reads the set.
-        let finished = std::mem::take(&mut self.finished);
-        let removed = self.table.delete_where(|row| {
-            Request::from_tuple(row)
-                .map(|r| finished.contains(&r.ta))
-                .unwrap_or(false)
-        });
+        let before = self.rows.len();
+        let finished = &self.finished;
+        self.rows.retain(|r| !finished.contains(&r.ta));
+        let removed = before - self.rows.len();
+        // Once its rows are gone a finished transaction is forgotten; with
+        // nothing matched the set is kept.
         if removed > 0 {
+            self.finished.clear();
             self.generation += 1;
-            self.prune_epoch += 1;
-        } else {
-            // Nothing matched; keep tracking the finished set.
-            self.finished = finished;
         }
         removed
     }
@@ -341,13 +315,14 @@ impl HistoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pending::PendingStore;
 
     #[test]
     fn insert_and_finished_tracking() {
         let mut h = HistoryStore::new();
-        h.insert(&Request::write(1, 10, 0, 100)).unwrap();
-        h.insert(&Request::read(2, 11, 0, 101)).unwrap();
-        h.insert(&Request::commit(3, 10, 1)).unwrap();
+        h.insert(&Request::write(1, 10, 0, 100));
+        h.insert(&Request::read(2, 11, 0, 101));
+        h.insert(&Request::commit(3, 10, 1));
         assert_eq!(h.len(), 3);
         assert!(h.is_finished(10));
         assert!(!h.is_finished(11));
@@ -360,15 +335,15 @@ mod tests {
     fn lock_oracles_match_listing_1_semantics() {
         let mut h = HistoryStore::new();
         // T10 wrote object 100 and is still active -> write lock.
-        h.insert(&Request::write(1, 10, 0, 100)).unwrap();
+        h.insert(&Request::write(1, 10, 0, 100));
         // T11 read object 101 and is still active -> read lock.
-        h.insert(&Request::read(2, 11, 0, 101)).unwrap();
+        h.insert(&Request::read(2, 11, 0, 101));
         // T12 wrote object 102 but committed -> no lock.
-        h.insert(&Request::write(3, 12, 0, 102)).unwrap();
-        h.insert(&Request::commit(4, 12, 1)).unwrap();
+        h.insert(&Request::write(3, 12, 0, 102));
+        h.insert(&Request::commit(4, 12, 1));
         // T13 read and then wrote object 103 -> write lock, not read lock.
-        h.insert(&Request::read(5, 13, 0, 103)).unwrap();
-        h.insert(&Request::write(6, 13, 1, 103)).unwrap();
+        h.insert(&Request::read(5, 13, 0, 103));
+        h.insert(&Request::write(6, 13, 1, 103));
 
         assert_eq!(h.write_locked_objects(), vec![(100, 10), (103, 13)]);
         assert_eq!(h.read_locked_objects(), vec![(101, 11)]);
@@ -377,22 +352,22 @@ mod tests {
     #[test]
     fn insert_reports_changed_objects_and_releases() {
         let mut h = HistoryStore::new();
-        assert_eq!(h.insert(&Request::write(1, 10, 0, 100)).unwrap(), vec![100]);
-        assert_eq!(h.insert(&Request::read(2, 10, 1, 101)).unwrap(), vec![101]);
+        assert_eq!(h.insert(&Request::write(1, 10, 0, 100)), vec![100]);
+        assert_eq!(h.insert(&Request::read(2, 10, 1, 101)), vec![101]);
         // The terminal releases both locks.
-        let mut released = h.insert(&Request::commit(3, 10, 2)).unwrap();
+        let mut released = h.insert(&Request::commit(3, 10, 2));
         released.sort_unstable();
         assert_eq!(released, vec![100, 101]);
         assert!(h.lock_index().is_empty());
         // Inserts for an already-finished transaction change no locks.
-        assert!(h.insert(&Request::write(4, 10, 3, 102)).unwrap().is_empty());
+        assert!(h.insert(&Request::write(4, 10, 3, 102)).is_empty());
     }
 
     #[test]
     fn read_after_own_write_does_not_create_a_read_lock() {
         let mut h = HistoryStore::new();
-        h.insert(&Request::write(1, 20, 0, 5)).unwrap();
-        h.insert(&Request::read(2, 20, 1, 5)).unwrap();
+        h.insert(&Request::write(1, 20, 0, 5));
+        h.insert(&Request::read(2, 20, 1, 5));
         assert_eq!(h.write_locked_objects(), vec![(5, 20)]);
         assert!(h.read_locked_objects().is_empty());
     }
@@ -400,18 +375,19 @@ mod tests {
     #[test]
     fn prune_drops_only_finished_transactions() {
         let mut h = HistoryStore::new();
-        h.insert(&Request::write(1, 10, 0, 100)).unwrap();
-        h.insert(&Request::commit(2, 10, 1)).unwrap();
-        h.insert(&Request::write(3, 11, 0, 101)).unwrap();
-        let epoch = h.prune_epoch();
+        h.insert(&Request::write(1, 10, 0, 100));
+        h.insert(&Request::commit(2, 10, 1));
+        h.insert(&Request::write(3, 11, 0, 101));
+        let generation = h.generation();
         let removed = h.prune_finished();
         assert_eq!(removed, 2);
         assert_eq!(h.len(), 1);
-        assert_eq!(h.prune_epoch(), epoch + 1);
+        assert_eq!(h.generation(), generation + 1);
         // The surviving active transaction keeps its lock.
         assert_eq!(h.write_locked_objects(), vec![(101, 11)]);
         // Pruning twice is a no-op.
         assert_eq!(h.prune_finished(), 0);
+        assert_eq!(h.generation(), generation + 1);
         // The monotone counter keeps the full count.
         assert_eq!(h.total_inserted(), 3);
     }
@@ -420,7 +396,7 @@ mod tests {
     fn batch_insert() {
         let mut h = HistoryStore::new();
         let batch = [Request::read(1, 1, 0, 5), Request::commit(2, 1, 1)];
-        let changed = h.insert_batch(batch.iter()).unwrap();
+        let changed = h.insert_batch(batch.iter());
         assert_eq!(changed, vec![5]);
         assert_eq!(h.len(), 2);
         assert!(h.is_finished(1));
@@ -429,8 +405,8 @@ mod tests {
     #[test]
     fn lock_index_other_holder_queries() {
         let mut h = HistoryStore::new();
-        h.insert(&Request::write(1, 10, 0, 7)).unwrap();
-        h.insert(&Request::read(2, 11, 0, 8)).unwrap();
+        h.insert(&Request::write(1, 10, 0, 7));
+        h.insert(&Request::read(2, 11, 0, 8));
         let locks = h.lock_index();
         assert!(locks.write_locked_by_other(7, 99));
         assert!(!locks.write_locked_by_other(7, 10));
@@ -439,5 +415,91 @@ mod tests {
         assert!(!locks.write_locked_by_other(12345, 1));
         assert_eq!(locks.len(), 2);
         assert_eq!(locks.held_objects(10).collect::<Vec<_>>(), vec![7]);
+    }
+
+    /// The stores once kept a `relalg::Table` copy of their rows, updated
+    /// in step with every insert, take and prune.  The relations they build
+    /// on request now must equal that mirror row for row and in order,
+    /// whatever sequence of operations led there.  The reference below is
+    /// the mirror's old maintenance code, restated over `Vec<Request>`.
+    #[test]
+    fn built_relations_match_the_row_mirror_under_random_operations() {
+        for seed in 0..200u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |bound: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            let prune = seed % 2 == 0;
+            let (mut pending, mut history) = (PendingStore::new(), HistoryStore::new());
+            let (mut pending_mirror, mut history_mirror) = (Vec::<Request>::new(), Vec::new());
+            let mut finished_mirror = std::collections::BTreeSet::new();
+            let mut next_id = 0u64;
+            for _ in 0..60 {
+                match next(4) {
+                    // A drain: a few arrivals, some reusing a pending key on
+                    // another object (a supersede), some terminals.
+                    0 | 1 => {
+                        let mut batch = Vec::new();
+                        for _ in 0..=next(4) {
+                            next_id += 1;
+                            let (ta, intra) = match pending_mirror.get(next(8) as usize) {
+                                Some(old) if next(3) == 0 => (old.ta, old.intra),
+                                _ => (1 + next(12), next(4) as u32),
+                            };
+                            let request = match next(4) {
+                                0 => Request::commit(next_id, ta, intra),
+                                1 => Request::write(next_id, ta, intra, next(6) as i64),
+                                _ => Request::read(next_id, ta, intra, next(6) as i64),
+                            };
+                            batch.push(request);
+                        }
+                        for request in &batch {
+                            pending_mirror.retain(|r| r.key() != request.key());
+                            pending_mirror.push(*request);
+                        }
+                        pending.insert_batch(batch);
+                    }
+                    // A round's take and history insert, then maybe a prune.
+                    _ => {
+                        let keys: Vec<_> = pending_mirror
+                            .iter()
+                            .filter(|_| next(2) == 0)
+                            .map(Request::key)
+                            .collect();
+                        let taken = pending.take(&keys);
+                        pending_mirror.retain(|r| !keys.contains(&r.key()));
+                        history.insert_batch(taken.iter());
+                        for request in &taken {
+                            history_mirror.push(*request);
+                            if request.op.is_terminal() {
+                                finished_mirror.insert(request.ta);
+                            }
+                        }
+                        if prune {
+                            let removed = history.prune_finished();
+                            let before = history_mirror.len();
+                            history_mirror.retain(|r| !finished_mirror.contains(&r.ta));
+                            assert_eq!(removed, before - history_mirror.len());
+                            if removed > 0 {
+                                finished_mirror.clear();
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    pending.table().rows(),
+                    Request::relation("requests", &pending_mirror).rows(),
+                    "seed {seed}: pending relation"
+                );
+                assert_eq!(
+                    history.table().rows(),
+                    Request::relation("history", &history_mirror).rows(),
+                    "seed {seed}: history relation"
+                );
+            }
+        }
     }
 }

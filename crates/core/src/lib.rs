@@ -92,7 +92,7 @@ pub use error::{SchedError, SchedResult};
 // façade) can pre-intern their string literals at construction time without
 // depending on `relalg` directly.
 pub use history::HistoryStore;
-pub use metrics::SchedulerMetrics;
+pub use metrics::{RoundPhases, SchedulerMetrics};
 pub use pending::PendingStore;
 pub use placement::{FreqSketch, Placement};
 pub use protocol::{
@@ -111,7 +111,7 @@ pub mod prelude {
     pub use crate::dispatch::{DispatchReport, Dispatcher};
     pub use crate::error::{SchedError, SchedResult};
     pub use crate::history::HistoryStore;
-    pub use crate::metrics::SchedulerMetrics;
+    pub use crate::metrics::{RoundPhases, SchedulerMetrics};
     pub use crate::passthrough::PassthroughScheduler;
     pub use crate::pending::PendingStore;
     pub use crate::protocol::{

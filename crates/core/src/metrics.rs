@@ -58,6 +58,57 @@ pub struct SchedulerMetrics {
     pub max_batch: u64,
     /// Rounds that ran in overload (relaxed) mode under an adaptive policy.
     pub overload_rounds: u64,
+    /// Where the rounds' wall-clock time went, phase by phase.
+    pub phases: RoundPhases,
+}
+
+/// Wall-clock nanoseconds spent in each phase of a scheduling round, summed
+/// over rounds.  Consecutive phases share their boundary clock read, so
+/// together they account for the whole of [`SchedulerMetrics::round_micros`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RoundPhases {
+    /// Draining the incoming queue into the pending store.
+    pub drain_insert_nanos: u64,
+    /// Qualifying: the built-in qualifier, a custom rule's round-start feed
+    /// and evaluation, or catalog assembly plus a from-scratch evaluation.
+    pub qualify_nanos: u64,
+    /// The intra-transaction order filter on the qualified keys.
+    pub intra_filter_nanos: u64,
+    /// Taking the qualified requests out of the pending store and ordering
+    /// the batch.
+    pub take_sort_nanos: u64,
+    /// Recording the batch in the history store (lock index included).
+    pub history_insert_nanos: u64,
+    /// Pruning finished transactions from the history.
+    pub prune_nanos: u64,
+    /// Feeding a custom rule its round's outcome (zero for built-ins).
+    pub custom_feed_nanos: u64,
+}
+
+impl RoundPhases {
+    /// The phases with their names, in round order.
+    pub fn named(&self) -> [(&'static str, u64); 7] {
+        [
+            ("drain + pending insert", self.drain_insert_nanos),
+            ("qualify", self.qualify_nanos),
+            ("intra-order filter", self.intra_filter_nanos),
+            ("take + sort", self.take_sort_nanos),
+            ("history insert", self.history_insert_nanos),
+            ("prune", self.prune_nanos),
+            ("custom feed", self.custom_feed_nanos),
+        ]
+    }
+
+    /// Add another run's phase times to this one.
+    pub fn merge(&mut self, other: &RoundPhases) {
+        self.drain_insert_nanos += other.drain_insert_nanos;
+        self.qualify_nanos += other.qualify_nanos;
+        self.intra_filter_nanos += other.intra_filter_nanos;
+        self.take_sort_nanos += other.take_sort_nanos;
+        self.history_insert_nanos += other.history_insert_nanos;
+        self.prune_nanos += other.prune_nanos;
+        self.custom_feed_nanos += other.custom_feed_nanos;
+    }
 }
 
 impl SchedulerMetrics {
@@ -94,6 +145,19 @@ impl SchedulerMetrics {
         }
     }
 
+    /// Average microseconds per round spent in each phase, named and in
+    /// round order (see [`RoundPhases`]).
+    pub fn phase_micros_per_round(&self) -> [(&'static str, f64); 7] {
+        self.phases.named().map(|(name, nanos)| {
+            let per_round = if self.rounds == 0 {
+                0.0
+            } else {
+                nanos as f64 / 1e3 / self.rounds as f64
+            };
+            (name, per_round)
+        })
+    }
+
     /// Fold another scheduler's metrics into this one.  Counters and timings
     /// add; `max_batch` takes the maximum.  This is how the sharded
     /// aggregator (`shard::ShardedMetrics`) merges per-shard metrics into a
@@ -114,6 +178,7 @@ impl SchedulerMetrics {
         self.rounds_skipped += other.rounds_skipped;
         self.max_batch = self.max_batch.max(other.max_batch);
         self.overload_rounds += other.overload_rounds;
+        self.phases.merge(&other.phases);
     }
 }
 
@@ -127,6 +192,7 @@ mod tests {
         assert_eq!(m.avg_batch_size(), 0.0);
         assert_eq!(m.avg_rule_eval_micros(), 0.0);
         assert_eq!(m.avg_round_micros(), 0.0);
+        assert!(m.phase_micros_per_round().iter().all(|&(_, us)| us == 0.0));
     }
 
     #[test]
@@ -154,9 +220,18 @@ mod tests {
             rounds_skipped: 4,
             max_batch: 9,
             overload_rounds: 1,
+            phases: RoundPhases {
+                qualify_nanos: 700,
+                prune_nanos: 30,
+                ..RoundPhases::default()
+            },
             ..SchedulerMetrics::default()
         };
+        a.phases.qualify_nanos = 300;
         a.merge(&b);
+        assert_eq!(a.phases.qualify_nanos, 1_000);
+        assert_eq!(a.phases.prune_nanos, 30);
+        assert_eq!(a.phase_micros_per_round()[1], ("qualify", 0.2));
         assert_eq!(a.rounds, 5);
         assert_eq!(a.requests_scheduled, 15);
         assert_eq!(a.requests_deferred, 2);

@@ -1,90 +1,69 @@
 //! The pending-request database (Figure 1: "Pending request").
+//!
+//! The store keeps requests, not rows: a key → request map plus the two
+//! indexes a round reads — pending rows per object (for the incremental
+//! qualifier) and pending intra positions per transaction (for the
+//! intra-order filter).  The paper's `requests` relation is *built* from
+//! the map by [`PendingStore::table`] when a consumer asks for it — the
+//! from-scratch rule catalog, a custom rule's whole-input feed — and a
+//! built-in round never does.
 
-use crate::error::SchedResult;
 use crate::request::{Operation, Request, RequestKey};
+use obs::FastIdMap;
 use relalg::Table;
-use std::collections::HashMap;
 
 /// Stores requests that have been drained from the incoming queue but not yet
-/// scheduled.  Internally this is both a [`relalg::Table`] (so declarative
-/// rules can query it) and a key→request map (so the scheduler can recover
-/// full request objects — including write payloads and SLA metadata — for the
-/// requests the rule qualifies), plus a per-object key index so the
-/// incremental qualification engine can re-evaluate only the requests on
-/// objects whose state changed.
-#[derive(Debug)]
+/// scheduled: full request objects (write payloads and SLA metadata
+/// included) by key, plus a per-object and a per-transaction index so the
+/// incremental qualification engine and the intra-order filter touch only
+/// what changed.
+#[derive(Debug, Default)]
 pub struct PendingStore {
-    table: Table,
-    by_key: HashMap<RequestKey, Request>,
+    by_key: FastIdMap<RequestKey, Request>,
     /// object -> `(key, op)` of pending requests on it (terminals live under
     /// their sentinel object `-1`, exactly as they do in the relation).  The
     /// operation rides along so the per-object qualification pass never has
     /// to chase each key back through `by_key`.
-    by_object: HashMap<i64, Vec<(RequestKey, Operation)>>,
+    by_object: FastIdMap<i64, Vec<(RequestKey, Operation)>>,
     /// ta -> pending intra positions of that transaction.  Lets the
     /// intra-order filter ask "earliest pending step of ta?" in O(steps of
     /// one ta) instead of scanning the whole pending set every round.
-    by_ta: HashMap<u64, Vec<u32>>,
+    by_ta: FastIdMap<u64, Vec<u32>>,
     generation: u64,
-    /// Reused per-[`PendingStore::take`] membership set (cleared, never
-    /// reallocated).
-    take_scratch: std::collections::HashSet<RequestKey>,
-}
-
-impl Default for PendingStore {
-    fn default() -> Self {
-        PendingStore::new()
-    }
 }
 
 impl PendingStore {
-    /// Create an empty store.  The relation is named `requests`, matching the
-    /// paper's Listing 1.
+    /// Create an empty store.
     pub fn new() -> Self {
-        PendingStore {
-            table: Table::new("requests", Request::schema()),
-            by_key: HashMap::new(),
-            by_object: HashMap::new(),
-            by_ta: HashMap::new(),
-            generation: 0,
-            take_scratch: std::collections::HashSet::new(),
-        }
+        PendingStore::default()
     }
 
     /// Insert a batch of requests (one incoming-queue drain), returning the
     /// objects whose pending rows changed — each request's own object plus,
     /// for a duplicate `(ta, intra)` key, the *superseded* request's object
     /// (it loses a row, which can change decisions there too).  A duplicate
-    /// key replaces the earlier request, keeping the relation consistent
-    /// with the key map.
-    pub fn insert_batch(&mut self, requests: Vec<Request>) -> SchedResult<Vec<i64>> {
+    /// key replaces the earlier request.
+    pub fn insert_batch(&mut self, requests: Vec<Request>) -> Vec<i64> {
         let mut changed = Vec::with_capacity(requests.len());
-        self.insert_batch_into(&requests, &mut changed)?;
-        Ok(changed)
+        self.insert_batch_into(&requests, &mut changed);
+        changed
     }
 
     /// [`PendingStore::insert_batch`] appending the changed objects to a
     /// caller-owned buffer — the round loop's variant, reusing one buffer
     /// across rounds.  Requests are `Copy`, so the slice is not consumed.
-    pub fn insert_batch_into(
-        &mut self,
-        requests: &[Request],
-        changed: &mut Vec<i64>,
-    ) -> SchedResult<()> {
+    pub fn insert_batch_into(&mut self, requests: &[Request], changed: &mut Vec<i64>) {
         if requests.is_empty() {
-            return Ok(());
+            return;
         }
         self.generation += 1;
         for &r in requests {
             let key = r.key();
             changed.push(r.object);
             if let Some(old) = self.by_key.insert(key, r) {
-                // Duplicate key: drop the superseded row and index entry.
-                // The `(ta, intra)` pair is unchanged, so `by_ta` already
-                // holds this intra exactly once — don't push it again.
-                self.table.delete_where(|row| {
-                    Request::from_tuple(row).map(|p| p.key() == key) == Some(true)
-                });
+                // Duplicate key: drop the superseded index entry.  The
+                // `(ta, intra)` pair is unchanged, so `by_ta` already holds
+                // this intra exactly once — don't push it again.
                 if let Some(rows) = self.by_object.get_mut(&old.object) {
                     rows.retain(|(k, _)| *k != key);
                 }
@@ -92,7 +71,6 @@ impl PendingStore {
             } else {
                 self.by_ta.entry(key.ta).or_default().push(key.intra);
             }
-            self.table.push(r.to_tuple())?;
             self.by_object
                 .entry(r.object)
                 .or_default()
@@ -100,7 +78,6 @@ impl PendingStore {
         }
         changed.sort_unstable();
         changed.dedup();
-        Ok(())
     }
 
     /// Number of pending requests.
@@ -119,9 +96,15 @@ impl PendingStore {
         self.generation
     }
 
-    /// The relational view (`requests` relation) for rule evaluation.
-    pub fn table(&self) -> &Table {
-        &self.table
+    /// Build the relational view — the `requests` relation of the paper's
+    /// Listing 1 — with one row per pending request in id order.  The
+    /// scheduler numbers requests as they are submitted, so that is arrival
+    /// order (a superseding request is a new arrival).  O(pending): only
+    /// the cold consumers call it.
+    pub fn table(&self) -> Table {
+        let mut requests: Vec<&Request> = self.by_key.values().collect();
+        requests.sort_unstable_by_key(|r| (r.id, r.key()));
+        Request::relation("requests", requests)
     }
 
     /// Look up the full request for a key.
@@ -159,17 +142,6 @@ impl PendingStore {
         self.by_object.keys().copied()
     }
 
-    /// All pending requests in insertion order.
-    pub fn requests(&self) -> Vec<&Request> {
-        // Insertion order is the table's row order; map back through keys.
-        self.table
-            .rows()
-            .iter()
-            .filter_map(Request::from_tuple)
-            .filter_map(|r| self.by_key.get(&r.key()))
-            .collect()
-    }
-
     /// Remove the requests with the given keys (they qualified and move to
     /// the history), returning the full request objects in the order given.
     pub fn take(&mut self, keys: &[RequestKey]) -> Vec<Request> {
@@ -203,14 +175,6 @@ impl PendingStore {
         }
         if taken.len() > before {
             self.generation += 1;
-            self.take_scratch.clear();
-            self.take_scratch.extend(keys.iter().copied());
-            let remove = &self.take_scratch;
-            self.table.delete_where(|row| {
-                Request::from_tuple(row)
-                    .map(|r| remove.contains(&r.key()))
-                    .unwrap_or(false)
-            });
         }
     }
 
@@ -239,7 +203,7 @@ mod tests {
     #[test]
     fn insert_query_take_cycle() {
         let mut p = PendingStore::new();
-        p.insert_batch(reqs()).unwrap();
+        p.insert_batch(reqs());
         assert_eq!(p.len(), 4);
         assert_eq!(p.table().len(), 4);
         assert_eq!(p.pending_transactions(), vec![10, 11, 12]);
@@ -260,7 +224,7 @@ mod tests {
     #[test]
     fn take_of_unknown_keys_is_silent() {
         let mut p = PendingStore::new();
-        p.insert_batch(reqs()).unwrap();
+        p.insert_batch(reqs());
         let generation = p.generation();
         let taken = p.take(&[RequestKey { ta: 99, intra: 0 }]);
         assert!(taken.is_empty());
@@ -273,16 +237,15 @@ mod tests {
         let mut p = PendingStore::new();
         let mut r = Request::write(1, 5, 0, 7);
         r.write_value = Some(relalg::Value::Int(999));
-        p.insert_batch(vec![r]).unwrap();
+        p.insert_batch(vec![r]);
         let got = p.get(RequestKey { ta: 5, intra: 0 }).unwrap();
         assert_eq!(got.write_value, Some(relalg::Value::Int(999)));
-        assert_eq!(p.requests().len(), 1);
     }
 
     #[test]
     fn object_index_tracks_inserts_and_takes() {
         let mut p = PendingStore::new();
-        p.insert_batch(reqs()).unwrap();
+        p.insert_batch(reqs());
         assert_eq!(p.rows_on_object(100).len(), 2);
         assert_eq!(p.rows_on_object(101).len(), 1);
         // The operation rides along with the key.
@@ -297,7 +260,7 @@ mod tests {
     #[test]
     fn min_pending_intra_tracks_per_transaction_steps() {
         let mut p = PendingStore::new();
-        p.insert_batch(reqs()).unwrap();
+        p.insert_batch(reqs());
         assert_eq!(p.min_pending_intra(10), Some(0));
         assert_eq!(p.min_pending_intra(11), Some(0));
         assert_eq!(p.min_pending_intra(99), None);
@@ -310,8 +273,8 @@ mod tests {
     #[test]
     fn duplicate_key_replaces_the_earlier_request() {
         let mut p = PendingStore::new();
-        p.insert_batch(vec![Request::read(1, 5, 0, 7)]).unwrap();
-        p.insert_batch(vec![Request::write(2, 5, 0, 8)]).unwrap();
+        p.insert_batch(vec![Request::read(1, 5, 0, 7)]);
+        p.insert_batch(vec![Request::write(2, 5, 0, 8)]);
         assert_eq!(p.len(), 1);
         assert_eq!(p.table().len(), 1);
         assert!(p.rows_on_object(7).is_empty());
@@ -329,14 +292,14 @@ mod tests {
     fn generation_bumps_on_mutation() {
         let mut p = PendingStore::new();
         let g0 = p.generation();
-        p.insert_batch(vec![Request::read(1, 1, 0, 2)]).unwrap();
+        p.insert_batch(vec![Request::read(1, 1, 0, 2)]);
         let g1 = p.generation();
         assert!(g1 > g0);
         p.take(&[RequestKey { ta: 1, intra: 0 }]);
         assert!(p.generation() > g1);
         // Empty insert is a no-op.
         let g2 = p.generation();
-        p.insert_batch(Vec::new()).unwrap();
+        p.insert_batch(Vec::new());
         assert_eq!(p.generation(), g2);
     }
 }

@@ -28,8 +28,8 @@ use crate::history::HistoryStore;
 use crate::pending::PendingStore;
 use crate::protocol::ProtocolKind;
 use crate::request::{Operation, Request, RequestKey};
+use obs::{FastIdMap, FastIdSet};
 use relalg::Table;
-use std::collections::{HashMap, HashSet};
 
 /// Cross-round incremental evaluation of a built-in protocol's
 /// qualification rule.
@@ -40,23 +40,23 @@ pub struct IncrementalQualifier {
     kind: Option<ProtocolKind>,
     /// Objects whose pending rows or lock state changed since the last
     /// `qualify` call.
-    dirty: HashSet<i64>,
+    dirty: FastIdSet<i64>,
     /// Recompute every object on the next call (protocol switch, aux
     /// relation change, first round).
     all_dirty: bool,
     /// Blocked pending keys, per object, under `kind`'s per-request rules
     /// (kept for Conservative 2PL's transaction-level assembly).
-    blocked_by_object: HashMap<i64, Vec<RequestKey>>,
+    blocked_by_object: FastIdMap<i64, Vec<RequestKey>>,
     /// Qualified (unblocked) pending keys, per object.  The round's result
     /// is assembled by flattening these cached lists, so assembly costs
     /// O(qualified + objects) instead of a membership probe per pending key.
     /// Both lists are rebuilt together from the store's current per-object
     /// rows whenever an object is dirty, so a duplicate-key submission that
     /// moved a request between objects cannot leave a stale verdict behind.
-    qualified_by_object: HashMap<i64, Vec<RequestKey>>,
+    qualified_by_object: FastIdMap<i64, Vec<RequestKey>>,
     /// Category-C objects of the consistency-rationing protocol (from the
     /// auxiliary `object_class` relation).
-    relaxed_objects: HashSet<i64>,
+    relaxed_objects: FastIdSet<i64>,
     relaxed_built: bool,
     /// Pending requests re-examined by the last `qualify` call.
     last_delta_rows: u64,
@@ -67,7 +67,7 @@ pub struct IncrementalQualifier {
     /// transition.
     key_list_pool: Vec<Vec<RequestKey>>,
     /// Reused blocked-transaction set (Conservative 2PL assembly).
-    blocked_tas_scratch: HashSet<u64>,
+    blocked_tas_scratch: FastIdSet<u64>,
     /// Reused per-object row buffer of [`Self::slice_admitted`].
     slice_rows_scratch: Vec<(RequestKey, Operation)>,
 }
@@ -330,7 +330,7 @@ fn judge_object(
     object: i64,
     rows: &[(RequestKey, Operation)],
     history: &HistoryStore,
-    relaxed_objects: &HashSet<i64>,
+    relaxed_objects: &FastIdSet<i64>,
     mut verdict: impl FnMut(RequestKey, bool),
 ) {
     // FCFS blocks nothing; rationing admits category-C objects outright.
@@ -401,8 +401,8 @@ pub fn qualify_once(
 
 /// Category-C ("relaxed") objects from the auxiliary `object_class`
 /// relation, as the rationing rule's `relaxed_obj` predicate derives them.
-fn relaxed_objects(aux: &[Table]) -> HashSet<i64> {
-    let mut relaxed = HashSet::new();
+fn relaxed_objects(aux: &[Table]) -> FastIdSet<i64> {
+    let mut relaxed = FastIdSet::default();
     for table in aux {
         if table.name() != "object_class" {
             continue;
@@ -439,8 +439,8 @@ mod tests {
         aux: &[Table],
     ) -> Vec<RequestKey> {
         let mut catalog = Catalog::new();
-        catalog.register(pending.table().clone());
-        catalog.register(history.table().clone());
+        catalog.register(pending.table());
+        catalog.register(history.table());
         catalog.register(Table::new("sla", Request::sla_schema()));
         for t in aux {
             catalog.replace(t.clone());
@@ -471,25 +471,23 @@ mod tests {
     #[test]
     fn matches_the_rules_on_a_contended_state() {
         let mut history = HistoryStore::new();
-        history.insert(&Request::write(1, 10, 0, 5)).unwrap(); // T10 wlocks 5
-        history.insert(&Request::read(2, 11, 0, 6)).unwrap(); // T11 rlocks 6
-        history.insert(&Request::write(3, 12, 0, 7)).unwrap();
-        history.insert(&Request::commit(4, 12, 1)).unwrap(); // T12 done: 7 free
+        history.insert(&Request::write(1, 10, 0, 5)); // T10 wlocks 5
+        history.insert(&Request::read(2, 11, 0, 6)); // T11 rlocks 6
+        history.insert(&Request::write(3, 12, 0, 7));
+        history.insert(&Request::commit(4, 12, 1)); // T12 done: 7 free
 
         let mut pending = PendingStore::new();
-        pending
-            .insert_batch(vec![
-                Request::read(5, 20, 0, 5),  // blocked: wlock by T10
-                Request::write(6, 21, 0, 6), // blocked: rlock by T11
-                Request::read(7, 22, 0, 6),  // shares the rlock, but loses
-                // the batch conflict against T21's earlier pending write
-                Request::write(8, 23, 0, 7),  // lock released: qualifies
-                Request::write(9, 24, 0, 8),  // free object, but see T25 below
-                Request::read(10, 25, 0, 8),  // loses batch conflict vs T24
-                Request::commit(11, 26, 0),   // terminals qualify
-                Request::write(12, 10, 1, 5), // T10's own lock: qualifies
-            ])
-            .unwrap();
+        pending.insert_batch(vec![
+            Request::read(5, 20, 0, 5),  // blocked: wlock by T10
+            Request::write(6, 21, 0, 6), // blocked: rlock by T11
+            Request::read(7, 22, 0, 6),  // shares the rlock, but loses
+            // the batch conflict against T21's earlier pending write
+            Request::write(8, 23, 0, 7),  // lock released: qualifies
+            Request::write(9, 24, 0, 8),  // free object, but see T25 below
+            Request::read(10, 25, 0, 8),  // loses batch conflict vs T24
+            Request::commit(11, 26, 0),   // terminals qualify
+            Request::write(12, 10, 1, 5), // T10's own lock: qualifies
+        ]);
 
         check_all_kinds(&pending, &history, &[]);
     }
@@ -500,10 +498,10 @@ mod tests {
     fn slice_admitted_matches_qualifying_the_slice_as_the_only_pending_work() {
         let aux = [object_class_table(&[(6, ObjectClass::Relaxed)])];
         let mut history = HistoryStore::new();
-        history.insert(&Request::write(1, 10, 0, 5)).unwrap(); // T10 wlocks 5
-        history.insert(&Request::read(2, 11, 0, 6)).unwrap(); // T11 rlocks 6
-        history.insert(&Request::write(3, 12, 0, 7)).unwrap();
-        history.insert(&Request::commit(4, 12, 1)).unwrap(); // 7 is free again
+        history.insert(&Request::write(1, 10, 0, 5)); // T10 wlocks 5
+        history.insert(&Request::read(2, 11, 0, 6)); // T11 rlocks 6
+        history.insert(&Request::write(3, 12, 0, 7));
+        history.insert(&Request::commit(4, 12, 1)); // 7 is free again
         let slices: Vec<Vec<Request>> = vec![
             vec![],
             vec![Request::write(0, 20, 0, 7), Request::read(0, 20, 1, 8)],
@@ -531,7 +529,7 @@ mod tests {
                         ..*r
                     })
                     .collect();
-                pending.insert_batch(numbered).unwrap();
+                pending.insert_batch(numbered);
                 let qualified = qualify_once(kind, &pending, &history, &aux);
                 let expected = slice.iter().all(|r| qualified.contains(&r.key()));
                 assert_eq!(
@@ -550,15 +548,13 @@ mod tests {
             (6, ObjectClass::Critical),
         ])];
         let mut history = HistoryStore::new();
-        history.insert(&Request::write(1, 10, 0, 5)).unwrap();
-        history.insert(&Request::write(2, 10, 1, 6)).unwrap();
+        history.insert(&Request::write(1, 10, 0, 5));
+        history.insert(&Request::write(2, 10, 1, 6));
         let mut pending = PendingStore::new();
-        pending
-            .insert_batch(vec![
-                Request::write(3, 11, 0, 5), // relaxed object: qualifies
-                Request::write(4, 12, 0, 6), // critical object: blocked
-            ])
-            .unwrap();
+        pending.insert_batch(vec![
+            Request::write(3, 11, 0, 5), // relaxed object: qualifies
+            Request::write(4, 12, 0, 6), // critical object: blocked
+        ]);
         check_all_kinds(&pending, &history, &aux);
     }
 
@@ -570,7 +566,7 @@ mod tests {
 
         // Round 1: a write on a free object qualifies.
         let r1 = Request::write(1, 1, 0, 9);
-        let arrived = pending.insert_batch(vec![r1]).unwrap();
+        let arrived = pending.insert_batch(vec![r1]);
         q.note_pending_changed(&arrived);
         let k1 = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
         assert_eq!(k1, vec![RequestKey { ta: 1, intra: 0 }]);
@@ -578,13 +574,13 @@ mod tests {
         // It is scheduled: taken from pending, inserted into history.
         let taken = pending.take(&k1);
         q.note_taken(&taken);
-        let changed = history.insert_batch(taken.iter()).unwrap();
+        let changed = history.insert_batch(taken.iter());
         q.note_history_changed(&changed);
 
         // Round 2: a conflicting read is blocked; an unrelated one is not.
         let r2 = Request::read(2, 2, 0, 9);
         let r3 = Request::read(3, 3, 0, 10);
-        let arrived = pending.insert_batch(vec![r2, r3]).unwrap();
+        let arrived = pending.insert_batch(vec![r2, r3]);
         q.note_pending_changed(&arrived);
         let k2 = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
         assert_eq!(k2, vec![RequestKey { ta: 3, intra: 0 }]);
@@ -595,10 +591,10 @@ mod tests {
         // T1 commits — releasing object 9 and unblocking T2.
         let taken = pending.take(&k2);
         q.note_taken(&taken);
-        let changed = history.insert_batch(taken.iter()).unwrap();
+        let changed = history.insert_batch(taken.iter());
         q.note_history_changed(&changed);
         let commit = Request::commit(4, 1, 1);
-        let arrived = pending.insert_batch(vec![commit]).unwrap();
+        let arrived = pending.insert_batch(vec![commit]);
         q.note_pending_changed(&arrived);
         let k3 = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
         assert_eq!(
@@ -608,7 +604,7 @@ mod tests {
         );
         let taken = pending.take(&k3);
         q.note_taken(&taken);
-        let changed = history.insert_batch(taken.iter()).unwrap();
+        let changed = history.insert_batch(taken.iter());
         assert_eq!(changed, vec![9], "the commit released object 9");
         q.note_history_changed(&changed);
         let k4 = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
@@ -622,22 +618,18 @@ mod tests {
         let mut pending = PendingStore::new();
         let mut history = HistoryStore::new();
         // T1 write-locks object 5, T3 write-locks object 6.
-        let changed = history.insert(&Request::write(1, 1, 0, 5)).unwrap();
+        let changed = history.insert(&Request::write(1, 1, 0, 5));
         q.note_history_changed(&changed);
-        let changed = history.insert(&Request::write(2, 3, 0, 6)).unwrap();
+        let changed = history.insert(&Request::write(2, 3, 0, 6));
         q.note_history_changed(&changed);
         // T2's write on object 5 is blocked; the verdict caches under 5.
-        let arrived = pending
-            .insert_batch(vec![Request::write(3, 2, 0, 5)])
-            .unwrap();
+        let arrived = pending.insert_batch(vec![Request::write(3, 2, 0, 5)]);
         q.note_pending_changed(&arrived);
         assert!(q.qualify(kind, &pending, &history, &[]).is_empty());
 
         // The same (ta, intra) key resubmits on object 6: the replacement
         // dirties *both* objects, and the verdict moves to object 6.
-        let arrived = pending
-            .insert_batch(vec![Request::write(4, 2, 0, 6)])
-            .unwrap();
+        let arrived = pending.insert_batch(vec![Request::write(4, 2, 0, 6)]);
         assert_eq!(arrived, vec![5, 6]);
         q.note_pending_changed(&arrived);
         let keys = q.qualify(kind, &pending, &history, &[]);
@@ -646,16 +638,14 @@ mod tests {
 
         // T1 commits, releasing object 5.  The stale cache under object 5
         // must not free T2 — it is legitimately blocked on object 6.
-        let changed = history.insert(&Request::commit(5, 1, 1)).unwrap();
+        let changed = history.insert(&Request::commit(5, 1, 1));
         q.note_history_changed(&changed);
         let keys = q.qualify(kind, &pending, &history, &[]);
         assert_eq!(keys, scratch(kind, &pending, &history, &[]));
         assert!(keys.is_empty(), "T3 still write-locks object 6");
 
         // Mirror case: replacing onto a free object must unblock.
-        let arrived = pending
-            .insert_batch(vec![Request::write(6, 2, 0, 7)])
-            .unwrap();
+        let arrived = pending.insert_batch(vec![Request::write(6, 2, 0, 7)]);
         q.note_pending_changed(&arrived);
         let keys = q.qualify(kind, &pending, &history, &[]);
         assert_eq!(keys, scratch(kind, &pending, &history, &[]));
@@ -667,10 +657,8 @@ mod tests {
         let mut q = IncrementalQualifier::new();
         let mut pending = PendingStore::new();
         let mut history = HistoryStore::new();
-        history.insert(&Request::write(1, 1, 0, 5)).unwrap();
-        pending
-            .insert_batch(vec![Request::read(2, 2, 0, 5)])
-            .unwrap();
+        history.insert(&Request::write(1, 1, 0, 5));
+        pending.insert_batch(vec![Request::read(2, 2, 0, 5)]);
 
         let strict = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
         assert!(strict.is_empty());

@@ -1,6 +1,6 @@
 //! The request data model — the paper's Table 2, extended with SLA metadata.
 
-use relalg::{DataType, Field, Schema, Symbol, Tuple, Value};
+use relalg::{DataType, Field, Schema, Symbol, Table, Tuple, Value};
 use std::fmt;
 use std::sync::OnceLock;
 use txnstore::{Statement, StatementKind, TxnId};
@@ -247,6 +247,20 @@ impl Request {
         ])
     }
 
+    /// Build the relation `name` of [`Request::schema`] with one row per
+    /// request, in the order given — the relational view of the pending and
+    /// history stores, built only when a consumer asks for it.
+    pub(crate) fn relation<'a>(
+        name: &str,
+        requests: impl IntoIterator<Item = &'a Request>,
+    ) -> Table {
+        #[cfg(test)]
+        RELATIONS_BUILT.with(|built| built.set(built.get() + 1));
+        let rows = requests.into_iter().map(Request::to_tuple).collect();
+        Table::with_rows(name, Request::schema(), rows)
+            .expect("request rows always match the request schema")
+    }
+
     /// Render the SLA row `(ta, class, priority, arrival, deadline)` if SLA
     /// metadata is attached.
     pub fn to_sla_tuple(&self) -> Option<Tuple> {
@@ -280,6 +294,13 @@ impl Request {
             write_value: None,
         })
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Relations [`Request::relation`] built on this thread — how the tests
+    /// check that a built-in round never materialises one.
+    pub(crate) static RELATIONS_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl fmt::Display for Request {

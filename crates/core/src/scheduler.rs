@@ -12,7 +12,8 @@
 //! 6. hand the ordered batch to the caller (who dispatches it to the server).
 //!
 //! Steps 1–5 are exactly what the paper times in Section 4.3.2; the
-//! per-round wall-clock cost is recorded in [`SchedulerMetrics`].
+//! per-round wall-clock cost is recorded in [`SchedulerMetrics`], split by
+//! phase in [`crate::metrics::RoundPhases`].
 
 use crate::error::SchedResult;
 use crate::history::HistoryStore;
@@ -24,8 +25,8 @@ use crate::queue::IncomingQueue;
 use crate::request::{Request, RequestKey};
 use crate::rules::{datalog_output_key, datalog_output_keys, RuleBackend};
 use crate::trigger::TriggerPolicy;
+use obs::{FastIdMap, FastIdSet};
 use relalg::{Catalog, Symbol, Table, Tuple};
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use txnstore::Statement;
 
@@ -118,18 +119,17 @@ impl ScheduleBatch {
 /// back through [`DeclarativeScheduler::recycle_batch`].
 #[derive(Debug, Default)]
 struct RoundScratch {
-    /// Requests drained from the incoming queue this round.
-    drained: Vec<Request>,
-    /// Keys of this round's drained requests — the only candidates for a
-    /// first deferral, so bookkeeping touches the arrival delta instead of
+    /// Requests drained from the incoming queue this round — a custom
+    /// rule's `requests` delta, and the only candidates for a first
+    /// deferral, so bookkeeping touches the arrival delta instead of
     /// rescanning the whole pending backlog every round.
-    drained_keys: Vec<RequestKey>,
+    drained: Vec<Request>,
     /// Objects whose pending/history rows changed (two uses per round).
     changed: Vec<i64>,
     /// Qualified keys produced by rule evaluation.
     keys: Vec<RequestKey>,
     /// Intra-order filter: the qualified set, for O(1) membership.
-    qualified_set: HashSet<RequestKey>,
+    qualified_set: FastIdSet<RequestKey>,
     /// Recycled dispatch-batch buffers (fed by `recycle_batch`).
     batch_pool: Vec<Vec<Request>>,
 }
@@ -165,7 +165,8 @@ struct DatalogCache {
     history_generation: Option<u64>,
     sla_generation: u64,
     aux_generation: u64,
-    /// The taken batch as rows (reused across rounds).
+    /// The round's arrivals, then its taken batch, as rows (reused across
+    /// rounds).
     batch_rows: Vec<Tuple>,
 }
 
@@ -181,36 +182,39 @@ impl DatalogCache {
     }
 
     /// Bring the inputs up to date at the start of a round: `requests`
-    /// takes the round's `arrivals` (the tail of the pending table),
-    /// `history` is in step already; an input whose store moved otherwise
-    /// is replaced.
+    /// takes the round's `arrivals` (its drained batch), `history` is in
+    /// step already; an input whose store moved otherwise is replaced by
+    /// the relation the store builds for the purpose.
     fn feed_round_start(
         &mut self,
         pending: &PendingStore,
         history: &HistoryStore,
-        arrivals: usize,
+        arrivals: &[Request],
     ) -> SchedResult<()> {
-        let rows = pending.table().rows();
         let expected = self
             .pending_generation
-            .map(|generation| generation + u64::from(arrivals > 0));
-        let mut in_step = expected == Some(pending.generation()) && arrivals <= rows.len();
+            .map(|generation| generation + u64::from(!arrivals.is_empty()));
+        let mut in_step = expected == Some(pending.generation());
         if in_step {
-            let arrived = &rows[rows.len() - arrivals..];
+            let mut rows = std::mem::take(&mut self.batch_rows);
+            rows.clear();
+            rows.extend(arrivals.iter().map(Request::to_tuple));
             self.eval
-                .extend_input("requests", arrived.iter().map(Tuple::values))?;
-            // A superseded duplicate key left the table without a round.
-            in_step = self.fed_rows("requests") == rows.len();
+                .extend_input("requests", rows.iter().map(Tuple::values))?;
+            self.batch_rows = rows;
+            // A superseded duplicate key left the store without a round.
+            in_step = self.fed_rows("requests") == pending.len();
         }
         if !in_step {
+            let table = pending.table();
             self.eval
-                .replace_input("requests", rows.iter().map(Tuple::values))?;
+                .replace_input("requests", table.rows().iter().map(Tuple::values))?;
         }
         self.pending_generation = Some(pending.generation());
         if self.history_generation != Some(history.generation()) {
-            let rows = history.table().rows();
+            let table = history.table();
             self.eval
-                .replace_input("history", rows.iter().map(Tuple::values))?;
+                .replace_input("history", table.rows().iter().map(Tuple::values))?;
             self.history_generation = Some(history.generation());
         }
         Ok(())
@@ -292,7 +296,7 @@ pub struct DeclarativeScheduler {
     history: HistoryStore,
     aux: Vec<Table>,
     metrics: SchedulerMetrics,
-    sla_rows: HashMap<u64, Request>,
+    sla_rows: FastIdMap<u64, Request>,
     /// The derived `sla` relation, maintained incrementally: appended on
     /// first sight of a transaction's SLA, fully rebuilt only when existing
     /// metadata is overwritten.
@@ -312,7 +316,7 @@ pub struct DeclarativeScheduler {
     noop_fingerprint: Option<[u64; 4]>,
     /// Pending keys already counted in `requests_deferred` (bounded by the
     /// pending set: entries leave when their request is scheduled).
-    deferred_seen: HashSet<RequestKey>,
+    deferred_seen: FastIdSet<RequestKey>,
     /// Reusable round buffers (see [`RoundScratch`]).
     scratch: RoundScratch,
     next_request_id: u64,
@@ -330,7 +334,7 @@ impl DeclarativeScheduler {
             history: HistoryStore::new(),
             aux: Vec::new(),
             metrics: SchedulerMetrics::new(),
-            sla_rows: HashMap::new(),
+            sla_rows: FastIdMap::default(),
             sla_table: Table::new("sla", Request::sla_schema()),
             sla_rebuild: false,
             sla_generation: 0,
@@ -338,7 +342,7 @@ impl DeclarativeScheduler {
             qualifier: IncrementalQualifier::new(),
             datalog_cache: None,
             noop_fingerprint: None,
-            deferred_seen: HashSet::new(),
+            deferred_seen: FastIdSet::default(),
             scratch: RoundScratch::default(),
             next_request_id: 0,
             round: 0,
@@ -404,15 +408,17 @@ impl DeclarativeScheduler {
         self.history.len()
     }
 
-    /// The current `history` relation (rows of unpruned scheduled requests).
-    /// The shard layer's escalation lane snapshots this from every touched
-    /// shard and evaluates the protocol rule over the union.
-    pub fn history_table(&self) -> &Table {
+    /// The current `history` relation (rows of unpruned scheduled requests,
+    /// in insertion order), built on request: O(history).  A custom rule's
+    /// cross-shard escalation snapshots this from every touched shard and
+    /// evaluates the rule over the union.
+    pub fn history_table(&self) -> Table {
         self.history.table()
     }
 
-    /// The current `requests` (pending) relation.
-    pub fn pending_table(&self) -> &Table {
+    /// The current `requests` (pending) relation, in arrival order, built
+    /// on request: O(pending).
+    pub fn pending_table(&self) -> Table {
         self.pending.table()
     }
 
@@ -487,7 +493,7 @@ impl DeclarativeScheduler {
             let mut r = *request;
             r.id = self.next_request_id;
             changed.clear();
-            self.history.insert_into(&r, &mut changed)?;
+            self.history.insert_into(&r, &mut changed);
             self.qualifier.note_history_changed(&changed);
         }
         changed.clear();
@@ -532,23 +538,20 @@ impl DeclarativeScheduler {
     /// Run one scheduling round unconditionally.
     pub fn run_round(&mut self, now_ms: u64) -> SchedResult<ScheduleBatch> {
         let round_start = Instant::now();
+        let mut mark = round_start;
         self.round += 1;
 
         // 1. Drain the incoming queue into the pending database.  Both
         //    buffers are round scratch: cleared, never freed.
         let mut drained = std::mem::take(&mut self.scratch.drained);
         let mut changed = std::mem::take(&mut self.scratch.changed);
-        let mut drained_keys = std::mem::take(&mut self.scratch.drained_keys);
         drained.clear();
         changed.clear();
-        drained_keys.clear();
         self.queue.drain_into(now_ms, &mut drained);
-        self.pending.insert_batch_into(&drained, &mut changed)?;
-        drained_keys.extend(drained.iter().map(Request::key));
-        drained.clear();
-        self.scratch.drained = drained;
+        self.pending.insert_batch_into(&drained, &mut changed);
         self.qualifier.note_pending_changed(&changed);
         let pending_before = self.pending.len();
+        let drain_insert_nanos = lap(&mut mark);
 
         // 2. Evaluate the declarative rule.  Both paths borrow the selected
         //    protocol: the hot (built-in incremental) one extracts the
@@ -571,22 +574,25 @@ impl DeclarativeScheduler {
         }
         let mut keys = std::mem::take(&mut self.scratch.keys);
         keys.clear();
-        let rule_eval_micros = if hot_path {
-            let rule_start = Instant::now();
+        let cold_rule_eval_micros = if hot_path {
             self.qualifier
                 .qualify_into(kind, &self.pending, &self.history, &self.aux, &mut keys);
-            let micros = rule_start.elapsed().as_micros() as u64;
             self.metrics.incremental_rounds += 1;
             self.metrics.delta_rows += self.qualifier.last_delta_rows();
-            micros
+            None
         } else {
-            self.qualify_cold(pending_before, protocol_name, drained_keys.len(), &mut keys)?
+            Some(self.qualify_cold(pending_before, protocol_name, &drained, &mut keys)?)
         };
+        let qualify_nanos = lap(&mut mark);
+        // The built-in qualifier is all of the qualify phase; the cold paths
+        // report their rule evaluation proper.
+        let mut rule_eval_micros = cold_rule_eval_micros.unwrap_or(qualify_nanos / 1_000);
 
         // 3. Enforce intra-transaction ordering.
         if self.config.enforce_intra_order {
             self.filter_intra_order(&mut keys);
         }
+        let intra_filter_nanos = lap(&mut mark);
 
         // 4. Recover the full requests and order them.  The batch buffer is
         //    pooled: it leaves with the `ScheduleBatch` and comes back via
@@ -598,33 +604,44 @@ impl DeclarativeScheduler {
         self.scratch.keys = keys;
         self.qualifier.note_taken(&batch);
         ordering.sort(&mut batch);
+        let take_sort_nanos = lap(&mut mark);
 
         // 5. Record them in the history database.
         changed.clear();
-        self.history.insert_batch_into(batch.iter(), &mut changed)?;
+        self.history.insert_batch_into(batch.iter(), &mut changed);
         self.qualifier.note_history_changed(&changed);
         changed.clear();
         self.scratch.changed = changed;
+        let history_insert_nanos = lap(&mut mark);
         let pruned = if self.config.prune_history {
             self.history.prune_finished()
         } else {
             0
         };
+        let prune_nanos = lap(&mut mark);
         // A custom Datalog rule is told what its round did, as rows — part
         // of what evaluating it costs.
-        let mut rule_eval_micros = rule_eval_micros;
+        let mut custom_feed_nanos = 0;
         if let Some(cache) = self
             .datalog_cache
             .as_mut()
             .filter(|c| c.round == self.round)
         {
-            let feed_start = Instant::now();
             cache.feed_round_outcome(&batch, pruned > 0, &self.pending, &self.history)?;
-            rule_eval_micros += feed_start.elapsed().as_micros() as u64;
+            custom_feed_nanos = lap(&mut mark);
+            rule_eval_micros += custom_feed_nanos / 1_000;
         }
 
         let pending_after = self.pending.len();
-        let round_micros = round_start.elapsed().as_micros() as u64;
+        let round_micros = (mark - round_start).as_micros() as u64;
+        let phases = &mut self.metrics.phases;
+        phases.drain_insert_nanos += drain_insert_nanos;
+        phases.qualify_nanos += qualify_nanos;
+        phases.intra_filter_nanos += intra_filter_nanos;
+        phases.take_sort_nanos += take_sort_nanos;
+        phases.history_insert_nanos += history_insert_nanos;
+        phases.prune_nanos += prune_nanos;
+        phases.custom_feed_nanos += custom_feed_nanos;
 
         // Bookkeeping.  Deferral is counted two ways: `requests_deferred`
         // counts each request once, the first time it survives a round
@@ -633,18 +650,19 @@ impl DeclarativeScheduler {
         // conflated with a deferral count).  Only this round's arrivals can
         // be *newly* deferred — everything older is already in
         // `deferred_seen` from its own arrival round — so the scan covers
-        // the drained keys, not the whole pending backlog.
+        // the drained requests, not the whole pending backlog.
         for request in &batch {
             self.deferred_seen.remove(&request.key());
         }
         let mut newly_deferred = 0u64;
-        for &key in &drained_keys {
+        for request in &drained {
+            let key = request.key();
             if self.pending.get(key).is_some() && self.deferred_seen.insert(key) {
                 newly_deferred += 1;
             }
         }
-        drained_keys.clear();
-        self.scratch.drained_keys = drained_keys;
+        drained.clear();
+        self.scratch.drained = drained;
         self.metrics.rounds += 1;
         self.metrics.requests_scheduled += batch.len() as u64;
         self.metrics.requests_deferred += newly_deferred;
@@ -717,7 +735,7 @@ impl DeclarativeScheduler {
         &mut self,
         pending_before: usize,
         protocol_name: &'static str,
-        arrivals: usize,
+        arrivals: &[Request],
         keys: &mut Vec<RequestKey>,
     ) -> SchedResult<u64> {
         let backend = &self.policy.select(pending_before).rules.backend;
@@ -734,8 +752,6 @@ impl DeclarativeScheduler {
         let protocol = self.policy.select(pending_before);
         keys.extend(protocol.rules.qualify(&catalog)?);
         Ok(rule_start.elapsed().as_micros() as u64)
-        // `catalog` drops here, before the stores are mutated, so their
-        // copy-on-write snapshots are released and mutation stays in place.
     }
 
     /// Qualification for custom Datalog protocols via the engine-level
@@ -743,9 +759,9 @@ impl DeclarativeScheduler {
     /// and the input relations survive across rounds, and the inputs are
     /// fed as deltas —
     ///
-    /// * `requests`: this round's `arrivals` (the tail of the pending
-    ///   table, borrowed) come in here; the batch a round takes goes out at
-    ///   that round's end (see [`DatalogCache::feed_round_outcome`]);
+    /// * `requests`: this round's `arrivals` (its drained batch) come in
+    ///   here; the batch a round takes goes out at that round's end (see
+    ///   [`DatalogCache::feed_round_outcome`]);
     /// * `history`: the same batch comes in at the round's end, and after a
     ///   prune the rows of the transactions whose terminal it carried go
     ///   out, found by an index probe on `ta`;
@@ -765,7 +781,7 @@ impl DeclarativeScheduler {
         &mut self,
         pending_before: usize,
         name: &'static str,
-        arrivals: usize,
+        arrivals: &[Request],
         keys: &mut Vec<RequestKey>,
     ) -> SchedResult<()> {
         self.refresh_sla_table();
@@ -848,15 +864,16 @@ impl DeclarativeScheduler {
     }
 
     /// Build the relational catalog the rule is evaluated against:
-    /// `requests`, `history`, the `sla` relation derived from request
-    /// metadata, and any registered auxiliary relations.  Every entry is a
-    /// zero-copy snapshot ([`Table`] clones share row storage), and the
-    /// `sla` relation is maintained across rounds rather than re-derived.
+    /// `requests` and `history`, built from the stores for this evaluation,
+    /// the `sla` relation derived from request metadata, and any registered
+    /// auxiliary relations.  The last two are zero-copy snapshots ([`Table`]
+    /// clones share row storage), and the `sla` relation is maintained
+    /// across rounds rather than re-derived.
     fn build_catalog(&mut self) -> Catalog {
         self.refresh_sla_table();
         let mut catalog = Catalog::new();
-        catalog.register(self.pending.table().clone());
-        catalog.register(self.history.table().clone());
+        catalog.register(self.pending.table());
+        catalog.register(self.history.table());
         catalog.register(self.sla_table.clone());
         for table in &self.aux {
             catalog.replace(table.clone());
@@ -886,6 +903,15 @@ impl DeclarativeScheduler {
             })
         });
     }
+}
+
+/// Nanoseconds from `mark` to now, moving `mark` to now: one clock read per
+/// round-phase boundary.
+fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let nanos = (now - *mark).as_nanos() as u64;
+    *mark = now;
+    nanos
 }
 
 #[cfg(test)]
@@ -1042,6 +1068,54 @@ mod tests {
         // Timings are measured (they may legitimately be zero microseconds on
         // a fast machine, so only check they are consistent).
         assert!(m.round_micros >= m.rule_eval_micros);
+    }
+
+    /// Built-in rounds read the stores' indexes, never their relational
+    /// view: a 2 000-request contended SS2PL stream (pruned, as by default)
+    /// builds neither `requests` nor `history`.
+    #[test]
+    fn a_contended_builtin_stream_builds_no_relation() {
+        const TRANSACTIONS: u64 = 400; // × 5 = 2 000 requests
+        let built = || crate::request::RELATIONS_BUILT.with(std::cell::Cell::get);
+        let before = built();
+        let mut s = scheduler(ProtocolKind::Ss2pl);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut object = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Skewed over eight hot objects.
+            (((state >> 33) % 8) * ((state >> 43) % 8) / 8) as i64
+        };
+        let (mut next_ta, mut in_flight, mut committed, mut round) = (1u64, 0, 0, 0u64);
+        while committed < TRANSACTIONS {
+            while in_flight < 12 && next_ta <= TRANSACTIONS {
+                for intra in 0..5u32 {
+                    let request = match intra {
+                        0 | 1 => Request::read(0, next_ta, intra, object()),
+                        2 | 3 => Request::write(0, next_ta, intra, object()),
+                        _ => Request::commit(0, next_ta, intra),
+                    };
+                    s.submit(request, round);
+                }
+                next_ta += 1;
+                in_flight += 1;
+            }
+            let batch = s.run_round(round).unwrap();
+            let finished = batch.requests.iter().filter(|r| r.op.is_terminal()).count();
+            in_flight -= finished;
+            committed += finished as u64;
+            s.recycle_batch(batch.requests);
+            round += 1;
+            assert!(round < 20_000, "the stream must drain");
+        }
+        assert_eq!(s.metrics().requests_scheduled, TRANSACTIONS * 5);
+        assert!(s.metrics().requests_deferred > 0, "the stream contended");
+        assert_eq!(built(), before, "a built-in round built a relation");
+        // The counter does see the cold consumers.
+        let _ = s.pending_table();
+        let _ = s.history_table();
+        assert_eq!(built(), before + 2);
     }
 
     #[test]

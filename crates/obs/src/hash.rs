@@ -1,14 +1,24 @@
-//! A cheap hasher for the small id-keyed bookkeeping maps instrumentation
-//! keeps on emission hot paths (e.g. the per-request submission-round map
-//! behind `RoundDeferred`).
+//! A cheap hasher for the id-keyed maps on the submit → round → reply path:
+//! the scheduler's pending and history stores, its lock index and
+//! qualifier caches, the shard worker's ticket map, the completion hub and
+//! the router's homes map — plus instrumentation maps such as the
+//! per-request submission-round map behind `RoundDeferred`.
 //!
 //! SipHash — the std `HashMap` default — is keyed and DoS-resistant, which
 //! matters for maps fed attacker-controlled strings and not at all for
-//! maps keyed by scheduler-assigned transaction/request ids.  At flight-
-//! recorder rates the SipHash rounds cost more than the ring write the
-//! lookup supports, so instrumentation maps use this multiply-xor mixer
-//! instead.
+//! maps keyed by scheduler-assigned transaction/request ids.  On a
+//! scheduling round the SipHash rounds cost more than the bookkeeping the
+//! lookup supports, so these maps use this multiply-xor mixer instead.
+//!
+//! **Trust assumption.**  Every key hashed here — transaction ids, intra
+//! positions, object ids, hub tokens — comes from in-process clients of the
+//! library (or is assigned by it).  The mixer is unkeyed, so a client that
+//! chooses its ids adversarially can make them collide and degrade every
+//! map to a linear scan.  A network front door (parked in the roadmap)
+//! hands id choice to remote parties and must revisit this: seed the mixer
+//! per process (a keyed `BuildHasher`) or remap external ids first.
 
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-xor [`Hasher`] for machine-generated integer ids.  **Not** for
@@ -19,6 +29,12 @@ pub struct FastIdHasher(u64);
 /// [`std::hash::BuildHasher`] plugging [`FastIdHasher`] into a
 /// `HashMap`/`HashSet` type.
 pub type FastIdBuildHasher = BuildHasherDefault<FastIdHasher>;
+
+/// A `HashMap` keyed by ids, hashed with [`FastIdHasher`].
+pub type FastIdMap<K, V> = HashMap<K, V, FastIdBuildHasher>;
+
+/// A `HashSet` of ids, hashed with [`FastIdHasher`].
+pub type FastIdSet<K> = HashSet<K, FastIdBuildHasher>;
 
 impl Hasher for FastIdHasher {
     fn finish(&self) -> u64 {

@@ -49,7 +49,7 @@ mod registry;
 mod trace;
 
 pub use event::{Event, EventKind, ReqId};
-pub use hash::{FastIdBuildHasher, FastIdHasher};
+pub use hash::{FastIdBuildHasher, FastIdHasher, FastIdMap, FastIdSet};
 pub use registry::{Counter, Gauge, MetricHistogram, MetricsSnapshot, Registry};
 pub use trace::{
     AnomalyWindow, PhaseHistograms, PhaseStats, Recorder, SharedRecorder, Trace, TraceConfig,

@@ -10,19 +10,18 @@ use std::sync::Arc;
 
 /// A named, in-memory relation: a schema plus a vector of tuples.
 ///
-/// The scheduler keeps three such relations (the paper's Table 2):
-/// `requests` (pending), `history` (already executed) and `rte`
+/// The paper's three scheduling relations (its Table 2) are tables of this
+/// kind: `requests` (pending), `history` (already executed) and `rte`
 /// (ready-to-execute, the output of a scheduling round).  Tables support
 /// equality hash indexes on single columns because the SS2PL rule joins on
 /// `object` and `ta` constantly.
 ///
 /// Row storage and indexes are reference-counted with copy-on-write
 /// semantics: `Table::clone` is O(1), which is what lets the scheduler
-/// snapshot its pending/history relations into a rule-evaluation catalog
-/// every round — and the shard workers snapshot their history for the
-/// escalation lane — without copying a single row.  A clone only pays for
-/// the rows if it (or the original) is mutated while the other snapshot is
-/// still alive.
+/// snapshot its long-lived relations (`sla`, auxiliary tables) into a
+/// rule-evaluation catalog without copying a single row.  A clone only pays
+/// for the rows if it (or the original) is mutated while the other snapshot
+/// is still alive.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -43,12 +42,15 @@ impl Table {
         }
     }
 
-    /// Create a table pre-populated with rows (rows are validated).
+    /// Create a table pre-populated with rows (rows are validated).  The
+    /// vector becomes the row storage as is: a fresh table has no index to
+    /// maintain.
     pub fn with_rows(name: impl Into<String>, schema: Schema, rows: Vec<Tuple>) -> RelResult<Self> {
         let mut t = Table::new(name, schema);
-        for r in rows {
-            t.push(r)?;
+        for r in &rows {
+            t.validate(r)?;
         }
+        t.rows = Arc::new(rows);
         Ok(t)
     }
 

@@ -21,7 +21,7 @@
 
 use crate::worker::Submission;
 use declsched::{SchedError, SchedResult};
-use std::collections::{HashMap, HashSet};
+use obs::{FastIdMap, FastIdSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -68,9 +68,9 @@ struct Stripe {
 }
 
 struct HubInner {
-    results: HashMap<u64, SchedResult<()>>,
+    results: FastIdMap<u64, SchedResult<()>>,
     /// Tokens whose ticket was dropped before the completion arrived.
-    abandoned: HashSet<u64>,
+    abandoned: FastIdSet<u64>,
     closed: bool,
 }
 
@@ -91,8 +91,8 @@ impl CompletionHub {
             stripes: (0..STRIPES)
                 .map(|_| Stripe {
                     inner: Mutex::new(HubInner {
-                        results: HashMap::new(),
-                        abandoned: HashSet::new(),
+                        results: FastIdMap::default(),
+                        abandoned: FastIdSet::default(),
                         closed: false,
                     }),
                     cond: Condvar::new(),

@@ -310,6 +310,36 @@ mod tests {
         assert!(report.metrics.merged.rounds >= 1);
     }
 
+    /// A statement arriving after its transaction committed is refused by
+    /// the engine.  With pruning on, the history has forgotten the commit by
+    /// then, so the rule grants the statement a lock; the refusal must not
+    /// leave that lock behind, or the next writer of the object waits
+    /// forever (here: until the shutdown drain fails it).  Prune on must
+    /// behave exactly like prune off.
+    #[test]
+    fn a_late_statement_of_a_committed_transaction_leaves_no_lock_behind() {
+        for prune_history in [false, true] {
+            let cfg = ShardConfig::new(1, Protocol::algebra(ProtocolKind::Ss2pl))
+                .with_scheduler(SchedulerConfig {
+                    trigger: TriggerPolicy::Always,
+                    prune_history,
+                    ..SchedulerConfig::default()
+                })
+                .with_table("bench", 1_000);
+            let router = ShardRouter::start(cfg).unwrap();
+            exec(&router, txn(1, &[5], true)).unwrap();
+            let late = exec(&router, vec![Request::write(0, 1, 2, 5)]).unwrap_err();
+            assert!(
+                late.to_string().contains("not active"),
+                "prune={prune_history}: {late}"
+            );
+            let next = router.submit_transaction(txn(2, &[5], true)).unwrap();
+            let report = router.shutdown();
+            assert_eq!(next.wait(), Ok(()), "prune={prune_history}");
+            assert_eq!(report.metrics.dispatch.commits, 2, "prune={prune_history}");
+        }
+    }
+
     #[test]
     fn one_shard_degenerates_to_the_global_scheduler() {
         let router = ShardRouter::start(config(1)).unwrap();

@@ -33,7 +33,8 @@ use declsched::{
     footprint, DeclarativeScheduler, Dispatcher, FreqSketch, Placement, Request, SchedError,
     SchedResult,
 };
-use std::collections::{BTreeSet, HashMap};
+use obs::FastIdMap;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
@@ -112,7 +113,7 @@ struct Counters {
 /// is what keeps one transaction's incremental submissions ordered), while
 /// concurrent submitters on other stripes route in parallel.
 pub(crate) struct TxnHomes {
-    stripes: Vec<Mutex<HashMap<u64, BTreeSet<usize>>>>,
+    stripes: Vec<Mutex<FastIdMap<u64, BTreeSet<usize>>>>,
 }
 
 /// Stripe count for [`TxnHomes`]; a power of two so the stripe index is a
@@ -123,19 +124,19 @@ impl TxnHomes {
     fn new() -> Self {
         TxnHomes {
             stripes: (0..HOME_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(FastIdMap::default()))
                 .collect(),
         }
     }
 
-    fn stripe(&self, ta: u64) -> &Mutex<HashMap<u64, BTreeSet<usize>>> {
+    fn stripe(&self, ta: u64) -> &Mutex<FastIdMap<u64, BTreeSet<usize>>> {
         &self.stripes[(ta as usize) & (HOME_STRIPES - 1)]
     }
 
     /// Lock the stripe owning `ta` (transactions without an id share
     /// stripe 0; they carry no homes entry, the guard only orders the
     /// route).
-    fn lock(&self, ta: u64) -> SchedResult<MutexGuard<'_, HashMap<u64, BTreeSet<usize>>>> {
+    fn lock(&self, ta: u64) -> SchedResult<MutexGuard<'_, FastIdMap<u64, BTreeSet<usize>>>> {
         self.stripe(ta).lock().map_err(|_| SchedError::Poisoned {
             what: "router homes map",
         })

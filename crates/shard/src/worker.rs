@@ -34,7 +34,6 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use declsched::{
     DeclarativeScheduler, Dispatcher, ProtocolKind, Request, RequestKey, SchedError, SchedResult,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -122,7 +121,7 @@ struct WorkerState {
     /// growing with the worker's lifetime.
     tickets: Vec<Option<Ticket>>,
     free_tickets: Vec<usize>,
-    waiting: HashMap<RequestKey, usize>,
+    waiting: obs::FastIdMap<RequestKey, usize>,
     executed_log: Vec<Request>,
     peak_pending: usize,
     disconnected: bool,
@@ -158,7 +157,7 @@ struct WorkerState {
     completions: Vec<(u64, SchedResult<()>)>,
     /// Reusable scratch for `submit_transaction`'s duplicate-key check, so
     /// admission does not allocate a fresh set per transaction.
-    batch_keys: std::collections::HashSet<RequestKey>,
+    batch_keys: obs::FastIdSet<RequestKey>,
     /// Thread-owned flight recorder (flushes into the run's trace sink
     /// when the worker joins).
     recorder: obs::Recorder,
@@ -166,7 +165,7 @@ struct WorkerState {
     /// qualification can report how many rounds the request sat pending.
     /// On the emission hot path twice per sampled request — hence the
     /// cheap id hasher.
-    submit_round: HashMap<RequestKey, u64, obs::FastIdBuildHasher>,
+    submit_round: obs::FastIdMap<RequestKey, u64>,
     /// Scheduling rounds this worker has produced.
     round_no: u64,
     /// Live counter of requests this shard executed through the
@@ -339,7 +338,7 @@ impl WorkerState {
             // just holds and hands over its history.
             self.held = Some(handshake.job_id);
             return Vote::Granted {
-                snapshot: Some(self.scheduler.history_table().clone()),
+                snapshot: Some(self.scheduler.history_table()),
             };
         }
         let mut slice = std::mem::take(&mut self.escalated_scratch);
@@ -637,7 +636,7 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         started: Instant::now(),
         tickets: Vec::new(),
         free_tickets: Vec::new(),
-        waiting: HashMap::new(),
+        waiting: obs::FastIdMap::default(),
         executed_log: Vec::new(),
         peak_pending: 0,
         disconnected: false,
@@ -652,9 +651,9 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
         homes,
         hub,
         completions: Vec::new(),
-        batch_keys: std::collections::HashSet::new(),
+        batch_keys: obs::FastIdSet::default(),
         recorder: sink.recorder(),
-        submit_round: HashMap::default(),
+        submit_round: obs::FastIdMap::default(),
         round_no: 0,
         escalated_ctr: registry.counter(&format!("shard.{shard}.escalated_requests")),
         injector,
@@ -800,7 +799,25 @@ pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
                                     std::thread::sleep(Duration::from_millis(millis));
                                 }
                             }
-                            let result = state.dispatcher.execute_request(request);
+                            let result = match state.dispatcher.execute_request(request) {
+                                // A late statement of a transaction the
+                                // engine already finished.  A pruned history
+                                // has forgotten the terminal and granted the
+                                // statement a lock; record one again so the
+                                // refusal leaves no lock behind.
+                                Err(refused)
+                                    if request.op.is_data()
+                                        && state.dispatcher.transaction_finished(request.ta) =>
+                                {
+                                    released = true;
+                                    let terminal = Request::abort(0, request.ta, request.intra);
+                                    state
+                                        .scheduler
+                                        .preload_history(&[terminal])
+                                        .and(Err(refused))
+                                }
+                                result => result,
+                            };
                             executed_ctr.inc();
                             if sampled {
                                 last_us = state.recorder.now_us();

@@ -361,6 +361,41 @@ fn sla_metadata_reaches_the_protocol_end_to_end() {
     assert_eq!(report.executed_log[0].sla.unwrap().class, "premium");
 }
 
+/// A statement submitted after its transaction committed is refused, and
+/// with history pruning on (the default) the refusal leaves no lock behind:
+/// the next writer of the object commits exactly as with pruning off.
+#[test]
+fn a_late_statement_after_commit_does_not_wedge_its_object() {
+    for prune_history in [false, true] {
+        let scheduler = Scheduler::builder()
+            .policy(Protocol::algebra(ProtocolKind::Ss2pl))
+            .scheduler_config(SchedulerConfig {
+                trigger: TriggerPolicy::Always,
+                prune_history,
+                ..SchedulerConfig::default()
+            })
+            .table("bench", TABLE_ROWS)
+            .unsharded()
+            .build()
+            .unwrap();
+        let mut session = scheduler.connect();
+        session.execute(Txn::new(1).write(5, 1).commit()).unwrap();
+        let late = session
+            .submit_requests(vec![declsched::Request::write(0, 1, 2, 5)])
+            .unwrap()
+            .wait()
+            .unwrap_err();
+        assert!(
+            late.to_string().contains("not active"),
+            "prune={prune_history}: {late}"
+        );
+        let next = session.submit(Txn::new(2).write(5, 2).commit()).unwrap();
+        let report = scheduler.shutdown();
+        assert!(next.wait().is_ok(), "prune={prune_history}: T2 wedged");
+        assert_eq!(report.dispatch.commits, 2, "prune={prune_history}");
+    }
+}
+
 /// The façade refuses work after shutdown instead of hanging.
 #[test]
 fn submissions_after_shutdown_fail_fast() {
