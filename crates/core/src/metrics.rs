@@ -86,20 +86,7 @@ pub struct RoundPhases {
 }
 
 impl RoundPhases {
-    /// The phases with their names, in round order.
-    pub fn named(&self) -> [(&'static str, u64); 7] {
-        [
-            ("drain + pending insert", self.drain_insert_nanos),
-            ("qualify", self.qualify_nanos),
-            ("intra-order filter", self.intra_filter_nanos),
-            ("take + sort", self.take_sort_nanos),
-            ("history insert", self.history_insert_nanos),
-            ("prune", self.prune_nanos),
-            ("custom feed", self.custom_feed_nanos),
-        ]
-    }
-
-    /// Add another run's phase times to this one.
+    /// Add another run's (or round's) phase times to this one.
     pub fn merge(&mut self, other: &RoundPhases) {
         self.drain_insert_nanos += other.drain_insert_nanos;
         self.qualify_nanos += other.qualify_nanos;
@@ -148,14 +135,17 @@ impl SchedulerMetrics {
     /// Average microseconds per round spent in each phase, named and in
     /// round order (see [`RoundPhases`]).
     pub fn phase_micros_per_round(&self) -> [(&'static str, f64); 7] {
-        self.phases.named().map(|(name, nanos)| {
-            let per_round = if self.rounds == 0 {
-                0.0
-            } else {
-                nanos as f64 / 1e3 / self.rounds as f64
-            };
-            (name, per_round)
-        })
+        let p = &self.phases;
+        [
+            ("drain + pending insert", p.drain_insert_nanos),
+            ("qualify", p.qualify_nanos),
+            ("intra-order filter", p.intra_filter_nanos),
+            ("take + sort", p.take_sort_nanos),
+            ("history insert", p.history_insert_nanos),
+            ("prune", p.prune_nanos),
+            ("custom feed", p.custom_feed_nanos),
+        ]
+        .map(|(name, nanos)| (name, nanos as f64 / 1e3 / self.rounds.max(1) as f64))
     }
 
     /// Fold another scheduler's metrics into this one.  Counters and timings

@@ -17,7 +17,7 @@
 
 use crate::error::SchedResult;
 use crate::history::HistoryStore;
-use crate::metrics::SchedulerMetrics;
+use crate::metrics::{RoundPhases, SchedulerMetrics};
 use crate::pending::PendingStore;
 use crate::protocol::SchedulingPolicy;
 use crate::qualify::IncrementalQualifier;
@@ -634,14 +634,15 @@ impl DeclarativeScheduler {
 
         let pending_after = self.pending.len();
         let round_micros = (mark - round_start).as_micros() as u64;
-        let phases = &mut self.metrics.phases;
-        phases.drain_insert_nanos += drain_insert_nanos;
-        phases.qualify_nanos += qualify_nanos;
-        phases.intra_filter_nanos += intra_filter_nanos;
-        phases.take_sort_nanos += take_sort_nanos;
-        phases.history_insert_nanos += history_insert_nanos;
-        phases.prune_nanos += prune_nanos;
-        phases.custom_feed_nanos += custom_feed_nanos;
+        self.metrics.phases.merge(&RoundPhases {
+            drain_insert_nanos,
+            qualify_nanos,
+            intra_filter_nanos,
+            take_sort_nanos,
+            history_insert_nanos,
+            prune_nanos,
+            custom_feed_nanos,
+        });
 
         // Bookkeeping.  Deferral is counted two ways: `requests_deferred`
         // counts each request once, the first time it survives a round
