@@ -49,14 +49,17 @@
 //!  clients ─► router (hash of object footprint)
 //!             ├── shard 1: queue → pending₁/history₁ → rule → dispatcher₁
 //!             ├── …
-//!             └── escalation lane: freeze touched shards → evaluate the rule
-//!                 over the UNION of their history relations → execute → release
+//!             └── spanning transaction: the touched shards' own workers run
+//!                 PREPARE (qualify the local slice, vote) → COMMIT | RELEASE
 //! ```
 //!
 //! Transactions whose [`request::footprint`] maps to one shard never
-//! synchronize with any other shard; spanning transactions are escalated to
-//! a serialized coordinator lane that freezes the touched shards at a round
-//! boundary (a batch-epoch barrier) so SS2PL/C2PL semantics survive the
+//! synchronize with any other shard.  A spanning transaction takes a
+//! two-phase handshake that the touched shards' workers drive themselves (no
+//! coordinator thread; untouched shards never pause): each qualifies its
+//! slice against its local `history` and votes, and the last voter commits
+//! every slice on a unanimous grant or releases them.  Locks are per object
+//! and each object has one home shard, so SS2PL/C2PL semantics survive the
 //! partitioning.  This crate contributes the building blocks the shard layer
 //! composes: [`request::footprint`] / [`request::shard_of`] extraction and
 //! [`SchedulerMetrics::merge`] for fleet-wide aggregation.

@@ -3,8 +3,8 @@
 //!
 //! The from-scratch path re-evaluates a protocol's rule over the *entire*
 //! `requests` ∪ `history` state every round — O(pending + history) per
-//! round, which the paper accepts and our `rule_scaling` bench shows
-//! growing without bound in the paper's unbounded-history mode.  The key
+//! round, which the paper accepts and its Section 4.3.2 experiment
+//! (`examples/paper_experiments.rs`) shows growing with the history.  The key
 //! observation making an O(delta) path possible is that for every shipped
 //! protocol the blocked/qualified status of a pending request depends
 //! **only on per-object state**: the lock sets of its object (the

@@ -55,7 +55,7 @@ pub struct SchedulerConfig {
     /// declarative rule over the full `requests` ∪ `history` state every
     /// round.  Both paths produce exactly the sets the from-scratch rule
     /// does (enforced by the property suite); disable only to measure the
-    /// from-scratch baseline, as the `rule_scaling` bench does.
+    /// from-scratch baseline, as the paper's Section 4.3.2 experiment does.
     pub incremental: bool,
     /// Latency bound, in microseconds, on the sharded router's submission
     /// batching: the router accumulates per-shard batches and flushes them

@@ -58,12 +58,11 @@
 //!   onto the worker's mailbox and starts no flusher.  The `session`
 //!   façade's `.unsharded()` deployment is exactly this.
 //!
-//! The scaling story is measured by the `shard_scaling` bench binary
-//! (`BENCH_shard_scaling.json`): on a uniform single-object workload the
-//! hot loop is embarrassingly parallel and shards scale near-linearly;
-//! raising the workload's `cross_shard_fraction` sends traffic through the
-//! escalation lane, which now costs one two-phase handshake over the
-//! touched shards rather than a whole-fleet freeze.
+//! The benchmark package (`benchmark/`) measures both paths on four shards:
+//! `sharded4_local_d32` sends single-key transactions that never leave
+//! their home shard, and `sharded4_cross20_d32` makes 20 % of its two-key
+//! transactions span two shards, so each of those costs one two-phase
+//! handshake over the touched shards.
 //!
 //! Direct use of the fleet (client code normally goes through the
 //! `session` façade with `.shards(n)` instead):

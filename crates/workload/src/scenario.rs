@@ -472,7 +472,7 @@ impl Scenario for BurstyArrivals {
     }
 
     fn arrival(&self) -> ArrivalSpec {
-        // Rates are relative: scenario_matrix rescales them to the measured
+        // Rates are relative: a driver rescales them to the measured
         // closed-loop capacity of the backend under test via
         // `ArrivalSpec::scaled`.
         ArrivalSpec::Bursty {

@@ -382,5 +382,7 @@ fn registry_snapshot_is_queryable_mid_run() {
     assert!(text.contains("# TYPE declsched_session_submitted_total counter"));
     assert!(text.contains("declsched_session_committed_total 12"));
 
-    scheduler.shutdown();
+    // Built without `.trace(..)`: the flight recorder is off and records
+    // nothing, while the registry above still counted everything.
+    assert!(scheduler.shutdown().trace.is_empty());
 }
