@@ -61,8 +61,8 @@ pub enum Hook {
     },
     /// A cross-shard job entering the escalation lane's admission, on the
     /// submitting client's thread.  `Stall` delays that job's admission —
-    /// and, since the client holds the router's placement fence there,
-    /// whatever waits for that fence.
+    /// and, since the client holds its transaction's homes stripe there,
+    /// the submissions on that stripe.
     LaneJob,
     /// A two-phase `Prepare` reaching a participant shard, fired by that
     /// shard's worker before it votes.  `Stall` delays the handshake;

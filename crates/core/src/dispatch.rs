@@ -98,31 +98,6 @@ impl Dispatcher {
         snapshot_final_rows(&self.engine, &self.table, rows)
     }
 
-    /// Read the current value of one benchmark row (missing rows and
-    /// non-integer payloads read as 0, the [`snapshot_final_rows`]
-    /// convention).  Used by the placement-migration path to export a row
-    /// from the object's old home shard.
-    pub fn read_row(&self, object: i64) -> i64 {
-        self.engine
-            .store()
-            .read(&self.table, object)
-            .ok()
-            .and_then(|row| row.values.first().and_then(|v| v.as_int()))
-            .unwrap_or(0)
-    }
-
-    /// Overwrite one benchmark row outside any transaction — the import
-    /// side of a placement migration.  The caller must have quiesced the
-    /// object (no pending requests, no locks) before moving its value.
-    pub fn install_row(&mut self, object: i64, value: i64) -> SchedResult<()> {
-        use relalg::Value;
-        self.engine.store_mut().load_row(
-            &self.table,
-            txnstore::Row::new(object, vec![Value::Int(value)]),
-        )?;
-        Ok(())
-    }
-
     /// Execute one request.
     pub fn execute_request(&mut self, request: &Request) -> SchedResult<()> {
         let stmt = request.to_statement(&self.table);

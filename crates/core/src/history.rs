@@ -54,13 +54,6 @@ impl LockIndex {
             .is_some_and(|set| set.len() > 1 || (set.len() == 1 && !set.contains(&ta)))
     }
 
-    /// Whether *any* unfinished transaction holds a lock (read or write) on
-    /// `object`.  The migration fence uses this: an object may only change
-    /// its home shard while no lock state for it exists anywhere.
-    pub fn locked(&self, object: i64) -> bool {
-        self.writers.contains_key(&object) || self.readers.contains_key(&object)
-    }
-
     /// Whether `ta` holds a write lock on `object`.
     pub fn holds_write(&self, object: i64, ta: u64) -> bool {
         self.writers

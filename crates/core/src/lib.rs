@@ -80,7 +80,6 @@ pub mod history;
 pub mod metrics;
 pub mod passthrough;
 pub mod pending;
-pub mod placement;
 pub mod protocol;
 pub mod qualify;
 pub mod queue;
@@ -97,7 +96,6 @@ pub use error::{SchedError, SchedResult};
 pub use history::HistoryStore;
 pub use metrics::{RoundPhases, SchedulerMetrics};
 pub use pending::PendingStore;
-pub use placement::{FreqSketch, Placement};
 pub use protocol::{
     AdaptiveProtocol, Backend, Protocol, ProtocolFeatures, ProtocolKind, SchedulingPolicy,
 };

@@ -318,7 +318,7 @@ impl fmt::Display for Request {
 /// carry no object and do not contribute.  This is what a shard router
 /// partitions on: a transaction whose footprint maps to a single shard can be
 /// scheduled entirely by that shard's rule, while a spanning footprint forces
-/// escalation to the serialized cross-shard lane.
+/// a two-phase escalation over the shards it touches.
 pub fn footprint<'a>(requests: impl IntoIterator<Item = &'a Request>) -> Vec<i64> {
     let mut objects: Vec<i64> = requests
         .into_iter()

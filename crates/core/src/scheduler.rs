@@ -457,20 +457,6 @@ impl DeclarativeScheduler {
             .slice_admitted(kind, slice, &self.history, &self.aux)
     }
 
-    /// Whether `object` is completely idle on this scheduler: no queued
-    /// request targets it, no pending request targets it, and no unfinished
-    /// transaction holds a lock on it.  This is the quiescence condition a
-    /// placement migration requires before an object may leave this shard —
-    /// answered from the incremental indexes, not a relation scan.
-    pub fn object_idle(&self, object: i64) -> bool {
-        self.pending.rows_on_object(object).is_empty()
-            && !self.history.lock_index().locked(object)
-            && !self
-                .queue
-                .requests()
-                .any(|r| r.op.is_data() && r.object == object)
-    }
-
     /// Accumulated metrics.
     pub fn metrics(&self) -> SchedulerMetrics {
         self.metrics

@@ -11,12 +11,10 @@
 //!    crate).
 //! 2. **Live metrics registry** — named atomic counters, gauges and
 //!    histograms ([`Registry`]) the core scheduler, shard workers,
-//!    router, escalation lane, control plane and session shedding all
-//!    register into; snapshot-able mid-run, renderable as
-//!    Prometheus-style text.
-//! 3. **Anomaly hooks** — on poisoned locks, deadlock-victim aborts,
-//!    shed bursts and placement rehomes, the surrounding event window is
-//!    frozen into an [`AnomalyWindow`] for post-mortem
+//!    router, escalation lane and session shedding all register into;
+//!    snapshot-able mid-run, renderable as Prometheus-style text.
+//! 3. **Anomaly hooks** — on poisoned locks, deadlock-victim aborts and
+//!    shed bursts, the surrounding event window is frozen into an [`AnomalyWindow`] for post-mortem
 //!    (`Report::anomalies`).
 //!
 //! The crate is a dependency-free leaf: every other crate in the

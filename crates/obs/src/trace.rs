@@ -79,7 +79,7 @@ impl Default for TraceConfig {
 }
 
 /// A frozen event window captured around an anomaly (poisoned lock,
-/// deadlock-victim abort, shed burst, placement rehome): the recorder's
+/// deadlock-victim abort, shed burst): the recorder's
 /// current ring contents at the moment the anomaly was noticed, plus a
 /// reason string and timestamp.  With tracing off the window is empty but
 /// the reason and timestamp are still recorded.

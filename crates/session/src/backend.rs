@@ -45,8 +45,8 @@ pub enum BackendKind {
     /// one global pending/history relation pair): a worker fleet of one.
     Unsharded,
     /// The shard router fleet: N schedulers over hash-partitioned
-    /// relations, with a serialized escalation lane for spanning
-    /// transactions.
+    /// relations; a spanning transaction takes a two-phase handshake over
+    /// the shards it touches.
     Sharded,
     /// Non-scheduling passthrough: requests forwarded to a server with its
     /// native lock-based scheduler enabled (the paper's overhead baseline).
@@ -106,10 +106,4 @@ pub trait Backend: Send + Sync {
     /// dropped before a terminal was submitted), so per-transaction routing
     /// entries cannot leak.  Default: nothing to release.
     fn abandon(&self, _ta: u64) {}
-
-    /// The sharded control-plane handle, when this deployment is a shard
-    /// fleet (load sampling, hot-object sketch, placement migration).
-    fn sharded_control(&self) -> Option<shard::ControlHandle> {
-        None
-    }
 }

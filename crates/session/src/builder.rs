@@ -335,8 +335,7 @@ impl Scheduler {
     /// ([`obs::Registry::snapshot`]) or dump it in Prometheus text
     /// exposition format ([`obs::Registry::render_text`]).  Every layer
     /// (scheduler core, shard workers, router, escalation lane, session
-    /// shedding) publishes here; the control plane joins via
-    /// `ControlPlane::start_observed`.
+    /// shedding) publishes here.
     pub fn registry(&self) -> Arc<obs::Registry> {
         Arc::clone(&self.registry)
     }
@@ -345,13 +344,6 @@ impl Scheduler {
     /// [`Backend::queue_depth`]).
     pub fn queue_depth(&self) -> usize {
         self.backend.queue_depth()
-    }
-
-    /// The sharded control-plane handle (load sampling, hot-object sketch,
-    /// placement migration) — `Some` only for `.shards(n)` deployments.
-    /// The `control` crate's `ControlPlane` drives this.
-    pub fn sharded_control(&self) -> Option<shard::ControlHandle> {
-        self.backend.sharded_control()
     }
 
     /// Drain outstanding work, stop the deployment and return the unified

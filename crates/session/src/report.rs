@@ -5,7 +5,6 @@ use crate::backend::BackendKind;
 use crate::tier::TierReport;
 use declsched::{shard_of, DispatchReport, Request, SchedulerMetrics};
 use shard::{EscalationStats, ShardReport, ShardedReport};
-use std::collections::HashMap;
 use std::time::Duration;
 use txnstore::EngineMetrics;
 
@@ -14,7 +13,7 @@ use txnstore::EngineMetrics;
 pub struct ShardedDetail {
     /// Number of shards.
     pub shards: usize,
-    /// Transactions that took the serialized escalation lane.
+    /// Transactions that spanned shards and took the two-phase handshake.
     pub cross_shard_transactions: u64,
     /// Escalation-lane counters.
     pub escalation: EscalationStats,
@@ -23,11 +22,6 @@ pub struct ShardedDetail {
     /// Homes-map entries still live at shutdown (0 on a clean run — the
     /// leak witness the router regression tests assert on).
     pub unreclaimed_homes: u64,
-    /// Final placement overlay: objects living away from their hash home,
-    /// with the shard they were migrated to.
-    pub placement: Vec<(i64, usize)>,
-    /// Final placement epoch (number of effective placement changes).
-    pub placement_epoch: u64,
     /// The raw per-shard reports (index = shard id).
     pub reports: Vec<ShardReport>,
 }
@@ -69,7 +63,7 @@ pub struct Report {
     /// with [`obs::Trace::timeline`] / [`obs::Trace::phase_histograms`].
     pub trace: obs::Trace,
     /// Frozen anomaly windows (rule failures, deadlock victims, shed
-    /// bursts, rehomes): the events that led up to each incident.
+    /// bursts): the events that led up to each incident.
     pub anomalies: Vec<obs::AnomalyWindow>,
     /// Wall-clock duration from backend start to shutdown.
     pub wall: Duration,
@@ -115,12 +109,8 @@ impl Report {
     pub(crate) fn from_fleet(kind: BackendKind, mut report: ShardedReport) -> Self {
         let metrics = &report.metrics;
         let shards = metrics.shards.max(1);
-        // Merge final rows by *final* home shard — the hash default plus
-        // the placement overlay for migrated objects.  The router
-        // guarantees an object is only ever written through its (current)
-        // home shard's engine, and a migration copies the row value to the
-        // new home, so the final home's copy is authoritative.
-        let overlay: HashMap<i64, usize> = report.placement.iter().copied().collect();
+        // Merge final rows by home shard: an object is only ever written
+        // through its home shard's engine, so that copy is authoritative.
         let rows = report
             .shards
             .iter()
@@ -129,13 +119,9 @@ impl Report {
             .unwrap_or(0);
         let final_rows: Vec<i64> = (0..rows)
             .map(|row| {
-                let home = overlay
-                    .get(&(row as i64))
-                    .copied()
-                    .unwrap_or_else(|| shard_of(row as i64, shards));
                 report
                     .shards
-                    .get(home)
+                    .get(shard_of(row as i64, shards))
                     .and_then(|s| s.final_rows.get(row).copied())
                     .unwrap_or(0)
             })
@@ -165,8 +151,6 @@ impl Report {
                 escalation: metrics.escalation,
                 peak_pending: metrics.peak_pending,
                 unreclaimed_homes: metrics.unreclaimed_homes,
-                placement: report.placement,
-                placement_epoch: metrics.placement_epoch,
                 reports: report.shards,
             }),
             server: None,

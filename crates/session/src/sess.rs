@@ -7,7 +7,6 @@ use crate::ticket::{Ticket, TicketCell, TierTrack, TxnReceipt};
 use crate::tier::TierRegistry;
 use crate::txn::Txn;
 use declsched::{Request, SchedError, SchedResult};
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,8 +38,9 @@ pub struct Session {
     /// O(1) per submission and the vector stays within twice the
     /// unresolved count (plus [`MIN_TRIM`]).
     trim_at: usize,
-    /// Transactions this session routed without a terminal yet.
-    open: HashSet<u64>,
+    /// Transactions this session routed without a terminal yet (probed on
+    /// every submission, hence the id hasher).
+    open: obs::FastIdSet<u64>,
 }
 
 /// Below this many tracked cells a trim is not worth its pass.
@@ -62,7 +62,7 @@ impl Session {
             injector,
             inflight: Vec::new(),
             trim_at: MIN_TRIM,
-            open: HashSet::new(),
+            open: obs::FastIdSet::default(),
         }
     }
 

@@ -12,9 +12,9 @@ pub(crate) struct ShardedBackend {
     /// fleet of one behind `.unsharded()`, [`BackendKind::Sharded`] for
     /// `.shards(n)`.  Only what is reported differs, never what runs.
     kind: BackendKind,
-    /// Submission and control-plane side: a cheap clone of the fleet's
-    /// handle, usable without touching the shutdown lock.
-    handle: shard::ControlHandle,
+    /// Submission side: a cheap clone of the fleet's client handle, usable
+    /// without touching the shutdown lock.
+    handle: shard::FleetHandle,
     /// Ownership side: consumed by the first shutdown.
     router: Mutex<Option<ShardRouter>>,
 }
@@ -23,7 +23,7 @@ impl ShardedBackend {
     pub(crate) fn new(kind: BackendKind, router: ShardRouter) -> Self {
         ShardedBackend {
             kind,
-            handle: router.control(),
+            handle: router.handle(),
             router: Mutex::new(Some(router)),
         }
     }
@@ -59,9 +59,5 @@ impl Backend for ShardedBackend {
 
     fn abandon(&self, ta: u64) {
         self.handle.abandon_transaction(ta);
-    }
-
-    fn sharded_control(&self) -> Option<shard::ControlHandle> {
-        (self.kind == BackendKind::Sharded).then(|| self.handle.clone())
     }
 }

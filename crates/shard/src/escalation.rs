@@ -57,7 +57,7 @@ use crate::metrics::EscalationStats;
 use crate::worker::ShardMessage;
 use crossbeam::channel::{SendError, Sender};
 use declsched::protocol::SchedulingPolicy;
-use declsched::{Protocol, Request, SchedError, SchedResult};
+use declsched::{shard_of, Protocol, Request, SchedError, SchedResult};
 use relalg::{Catalog, Table};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -121,11 +121,9 @@ pub(crate) struct Handshake {
     pub job_id: u64,
     /// The transaction's requests, in intra order.
     pub requests: Vec<Request>,
-    /// The home shard of each data request (index-parallel to `requests`;
-    /// `None` for terminals), captured under the placement fence at routing
-    /// time: a placement flip between routing and execution cannot send a
-    /// request to a shard whose vote the handshake never collected.
-    assigned: Vec<Option<usize>>,
+    /// The fleet's shard count: a data request's home is
+    /// `shard_of(object, shards)`.
+    shards: usize,
     /// Touched shard ids, ascending and distinct (includes shards holding
     /// locks from the transaction's earlier submissions).
     touched: Vec<usize>,
@@ -160,9 +158,7 @@ impl Handshake {
     pub(crate) fn sub_batch(&self, shard: usize) -> impl Iterator<Item = &Request> {
         self.requests
             .iter()
-            .zip(&self.assigned)
-            .filter(move |(_, home)| home.is_none_or(|home| home == shard))
-            .map(|(r, _)| r)
+            .filter(move |r| !r.op.is_data() || shard_of(r.object, self.shards) == shard)
     }
 
     fn overlaps(&self, other: &Handshake) -> bool {
@@ -281,24 +277,24 @@ impl Lane {
     }
 
     /// Jobs waiting for, inside or parked by a handshake — the cross-shard
-    /// backlog the overload controller reads.
+    /// backlog the session layer's overload shedding reads.
     pub(crate) fn backlog(&self) -> usize {
         lock(&self.admission).backlog()
     }
 
     /// Take in one cross-shard transaction on the caller's thread and start
     /// whatever the admission rule allows (usually the job itself).
-    /// `assigned` and `touched` are described on [`Handshake`]; `reply` is
-    /// resolved once with the outcome.
+    /// `touched` is described on [`Handshake`]; `reply` is resolved once
+    /// with the outcome.
     pub(crate) fn submit(
         &self,
         requests: Vec<Request>,
-        assigned: Vec<Option<usize>>,
         touched: Vec<usize>,
         reply: HubReply,
     ) -> SchedResult<()> {
         // Chaos hook: a `Stall` here delays this job's admission (and, as
-        // the caller holds the placement fence, whatever waits for that).
+        // the caller holds its transaction's homes stripe, later
+        // submissions on that stripe).
         if let Some(chaos::Fault::Stall { millis }) = self.injector.fire(chaos::Hook::LaneJob) {
             std::thread::sleep(Duration::from_millis(millis));
         }
@@ -314,7 +310,7 @@ impl Lane {
         admission.waiting.push_back(Arc::new(Handshake {
             job_id,
             requests,
-            assigned,
+            shards: self.workers.len(),
             touched,
             votes_left: AtomicUsize::new(0),
             finishers_left: AtomicUsize::new(0),
@@ -676,8 +672,6 @@ impl Lane {
             retries: self.retries.get(),
             escalated_requests: self.escalated_requests.get(),
             concurrent_peak: self.concurrent_peak.load(Ordering::Relaxed),
-            // Migrations are the router's (they run while this lane idles).
-            ..EscalationStats::default()
         }
     }
 }

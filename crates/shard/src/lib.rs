@@ -80,7 +80,7 @@
 //! let router = ShardRouter::start(config).unwrap();
 //!
 //! // One cloneable handle per client worker.
-//! let client = router.control();
+//! let client = router.handle();
 //! client
 //!     .submit_transaction(vec![Request::write(0, 1, 0, 7), Request::commit(0, 1, 1)])
 //!     .unwrap()
@@ -103,7 +103,7 @@ mod worker;
 
 pub use config::ShardConfig;
 pub use metrics::{EscalationStats, RouterSnapshot, ShardReport, ShardedMetrics};
-pub use router::{ControlHandle, RehomeOutcome, ShardRouter, ShardedReport, TxnTicket};
+pub use router::{FleetHandle, ShardRouter, ShardedReport, TxnTicket};
 
 #[cfg(test)]
 mod tests {
@@ -286,7 +286,7 @@ mod tests {
         let router = ShardRouter::start(config(4)).unwrap();
         let mut joins = Vec::new();
         for ta in 1..=8u64 {
-            let client = router.control();
+            let client = router.handle();
             joins.push(std::thread::spawn(move || {
                 let object = object_on_shard((ta % 4) as usize, 4);
                 client

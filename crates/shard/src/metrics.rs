@@ -51,12 +51,6 @@ pub struct EscalationStats {
     pub retries: u64,
     /// Requests executed through the lane.
     pub escalated_requests: u64,
-    /// Placement migrations completed while the lane was idle (hot objects
-    /// moved to a new home shard).
-    pub rehomes: u64,
-    /// Placement migrations refused because the object was not idle on its
-    /// current home (the control plane retries these).
-    pub rehomes_busy: u64,
     /// Most escalations executing concurrently at any instant.  Disjoint
     /// shard sets run in parallel, so this exceeds 1 whenever independent
     /// cross-shard transactions overlapped in time.
@@ -64,7 +58,7 @@ pub struct EscalationStats {
 }
 
 /// What the router itself contributes to the aggregated metrics at
-/// shutdown: routing counters plus the live control-plane gauges.
+/// shutdown: routing counters plus the live queue gauges.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterSnapshot {
     /// Transactions routed (fast path + escalated).  Counted only after a
@@ -79,10 +73,6 @@ pub struct RouterSnapshot {
     /// routed but neither terminated nor reclaimed (a leak witness — 0 on a
     /// clean run).
     pub unreclaimed_homes: u64,
-    /// Objects living away from their hash home when the fleet stopped.
-    pub rehomed_objects: u64,
-    /// Final placement epoch (number of effective placement changes).
-    pub placement_epoch: u64,
     /// High-water mark of requests in flight fleet-wide (submitted and not
     /// yet resolved) — a true concurrent-occupancy peak, incremented at
     /// submission and decremented at completion.
@@ -118,10 +108,6 @@ pub struct ShardedMetrics {
     pub queue_depths: Vec<u64>,
     /// Homes-map entries still live at shutdown (0 on a clean run).
     pub unreclaimed_homes: u64,
-    /// Objects living away from their hash home at shutdown.
-    pub rehomed_objects: u64,
-    /// Final placement epoch.
-    pub placement_epoch: u64,
     /// Most escalations executing concurrently at any instant (disjoint
     /// shard sets run in parallel through the lane).
     pub escalations_concurrent_peak: u64,
@@ -163,8 +149,6 @@ impl ShardedMetrics {
             cross_shard_transactions: router.cross_shard_transactions,
             queue_depths: router.queue_depths,
             unreclaimed_homes: router.unreclaimed_homes,
-            rehomed_objects: router.rehomed_objects,
-            placement_epoch: router.placement_epoch,
             escalations_concurrent_peak: escalation.concurrent_peak,
             critical_path_us: reports.iter().map(|r| r.busy_us).max().unwrap_or(0),
             escalation,
@@ -237,8 +221,6 @@ mod tests {
                 cross_shard_transactions: 5,
                 queue_depths: vec![3, 9],
                 unreclaimed_homes: 0,
-                rehomed_objects: 2,
-                placement_epoch: 2,
                 peak_inflight: 17,
             },
             EscalationStats {
@@ -246,8 +228,6 @@ mod tests {
                 escalated_requests: 15,
                 retries: 2,
                 failed: 0,
-                rehomes: 2,
-                rehomes_busy: 1,
                 concurrent_peak: 3,
             },
             Duration::from_secs(2),
@@ -263,9 +243,7 @@ mod tests {
         assert_eq!(m.critical_path_us, 5_000);
         assert_eq!(m.queue_depths, vec![3, 9]);
         assert_eq!(m.unreclaimed_homes, 0);
-        assert_eq!(m.rehomed_objects, 2);
-        assert_eq!(m.placement_epoch, 2);
-        assert_eq!(m.escalation.rehomes, 2);
+        assert_eq!(m.escalation.retries, 2);
         assert_eq!(m.cross_shard_rate(), 0.25);
         assert_eq!(m.throughput_rps(), 20.0);
         assert_eq!(m.commit_throughput(), 1.0);

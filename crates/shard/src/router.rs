@@ -1,13 +1,9 @@
 //! The shard router: partitions client transactions by object footprint and
 //! owns the shard worker fleet plus the escalation lane's shared state.
 //!
-//! Routing consults the [`Placement`] layer — hash default plus an overlay
-//! of re-homed hot objects — rather than the raw `shard_of` hash, so an
-//! adaptive control plane can migrate hot objects between shards at runtime
-//! (see [`ControlHandle`]).  Placement changes are **epoch-fenced**: a
-//! migration holds the router's submission fence exclusively, so every
-//! transaction is routed entirely under one placement epoch and in-flight
-//! transactions keep the homes they were routed with.
+//! An object's home is always `declsched::shard_of(object, shards)`: the
+//! hash is fixed for the fleet's lifetime, so resolving a home takes no
+//! lock and every holder of a request agrees on where it executes.
 //!
 //! Submissions are **batched per shard**: the fast path pushes into a
 //! per-shard buffer and a flusher thread drains every buffer on the
@@ -26,22 +22,16 @@
 use crate::config::ShardConfig;
 use crate::escalation::{closed, Lane};
 use crate::hub::{CompletionHub, HubReply};
-use crate::metrics::{EscalationStats, RouterSnapshot, ShardReport, ShardedMetrics};
+use crate::metrics::{RouterSnapshot, ShardReport, ShardedMetrics};
 use crate::worker::{run_worker, ShardMessage, Submission, WorkerSetup};
-use crossbeam::channel::{bounded, unbounded, Sender};
-use declsched::{
-    footprint, DeclarativeScheduler, Dispatcher, FreqSketch, Placement, Request, SchedError,
-    SchedResult,
-};
+use crossbeam::channel::{unbounded, Sender};
+use declsched::{shard_of, DeclarativeScheduler, Dispatcher, Request, SchedError, SchedResult};
 use obs::FastIdMap;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Capacity of the router's hot-object frequency sketch.
-const SKETCH_CAPACITY: usize = 128;
 
 /// A submission buffer flushes as soon as it holds this many transactions,
 /// independent of the latency bound — batches beyond this see diminishing
@@ -73,19 +63,6 @@ impl Drop for TxnTicket {
             self.hub.abandon(self.token);
         }
     }
-}
-
-/// Outcome of a placement migration request ([`ControlHandle::rehome`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RehomeOutcome {
-    /// The object's row was moved and the placement overlay updated.
-    Done,
-    /// The object was not idle (pending requests or live locks on its
-    /// current home shard); nothing changed.  Retry after the traffic
-    /// drains.
-    Busy,
-    /// The object already lives on the requested shard; nothing to do.
-    NoOp,
 }
 
 /// Routing counters, `Arc`-backed so the metrics registry can adopt the
@@ -172,10 +149,10 @@ impl TxnHomes {
 
 /// Routing state shared between the router and its client handles.
 ///
-/// Routing is a pure function of the object footprint plus the placement
-/// overlay and the `homes` map (which shards already hold locks for a
-/// transaction submitted incrementally), so client handles route directly
-/// without a central router thread hop.
+/// Routing is a pure function of the object footprint plus the `homes` map
+/// (which shards already hold locks for a transaction submitted
+/// incrementally), so client handles route directly without a central
+/// router thread hop.
 pub(crate) struct RouterCore {
     workers: Vec<Sender<ShardMessage>>,
     /// The cross-shard handshake's shared state: admission, counters and
@@ -183,19 +160,10 @@ pub(crate) struct RouterCore {
     lane: Arc<Lane>,
     shards: usize,
     counters: Counters,
-    /// Object placement consulted for every routed request.
-    placement: Arc<Placement>,
-    /// The placement fence: submissions route under a shared guard, a
-    /// migration flips the overlay under an exclusive guard — so every
-    /// transaction observes exactly one placement epoch end to end.
-    fence: RwLock<()>,
     /// Per-transaction homes (also the per-transaction submission lock:
     /// holding it across the route-and-buffer keeps per-transaction
     /// ordering stable).
     homes: Arc<TxnHomes>,
-    /// Hot-object detector fed on every submission, drained by the control
-    /// plane.
-    sketch: Mutex<FreqSketch>,
     /// Live per-shard queue depth (incoming + pending), written by each
     /// worker once per loop iteration.
     depths: Vec<Arc<AtomicU64>>,
@@ -225,10 +193,6 @@ pub(crate) struct RouterCore {
     flush_micros: u64,
     /// Distribution of flushed batch sizes (`router.batch_size`).
     batch_hist: Arc<obs::MetricHistogram>,
-    /// Placement migrations completed / refused because the object was not
-    /// idle (`lane.rehomes`, `lane.rehomes_busy`).
-    rehomes: obs::Counter,
-    rehomes_busy: obs::Counter,
     /// Flight recorder for routing decisions (`Routed`/`Escalated` events).
     recorder: obs::SharedRecorder,
     /// Chaos fault injector: the router fires `RouterSend` before every
@@ -282,10 +246,10 @@ impl RouterCore {
         let weight = requests.len().max(1) as u64;
         if self.shards == 1 {
             // Nothing below applies: every object lives on shard 0, so
-            // there is no footprint to compute, no placement epoch to pin,
-            // no home to remember, no hot object to move and no batch to
-            // amortise a second mailbox over.  (A failed send drops the
-            // reply and the ticket, which settle each other in the hub.)
+            // there is no footprint to compute, no home to remember and no
+            // batch to amortise a second mailbox over.  (A failed send
+            // drops the reply and the ticket, which settle each other in
+            // the hub.)
             let (reply, ticket, _) = self.open_ticket(weight);
             if self.chaos_refuses_send(0) {
                 reply.resolve_now(Err(closed("shard worker (chaos send failure)")));
@@ -297,22 +261,13 @@ impl RouterCore {
             self.counters.transactions.fetch_add(1, Ordering::Relaxed);
             return Ok(ticket);
         }
-        let _fence = self.fence.read().map_err(|_| SchedError::Poisoned {
-            what: "router placement fence",
-        })?;
-        let objects = footprint(&requests);
-        let own: BTreeSet<usize> = objects
+        let mut touched: BTreeSet<usize> = requests
             .iter()
-            .map(|&object| self.placement.shard_of(object))
+            .filter(|r| r.op.is_data())
+            .map(|r| shard_of(r.object, self.shards))
             .collect();
         let ta = requests.first().map(|r| r.ta);
         let has_terminal = requests.iter().any(|r| r.op.is_terminal());
-
-        if let Ok(mut sketch) = self.sketch.lock() {
-            for &object in &objects {
-                sketch.observe(object);
-            }
-        }
 
         let (reply, ticket, before) = self.open_ticket(weight);
 
@@ -320,7 +275,6 @@ impl RouterCore {
         // Union with the shards already touched by earlier submissions of
         // the same transaction: a lock acquired there must be part of any
         // handshake this submission takes.
-        let mut touched = own.clone();
         if let Some(ta) = ta {
             if let Some(previous) = homes.get(&ta) {
                 touched.extend(previous.iter().copied());
@@ -361,19 +315,8 @@ impl RouterCore {
                 .iter()
                 .try_for_each(|&shard| self.flush_shard(shard))
                 .and_then(|()| {
-                    // Capture each data request's home under the fence: the
-                    // handshake executes with exactly this assignment, so a
-                    // later placement flip cannot re-route a queued job onto
-                    // a shard whose vote it never collected.  The job joins
-                    // the lane's admission state under the fence too, so a
-                    // fence holder never sees the lane idle while a job is
-                    // queued *or* executing.
-                    let assigned: Vec<Option<usize>> = requests
-                        .iter()
-                        .map(|r| r.op.is_data().then(|| self.placement.shard_of(r.object)))
-                        .collect();
                     let touched = touched.iter().copied().collect();
-                    self.lane.submit(requests, assigned, touched, reply)
+                    self.lane.submit(requests, touched, reply)
                 })
         };
 
@@ -470,64 +413,6 @@ impl RouterCore {
             })
     }
 
-    /// Migrate `object` to shard `to` behind the exclusive placement fence,
-    /// on the caller's thread.  Runs only while the escalation lane is idle
-    /// (checked below), so the migration cannot race a handshake.
-    pub(crate) fn rehome(&self, object: i64, to: usize) -> SchedResult<RehomeOutcome> {
-        if to >= self.shards {
-            return Err(SchedError::Dispatch {
-                message: format!("cannot re-home object {object}: shard {to} does not exist"),
-            });
-        }
-        let _fence = self.fence.write().map_err(|_| SchedError::Poisoned {
-            what: "router placement fence",
-        })?;
-        let from = self.placement.shard_of(object);
-        if from == to {
-            return Ok(RehomeOutcome::NoOp);
-        }
-        // Only migrate past an *idle* escalation lane.  A waiting, parked or
-        // executing job may be waiting for shard-local locks to drain, and
-        // the commit that would drain them cannot be submitted while this
-        // fence is held.  Jobs enter the lane's admission state under the
-        // shared fence, so none can slip past this check unobserved.
-        if self.lane.backlog() > 0 {
-            return Ok(RehomeOutcome::Busy);
-        }
-        // With the fence held and the lane idle, no submission can be routed
-        // and no message for the object can be behind these while its row
-        // moves between the shard engines.
-        let (reply, exported) = bounded(1);
-        self.workers[from]
-            .send(ShardMessage::Export { object, reply })
-            .map_err(|_| closed("shard worker (export)"))?;
-        let value = exported
-            .recv()
-            .map_err(|_| closed("shard worker (export ack)"))?;
-        let Some(value) = value else {
-            self.rehomes_busy.inc();
-            return Ok(RehomeOutcome::Busy);
-        };
-        let (done, installed) = bounded(1);
-        self.workers[to]
-            .send(ShardMessage::Install {
-                object,
-                value,
-                done,
-            })
-            .map_err(|_| closed("shard worker (install)"))?;
-        installed
-            .recv()
-            .map_err(|_| closed("shard worker (install ack)"))??;
-        self.placement.rehome(object, to);
-        self.rehomes.inc();
-        // A placement flip is rare enough to be worth a post-mortem window
-        // around it.
-        self.recorder
-            .freeze_anomaly(&format!("rehome: object {object} -> shard {to}"));
-        Ok(RehomeOutcome::Done)
-    }
-
     /// Per-shard backlog: the worker's own gauge (incoming + pending,
     /// updated once per loop) plus its channel's live message count — the
     /// channel term keeps the signal fresh while a worker is inside a long
@@ -550,17 +435,16 @@ impl RouterCore {
     }
 }
 
-/// A handle onto a running fleet that outlives borrowing the
-/// [`ShardRouter`]: client submission, and the control plane's window
-/// (per-shard load, the hot-object sketch, the placement-migration lever).
-/// Cheap to clone — one per client worker — and usable from any thread
-/// while the fleet is up.
+/// A client handle onto a running fleet that outlives borrowing the
+/// [`ShardRouter`]: submission, abandonment and the backlog the session
+/// layer's shedding reads.  Cheap to clone — one per client worker — and
+/// usable from any thread while the fleet is up.
 #[derive(Clone)]
-pub struct ControlHandle {
+pub struct FleetHandle {
     core: Arc<RouterCore>,
 }
 
-impl ControlHandle {
+impl FleetHandle {
     /// Submit a whole transaction — pre-built requests in intra order —
     /// without blocking.  The returned ticket resolves once every request
     /// has executed on its home shard (or through the escalation lane when
@@ -584,58 +468,11 @@ impl ControlHandle {
         self.core.max_queue_depth()
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.core.shards
-    }
-
-    /// Live per-shard queue depth (incoming + pending requests), index =
-    /// shard id.  Each gauge is written by its worker once per loop
-    /// iteration.
-    pub fn queue_depths(&self) -> Vec<u64> {
-        self.core.queue_depths()
-    }
-
-    /// The current home shard of `object` under the live placement.
-    pub fn shard_of(&self, object: i64) -> usize {
-        self.core.placement.shard_of(object)
-    }
-
-    /// The current placement epoch.
-    pub fn placement_epoch(&self) -> u64 {
-        self.core.placement.epoch()
-    }
-
-    /// Number of objects living away from their hash home.
-    pub fn rehomed_objects(&self) -> usize {
-        self.core.placement.rehomed()
-    }
-
-    /// Take the hot-object counters accumulated since the last drain,
-    /// hottest first.  A fleet of one routes nothing — it has nowhere to
-    /// move a hot object to — so it feeds no sketch (and emits no `Routed`
-    /// event): the list is always empty there.
-    pub fn drain_hot_objects(&self) -> Vec<(i64, u64)> {
-        match self.core.sketch.lock() {
-            Ok(mut sketch) => sketch.drain_top(),
-            Err(poisoned) => poisoned.into_inner().drain_top(),
-        }
-    }
-
     /// Transactions with a recorded home and no terminal routed yet — the
     /// homes-map population (diagnostic; also what the leak regression
     /// tests assert on).
     pub fn open_transactions(&self) -> usize {
         self.core.homes.len()
-    }
-
-    /// Migrate `object` to shard `to`.  Blocks new submissions for the
-    /// duration (the epoch fence), quiesces the object on its current home
-    /// (failing with [`RehomeOutcome::Busy`] if it has pending requests or
-    /// live locks), moves its row between the shard engines and flips the
-    /// placement overlay.
-    pub fn rehome(&self, object: i64, to: usize) -> SchedResult<RehomeOutcome> {
-        self.core.rehome(object, to)
     }
 }
 
@@ -646,17 +483,12 @@ pub struct ShardedReport {
     pub shards: Vec<ShardReport>,
     /// The aggregated fleet-wide metrics.
     pub metrics: ShardedMetrics,
-    /// The final placement overlay: every `(object, shard)` living away
-    /// from its hash home when the fleet stopped.  Consumers merging
-    /// per-shard state (e.g. final row values) must consult this instead of
-    /// the raw hash.
-    pub placement: Vec<(i64, usize)>,
 }
 
 /// The sharded scheduling subsystem: N shard workers, each running the
 /// paper's declarative scheduling loop over its slice of the object space,
-/// behind a placement-aware router with a two-phase escalation lane for
-/// spanning transactions.
+/// behind a hash router with a two-phase escalation lane for spanning
+/// transactions.
 pub struct ShardRouter {
     core: Arc<RouterCore>,
     worker_handles: Vec<JoinHandle<ShardReport>>,
@@ -689,7 +521,6 @@ impl ShardRouter {
         registry: Arc<obs::Registry>,
     ) -> SchedResult<Self> {
         let shards = config.shards.max(1);
-        let placement = Arc::new(Placement::new(shards));
         let homes = Arc::new(TxnHomes::new());
         let hub = CompletionHub::new();
         // Mailboxes first: the lane posts to every worker, and every worker
@@ -757,10 +588,7 @@ impl ShardRouter {
                 transactions,
                 cross_shard,
             },
-            placement,
-            fence: RwLock::new(()),
             homes,
-            sketch: Mutex::new(FreqSketch::new(SKETCH_CAPACITY)),
             depths,
             hub,
             buffers: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
@@ -770,8 +598,6 @@ impl ShardRouter {
             next_token: AtomicU64::new(0),
             flush_micros,
             batch_hist: registry.histogram("router.batch_size"),
-            rehomes: registry.counter("lane.rehomes"),
-            rehomes_busy: registry.counter("lane.rehomes_busy"),
             recorder: sink.shared_recorder(),
             injector: Arc::clone(&config.injector),
         });
@@ -814,11 +640,9 @@ impl ShardRouter {
         self.core.shards
     }
 
-    /// A cloneable handle onto this fleet: client submission plus the
-    /// control plane's levers (load sampling, hot-object sketch, placement
-    /// migration).
-    pub fn control(&self) -> ControlHandle {
-        ControlHandle {
+    /// A cloneable client handle onto this fleet.
+    pub fn handle(&self) -> FleetHandle {
+        FleetHandle {
             core: Arc::clone(&self.core),
         }
     }
@@ -849,11 +673,7 @@ impl ShardRouter {
         // Quiesce the escalation lane next so no handshake can outlive a
         // worker: every job admitted before this point resolves its ticket,
         // then the lane reports (it refuses anything later).
-        let escalation = EscalationStats {
-            rehomes: self.core.rehomes.get(),
-            rehomes_busy: self.core.rehomes_busy.get(),
-            ..self.core.lane.shutdown()
-        };
+        let escalation = self.core.lane.shutdown();
 
         for worker in &self.core.workers {
             let _ = worker.send(ShardMessage::Shutdown);
@@ -879,8 +699,6 @@ impl ShardRouter {
             cross_shard_transactions: self.core.counters.cross_shard.load(Ordering::Relaxed),
             queue_depths: self.core.queue_depths(),
             unreclaimed_homes: self.core.homes.len() as u64,
-            rehomed_objects: self.core.placement.rehomed() as u64,
-            placement_epoch: self.core.placement.epoch(),
             peak_inflight: self.core.peak_inflight.load(Ordering::Relaxed),
         };
         let metrics =
@@ -888,7 +706,6 @@ impl ShardRouter {
         ShardedReport {
             shards: reports,
             metrics,
-            placement: self.core.placement.overlay(),
         }
     }
 }

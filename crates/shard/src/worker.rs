@@ -30,7 +30,7 @@ use crate::escalation::{Handshake, Lane, Own, Parked, Vote};
 use crate::hub::{CompletionHub, HubReply};
 use crate::metrics::ShardReport;
 use crate::router::TxnHomes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use declsched::{
     DeclarativeScheduler, Dispatcher, ProtocolKind, Request, RequestKey, SchedError, SchedResult,
 };
@@ -77,28 +77,6 @@ pub(crate) enum ShardMessage {
     /// parked here get their final attempt once nothing local can release a
     /// lock any more.
     LastCall,
-    /// Placement migration, step 1: if `object` is completely idle here (no
-    /// queued or pending request targets it, no live lock), reply with its
-    /// current row value; reply `None` (busy) otherwise.  Sent only while
-    /// the router's placement fence is held exclusively, so no new traffic
-    /// for the object can be racing up the channel.
-    Export {
-        /// The object being migrated away.
-        object: i64,
-        /// Receives `Some(value)` when idle, `None` when busy.
-        reply: Sender<Option<i64>>,
-    },
-    /// Placement migration, step 2: install `value` as `object`'s row on
-    /// this shard's engine (this shard is about to become the object's
-    /// home).
-    Install {
-        /// The object being migrated here.
-        object: i64,
-        /// Row value exported from the old home shard.
-        value: i64,
-        /// Signalled once with the install outcome.
-        done: Sender<SchedResult<()>>,
-    },
     /// Orderly shutdown: drain what is pending, then stop.
     Shutdown,
 }
@@ -145,7 +123,8 @@ struct WorkerState {
     last_call: bool,
     /// Reusable buffer for a handshake's local slice / sub-batch.
     escalated_scratch: Vec<Request>,
-    /// Live queue-depth gauge sampled by the control plane.
+    /// Live queue-depth gauge (incoming + pending), read by the session
+    /// layer's overload shedding and by the metrics registry.
     depth: Arc<AtomicU64>,
     /// The router's homes map, for reclaiming entries of transactions this
     /// worker fails.
@@ -480,17 +459,6 @@ impl WorkerState {
         }
     }
 
-    /// Export one object's row for migration if it is idle here.  Safe at
-    /// any message boundary: the channel is FIFO, so every transaction
-    /// routed to this shard before the migration fence closed has already
-    /// been folded into the scheduler state the idle check reads.
-    fn export(&mut self, object: i64, reply: &Sender<Option<i64>>) {
-        // A dead shard's rows cannot migrate away: it reports busy.
-        let value = (!self.killed && self.scheduler.object_idle(object))
-            .then(|| self.dispatcher.read_row(object));
-        let _ = reply.send(value);
-    }
-
     /// Chaos `Kill`: fail everything in flight (reclaiming the dead
     /// transactions' homes entries so nothing leaks), purge the
     /// un-admitted scheduler state, drop any escalation hold (the decider
@@ -562,19 +530,6 @@ impl WorkerState {
             ShardMessage::Park(parked) => self.park(parked),
             ShardMessage::LastCall => self.last_call = true,
             ShardMessage::Shutdown => self.disconnected = true,
-            ShardMessage::Export { object, reply } => self.export(object, &reply),
-            ShardMessage::Install {
-                object,
-                value,
-                done,
-            } => {
-                let installed = if self.killed {
-                    Err(self.dead("install refused"))
-                } else {
-                    self.dispatcher.install_row(object, value)
-                };
-                let _ = done.send(installed);
-            }
         }
     }
 }

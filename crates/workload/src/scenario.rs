@@ -563,8 +563,7 @@ impl Scenario for SlaTiers {
 /// Shard count the skewed hot set is co-located against.  The scenario is
 /// adversarial *by construction*: its hot keys all hash to the same shard
 /// of a [`EXTREME_SKEW_REFERENCE_SHARDS`]-way fleet, so a static
-/// footprint-hash router serves ~all of the traffic from one worker.  This
-/// is the workload the control plane's hot-object re-homing exists for.
+/// footprint-hash router serves ~all of the traffic from one worker.
 pub const EXTREME_SKEW_REFERENCE_SHARDS: usize = 4;
 
 /// Number of hot keys in the co-located hot set.
@@ -575,8 +574,8 @@ pub const EXTREME_SKEW_HOT_FRACTION: f64 = 0.95;
 
 /// Single-write transactions with 95 % of the traffic on a small hot set
 /// whose keys all share one home shard under the router's hash at
-/// [`EXTREME_SKEW_REFERENCE_SHARDS`]-way partitioning — hash-balancing
-/// cannot help, only placement migration can.
+/// [`EXTREME_SKEW_REFERENCE_SHARDS`]-way partitioning: the worst case for
+/// the fixed hash router, which cannot spread it.
 pub struct ExtremeSkew;
 
 impl ExtremeSkew {
@@ -668,8 +667,8 @@ impl Scenario for TieredOverload {
                 // Single-object read-modify-write: the read lock upgrades
                 // to the write, and a single-object footprint keeps the
                 // transaction on one shard — overload then lands on worker
-                // queues, which is the backlog the shedding watermark (and
-                // the rebalancer) observe.
+                // queues, which is the backlog the shedding watermark
+                // observes.
                 let key = rng.gen_range(0..params.table_rows as i64);
                 ScenarioTxn {
                     statements: vec![read(txn, 0, key), write(txn, 1, key), commit(txn, 2)],
@@ -696,10 +695,8 @@ pub const DRIFT_HOT_FRACTION: f64 = 0.8;
 /// A hotspot that *moves*: the stream is split into [`DRIFT_PHASES`] equal
 /// phases and each phase concentrates [`DRIFT_HOT_FRACTION`] of its
 /// single-key read-modify-write traffic on a phase-private, pairwise
-/// disjoint [`DRIFT_HOT_KEYS`]-key hot set.  A placement rebalancer that
-/// chased phase 1's hot keys is wrong by phase 2 — the adversarial probe
-/// for migration-cooldown bounds (a naive rebalancer churns placements
-/// every phase boundary).
+/// disjoint [`DRIFT_HOT_KEYS`]-key hot set, so the contended objects — and
+/// with them the busiest shard — change at every phase boundary.
 pub struct DriftingHotspot;
 
 impl DriftingHotspot {
@@ -724,7 +721,7 @@ impl Scenario for DriftingHotspot {
     }
 
     fn description(&self) -> &'static str {
-        "hot key-set moves to a disjoint region each quarter of the run — rebalancer churn probe"
+        "hot key-set moves to a disjoint region each quarter of the run"
     }
 
     fn arrival(&self) -> ArrivalSpec {

@@ -137,7 +137,7 @@ fn main() {
     }
 
     // Anomaly windows would appear here: a poisoned scheduler, a deadlock
-    // victim, a shed burst or a rehome freezes the recent event stream
+    // victim or a shed burst freezes the recent event stream
     // into `report.anomalies`.  This clean run has none.
     println!("\nanomaly windows: {}", report.anomalies.len());
 }

@@ -5,22 +5,19 @@
 //! reach: `Ticket` drop-safety and `Session::drain` against a worker the
 //! chaos engine killed mid-run, genuine native lock-upgrade deadlocks on
 //! the passthrough backend (which complete-batch workloads can never
-//! produce), overload-shedding invariants under random `ShedFlip`
-//! schedules, and the rebalancer's per-object cooldown under a drifting
-//! hotspot.
+//! produce), and overload-shedding invariants under random `ShedFlip`
+//! schedules.
 //!
 //! Seeded tests print their seed on failure; re-run any of them with
 //! `CHAOS_SEED=<n>` to replay the exact schedule.
 
 use chaos::{Fault, FaultPlan, Hook};
-use control::{ControlConfig, ControlStats, Rebalancer};
 use declsched::{
     shard_of, Protocol, ProtocolKind, SchedError, SchedulerConfig, SlaMeta, TriggerPolicy,
 };
 use proptest::prelude::*;
 use session::{Scheduler, SchedulerBuilder, Txn};
 use std::time::Duration;
-use workload::scenario::DriftingHotspot;
 
 const TABLE_ROWS: usize = 512;
 
@@ -671,132 +668,4 @@ proptest! {
             .sum();
         prop_assert_eq!(premium_shed, 0);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: rebalancer churn bounds under a drifting hotspot
-// ---------------------------------------------------------------------------
-
-/// The drifting-hotspot shape against a manually driven rebalancer: the
-/// hot key-set moves every phase, forcing fresh migrations, but no single
-/// object may be re-homed twice inside its cooldown window — two
-/// comparably loaded shards must not ping-pong a hot object between them.
-/// Homes are sampled after every cycle through `ControlHandle`
-/// introspection, so a violation pins the exact cycle pair.
-#[test]
-fn drifting_hotspot_respects_the_rebalancer_cooldown() {
-    let seed = chaos::seed_from_env(7);
-    chaos::announce_seed_on_panic(seed);
-
-    let scheduler = builder().shards(2).build().expect("fleet starts");
-    let handle = scheduler.sharded_control().expect("sharded deployment");
-    let mut session = scheduler.connect();
-
-    const COOLDOWN: u64 = 3;
-    let mut rebalancer = Rebalancer::new(ControlConfig {
-        min_depth: 1,
-        skew_ratio: 1.0,
-        max_moves_per_cycle: 1,
-        min_object_weight: 1,
-        cooldown_cycles: COOLDOWN,
-        sticky_cycles: 2,
-        ..ControlConfig::default()
-    });
-    let mut stats = ControlStats::default();
-
-    // A permanent backlog behind a held lock keeps the depth skew alive
-    // across all phases (the detection side); the drifting hot keys feed
-    // the sketch (the action side).
-    let cold = (0..TABLE_ROWS as i64)
-        .find(|&o| shard_of(o, 2) == 0 && !DriftingHotspot::hot_keys(0, TABLE_ROWS).contains(&o))
-        .expect("a cold shard-0 object exists");
-    let blocker = 1u64;
-    session
-        .submit(Txn::new(blocker).write(cold, 9))
-        .expect("lock holder submits")
-        .wait()
-        .expect("lock holder executes");
-    let mut blocked = Vec::new();
-    for ta in 2..14u64 {
-        blocked.push(
-            session
-                .submit(Txn::new(ta).write(cold, 9).commit())
-                .expect("backlog submits"),
-        );
-    }
-    std::thread::sleep(Duration::from_millis(10));
-
-    // Track every hot key of every phase; record each one's home after
-    // every control cycle.
-    let mut watched: Vec<i64> = Vec::new();
-    for phase in 0..workload::scenario::DRIFT_PHASES {
-        for key in DriftingHotspot::hot_keys(phase, TABLE_ROWS) {
-            if !watched.contains(&key) {
-                watched.push(key);
-            }
-        }
-    }
-    let mut homes: Vec<Vec<usize>> = Vec::new();
-
-    let mut ta = 1_000u64;
-    let mut seeded = seed;
-    for phase in 0..workload::scenario::DRIFT_PHASES {
-        let hot = DriftingHotspot::hot_keys(phase, TABLE_ROWS);
-        // Heat this phase's keys sequentially (idle afterwards, so they
-        // stay migratable), with a seed-rotated starting offset so the
-        // traffic order varies across repro seeds.
-        for round in 0..24 {
-            seeded = seeded.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let object = hot[(round + seeded as usize) % hot.len()];
-            ta += 1;
-            session
-                .execute(Txn::new(ta).write(object, 1).commit())
-                .expect("hot traffic commits");
-        }
-        for _ in 0..4 {
-            rebalancer.cycle(&handle, &mut stats);
-            homes.push(watched.iter().map(|&o| handle.shard_of(o)).collect());
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    assert!(
-        stats.migrations >= 2,
-        "the drifting hotspot must trigger repeated migrations: {stats:?}"
-    );
-
-    // Churn bound: for every watched object, two consecutive observed
-    // home changes are at least `cooldown_cycles` control cycles apart.
-    for (index, &object) in watched.iter().enumerate() {
-        let mut last_move: Option<usize> = None;
-        let mut previous = shard_of(object, 2);
-        for (cycle, snapshot) in homes.iter().enumerate() {
-            let home = snapshot[index];
-            if home != previous {
-                if let Some(at) = last_move {
-                    assert!(
-                        cycle - at >= COOLDOWN as usize,
-                        "object {object} re-homed at cycles {at} and {cycle}, \
-                         inside the {COOLDOWN}-cycle cooldown"
-                    );
-                }
-                last_move = Some(cycle);
-                previous = home;
-            }
-        }
-    }
-
-    // Clean finish: release the backlog, drain, and verify nothing leaked.
-    session
-        .submit(Txn::resume(blocker, 1).commit())
-        .expect("lock holder commits")
-        .wait()
-        .expect("commit executes");
-    for ticket in blocked {
-        ticket.wait().expect("backlog drains");
-    }
-    session.drain().expect("session drains clean");
-    let report = scheduler.shutdown();
-    let detail = report.sharded.expect("sharded detail");
-    assert_eq!(detail.unreclaimed_homes, 0);
 }

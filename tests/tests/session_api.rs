@@ -1,11 +1,11 @@
 //! Integration tests for the unified Session API: one scenario definition
-//! driven unmodified against every backend, pipelined submission, and the
-//! SLA end-to-end path.
+//! driven unmodified against every backend, pipelined submission, the SLA
+//! end-to-end path, and SLA-aware overload shedding.
 
 use declsched::{
     shard_of, Protocol, ProtocolKind, RequestKey, SchedulerConfig, SlaMeta, TriggerPolicy,
 };
-use session::{BackendKind, Report, Scheduler, SchedulerBuilder, Ticket, Txn};
+use session::{BackendKind, Report, Scheduler, SchedulerBuilder, ShedPolicy, Ticket, Txn};
 use std::collections::{BTreeMap, BTreeSet};
 use workload::ShardedSpec;
 
@@ -407,4 +407,194 @@ fn submissions_after_shutdown_fail_fast() {
         .map(|_| ())
         .unwrap_err();
     assert!(matches!(err, declsched::SchedError::ChannelClosed { .. }));
+}
+
+/// The session layer's SLA-aware shedding: below-priority *opening*
+/// submissions past the watermark resolve with the typed `Shed` outcome,
+/// continuations and protected tiers always pass, and the per-tier report
+/// accounts for all of it.
+#[test]
+fn shedding_rejects_low_tiers_with_a_typed_outcome() {
+    let scheduler = Scheduler::builder()
+        .table("bench", 256)
+        .scheduler_config(SchedulerConfig {
+            trigger: TriggerPolicy::Hybrid {
+                interval_ms: 1,
+                threshold: 4,
+            },
+            ..SchedulerConfig::default()
+        })
+        .shards(2)
+        // Watermark 0: the deployment is permanently "overloaded", so the
+        // shed decision is deterministic.
+        .shed_policy(ShedPolicy::new(0, 3))
+        .build()
+        .expect("fleet starts");
+    let mut session = scheduler.connect();
+    let free = SlaMeta {
+        priority: 1,
+        class: "free",
+        arrival_ms: 0,
+        deadline_ms: 1_000,
+    };
+    let premium = SlaMeta {
+        priority: 3,
+        class: "premium",
+        arrival_ms: 0,
+        deadline_ms: 50,
+    };
+
+    // Opening a low-tier transaction is shed with the typed outcome.
+    let err = session
+        .submit(Txn::new(1).write(5, 5).commit().with_sla(free))
+        .expect("submit returns a ticket")
+        .wait()
+        .expect_err("the free tier is shed");
+    assert!(err.is_shed(), "unexpected error: {err}");
+
+    // Unclassified and protected-tier transactions always pass.
+    session
+        .submit(Txn::new(2).write(6, 6).commit())
+        .expect("submit")
+        .wait()
+        .expect("unclassified traffic is never shed");
+    session
+        .submit(Txn::new(3).write(7, 7).commit().with_sla(premium))
+        .expect("submit")
+        .wait()
+        .expect("premium is never shed");
+
+    // A continuation of an admitted transaction passes even below the
+    // protected priority — shedding it would strand held locks.
+    session
+        .submit(Txn::new(4).write(8, 8))
+        .expect("submit")
+        .wait()
+        .expect("the opening (unclassified) submission is admitted");
+    session
+        .submit(Txn::resume(4, 1).commit().with_sla(free))
+        .expect("submit")
+        .wait()
+        .expect("continuations are never shed");
+
+    let report = scheduler.shutdown();
+    assert_eq!(report.dispatch.commits, 3);
+    let free_tier = report
+        .tiers
+        .iter()
+        .find(|t| t.class == "free")
+        .expect("free tier accounted");
+    assert_eq!(free_tier.shed, 1);
+    assert_eq!(
+        free_tier.submitted, 2,
+        "shed opening + admitted continuation"
+    );
+    let premium_tier = report
+        .tiers
+        .iter()
+        .find(|t| t.class == "premium")
+        .expect("premium tier accounted");
+    assert_eq!(premium_tier.shed, 0);
+    assert_eq!(premium_tier.completed, 1);
+    assert!(premium_tier.max_latency_us > 0);
+}
+
+/// Overload control must see a backlog that is cross-shard only: escalations
+/// parked behind a held lock sit in the lane's admission state — on no
+/// worker's queue — and still have to push low-tier openings over the
+/// watermark.
+#[test]
+fn shedding_triggers_on_a_cross_shard_only_backlog() {
+    let scheduler = Scheduler::builder()
+        .table("bench", 256)
+        .scheduler_config(SchedulerConfig {
+            trigger: TriggerPolicy::Hybrid {
+                interval_ms: 1,
+                threshold: 4,
+            },
+            ..SchedulerConfig::default()
+        })
+        .shards(2)
+        .shed_policy(ShedPolicy::new(3, 3))
+        .build()
+        .expect("fleet starts");
+    let mut session = scheduler.connect();
+    let free = SlaMeta {
+        priority: 1,
+        class: "free",
+        arrival_ms: 0,
+        deadline_ms: 1_000,
+    };
+    let object_on = |shard: usize, nth: usize| -> i64 {
+        (0..256i64)
+            .filter(|&o| shard_of(o, 2) == shard)
+            .nth(nth)
+            .expect("enough objects per shard")
+    };
+    let (a, b) = (object_on(0, 0), object_on(1, 0));
+
+    // An idle fleet admits the free tier.
+    session
+        .submit(
+            Txn::new(1)
+                .write(object_on(0, 1), 1)
+                .commit()
+                .with_sla(free),
+        )
+        .expect("submit")
+        .wait()
+        .expect("below the watermark nothing is shed");
+
+    // T2 holds `a`; three spanning transactions are denied on it (one
+    // parked, two waiting behind it): a backlog of three, all in the lane.
+    session
+        .submit(Txn::new(2).write(a, 2))
+        .expect("submit")
+        .wait()
+        .expect("T2 takes its lock");
+    let spanning: Vec<_> = (3..6u64)
+        .map(|ta| {
+            session
+                .submit(
+                    Txn::new(ta)
+                        .write(a, ta as i64)
+                        .write(b, ta as i64)
+                        .commit(),
+                )
+                .expect("cross-shard submission routes")
+        })
+        .collect();
+    let err = session
+        .submit(
+            Txn::new(6)
+                .write(object_on(1, 1), 6)
+                .commit()
+                .with_sla(free),
+        )
+        .expect("submit returns a ticket")
+        .wait()
+        .expect_err("the lane's backlog reaches the watermark");
+    assert!(err.is_shed(), "unexpected error: {err}");
+
+    // Releasing the lock drains the lane.
+    session
+        .submit(Txn::resume(2, 1).commit())
+        .expect("submit")
+        .wait()
+        .expect("T2 commits");
+    for ticket in spanning {
+        ticket.wait().expect("the parked escalations complete");
+    }
+
+    let report = scheduler.shutdown();
+    let detail = report.sharded.as_ref().expect("sharded detail");
+    assert_eq!(detail.escalation.escalations, 3);
+    assert_eq!(detail.escalation.failed, 0);
+    let free_tier = report
+        .tiers
+        .iter()
+        .find(|t| t.class == "free")
+        .expect("free tier accounted");
+    assert_eq!(free_tier.shed, 1);
+    assert_eq!(free_tier.completed, 1);
 }

@@ -13,6 +13,7 @@ use declsched::{
     TriggerPolicy,
 };
 use proptest::prelude::*;
+use session::{Scheduler, Txn};
 use shard::{ShardConfig, ShardRouter, ShardedReport};
 use std::collections::{BTreeMap, BTreeSet};
 use workload::{ShardedSpec, TransactionSpec};
@@ -334,6 +335,20 @@ fn cross_shard_workload_escalates_and_commits_everything() {
         (40 - cross_expected) + 2 * cross_expected
     );
     assert!(metrics.cross_shard_rate() > 0.0);
+    // Every data request ran on its hash home, escalated sub-batches
+    // included: a handshake splits by the same `shard_of` the router uses.
+    for (index, shard) in report.shards.iter().enumerate() {
+        for request in shard.executed_log.iter().filter(|r| r.op.is_data()) {
+            assert_eq!(
+                shard_of(request.object, shards),
+                index,
+                "T{}[{}] on object {} ran on shard {index}",
+                request.ta,
+                request.intra,
+                request.object
+            );
+        }
+    }
 
     // Ordering guarantee: on objects only local transactions touch, write
     // order follows transaction-id arrival order (the SS2PL tie-break).  On
@@ -794,4 +809,209 @@ fn shutdown_fails_what_an_abandoned_holder_parked_and_completes_the_rest() {
     assert_eq!(report.metrics.escalation.failed, 1);
     // Every terminal on shard 0 re-arms all that is parked there, T2 too.
     assert!(report.metrics.escalation.retries >= 1);
+}
+
+/// A `.shards(n)` deployment behind the session façade, with the suite's
+/// trigger and table.
+fn sharded_scheduler(shards: usize) -> Scheduler {
+    Scheduler::builder()
+        .table("bench", TABLE_ROWS)
+        .scheduler_config(SchedulerConfig {
+            trigger: TriggerPolicy::Hybrid {
+                interval_ms: 1,
+                threshold: 4,
+            },
+            ..SchedulerConfig::default()
+        })
+        .policy(Protocol::algebra(ProtocolKind::Ss2pl))
+        .shards(shards)
+        .build()
+        .expect("fleet starts")
+}
+
+/// One planned transaction of the homes-map property: how it is submitted
+/// and whether it ever terminates.
+#[derive(Debug, Clone, Copy)]
+enum TxnPlan {
+    /// One submission carrying the terminal.
+    Completed,
+    /// Split into `parts` data submissions plus a final terminal
+    /// submission.
+    Multi { parts: u8 },
+    /// `parts` data submissions, never terminated: the client walks away.
+    Abandoned { parts: u8 },
+}
+
+fn plans() -> impl Strategy<Value = Vec<(TxnPlan, bool)>> {
+    let plan = (0..3u8, 1..3u8, 0..2u8).prop_map(|(kind, parts, wait)| {
+        let plan = match kind {
+            0 => TxnPlan::Completed,
+            1 => TxnPlan::Multi { parts },
+            _ => TxnPlan::Abandoned { parts },
+        };
+        (plan, wait == 1)
+    });
+    proptest::collection::vec(plan, 1..24)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// After an arbitrary interleaving of completed, multi-submission and
+    /// abandoned transactions drains — the abandoning session dropped —
+    /// the router's homes map is empty: completed transactions are
+    /// reclaimed when their terminal routes, abandoned ones when their
+    /// session drops, and the shutdown report's leak witness reads zero.
+    #[test]
+    fn homes_map_is_empty_after_arbitrary_interleavings(plans in plans()) {
+        let scheduler = sharded_scheduler(3);
+        let mut session = scheduler.connect();
+        let mut tickets = Vec::new();
+        let mut abandoned = 0usize;
+        for (index, &(plan, wait)) in plans.iter().enumerate() {
+            let ta = index as u64 + 1;
+            // Distinct objects per transaction: an abandoned transaction
+            // holds its lock forever, so a shared object would deadlock a
+            // later transaction's wait.
+            let object = index as i64;
+            match plan {
+                TxnPlan::Completed => {
+                    let ticket = session
+                        .submit(Txn::new(ta).write(object, 1).commit())
+                        .expect("submission succeeds");
+                    if wait {
+                        ticket.wait().expect("completed txns commit");
+                    } else {
+                        tickets.push(ticket);
+                    }
+                }
+                TxnPlan::Multi { parts } => {
+                    for part in 0..parts {
+                        let txn = Txn::resume(ta, u32::from(part)).write(object, 1);
+                        tickets.push(session.submit(txn).expect("submission succeeds"));
+                    }
+                    let terminal = Txn::resume(ta, u32::from(parts)).commit();
+                    let ticket = session.submit(terminal).expect("submission succeeds");
+                    if wait {
+                        ticket.wait().expect("multi-submission txns commit");
+                    } else {
+                        tickets.push(ticket);
+                    }
+                }
+                TxnPlan::Abandoned { parts } => {
+                    abandoned += 1;
+                    for part in 0..parts {
+                        let txn = Txn::resume(ta, u32::from(part)).write(object, 1);
+                        tickets.push(session.submit(txn).expect("submission succeeds"));
+                    }
+                }
+            }
+        }
+        for ticket in tickets {
+            // Abandoned parts still execute (their writes admit fine);
+            // every ticket resolves.
+            let _ = ticket.wait();
+        }
+        prop_assert_eq!(session.open_transactions(), abandoned);
+        // Dropping the session abandons the unterminated transactions,
+        // reclaiming their homes entries before the fleet stops.
+        drop(session);
+        let report = scheduler.shutdown();
+        let detail = report.sharded.expect("sharded detail");
+        prop_assert_eq!(detail.unreclaimed_homes, 0);
+    }
+}
+
+/// The homes entry of a transaction that dies on a ticket error path is
+/// reclaimed by the worker that failed it — here a permanently blocked
+/// transaction the shutdown drain fails — while an executed-but-open
+/// transaction's entry legitimately survives until its session drops.
+#[test]
+fn worker_failed_transactions_reclaim_their_homes_entries() {
+    let scheduler = sharded_scheduler(2);
+    let mut session = scheduler.connect();
+    // T1 executes a write and keeps its lock (open, no terminal).
+    session
+        .submit(Txn::new(1).write(7, 7))
+        .expect("submission succeeds")
+        .wait()
+        .expect("the write executes");
+    // T2 writes the same object without a terminal: permanently blocked
+    // behind T1's lock — it can only ever resolve through an error path.
+    let blocked = session
+        .submit(Txn::new(2).write(7, 9))
+        .expect("submission succeeds");
+    assert_eq!(session.open_transactions(), 2);
+
+    // Keep the session alive across shutdown so no reclaim can come from
+    // `Session::drop`: the drain fails T2 and the worker reclaims its
+    // entry; T1 executed, so its entry is still legitimately live.
+    let report = scheduler.shutdown();
+    let err = blocked.wait().expect_err("the blocked txn is failed");
+    assert!(!err.is_shed());
+    let detail = report.sharded.expect("sharded detail");
+    assert_eq!(detail.unreclaimed_homes, 1, "exactly T1's entry remains");
+}
+
+/// Routed-transaction counters must match the submissions that actually
+/// reached the fleet across a mid-run shutdown: submissions whose channel
+/// send fails are not counted (they inflated `transactions` before).
+///
+/// Construction: shard 1 is loaded with a long drain backlog while shard 0
+/// is left idle, so during shutdown shard 0's worker exits (closing its
+/// channel) long before shard 1 finishes draining — submissions aimed at
+/// shard 0 then fail *before* the counters are aggregated, exactly the
+/// window in which the old pre-send increment inflated the metric.
+#[test]
+fn routed_transaction_counters_match_successful_submissions_across_shutdown() {
+    let router = start_router(2, Protocol::algebra(ProtocolKind::Ss2pl));
+    let handle = router.handle();
+
+    let shard0_object = objects_on(0, 2)[0];
+    let shard1_objects = objects_on(1, 2);
+
+    // Load shard 1 with a drain backlog (tickets dropped — they still
+    // count as routed and still execute during the drain).
+    let mut ok = 0u64;
+    for ta in 1..=2_000u64 {
+        let object = shard1_objects[(ta as usize) % shard1_objects.len()];
+        let requests = vec![Request::write(0, ta, 0, object), Request::commit(0, ta, 1)];
+        if handle.submit_transaction(requests).is_ok() {
+            ok += 1;
+        }
+    }
+
+    // Shut down concurrently: the call blocks until shard 1 drains.
+    let shutdown = std::thread::spawn(move || router.shutdown());
+
+    // Meanwhile, trickle submissions at shard 0.  Pacing leaves the worker
+    // empty instants in which it can exit; once it does, these sends fail
+    // while shard 1 is still draining — pre-aggregation failures.
+    let mut failures = 0u32;
+    for ta in 10_000..20_000u64 {
+        let requests = vec![
+            Request::write(0, ta, 0, shard0_object),
+            Request::commit(0, ta, 1),
+        ];
+        match handle.submit_transaction(requests) {
+            Ok(_) => ok += 1,
+            Err(_) => {
+                failures += 1;
+                if failures >= 30 {
+                    break;
+                }
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+
+    let report = shutdown.join().expect("shutdown never panics");
+    assert!(
+        failures > 0,
+        "the shutdown race must have produced failed submissions"
+    );
+    assert_eq!(
+        report.metrics.transactions, ok,
+        "routed-transaction counter must match submissions that reached the fleet"
+    );
 }
