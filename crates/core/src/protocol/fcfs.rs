@@ -2,7 +2,7 @@
 //!
 //! This protocol performs no consistency checking at all — it is the
 //! declarative equivalent of the non-scheduling passthrough mode and the
-//! lower bound of rule-evaluation cost in the back-end ablation.  It is also
+//! lower bound of rule-evaluation cost among the protocols.  It is also
 //! the building block the relaxed-consistency protocols start from: "for
 //! most parts of modern highly scalable web applications … relaxed
 //! consistency is sufficient."

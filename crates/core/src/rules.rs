@@ -88,7 +88,7 @@ pub enum RuleBackend {
 }
 
 impl RuleBackend {
-    /// Short label used in experiment output and ablation benches.
+    /// Short label used in experiment output.
     pub fn label(&self) -> &'static str {
         match self {
             RuleBackend::Algebra { .. } => "algebra",

@@ -39,12 +39,6 @@ pub struct SchedulerConfig {
     /// rule-evaluation cost proportional to the number of *active*
     /// transactions; disable to mimic the paper's unbounded history table.
     pub prune_history: bool,
-    /// Only dispatch a qualified request if every earlier request of the
-    /// same transaction (smaller `INTRATA`) is already scheduled or part of
-    /// the same batch.  The paper's example assumes one pending request per
-    /// transaction, where this is a no-op; with batched submissions it is
-    /// required for correct execution order.
-    pub enforce_intra_order: bool,
     /// Evaluate qualification incrementally: built-in protocols go through
     /// the O(delta) [`crate::qualify::IncrementalQualifier`] (driven by the
     /// history store's per-object conflict index and cross-round dirty
@@ -57,13 +51,6 @@ pub struct SchedulerConfig {
     /// does (enforced by the property suite); disable only to measure the
     /// from-scratch baseline, as the paper's Section 4.3.2 experiment does.
     pub incremental: bool,
-    /// Latency bound, in microseconds, on the sharded router's submission
-    /// batching: the router accumulates per-shard batches and flushes them
-    /// when a batch fills, when the fleet goes idle, or at this interval —
-    /// whichever comes first.  `0` disables batching entirely (every
-    /// submission is its own channel send, the pre-batching behaviour).
-    /// Unsharded backends ignore the knob.
-    pub batch_flush_micros: u64,
 }
 
 impl Default for SchedulerConfig {
@@ -71,9 +58,7 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             trigger: TriggerPolicy::default(),
             prune_history: true,
-            enforce_intra_order: true,
             incremental: true,
-            batch_flush_micros: 100,
         }
     }
 }
@@ -497,6 +482,14 @@ impl DeclarativeScheduler {
         ]
     }
 
+    /// When the trigger fires at the latest with no further submission —
+    /// see [`TriggerPolicy::deadline_ms`].  A thread driving
+    /// [`DeclarativeScheduler::tick`] waits for this or for an arrival,
+    /// whichever comes first.
+    pub fn trigger_deadline_ms(&self, now_ms: u64) -> Option<u64> {
+        self.config.trigger.deadline_ms(&self.queue, now_ms)
+    }
+
     /// Run a round if the trigger condition holds at `now_ms`.
     ///
     /// While `pending` is non-empty a poll used to run a full round — rule
@@ -574,10 +567,10 @@ impl DeclarativeScheduler {
         // report their rule evaluation proper.
         let mut rule_eval_micros = cold_rule_eval_micros.unwrap_or(qualify_nanos / 1_000);
 
-        // 3. Enforce intra-transaction ordering.
-        if self.config.enforce_intra_order {
-            self.filter_intra_order(&mut keys);
-        }
+        // 3. Enforce intra-transaction ordering: a qualified request is
+        //    dispatched only once every earlier request of its transaction
+        //    is scheduled or in the same batch.
+        self.filter_intra_order(&mut keys);
         let intra_filter_nanos = lap(&mut mark);
 
         // 4. Recover the full requests and order them.  The batch buffer is

@@ -4,7 +4,8 @@
 //! The trigger condition can be configured (dynamically).  The best condition
 //! has to be evaluated experimentally.  Possible conditions are, e.g. a lapse
 //! of time, a certain fill level of the incoming queue or a hybrid version."
-//! All three are implemented here; the ablation bench A2 compares them.
+//! All three are implemented here; `examples/paper_experiments.rs` runs
+//! them side by side.
 
 use crate::queue::IncomingQueue;
 
@@ -31,7 +32,7 @@ pub enum TriggerPolicy {
         threshold: usize,
     },
     /// Fire on every tick (schedule each request as it arrives); the
-    /// degenerate case useful as a baseline in the trigger ablation.
+    /// degenerate case, useful as a no-batching baseline.
     Always,
 }
 
@@ -58,6 +59,24 @@ impl TriggerPolicy {
         }
     }
 
+    /// The earliest time at which [`TriggerPolicy::should_fire`] holds with
+    /// no further arrival: the time-based policies' next interval end, now
+    /// for `Always`, and `None` for a pure fill level or an empty queue —
+    /// only an arrival can make those fire.
+    pub fn deadline_ms(&self, queue: &IncomingQueue, now_ms: u64) -> Option<u64> {
+        if queue.is_empty() {
+            return None;
+        }
+        match *self {
+            TriggerPolicy::TimeElapsed { interval_ms }
+            | TriggerPolicy::Hybrid { interval_ms, .. } => {
+                Some(queue.last_drain_ms().saturating_add(interval_ms))
+            }
+            TriggerPolicy::FillLevel { .. } => None,
+            TriggerPolicy::Always => Some(now_ms),
+        }
+    }
+
     /// Short label used in experiment output.
     pub fn label(&self) -> String {
         match *self {
@@ -74,7 +93,7 @@ impl TriggerPolicy {
 
 impl Default for TriggerPolicy {
     /// The hybrid policy with conservative defaults; the paper expects the
-    /// best setting to be found experimentally (bench A2).
+    /// best setting to be found experimentally.
     fn default() -> Self {
         TriggerPolicy::Hybrid {
             interval_ms: 10,
@@ -143,6 +162,39 @@ mod tests {
     fn always_fires_whenever_nonempty() {
         let q = queue_with(1, 0);
         assert!(TriggerPolicy::Always.should_fire(&q, 0));
+    }
+
+    /// The deadline is exact: one millisecond earlier the trigger holds
+    /// back, at the deadline it fires.  Without a queue there is none.
+    #[test]
+    fn deadline_is_the_first_instant_the_trigger_fires() {
+        let mut q = queue_with(1, 0);
+        q.drain(7);
+        q.push(Request::read(9, 1, 0, 1), 8);
+        let timed = [
+            TriggerPolicy::TimeElapsed { interval_ms: 10 },
+            TriggerPolicy::Hybrid {
+                interval_ms: 10,
+                threshold: 5,
+            },
+            TriggerPolicy::default(),
+        ];
+        for policy in timed {
+            let deadline = policy.deadline_ms(&q, 8).expect("a timed policy");
+            assert!(!policy.should_fire(&q, deadline - 1), "{}", policy.label());
+            assert!(policy.should_fire(&q, deadline), "{}", policy.label());
+        }
+        // `Always` fires at every instant, so its deadline is the present.
+        assert_eq!(TriggerPolicy::Always.deadline_ms(&q, 8), Some(8));
+        assert!(TriggerPolicy::Always.should_fire(&q, 8));
+        // A fill level below its threshold waits for arrivals, not time.
+        let fill = TriggerPolicy::FillLevel { threshold: 2 };
+        assert_eq!(fill.deadline_ms(&q, 8), None);
+        assert!(!fill.should_fire(&q, u64::MAX));
+        let empty = IncomingQueue::new();
+        for policy in timed.into_iter().chain([TriggerPolicy::Always, fill]) {
+            assert_eq!(policy.deadline_ms(&empty, 8), None, "{}", policy.label());
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::backend::{Backend, BackendKind, Completion};
 use crate::report::Report;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use declsched::passthrough::{PassthroughOutcome, PassthroughScheduler};
 use declsched::{DispatchReport, Operation, Request, SchedError, SchedResult, SchedulerMetrics};
 use std::collections::VecDeque;
@@ -112,7 +112,9 @@ fn forward_loop(
     let mut killed = false;
 
     loop {
-        match receiver.recv_timeout(Duration::from_millis(1)) {
+        // Block until mail: a statement blocked on a native lock is only
+        // ever unblocked by a later submission (its holder's terminal).
+        match receiver.recv() {
             Ok(first) => {
                 let mut handle = |msg: PassthroughMessage, disconnected: &mut bool| match msg {
                     PassthroughMessage::Txn { requests, reply } => {
@@ -138,8 +140,7 @@ fn forward_loop(
                     handle(msg, &mut disconnected);
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => disconnected = true,
+            Err(_) => disconnected = true,
         }
 
         match injector.fire(chaos::Hook::WorkerRound { shard: 0 }) {

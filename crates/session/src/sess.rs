@@ -284,7 +284,7 @@ mod tests {
             }
             done.send(()).unwrap();
         });
-        let unblocked = submitted.recv_timeout(Duration::from_secs(10));
+        let unblocked = submitted.recv_deadline(Instant::now() + Duration::from_secs(10));
         // Release everything either way, so a failure reports, not hangs.
         for reply in backend.held.lock().unwrap().drain(..) {
             let _ = reply.send(Ok(()));

@@ -23,10 +23,6 @@ pub struct ShardConfig {
     /// its home shard (or through the escalation lane, which also executes on
     /// the home shard), so the copies never diverge.
     pub rows: usize,
-    /// Upper bound on one escalation's prepare attempts — the first plus
-    /// every re-arm by a shard round that released a conflicting lock —
-    /// before the transaction is failed as starved.
-    pub max_escalation_attempts: u32,
     /// Auxiliary relations (e.g. `object_class` for consistency rationing)
     /// registered with every shard's scheduler and with the escalation
     /// lane's merged catalog, so aux-joining protocols work sharded too.
@@ -46,7 +42,6 @@ impl ShardConfig {
             scheduler: SchedulerConfig::default(),
             table: "bench".to_string(),
             rows: 10_000,
-            max_escalation_attempts: 100_000,
             aux_relations: Vec::new(),
             injector: Arc::new(chaos::FaultInjector::disabled()),
         }

@@ -54,15 +54,18 @@
 
 use crate::hub::HubReply;
 use crate::metrics::EscalationStats;
-use crate::worker::ShardMessage;
-use crossbeam::channel::{SendError, Sender};
+use crate::worker::{Context, ShardMessage};
 use declsched::protocol::SchedulingPolicy;
 use declsched::{shard_of, Protocol, Request, SchedError, SchedResult};
 use relalg::{Catalog, Table};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+
+/// Upper bound on one escalation's prepare attempts — the first plus every
+/// re-arm by a shard round that released a conflicting lock — before the
+/// transaction is failed as starved.
+const MAX_ATTEMPTS: u32 = 100_000;
 
 /// A shard's answer to a `Prepare`.
 pub(crate) enum Vote {
@@ -214,16 +217,15 @@ impl Admission {
     }
 }
 
-/// Everything the handshake's participants share.
+/// Everything the handshake's participants share.  Every method that
+/// posts to a worker takes the caller's [`Context`], and every method that
+/// stamps a phase takes the fleet clock's `now_us`: the lane owns no
+/// mailbox and reads no clock.
 pub(crate) struct Lane {
     policy: SchedulingPolicy,
-    workers: Vec<Sender<ShardMessage>>,
-    max_attempts: u32,
+    shards: usize,
     aux_relations: Vec<Table>,
-    injector: Arc<chaos::FaultInjector>,
     recorder: obs::SharedRecorder,
-    /// Zero of the lane clock behind `lane.prepare_us`/`lane.commit_us`.
-    epoch: Instant,
     admission: Mutex<Admission>,
     /// Signalled, once shutting down, whenever no job is left running.
     idle: Condvar,
@@ -240,7 +242,6 @@ pub(crate) struct Lane {
 impl Lane {
     pub(crate) fn new(
         config: &crate::ShardConfig,
-        workers: Vec<Sender<ShardMessage>>,
         sink: &obs::TraceSink,
         registry: &obs::Registry,
     ) -> Arc<Self> {
@@ -248,12 +249,9 @@ impl Lane {
         registry.adopt_gauge("lane.concurrent_peak", Arc::clone(&concurrent_peak));
         Arc::new(Lane {
             policy: config.policy.clone(),
-            workers,
-            max_attempts: config.max_escalation_attempts,
+            shards: config.shards.max(1),
             aux_relations: config.aux_relations.clone(),
-            injector: Arc::clone(&config.injector),
             recorder: sink.shared_recorder(),
-            epoch: Instant::now(),
             admission: Mutex::default(),
             idle: Condvar::new(),
             escalations: registry.counter("lane.escalations"),
@@ -264,10 +262,6 @@ impl Lane {
             prepare_hist: registry.histogram("lane.prepare_us"),
             commit_hist: registry.histogram("lane.commit_us"),
         })
-    }
-
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
     }
 
     /// The protocol a handshake votes under (selected by reference; every
@@ -291,13 +285,9 @@ impl Lane {
         requests: Vec<Request>,
         touched: Vec<usize>,
         reply: HubReply,
+        now_us: u64,
+        cx: &mut dyn Context,
     ) -> SchedResult<()> {
-        // Chaos hook: a `Stall` here delays this job's admission (and, as
-        // the caller holds its transaction's homes stripe, later
-        // submissions on that stripe).
-        if let Some(chaos::Fault::Stall { millis }) = self.injector.fire(chaos::Hook::LaneJob) {
-            std::thread::sleep(Duration::from_millis(millis));
-        }
         let mut admission = lock(&self.admission);
         if admission.shutting_down {
             // Dropping `reply` resolves the ticket with the same typed
@@ -310,7 +300,7 @@ impl Lane {
         admission.waiting.push_back(Arc::new(Handshake {
             job_id,
             requests,
-            shards: self.workers.len(),
+            shards: self.shards,
             touched,
             votes_left: AtomicUsize::new(0),
             finishers_left: AtomicUsize::new(0),
@@ -323,7 +313,7 @@ impl Lane {
                 reply: Some(reply),
             }),
         }));
-        self.admit(admission);
+        self.admit(admission, now_us, cx);
         Ok(())
     }
 
@@ -335,7 +325,7 @@ impl Lane {
     /// nothing.)  The first prepares go out after the lock is
     /// dropped: jobs started together are shard-disjoint, so they cannot
     /// race each other onto one mailbox.
-    fn admit(&self, mut admission: MutexGuard<'_, Admission>) {
+    fn admit(&self, mut admission: MutexGuard<'_, Admission>, now_us: u64, cx: &mut dyn Context) {
         let mut started = Vec::new();
         let mut index = 0;
         while index < admission.waiting.len() {
@@ -361,7 +351,7 @@ impl Lane {
             .fetch_max(admission.active.len() as u64, Ordering::Relaxed);
         drop(admission);
         for handshake in started {
-            handshake.stamp_us.store(self.now_us(), Ordering::Relaxed);
+            handshake.stamp_us.store(now_us, Ordering::Relaxed);
             // Release: the stores above and of the previous attempt's
             // conclusion are visible to whoever takes the count to zero.
             handshake
@@ -369,11 +359,11 @@ impl Lane {
                 .store(handshake.touched.len(), Ordering::Release);
             for &shard in &handshake.touched {
                 let prepare = ShardMessage::Prepare(Arc::clone(&handshake));
-                if self.workers[shard].send(prepare).is_err() {
+                if cx.post(shard, prepare).is_err() {
                     // The shard's thread is gone: vote the typed error in
                     // its place so the handshake backs out, not hangs.
                     let gone = Vote::Error(closed("shard worker (prepare)"));
-                    self.cast_vote(&handshake, shard, 0, gone);
+                    self.cast_vote(&handshake, shard, 0, gone, now_us, cx);
                 }
             }
         }
@@ -388,6 +378,8 @@ impl Lane {
         shard: usize,
         releases: u64,
         vote: Vote,
+        now_us: u64,
+        cx: &mut dyn Context,
     ) -> Option<Own> {
         match vote {
             // The common case touches nothing but the count below.
@@ -410,11 +402,17 @@ impl Lane {
         if handshake.votes_left.fetch_sub(1, Ordering::AcqRel) != 1 {
             return None;
         }
-        Some(self.decide(handshake, shard))
+        Some(self.decide(handshake, shard, now_us, cx))
     }
 
     /// Conclude a vote round on the last voter's thread.
-    fn decide(&self, handshake: &Arc<Handshake>, me: usize) -> Own {
+    fn decide(
+        &self,
+        handshake: &Arc<Handshake>,
+        me: usize,
+        now_us: u64,
+        cx: &mut dyn Context,
+    ) -> Own {
         let (error, snapshots, mut denials) = {
             let mut ballot = lock(&handshake.ballot);
             (
@@ -438,15 +436,15 @@ impl Lane {
             self.qualify_union(handshake, &snapshots)
         };
         let error = match verdict {
-            Ok(true) => return self.commit(handshake, me),
-            Ok(false) if attempt + 1 < self.max_attempts => {
+            Ok(true) => return self.commit(handshake, me, now_us, cx),
+            Ok(false) if attempt + 1 < MAX_ATTEMPTS => {
                 // Every release is posted before admission can start the
                 // next job on these shards, and before the parking requests.
-                self.release(handshake, |shard| shard != me);
+                self.release(handshake, |shard| shard != me, cx);
                 let mut admission = lock(&self.admission);
                 admission.active.retain(|job| !Arc::ptr_eq(job, handshake));
                 admission.parked.push(Arc::clone(handshake));
-                self.admit(admission);
+                self.admit(admission, now_us, cx);
                 for (shard, releases, own_pending) in denials {
                     let parked = Parked {
                         handshake: Arc::clone(handshake),
@@ -454,10 +452,10 @@ impl Lane {
                         releases,
                         own_pending,
                     };
-                    if let Err(SendError(ShardMessage::Park(parked))) =
-                        self.workers[shard].send(ShardMessage::Park(parked))
+                    if let Err(ShardMessage::Park(parked)) =
+                        cx.post(shard, ShardMessage::Park(parked))
                     {
-                        self.rearm(&parked, false);
+                        self.rearm(&parked, false, now_us, cx);
                     }
                 }
                 return Own::Release;
@@ -465,26 +463,30 @@ impl Lane {
             Ok(false) => SchedError::Dispatch {
                 message: format!(
                     "escalation starved: a touched shard did not drain its conflicting locks \
-                     within {} attempts or by shutdown",
-                    self.max_attempts
+                     within {MAX_ATTEMPTS} attempts or by shutdown"
                 ),
             },
             Err(e) => e,
         };
         // Back out: every granted sibling is released, the client gets the
         // typed error, untouched shards never noticed.
-        self.release(handshake, |shard| shard != me);
-        if let Some((reply, outcome)) = self.settle(handshake, Some(error)) {
+        self.release(handshake, |shard| shard != me, cx);
+        if let Some((reply, outcome)) = self.settle(handshake, Some(error), now_us, cx) {
             reply.resolve_now(outcome);
         }
         Own::Release
     }
 
     /// Unanimous grant: tell the siblings, stamp the decision.
-    fn commit(&self, handshake: &Arc<Handshake>, me: usize) -> Own {
-        let now = self.now_us();
-        let admitted = handshake.stamp_us.swap(now, Ordering::Relaxed);
-        self.prepare_hist.observe(now.saturating_sub(admitted));
+    fn commit(
+        &self,
+        handshake: &Arc<Handshake>,
+        me: usize,
+        now_us: u64,
+        cx: &mut dyn Context,
+    ) -> Own {
+        let admitted = handshake.stamp_us.swap(now_us, Ordering::Relaxed);
+        self.prepare_hist.observe(now_us.saturating_sub(admitted));
         // Every vote granted: this is the lane's qualification point.
         // (Dispatched/Executed are recorded by the owning shards as they
         // run the sub-batches.)
@@ -504,12 +506,12 @@ impl Lane {
         // A shard with nothing to execute is released instead — before the
         // first `Commit` goes out: the last finisher retires the job, and
         // the next job's prepare must find no hold of this one left.
-        self.release(handshake, |shard| shard != me && !has_work(shard));
+        self.release(handshake, |shard| shard != me && !has_work(shard), cx);
         for &shard in handshake.touched.iter().filter(|&&s| s != me) {
             let commit = ShardMessage::Commit(Arc::clone(handshake));
-            if has_work(shard) && self.workers[shard].send(commit).is_err() {
+            if has_work(shard) && cx.post(shard, commit).is_err() {
                 let gone = closed("shard worker (commit)");
-                if let Some((reply, outcome)) = self.finish(handshake, Err(gone)) {
+                if let Some((reply, outcome)) = self.finish(handshake, Err(gone), now_us, cx) {
                     reply.resolve_now(outcome);
                 }
             }
@@ -523,11 +525,10 @@ impl Lane {
 
     /// Drop the hold of every touched shard `which` selects (a no-op on
     /// shards that never granted).
-    fn release(&self, handshake: &Handshake, which: impl Fn(usize) -> bool) {
+    fn release(&self, handshake: &Handshake, which: impl Fn(usize) -> bool, cx: &mut dyn Context) {
         for &shard in handshake.touched.iter().filter(|&&s| which(s)) {
-            let _ = self.workers[shard].send(ShardMessage::Release2pc {
-                job_id: handshake.job_id,
-            });
+            let job_id = handshake.job_id;
+            let _ = cx.post(shard, ShardMessage::Release2pc { job_id });
         }
     }
 
@@ -536,14 +537,20 @@ impl Lane {
     /// The job re-enters admission at its arrival position: it waits only
     /// for what started on its shards while it stood aside.  On shutdown's
     /// `last_call` no release is coming, so the attempt is the final one.
-    pub(crate) fn rearm(&self, parked: &Parked, last_call: bool) {
+    pub(crate) fn rearm(
+        &self,
+        parked: &Parked,
+        last_call: bool,
+        now_us: u64,
+        cx: &mut dyn Context,
+    ) {
         let handshake = &parked.handshake;
         let mut admission = lock(&self.admission);
         if !admission.unpark(parked) {
             return;
         }
         let next = if last_call {
-            self.max_attempts - 1
+            MAX_ATTEMPTS - 1
         } else {
             parked.attempt + 1
         };
@@ -553,7 +560,7 @@ impl Lane {
             .waiting
             .partition_point(|job| job.job_id < handshake.job_id);
         admission.waiting.insert(at, Arc::clone(handshake));
-        self.admit(admission);
+        self.admit(admission, now_us, cx);
     }
 
     /// Record one participant's commit outcome.  The last finisher gets the
@@ -563,6 +570,8 @@ impl Lane {
         &self,
         handshake: &Arc<Handshake>,
         result: SchedResult<()>,
+        now_us: u64,
+        cx: &mut dyn Context,
     ) -> Option<(HubReply, SchedResult<()>)> {
         if let Err(e) = result {
             lock(&handshake.ballot).error.get_or_insert(e);
@@ -572,12 +581,11 @@ impl Lane {
             return None;
         }
         let decided = handshake.stamp_us.load(Ordering::Relaxed);
-        self.commit_hist
-            .observe(self.now_us().saturating_sub(decided));
+        self.commit_hist.observe(now_us.saturating_sub(decided));
         // Siblings of a failed participant keep the (locally recorded)
         // slices they executed, exactly like a worker dying mid-execute.
         let error = lock(&handshake.ballot).error.take();
-        self.settle(handshake, error)
+        self.settle(handshake, error, now_us, cx)
     }
 
     /// Count the outcome, retire the job — which admits whatever its shards
@@ -589,6 +597,8 @@ impl Lane {
         &self,
         handshake: &Arc<Handshake>,
         error: Option<SchedError>,
+        now_us: u64,
+        cx: &mut dyn Context,
     ) -> Option<(HubReply, SchedResult<()>)> {
         let outcome = match error {
             Some(e) => {
@@ -602,7 +612,7 @@ impl Lane {
         };
         let mut admission = lock(&self.admission);
         admission.active.retain(|job| !Arc::ptr_eq(job, handshake));
-        self.admit(admission);
+        self.admit(admission, now_us, cx);
         let reply = lock(&handshake.ballot).reply.take();
         reply.map(|reply| (reply, outcome))
     }
@@ -649,14 +659,14 @@ impl Lane {
     /// still parked once nothing else runs get a last call: each parking
     /// shard gives them a final attempt as soon as it has drained whatever
     /// could still release a lock (an abandoned holder never does).
-    pub(crate) fn shutdown(&self) -> EscalationStats {
+    pub(crate) fn shutdown(&self, cx: &mut dyn Context) -> EscalationStats {
         let mut admission = lock(&self.admission);
         admission.shutting_down = true;
         let mut called = false;
         while admission.backlog() > 0 {
             if admission.running() == 0 && !std::mem::replace(&mut called, true) {
-                for worker in &self.workers {
-                    let _ = worker.send(ShardMessage::LastCall);
+                for shard in 0..self.shards {
+                    let _ = cx.post(shard, ShardMessage::LastCall);
                 }
             } else {
                 admission = self

@@ -33,7 +33,9 @@
 //!   pipeline: incoming queue, `requests` (pending) relation, `history`
 //!   relation, the declarative rule, and a dispatcher with its own engine.
 //!   Per-object serialization is preserved because an object has exactly one
-//!   home shard.
+//!   home shard.  The pipeline and the escalation lane are I/O-free
+//!   handlers; one threaded driver per shard blocks until mail arrives or
+//!   the trigger's deadline passes, and nothing polls.
 //! * Transactions whose footprint **spans** shards take a **two-phase
 //!   handshake** that involves only the touched shards and that they drive
 //!   themselves — there is no lane thread: the submitting client posts each
@@ -95,6 +97,7 @@
 #![deny(unsafe_code)]
 
 mod config;
+mod driver;
 mod escalation;
 mod hub;
 mod metrics;

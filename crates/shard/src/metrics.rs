@@ -14,9 +14,6 @@ pub struct ShardReport {
     /// The shard dispatcher's totals (reads/writes/commits executed on this
     /// shard's engine, including escalated requests executed here).
     pub dispatch: DispatchReport,
-    /// Largest pending-relation size seen at any round start — the shard's
-    /// peak queue depth.
-    pub peak_pending: usize,
     /// Microseconds this worker spent *processing* — draining its mailbox,
     /// running rounds, executing batches and handshake slices — excluding
     /// time blocked waiting for traffic.  The fleet's critical path (the
@@ -67,8 +64,6 @@ pub struct RouterSnapshot {
     pub transactions: u64,
     /// Transactions that took the escalation lane.
     pub cross_shard_transactions: u64,
-    /// Final per-shard queue depth sample (index = shard id).
-    pub queue_depths: Vec<u64>,
     /// Homes-map entries still live at shutdown: transactions that were
     /// routed but neither terminated nor reclaimed (a leak witness — 0 on a
     /// clean run).
@@ -86,8 +81,6 @@ pub struct RouterSnapshot {
 pub struct ShardedMetrics {
     /// Number of shards.
     pub shards: usize,
-    /// Per-shard scheduler metrics (index = shard id).
-    pub per_shard: Vec<SchedulerMetrics>,
     /// All per-shard scheduler metrics merged ([`SchedulerMetrics::merge`]).
     pub merged: SchedulerMetrics,
     /// All per-shard dispatch totals merged.
@@ -97,26 +90,17 @@ pub struct ShardedMetrics {
     /// resolved.  This is a true occupancy peak — a request counts only
     /// between its submission and its completion, so a serial client that
     /// submits 1 280 transactions one at a time reports its real pipeline
-    /// depth, not 1 280.  Per-shard pending-relation peaks remain on
-    /// [`ShardReport::peak_pending`].
+    /// depth, not 1 280.
     pub peak_pending: usize,
     /// Transactions routed (fast path + escalated).
     pub transactions: u64,
     /// Transactions that took the escalation lane.
     pub cross_shard_transactions: u64,
-    /// Final per-shard queue depth sample (index = shard id).
-    pub queue_depths: Vec<u64>,
     /// Homes-map entries still live at shutdown (0 on a clean run).
     pub unreclaimed_homes: u64,
     /// Most escalations executing concurrently at any instant (disjoint
     /// shard sets run in parallel through the lane).
     pub escalations_concurrent_peak: u64,
-    /// The busiest shard's processing time in microseconds (the maximum of
-    /// the per-shard [`ShardReport::busy_us`]) — the fleet's critical path.
-    /// Workers run in parallel on a real deployment, so the busiest shard
-    /// bounds the fleet's completion time; on a timeshared CI box this is
-    /// the measurement `wall` cannot provide.
-    pub critical_path_us: u64,
     /// Escalation-lane counters.
     pub escalation: EscalationStats,
     /// Wall-clock duration of the run (start to shutdown).
@@ -133,24 +117,19 @@ impl ShardedMetrics {
     ) -> Self {
         let mut merged = SchedulerMetrics::new();
         let mut dispatch = DispatchReport::default();
-        let mut per_shard = Vec::with_capacity(reports.len());
         for report in reports {
             merged.merge(&report.scheduler);
             dispatch.merge(&report.dispatch);
-            per_shard.push(report.scheduler);
         }
         ShardedMetrics {
             shards: reports.len(),
-            per_shard,
             merged,
             dispatch,
             peak_pending: router.peak_inflight as usize,
             transactions: router.transactions,
             cross_shard_transactions: router.cross_shard_transactions,
-            queue_depths: router.queue_depths,
             unreclaimed_homes: router.unreclaimed_homes,
             escalations_concurrent_peak: escalation.concurrent_peak,
-            critical_path_us: reports.iter().map(|r| r.busy_us).max().unwrap_or(0),
             escalation,
             wall,
         }
@@ -164,33 +143,13 @@ impl ShardedMetrics {
             self.cross_shard_transactions as f64 / self.transactions as f64
         }
     }
-
-    /// Scheduled requests per wall-clock second.
-    pub fn throughput_rps(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.merged.requests_scheduled as f64 / secs
-        }
-    }
-
-    /// Committed transactions per wall-clock second.
-    pub fn commit_throughput(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.dispatch.commits as f64 / secs
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(shard: usize, rounds: u64, scheduled: u64, peak: usize) -> ShardReport {
+    fn report(shard: usize, rounds: u64, scheduled: u64) -> ShardReport {
         ShardReport {
             shard,
             scheduler: SchedulerMetrics {
@@ -204,7 +163,6 @@ mod tests {
                 commits: 1,
                 ..DispatchReport::default()
             },
-            peak_pending: peak,
             busy_us: 1_000 * rounds,
             final_rows: Vec::new(),
             executed_log: Vec::new(),
@@ -213,13 +171,12 @@ mod tests {
 
     #[test]
     fn aggregate_merges_shards_and_rates() {
-        let reports = vec![report(0, 3, 30, 7), report(1, 5, 10, 12)];
+        let reports = vec![report(0, 3, 30), report(1, 5, 10)];
         let m = ShardedMetrics::aggregate(
             &reports,
             RouterSnapshot {
                 transactions: 20,
                 cross_shard_transactions: 5,
-                queue_depths: vec![3, 9],
                 unreclaimed_homes: 0,
                 peak_inflight: 17,
             },
@@ -240,13 +197,9 @@ mod tests {
         assert_eq!(m.dispatch.commits, 2);
         assert_eq!(m.peak_pending, 17);
         assert_eq!(m.escalations_concurrent_peak, 3);
-        assert_eq!(m.critical_path_us, 5_000);
-        assert_eq!(m.queue_depths, vec![3, 9]);
         assert_eq!(m.unreclaimed_homes, 0);
         assert_eq!(m.escalation.retries, 2);
         assert_eq!(m.cross_shard_rate(), 0.25);
-        assert_eq!(m.throughput_rps(), 20.0);
-        assert_eq!(m.commit_throughput(), 1.0);
     }
 
     #[test]
@@ -258,6 +211,5 @@ mod tests {
             Duration::ZERO,
         );
         assert_eq!(m.cross_shard_rate(), 0.0);
-        assert_eq!(m.throughput_rps(), 0.0);
     }
 }

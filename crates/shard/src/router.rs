@@ -6,11 +6,10 @@
 //! lock and every holder of a request agrees on where it executes.
 //!
 //! Submissions are **batched per shard**: the fast path pushes into a
-//! per-shard buffer and a flusher thread drains every buffer on the
-//! latency bound configured by `SchedulerConfig::batch_flush_micros` (a
-//! buffer also flushes inline when the fleet is otherwise idle or the
-//! buffer fills), so a pipelined client costs one channel synchronization
-//! per *batch* rather than per transaction.  Completions come back through
+//! per-shard buffer and a flusher thread drains every buffer every
+//! [`FLUSH_MICROS`] (a buffer also flushes inline when the fleet is
+//! otherwise idle or the buffer fills), so a pipelined client costs one
+//! channel synchronization per *batch* rather than per transaction.  Completions come back through
 //! the shared [`CompletionHub`] the same way — one hub synchronization per
 //! worker round.
 //!
@@ -20,23 +19,28 @@
 //! started.
 
 use crate::config::ShardConfig;
+use crate::driver::{self, run_worker, Clock, Wire};
 use crate::escalation::{closed, Lane};
 use crate::hub::{CompletionHub, HubReply};
 use crate::metrics::{RouterSnapshot, ShardReport, ShardedMetrics};
-use crate::worker::{run_worker, ShardMessage, Submission, WorkerSetup};
+use crate::worker::{Context, ShardMessage, Submission, WorkerCore};
 use crossbeam::channel::{unbounded, Sender};
-use declsched::{shard_of, DeclarativeScheduler, Dispatcher, Request, SchedError, SchedResult};
+use declsched::{shard_of, Request, SchedError, SchedResult};
 use obs::FastIdMap;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A submission buffer flushes as soon as it holds this many transactions,
 /// independent of the latency bound — batches beyond this see diminishing
 /// returns on the channel synchronization while adding tail latency.
 const MAX_BATCH: usize = 128;
+
+/// Latency bound, in microseconds, on a buffered submission: the flusher
+/// drains every buffer this often.
+const FLUSH_MICROS: u64 = 100;
 
 /// A pending completion for one submitted transaction, waited on through
 /// the fleet's shared completion hub.
@@ -98,7 +102,7 @@ pub(crate) struct TxnHomes {
 const HOME_STRIPES: usize = 32;
 
 impl TxnHomes {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TxnHomes {
             stripes: (0..HOME_STRIPES)
                 .map(|_| Mutex::new(FastIdMap::default()))
@@ -155,9 +159,10 @@ impl TxnHomes {
 /// router thread hop.
 pub(crate) struct RouterCore {
     workers: Vec<Sender<ShardMessage>>,
-    /// The cross-shard handshake's shared state: admission, counters and
-    /// the worker mailboxes its participants post to.
+    /// The cross-shard handshake's shared state: admission and counters.
     lane: Arc<Lane>,
+    /// The fleet clock the lane's phase timings are stamped with.
+    clock: Clock,
     shards: usize,
     counters: Counters,
     /// Per-transaction homes (also the per-transaction submission lock:
@@ -165,7 +170,7 @@ pub(crate) struct RouterCore {
     /// ordering stable).
     homes: Arc<TxnHomes>,
     /// Live per-shard queue depth (incoming + pending), written by each
-    /// worker once per loop iteration.
+    /// worker around every round.
     depths: Vec<Arc<AtomicU64>>,
     /// The shared completion hub tickets wait on.
     hub: Arc<CompletionHub>,
@@ -187,10 +192,6 @@ pub(crate) struct RouterCore {
     /// from delivering it, so "the worker's channel died" no longer
     /// surfaces at submit time).
     closed: AtomicBool,
-    /// Latency bound on buffered submissions, from
-    /// `SchedulerConfig::batch_flush_micros` (`0` = flush inline, no
-    /// flusher thread).
-    flush_micros: u64,
     /// Distribution of flushed batch sizes (`router.batch_size`).
     batch_hist: Arc<obs::MetricHistogram>,
     /// Flight recorder for routing decisions (`Routed`/`Escalated` events).
@@ -255,8 +256,8 @@ impl RouterCore {
                 reply.resolve_now(Err(closed("shard worker (chaos send failure)")));
                 return Ok(ticket);
             }
-            self.workers[0]
-                .send(ShardMessage::Submit(Submission { requests, reply }))
+            self.wire()
+                .post(0, ShardMessage::Submit(Submission { requests, reply }))
                 .map_err(|_| closed("shard worker"))?;
             self.counters.transactions.fetch_add(1, Ordering::Relaxed);
             return Ok(ticket);
@@ -303,8 +304,7 @@ impl RouterCore {
             // (terminal-only transactions with no recorded home default to
             // shard 0).  Buffer it; flush inline when the fleet is
             // otherwise idle (a lone sequential client must not eat the
-            // flush latency), when batching is disabled, or when the
-            // buffer fills.
+            // flush latency) or when the buffer fills.
             self.enqueue(target, Submission { requests, reply }, before == 0)
         } else {
             // The handshake must observe every earlier same-transaction
@@ -315,8 +315,18 @@ impl RouterCore {
                 .iter()
                 .try_for_each(|&shard| self.flush_shard(shard))
                 .and_then(|()| {
+                    // Chaos hook: a `Stall` here delays this job's admission
+                    // (and, as this thread holds its transaction's homes
+                    // stripe, later submissions on that stripe).
+                    if let Some(chaos::Fault::Stall { millis }) =
+                        self.injector.fire(chaos::Hook::LaneJob)
+                    {
+                        driver::stall(millis);
+                    }
                     let touched = touched.iter().copied().collect();
-                    self.lane.submit(requests, touched, reply)
+                    let now_us = self.clock.now_us();
+                    self.lane
+                        .submit(requests, touched, reply, now_us, &mut self.wire())
                 })
         };
 
@@ -369,15 +379,24 @@ impl RouterCore {
         }
     }
 
+    /// The threaded context a client thread drives the lane through.
+    fn wire(&self) -> Wire<'_> {
+        Wire {
+            mailboxes: &self.workers,
+            hub: &self.hub,
+            stall_ms: 0,
+        }
+    }
+
     /// Push one submission into its shard's buffer, flushing inline when
-    /// `inline` (the fleet was idle at submit time), when batching is
-    /// disabled, or when the buffer reaches [`MAX_BATCH`].
+    /// `inline` (the fleet was idle at submit time) or when the buffer
+    /// reaches [`MAX_BATCH`].
     fn enqueue(&self, shard: usize, submission: Submission, inline: bool) -> SchedResult<()> {
         let mut buffer = self.buffers[shard]
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         buffer.push(submission);
-        if inline || self.flush_micros == 0 || buffer.len() >= MAX_BATCH {
+        if inline || buffer.len() >= MAX_BATCH {
             self.flush_locked(shard, &mut buffer)
         } else {
             Ok(())
@@ -406,15 +425,13 @@ impl RouterCore {
         }
         self.batch_hist.observe(buffer.len() as u64);
         let batch = std::mem::replace(buffer, self.hub.take_batch_buffer());
-        self.workers[shard]
-            .send(ShardMessage::Batch(batch))
-            .map_err(|_| SchedError::ChannelClosed {
-                endpoint: "shard worker",
-            })
+        self.wire()
+            .post(shard, ShardMessage::Batch(batch))
+            .map_err(|_| closed("shard worker"))
     }
 
     /// Per-shard backlog: the worker's own gauge (incoming + pending,
-    /// updated once per loop) plus its channel's live message count — the
+    /// updated around every round) plus its channel's live message count — the
     /// channel term keeps the signal fresh while a worker is inside a long
     /// round and its gauge is stale.
     fn queue_depths(&self) -> Vec<u64> {
@@ -494,7 +511,6 @@ pub struct ShardRouter {
     worker_handles: Vec<JoinHandle<ShardReport>>,
     flusher_stop: Arc<AtomicBool>,
     flusher_handle: Option<JoinHandle<()>>,
-    started: Instant,
 }
 
 impl ShardRouter {
@@ -523,52 +539,35 @@ impl ShardRouter {
         let shards = config.shards.max(1);
         let homes = Arc::new(TxnHomes::new());
         let hub = CompletionHub::new();
-        // Mailboxes first: the lane posts to every worker, and every worker
-        // is born holding the lane.
+        let clock = Clock::start();
         let (workers, receivers): (Vec<_>, Vec<_>) =
             (0..shards).map(|_| unbounded::<ShardMessage>()).unzip();
-        let lane = Lane::new(&config, workers.clone(), &sink, &registry);
-        let mut worker_handles = Vec::with_capacity(shards);
-        let mut depths = Vec::with_capacity(shards);
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            let mut scheduler =
-                DeclarativeScheduler::new(config.policy.clone(), config.scheduler.clone());
-            for aux in &config.aux_relations {
-                scheduler.register_aux_relation(aux.clone());
-            }
-            let dispatcher = Dispatcher::new(config.table.clone(), config.rows)?;
-            let rows = config.rows;
-            let depth = Arc::new(AtomicU64::new(0));
-            let gauge = Arc::clone(&depth);
-            registry.adopt_gauge(&format!("shard.{shard}.queue_depth"), Arc::clone(&depth));
-            let worker_homes = Arc::clone(&homes);
-            let worker_hub = Arc::clone(&hub);
-            let worker_lane = Arc::clone(&lane);
-            let worker_sink = sink.clone();
-            let worker_registry = Arc::clone(&registry);
-            let worker_injector = Arc::clone(&config.injector);
-            let handle = std::thread::Builder::new()
-                .name(format!("declsched-shard-{shard}"))
-                .spawn(move || {
-                    run_worker(WorkerSetup {
-                        shard,
-                        scheduler,
-                        dispatcher,
-                        rows,
-                        receiver: rx,
-                        depth: gauge,
-                        homes: worker_homes,
-                        hub: worker_hub,
-                        lane: worker_lane,
-                        sink: worker_sink,
-                        registry: worker_registry,
-                        injector: worker_injector,
+        let lane = Lane::new(&config, &sink, &registry);
+        // Every core is built before any thread starts, so a failed build
+        // leaves no worker behind.
+        let cores = (0..shards)
+            .map(|shard| WorkerCore::new(shard, &config, &lane, &homes, &hub, &sink, &registry))
+            .collect::<SchedResult<Vec<_>>>()?;
+        let depths = cores.iter().map(WorkerCore::depth_gauge).collect();
+        let worker_handles = cores
+            .into_iter()
+            .zip(receivers)
+            .enumerate()
+            .map(|(shard, (core, receiver))| {
+                let (mailboxes, hub) = (workers.clone(), Arc::clone(&hub));
+                std::thread::Builder::new()
+                    .name(format!("declsched-shard-{shard}"))
+                    .spawn(move || {
+                        let wire = Wire {
+                            mailboxes: &mailboxes,
+                            hub: &hub,
+                            stall_ms: 0,
+                        };
+                        run_worker(core, receiver, wire, clock)
                     })
-                })
-                .expect("spawning a shard worker cannot fail");
-            worker_handles.push(handle);
-            depths.push(depth);
-        }
+                    .expect("spawning a shard worker cannot fail")
+            })
+            .collect();
 
         let transactions = Arc::new(AtomicU64::new(0));
         let cross_shard = Arc::new(AtomicU64::new(0));
@@ -578,11 +577,11 @@ impl ShardRouter {
         let peak_inflight = Arc::new(AtomicU64::new(0));
         registry.adopt_gauge("router.inflight", Arc::clone(&inflight));
         registry.adopt_gauge("router.peak_inflight", Arc::clone(&peak_inflight));
-        let flush_micros = config.scheduler.batch_flush_micros;
 
         let core = Arc::new(RouterCore {
             workers,
             lane,
+            clock,
             shards,
             counters: Counters {
                 transactions,
@@ -596,42 +595,35 @@ impl ShardRouter {
             inflight,
             peak_inflight,
             next_token: AtomicU64::new(0),
-            flush_micros,
             batch_hist: registry.histogram("router.batch_size"),
             recorder: sink.shared_recorder(),
             injector: Arc::clone(&config.injector),
         });
 
         // The flusher enforces the latency bound on buffered submissions.
-        // With batching disabled every submission flushes inline, and a
-        // fleet of one buffers nothing, so neither needs the thread.
+        // A fleet of one buffers nothing, so it needs no flusher.
         let flusher_stop = Arc::new(AtomicBool::new(false));
-        let flusher_handle = if flush_micros > 0 && shards > 1 {
+        let flusher_handle = (shards > 1).then(|| {
             let flusher_core = Arc::clone(&core);
             let stop = Arc::clone(&flusher_stop);
-            Some(
-                std::thread::Builder::new()
-                    .name("declsched-flusher".to_string())
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            std::thread::sleep(Duration::from_micros(flush_micros));
-                            for shard in 0..flusher_core.shards {
-                                let _ = flusher_core.flush_shard(shard);
-                            }
+            std::thread::Builder::new()
+                .name("declsched-flusher".to_string())
+                .spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        std::thread::sleep(Duration::from_micros(FLUSH_MICROS));
+                        for shard in 0..flusher_core.shards {
+                            let _ = flusher_core.flush_shard(shard);
                         }
-                    })
-                    .expect("spawning the submission flusher cannot fail"),
-            )
-        } else {
-            None
-        };
+                    }
+                })
+                .expect("spawning the submission flusher cannot fail")
+        });
 
         Ok(ShardRouter {
             core,
             worker_handles,
             flusher_stop,
             flusher_handle,
-            started: Instant::now(),
         })
     }
 
@@ -673,10 +665,10 @@ impl ShardRouter {
         // Quiesce the escalation lane next so no handshake can outlive a
         // worker: every job admitted before this point resolves its ticket,
         // then the lane reports (it refuses anything later).
-        let escalation = self.core.lane.shutdown();
+        let escalation = self.core.lane.shutdown(&mut self.core.wire());
 
-        for worker in &self.core.workers {
-            let _ = worker.send(ShardMessage::Shutdown);
+        for shard in 0..self.core.shards {
+            let _ = self.core.wire().post(shard, ShardMessage::Shutdown);
         }
         let mut reports: Vec<ShardReport> = self
             .worker_handles
@@ -697,12 +689,11 @@ impl ShardRouter {
         let router = RouterSnapshot {
             transactions: self.core.counters.transactions.load(Ordering::Relaxed),
             cross_shard_transactions: self.core.counters.cross_shard.load(Ordering::Relaxed),
-            queue_depths: self.core.queue_depths(),
             unreclaimed_homes: self.core.homes.len() as u64,
             peak_inflight: self.core.peak_inflight.load(Ordering::Relaxed),
         };
-        let metrics =
-            ShardedMetrics::aggregate(&reports, router, escalation, self.started.elapsed());
+        let elapsed = Duration::from_micros(self.core.clock.now_us());
+        let metrics = ShardedMetrics::aggregate(&reports, router, escalation, elapsed);
         ShardedReport {
             shards: reports,
             metrics,

@@ -1,18 +1,25 @@
-//! The shard worker: one thread owning a complete Figure-1 pipeline
+//! The shard worker's scheduling logic: one complete Figure-1 pipeline
 //! (incoming queue → pending relation → declarative rule → history relation
 //! → dispatcher) for the slice of the object space that hashes to it.
 //!
-//! This is the repository's only threaded scheduling engine — the paper's
-//! Section 3.3 loop (client workers fill an incoming queue, a trigger
-//! starts a round, the rule qualifies, the dispatcher executes, clients are
+//! This is the repository's only scheduling engine — the paper's Section
+//! 3.3 loop (client workers fill an incoming queue, a trigger starts a
+//! round, the rule qualifies, the dispatcher executes, clients are
 //! answered).  The unsharded deployment is a fleet of one of these.
+//!
+//! [`WorkerCore`] is I/O-free: a message handler ([`WorkerCore::handle`])
+//! and a round step ([`WorkerCore::tick`]) that mutate its state and reach
+//! the outside world only through a [`Context`] — posting to a shard's
+//! mailbox, publishing resolved tickets, and a chaos stall.  The step says
+//! when it wants to run again ([`Wake`]); the thread that blocks until then
+//! is [`crate::driver`], and a test can drive a whole fleet through FIFO
+//! queues on one thread instead.
 //!
 //! Client traffic arrives in [`ShardMessage::Batch`]es — the router
 //! accumulates submissions per shard and the worker drains a whole batch
-//! per channel synchronization — or, in a fleet of one, as single
+//! per message — or, in a fleet of one, as single
 //! [`ShardMessage::Submit`]s.  Completions flow back the same way:
-//! resolved tickets are buffered over a scheduling round and published to
-//! the shared [`crate::hub::CompletionHub`] in one call.
+//! resolved tickets are buffered over a step and published in one call.
 //!
 //! Besides client transactions, the worker drives its part of the two-phase
 //! escalation handshake (see [`crate::escalation`]): on `Prepare` it
@@ -30,13 +37,13 @@ use crate::escalation::{Handshake, Lane, Own, Parked, Vote};
 use crate::hub::{CompletionHub, HubReply};
 use crate::metrics::ShardReport;
 use crate::router::TxnHomes;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crate::ShardConfig;
 use declsched::{
     DeclarativeScheduler, Dispatcher, ProtocolKind, Request, RequestKey, SchedError, SchedResult,
+    ScheduleBatch,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One client transaction inside a router batch.
 pub(crate) struct Submission {
@@ -49,7 +56,7 @@ pub(crate) struct Submission {
 /// Messages understood by a shard worker.
 pub(crate) enum ShardMessage {
     /// A batch of client transactions accumulated by the router — one
-    /// channel hop for the whole batch.
+    /// mailbox hop for the whole batch.
     Batch(Vec<Submission>),
     /// One client transaction, posted directly by a fleet of one (which
     /// has no router buffer to batch in).
@@ -81,6 +88,39 @@ pub(crate) enum ShardMessage {
     Shutdown,
 }
 
+/// A resolved ticket on its way to the completion hub.
+pub(crate) type Completion = (u64, SchedResult<()>);
+
+/// Everything a handler does outside its own state.  The threaded driver
+/// implements it with the fleet's mailboxes and the completion hub; a test
+/// implements it with FIFO queues.
+pub(crate) trait Context {
+    /// Deliver `message` to `shard`'s mailbox now — not after the step: a
+    /// handshake's release must be in the mailbox before the next job's
+    /// prepare can be.  A shard that is gone hands the message back.
+    fn post(&mut self, shard: usize, message: ShardMessage) -> Result<(), ShardMessage>;
+    /// Publish resolved tickets, taking them out of `completions`.
+    fn publish(&mut self, completions: &mut Vec<Completion>);
+    /// A chaos `Stall`: pause this worker for `millis` after the step,
+    /// before its completions are published.
+    fn stall(&mut self, millis: u64);
+}
+
+/// When [`WorkerCore::tick`] wants to run next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wake {
+    /// At once: a round executed something and left work pending, or a
+    /// shutdown or last-call drain is not finished.
+    Now,
+    /// When mail arrives or the fleet clock reaches this millisecond (the
+    /// trigger's deadline), whichever comes first.
+    At(u64),
+    /// Only when mail arrives.
+    Mail,
+    /// Never: the shutdown drain is complete.
+    Stop,
+}
+
 /// A client transaction waiting for its requests to execute.
 struct Ticket {
     /// Request keys of this transaction still registered in `waiting`.
@@ -89,11 +129,14 @@ struct Ticket {
     reply: Option<HubReply>,
 }
 
-struct WorkerState {
+/// One shard's scheduling state and its two entry points.
+pub(crate) struct WorkerCore {
     shard: usize,
     scheduler: DeclarativeScheduler,
     dispatcher: Dispatcher,
-    started: Instant,
+    rows: usize,
+    /// The fleet clock at the current step, in µs.
+    now_us: u64,
     /// Ticket slots; vacated entries are recycled through `free_tickets`,
     /// so memory stays bounded by in-flight transactions rather than
     /// growing with the worker's lifetime.
@@ -101,16 +144,15 @@ struct WorkerState {
     free_tickets: Vec<usize>,
     waiting: obs::FastIdMap<RequestKey, usize>,
     executed_log: Vec<Request>,
-    peak_pending: usize,
     disconnected: bool,
     /// Chaos `Kill` landed: everything in flight was failed, the
     /// un-admitted state purged, and every later message is refused.
     killed: bool,
     /// A granted escalation hold: the job id whose `Prepare` this shard
     /// granted and whose `Commit`/`Release2pc` it is waiting for.  While
-    /// held the worker keeps draining its mailbox (and buffering client
-    /// traffic) but schedules no rounds, so the history the vote was based
-    /// on cannot shift under the handshake.
+    /// held the worker keeps taking mail (and buffering client traffic) but
+    /// schedules no rounds, so the history the vote was based on cannot
+    /// shift under the handshake.
     held: Option<u64>,
     /// The escalation lane this worker's handshakes run through.
     lane: Arc<Lane>,
@@ -129,16 +171,16 @@ struct WorkerState {
     /// The router's homes map, for reclaiming entries of transactions this
     /// worker fails.
     homes: Arc<TxnHomes>,
-    /// The shared completion hub client tickets wait on.
+    /// The completion hub, for handing drained batch buffers back to the
+    /// router.
     hub: Arc<CompletionHub>,
-    /// Completions buffered over the current loop iteration, published to
-    /// the hub in one batch.
-    completions: Vec<(u64, SchedResult<()>)>,
+    /// Completions resolved since the last publish.
+    completions: Vec<Completion>,
     /// Reusable scratch for `submit_transaction`'s duplicate-key check, so
     /// admission does not allocate a fresh set per transaction.
     batch_keys: obs::FastIdSet<RequestKey>,
     /// Thread-owned flight recorder (flushes into the run's trace sink
-    /// when the worker joins).
+    /// when the worker is dropped).
     recorder: obs::Recorder,
     /// For sampled transactions: the round number at submission, so
     /// qualification can report how many rounds the request sat pending.
@@ -147,6 +189,10 @@ struct WorkerState {
     submit_round: obs::FastIdMap<RequestKey, u64>,
     /// Scheduling rounds this worker has produced.
     round_no: u64,
+    rounds_ctr: obs::Counter,
+    executed_ctr: obs::Counter,
+    rule_failures_ctr: obs::Counter,
+    batch_hist: Arc<obs::MetricHistogram>,
     /// Live counter of requests this shard executed through the
     /// escalation lane.
     escalated_ctr: obs::Counter,
@@ -154,16 +200,68 @@ struct WorkerState {
     injector: Arc<chaos::FaultInjector>,
 }
 
-impl WorkerState {
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+impl WorkerCore {
+    /// Shard `shard` of a fleet configured by `config`, with a private
+    /// scheduler and dispatcher, its `shard.{shard}.*` metrics registered.
+    pub(crate) fn new(
+        shard: usize,
+        config: &ShardConfig,
+        lane: &Arc<Lane>,
+        homes: &Arc<TxnHomes>,
+        hub: &Arc<CompletionHub>,
+        sink: &obs::TraceSink,
+        registry: &obs::Registry,
+    ) -> SchedResult<Self> {
+        let mut scheduler =
+            DeclarativeScheduler::new(config.policy.clone(), config.scheduler.clone());
+        for aux in &config.aux_relations {
+            scheduler.register_aux_relation(aux.clone());
+        }
+        let depth = Arc::new(AtomicU64::new(0));
+        registry.adopt_gauge(&format!("shard.{shard}.queue_depth"), Arc::clone(&depth));
+        let metric = |name: &str| format!("shard.{shard}.{name}");
+        Ok(WorkerCore {
+            shard,
+            scheduler,
+            dispatcher: Dispatcher::new(config.table.clone(), config.rows)?,
+            rows: config.rows,
+            now_us: 0,
+            tickets: Vec::new(),
+            free_tickets: Vec::new(),
+            waiting: obs::FastIdMap::default(),
+            executed_log: Vec::new(),
+            disconnected: false,
+            killed: false,
+            held: None,
+            lane: Arc::clone(lane),
+            parked: Vec::new(),
+            releases: 0,
+            last_call: false,
+            escalated_scratch: Vec::new(),
+            depth,
+            homes: Arc::clone(homes),
+            hub: Arc::clone(hub),
+            completions: Vec::new(),
+            batch_keys: obs::FastIdSet::default(),
+            recorder: sink.recorder(),
+            submit_round: obs::FastIdMap::default(),
+            round_no: 0,
+            rounds_ctr: registry.counter(&metric("rounds")),
+            executed_ctr: registry.counter(&metric("requests_executed")),
+            rule_failures_ctr: registry.counter(&metric("rule_failures")),
+            batch_hist: registry.histogram(&metric("batch_size")),
+            escalated_ctr: registry.counter(&metric("escalated_requests")),
+            injector: Arc::clone(&config.injector),
+        })
     }
 
-    /// Publish buffered completions to the hub in one call.
-    fn flush_completions(&mut self) {
-        if !self.completions.is_empty() {
-            self.hub.resolve_many(self.completions.drain(..));
-        }
+    /// The live queue-depth gauge this worker writes.
+    pub(crate) fn depth_gauge(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.depth)
+    }
+
+    fn now_ms(&self) -> u64 {
+        self.now_us / 1_000
     }
 
     /// Enqueue a client transaction into the local scheduler (queues only —
@@ -223,7 +321,7 @@ impl WorkerState {
     /// slot is vacated only once *every* key of the transaction has
     /// resolved, so later keys of an already-failed transaction can never
     /// hit a recycled slot.  Completions are buffered, not published — the
-    /// round's flush does that in one hub call.
+    /// step's publish does that in one call.
     fn resolve(&mut self, key: RequestKey, result: SchedResult<()>) {
         let Some(index) = self.waiting.remove(&key) else {
             return;
@@ -339,17 +437,15 @@ impl WorkerState {
         }
     }
 
-    /// Fire a chaos hook on this worker's own thread: `Stall` sleeps here,
-    /// `Kill` is this worker dying — at a handshake step (the hooks are
-    /// fired by the participant itself right before it takes the step) it
-    /// then votes, or refuses the commit, with the typed error and the
-    /// decider backs out, releasing every granted sibling.
-    fn fire_hook(&mut self, hook: chaos::Hook) {
+    /// Fire a chaos hook: a `Stall` goes to the context (the driver pauses
+    /// after the step), a `Kill` is this worker dying — at a handshake step
+    /// (the hooks are fired by the participant itself right before it takes
+    /// the step) it then votes, or refuses the commit, with the typed error
+    /// and the decider backs out, releasing every granted sibling.
+    fn fire_hook(&mut self, hook: chaos::Hook, cx: &mut dyn Context) {
         match self.injector.fire(hook) {
-            Some(chaos::Fault::Stall { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis));
-            }
-            Some(chaos::Fault::Kill) if !self.killed => self.kill(),
+            Some(chaos::Fault::Stall { millis }) => cx.stall(millis),
+            Some(chaos::Fault::Kill) if !self.killed => self.kill(cx),
             _ => {}
         }
     }
@@ -357,12 +453,12 @@ impl WorkerState {
     /// Commit phase on this shard — reached by the decider directly and by
     /// its siblings through `Commit`: execute the sub-batch, drop the hold,
     /// and, as the last finisher, queue the ticket's resolution for this
-    /// iteration's hub flush.
-    fn commit_escalated(&mut self, handshake: &Arc<Handshake>) {
+    /// step's publish.
+    fn commit_escalated(&mut self, handshake: &Arc<Handshake>, cx: &mut dyn Context) {
         // The worst mid-handshake moment for a participant to die: between
         // its granted vote and its commit.  Siblings that already executed
         // keep their (locally recorded) slices, the client gets the error.
-        self.fire_hook(chaos::Hook::LaneCommit { shard: self.shard });
+        self.fire_hook(chaos::Hook::LaneCommit { shard: self.shard }, cx);
         let result = if self.killed {
             Err(self.dead("escalated execute refused"))
         } else if self.held == Some(handshake.job_id) {
@@ -374,13 +470,13 @@ impl WorkerState {
             })
         };
         let executed = result.is_ok();
-        if let Some((reply, outcome)) = self.lane.finish(handshake, result) {
+        if let Some((reply, outcome)) = self.lane.finish(handshake, result, self.now_us, cx) {
             reply.resolve_into(outcome, &mut self.completions);
         }
         // An escalated terminal frees this shard's locks like a local one.
         if executed && handshake.requests.iter().any(|r| r.op.is_terminal()) {
             self.releases += 1;
-            self.wake_parked(true);
+            self.wake_parked(true, cx);
         }
     }
 
@@ -422,7 +518,7 @@ impl WorkerState {
 
     /// Keep a denied handshake until a round here unblocks it — unless that
     /// already happened between this shard's vote and now.
-    fn park(&mut self, parked: Parked) {
+    fn park(&mut self, parked: Parked, cx: &mut dyn Context) {
         let already = if parked.own_pending {
             self.own_submission_done(&parked.handshake)
         } else {
@@ -431,7 +527,7 @@ impl WorkerState {
         // (A killed worker hands the record straight back: its next
         // prepare is refused here, failing the handshake typed.)
         if already || self.killed {
-            self.lane.rearm(&parked, false);
+            self.lane.rearm(&parked, false, self.now_us, cx);
         } else {
             self.parked.push(parked);
         }
@@ -446,13 +542,13 @@ impl WorkerState {
     /// After a round that executed something: re-arm the parked handshakes
     /// it may have unblocked — all of them if it `released` a lock, else
     /// those whose earlier own submission has now left the queue.
-    fn wake_parked(&mut self, released: bool) {
+    fn wake_parked(&mut self, released: bool, cx: &mut dyn Context) {
         let mut index = 0;
         while index < self.parked.len() {
             let parked = &self.parked[index];
             if released || (parked.own_pending && self.own_submission_done(&parked.handshake)) {
                 let parked = self.parked.swap_remove(index);
-                self.lane.rearm(&parked, false);
+                self.lane.rearm(&parked, false, self.now_us, cx);
             } else {
                 index += 1;
             }
@@ -469,7 +565,7 @@ impl WorkerState {
     /// already-admitted transactions — is kept for post-mortem inspection;
     /// the worker never schedules again, so they can no longer block
     /// anything here.
-    fn kill(&mut self) {
+    fn kill(&mut self, cx: &mut dyn Context) {
         self.killed = true;
         self.held = None;
         self.recorder
@@ -478,10 +574,9 @@ impl WorkerState {
         self.fail_all_waiting(true, move |_| SchedError::Dispatch {
             message: format!("chaos: shard {shard} worker killed"),
         });
-        let now_ms = self.now_ms();
-        self.scheduler.purge_unscheduled(now_ms);
+        self.scheduler.purge_unscheduled(self.now_ms());
         for parked in std::mem::take(&mut self.parked) {
-            self.lane.rearm(&parked, false);
+            self.lane.rearm(&parked, false, self.now_us, cx);
         }
     }
 
@@ -491,13 +586,14 @@ impl WorkerState {
         }
     }
 
-    /// Handle one message.  Never blocks: a granted `Prepare` records the
-    /// hold and returns — the worker keeps draining its mailbox (buffering
-    /// client traffic) until the decider's `Commit`/`Release2pc` lands.  A
-    /// killed worker answers every message with a typed error (or a
-    /// refusal) instead of hanging its sender; each handler below starts
-    /// with that guard.
-    fn handle(&mut self, message: ShardMessage) {
+    /// Handle one message at `now_us` on the fleet clock.  Never waits: a
+    /// granted `Prepare` records the hold and returns — the worker keeps
+    /// taking mail (buffering client traffic) until the decider's
+    /// `Commit`/`Release2pc` lands.  A killed worker answers every message
+    /// with a typed error (or a refusal) instead of hanging its sender;
+    /// each handler below starts with that guard.
+    pub(crate) fn handle(&mut self, message: ShardMessage, now_us: u64, cx: &mut dyn Context) {
+        self.now_us = now_us;
         match message {
             ShardMessage::Batch(mut submissions) => {
                 for submission in submissions.drain(..) {
@@ -514,359 +610,515 @@ impl WorkerState {
                 // Chaos hook: a participant dying right before its prepare
                 // lands — the mid-handshake fault the two-phase protocol
                 // must survive.
-                self.fire_hook(chaos::Hook::LanePrepare { shard: self.shard });
+                self.fire_hook(chaos::Hook::LanePrepare { shard: self.shard }, cx);
                 let vote = self.prepare(&handshake);
+                let (shard, releases) = (self.shard, self.releases);
                 match self
                     .lane
-                    .cast_vote(&handshake, self.shard, self.releases, vote)
+                    .cast_vote(&handshake, shard, releases, vote, now_us, cx)
                 {
-                    Some(Own::Execute) => self.commit_escalated(&handshake),
+                    Some(Own::Execute) => self.commit_escalated(&handshake, cx),
                     Some(Own::Release) => self.release(handshake.job_id),
                     None => {}
                 }
             }
-            ShardMessage::Commit(handshake) => self.commit_escalated(&handshake),
+            ShardMessage::Commit(handshake) => self.commit_escalated(&handshake, cx),
             ShardMessage::Release2pc { job_id } => self.release(job_id),
-            ShardMessage::Park(parked) => self.park(parked),
+            ShardMessage::Park(parked) => self.park(parked, cx),
             ShardMessage::LastCall => self.last_call = true,
             ShardMessage::Shutdown => self.disconnected = true,
         }
     }
-}
 
-/// Everything a shard worker thread is born with.
-pub(crate) struct WorkerSetup {
-    pub shard: usize,
-    pub scheduler: DeclarativeScheduler,
-    pub dispatcher: Dispatcher,
-    pub rows: usize,
-    pub receiver: Receiver<ShardMessage>,
-    pub depth: Arc<AtomicU64>,
-    pub homes: Arc<TxnHomes>,
-    pub hub: Arc<CompletionHub>,
-    pub lane: Arc<Lane>,
-    pub sink: obs::TraceSink,
-    pub registry: Arc<obs::Registry>,
-    pub injector: Arc<chaos::FaultInjector>,
-}
-
-/// Microseconds this thread has spent on-CPU, from the kernel's scheduler
-/// statistics.  Unlike wall-clock spans, this excludes both blocking waits
-/// *and* involuntary preemption — on a box with fewer cores than shards,
-/// a wall-clock "busy" span silently absorbs the time other threads spent
-/// running, inflating every shard's busy time toward the whole run's
-/// elapsed time.  `None` when unavailable (non-Linux, or scheduler stats
-/// compiled out), in which case the caller falls back to wall spans.
-fn thread_on_cpu_us() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    let on_cpu_ns: u64 = text.split_whitespace().next()?.parse().ok()?;
-    Some(on_cpu_ns / 1_000)
-}
-
-/// The shard worker thread body.
-pub(crate) fn run_worker(setup: WorkerSetup) -> ShardReport {
-    let cpu_at_start = thread_on_cpu_us();
-    let WorkerSetup {
-        shard,
-        scheduler,
-        dispatcher,
-        rows,
-        receiver,
-        depth,
-        homes,
-        hub,
-        lane,
-        sink,
-        registry,
-        injector,
-    } = setup;
-    let rounds_ctr = registry.counter(&format!("shard.{shard}.rounds"));
-    let executed_ctr = registry.counter(&format!("shard.{shard}.requests_executed"));
-    let rule_failures_ctr = registry.counter(&format!("shard.{shard}.rule_failures"));
-    let batch_hist = registry.histogram(&format!("shard.{shard}.batch_size"));
-    let mut state = WorkerState {
-        shard,
-        scheduler,
-        dispatcher,
-        started: Instant::now(),
-        tickets: Vec::new(),
-        free_tickets: Vec::new(),
-        waiting: obs::FastIdMap::default(),
-        executed_log: Vec::new(),
-        peak_pending: 0,
-        disconnected: false,
-        killed: false,
-        held: None,
-        lane,
-        parked: Vec::new(),
-        releases: 0,
-        last_call: false,
-        escalated_scratch: Vec::new(),
-        depth,
-        homes,
-        hub,
-        completions: Vec::new(),
-        batch_keys: obs::FastIdSet::default(),
-        recorder: sink.recorder(),
-        submit_round: obs::FastIdMap::default(),
-        round_no: 0,
-        escalated_ctr: registry.counter(&format!("shard.{shard}.escalated_requests")),
-        injector,
-    };
-
-    // Whether the previous round executed anything.  A productive round
-    // can release locks that unblock still-pending requests, so the next
-    // round must run immediately — blocking on the channel first would put
-    // a hard 1 ms stall into every lock handoff on a lightly loaded shard.
-    let mut made_progress = false;
-    // Processing time, excluding the blocking waits for traffic — the
-    // shard's contribution to the fleet's critical path.  Idle wakeups add
-    // only their (near-free) no-op tick to the total.
-    let mut busy_us = 0u64;
-    loop {
-        // Collect what has arrived; block briefly so an idle shard does not
-        // spin (an unproductive round cannot unblock anything by itself, so
-        // waiting for traffic is safe then).  A held shard also waits here:
-        // the decision arrives as a message.
-        let timeout = if made_progress {
-            Duration::ZERO
-        } else {
-            Duration::from_millis(1)
-        };
-        let received = receiver.recv_timeout(timeout);
-        let iteration_started = Instant::now();
-        match received {
-            Ok(first) => {
-                state.handle(first);
-                while let Ok(message) = receiver.try_recv() {
-                    state.handle(message);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => state.disconnected = true,
-        }
-        made_progress = false;
-
-        // Chaos hook: once per loop iteration, after the mailbox drain.
-        state.fire_hook(chaos::Hook::WorkerRound { shard });
-
-        if state.disconnected {
+    /// The round step at `now_us` on the fleet clock: fire the loop's
+    /// chaos hook, run a round if the trigger — or a shutdown or last-call
+    /// drain — calls for one, re-arm the handshakes it unblocked, and
+    /// publish everything resolved since the last step.
+    pub(crate) fn tick(&mut self, now_us: u64, cx: &mut dyn Context) -> Wake {
+        self.now_us = now_us;
+        // Chaos hook: once per step, after the mail it follows.
+        self.fire_hook(chaos::Hook::WorkerRound { shard: self.shard }, cx);
+        if self.disconnected {
             // The lane is idle before the workers are told to stop, so a
             // hold surviving to this point belongs to a handshake that died
             // mid-flight; dropping it is what lets the drain below finish.
-            state.held = None;
+            self.held = None;
         }
+        self.publish_depth();
 
-        let queue_depth = state.scheduler.queued() + state.scheduler.pending();
-        state.peak_pending = state.peak_pending.max(queue_depth);
-        state.depth.store(queue_depth as u64, Ordering::Relaxed);
-
-        let now_ms = state.now_ms();
+        let now_ms = self.now_ms();
         // When shutting down, keep scheduling until everything drained.  A
         // held worker schedules nothing: the history its granted vote was
         // qualified against must not shift until the decision lands.
         // The lane's last call drains the same way while anything is parked
         // here: whatever could still release a lock runs now, trigger or not.
-        let draining = state.disconnected || (state.last_call && !state.parked.is_empty());
-        let batch = if state.killed || state.held.is_some() {
+        let draining = self.disconnected || (self.last_call && !self.parked.is_empty());
+        let has_work = self.scheduler.queued() + self.scheduler.pending() > 0;
+        let batch = if self.killed || self.held.is_some() {
             None
-        } else if draining && (state.scheduler.queued() > 0 || state.scheduler.pending() > 0) {
-            Some(state.scheduler.run_round(now_ms))
+        } else if draining && has_work {
+            Some(self.scheduler.run_round(now_ms))
         } else {
-            match state.scheduler.tick(now_ms) {
-                Ok(Some(b)) => Some(Ok(b)),
-                Ok(None) => None,
-                Err(e) => Some(Err(e)),
-            }
+            self.scheduler.tick(now_ms).transpose()
         };
 
         let mut stop = false;
-        if let Some(batch) = batch {
-            match batch {
-                Ok(batch) => {
-                    if state.disconnected && batch.is_empty() && state.scheduler.queued() == 0 {
-                        // Shutdown fixpoint: no new requests can arrive and
-                        // the rule admits nothing more (e.g. a client went
-                        // away without committing).  Fail the stragglers
-                        // instead of spinning forever.
-                        state.fail_all_waiting(true, |key| SchedError::TransactionFinished {
-                            ta: key.ta,
-                        });
-                        stop = true;
-                    } else {
-                        made_progress = !batch.is_empty();
-                        rounds_ctr.inc();
-                        batch_hist.observe(batch.requests.len() as u64);
-                        let qualified_at = if state.recorder.enabled() && !batch.is_empty() {
-                            state.recorder.now_us()
-                        } else {
-                            0
-                        };
-                        // Batch execution is sequential, so a request's
-                        // `Executed` stamp is exactly the next request's
-                        // `Dispatched` moment — chaining `last_us` halves the
-                        // hot-path clock reads.  The stamp goes stale only
-                        // when an unsampled request executes in between
-                        // (sampled tracing), in which case the next dispatch
-                        // re-reads.
-                        let mut last_us = qualified_at;
-                        let mut last_fresh = true;
-                        let mut released = false;
-                        for request in &batch.requests {
-                            let key = request.key();
-                            let sampled = state.recorder.samples(key.ta);
-                            if sampled {
-                                let waited = state.round_no.saturating_sub(
-                                    state.submit_round.remove(&key).unwrap_or(state.round_no),
-                                );
-                                if waited > 0 {
-                                    state.recorder.emit_at(
-                                        key.ta,
-                                        key.intra,
-                                        qualified_at,
-                                        obs::EventKind::RoundDeferred { rounds: waited },
-                                    );
-                                }
-                                state.recorder.emit_at(
-                                    key.ta,
-                                    key.intra,
-                                    qualified_at,
-                                    obs::EventKind::Qualified,
-                                );
-                                if !last_fresh {
-                                    last_us = state.recorder.now_us();
-                                }
-                                state.recorder.emit_at(
-                                    key.ta,
-                                    key.intra,
-                                    last_us,
-                                    obs::EventKind::Dispatched,
-                                );
-                            }
-                            // Chaos hook: a `Stall` right before a terminal
-                            // executes extends every lock the transaction
-                            // holds.
-                            if request.op.is_terminal() {
-                                released = true;
-                                if let Some(chaos::Fault::Stall { millis }) =
-                                    state.injector.fire(chaos::Hook::WorkerCommit { shard })
-                                {
-                                    std::thread::sleep(Duration::from_millis(millis));
-                                }
-                            }
-                            let result = match state.dispatcher.execute_request(request) {
-                                // A late statement of a transaction the
-                                // engine already finished.  A pruned history
-                                // has forgotten the terminal and granted the
-                                // statement a lock; record one again so the
-                                // refusal leaves no lock behind.
-                                Err(refused)
-                                    if request.op.is_data()
-                                        && state.dispatcher.transaction_finished(request.ta) =>
-                                {
-                                    released = true;
-                                    let terminal = Request::abort(0, request.ta, request.intra);
-                                    state
-                                        .scheduler
-                                        .preload_history(&[terminal])
-                                        .and(Err(refused))
-                                }
-                                result => result,
-                            };
-                            executed_ctr.inc();
-                            if sampled {
-                                last_us = state.recorder.now_us();
-                                state.recorder.emit_at(
-                                    key.ta,
-                                    key.intra,
-                                    last_us,
-                                    obs::EventKind::Executed,
-                                );
-                            }
-                            last_fresh = sampled;
-                            state.executed_log.push(*request);
-                            state.resolve(key, result);
-                        }
-                        state.round_no += 1;
-                        // A terminal frees locks, an executed statement may
-                        // be the earlier submission a handshake waits for:
-                        // either way this round is the event parked
-                        // handshakes are re-armed by.
-                        state.releases += u64::from(released);
-                        if made_progress && !state.parked.is_empty() {
-                            state.wake_parked(released);
-                        }
-                    }
-                }
-                Err(e) => {
-                    // A rule failure fails every waiting client rather than
-                    // hanging them.  The recorder freezes its window so the
-                    // events leading up to the failure survive post-mortem.
-                    rule_failures_ctr.inc();
-                    state
-                        .recorder
-                        .freeze_anomaly(&format!("shard {}: rule failure: {e}", state.shard));
-                    let err = e.clone();
-                    let reclaim = state.disconnected;
-                    state.fail_all_waiting(reclaim, |_| err.clone());
-                    // A shard whose rule fails releases nothing: hand parked
-                    // handshakes back, so their attempt bound (or the same
-                    // rule error) settles them instead of a wedged shard.
-                    state.wake_parked(true);
-                    if state.disconnected {
-                        // The drain loop cannot make progress if the rule
-                        // keeps erroring (run_round never empties the
-                        // pending relation), so stop instead of spinning.
-                        stop = true;
-                    }
-                }
+        let mut made_progress = false;
+        match batch {
+            Some(Ok(batch))
+                if self.disconnected && batch.is_empty() && self.scheduler.queued() == 0 =>
+            {
+                // Shutdown fixpoint: no new requests can arrive and the
+                // rule admits nothing more (e.g. a client went away without
+                // committing).  Fail the stragglers instead of spinning.
+                self.fail_all_waiting(true, |key| SchedError::TransactionFinished { ta: key.ta });
+                stop = true;
             }
+            Some(Ok(batch)) => made_progress = self.execute_round(batch, cx),
+            Some(Err(e)) => {
+                // A rule failure fails every waiting client rather than
+                // hanging them.  The recorder freezes its window so the
+                // events leading up to the failure survive post-mortem.
+                self.rule_failures_ctr.inc();
+                self.recorder
+                    .freeze_anomaly(&format!("shard {}: rule failure: {e}", self.shard));
+                let reclaim = self.disconnected;
+                self.fail_all_waiting(reclaim, |_| e.clone());
+                // A shard whose rule fails releases nothing: hand parked
+                // handshakes back, so their attempt bound (or the same
+                // rule error) settles them instead of a wedged shard.
+                self.wake_parked(true, cx);
+                // The drain cannot make progress if the rule keeps erroring
+                // (run_round never empties the pending relation).
+                stop = self.disconnected;
+            }
+            None => {}
         }
 
         // Last call, local fixpoint: no release is coming for what is still
         // parked here, so its next attempt is the final one.
-        if state.last_call && !made_progress && state.held.is_none() {
-            for parked in std::mem::take(&mut state.parked) {
-                state.lane.rearm(&parked, true);
+        if self.last_call && !made_progress && self.held.is_none() {
+            for parked in std::mem::take(&mut self.parked) {
+                self.lane.rearm(&parked, true, now_us, cx);
+            }
+        }
+        // Written after the round too: with no further wake, an idle worker
+        // would otherwise keep showing its pre-round backlog.
+        self.publish_depth();
+        cx.publish(&mut self.completions);
+
+        let idle = self.scheduler.queued() + self.scheduler.pending() == 0;
+        if stop || (self.disconnected && (self.killed || idle)) {
+            Wake::Stop
+        } else if self.disconnected
+            || (made_progress && (!idle || (self.last_call && !self.parked.is_empty())))
+        {
+            // A productive round can release locks that unblock what is
+            // still pending, so the next round runs at once.
+            Wake::Now
+        } else if self.killed || self.held.is_some() {
+            Wake::Mail
+        } else {
+            // Nothing left that time alone can advance, but the trigger.
+            self.scheduler
+                .trigger_deadline_ms(now_ms)
+                .map_or(Wake::Mail, Wake::At)
+        }
+    }
+
+    /// Dispatch a qualified batch in order; whether it executed anything.
+    fn execute_round(&mut self, batch: ScheduleBatch, cx: &mut dyn Context) -> bool {
+        let shard = self.shard;
+        self.rounds_ctr.inc();
+        self.batch_hist.observe(batch.requests.len() as u64);
+        let qualified_at = if self.recorder.enabled() && !batch.is_empty() {
+            self.recorder.now_us()
+        } else {
+            0
+        };
+        // Batch execution is sequential, so a request's `Executed` stamp is
+        // exactly the next request's `Dispatched` moment — chaining
+        // `last_us` halves the hot-path clock reads.  The stamp goes stale
+        // only when an unsampled request executes in between (sampled
+        // tracing), in which case the next dispatch re-reads.
+        let mut last_us = qualified_at;
+        let mut last_fresh = true;
+        let mut released = false;
+        for request in &batch.requests {
+            let key = request.key();
+            let sampled = self.recorder.samples(key.ta);
+            if sampled {
+                let waited = self
+                    .round_no
+                    .saturating_sub(self.submit_round.remove(&key).unwrap_or(self.round_no));
+                if waited > 0 {
+                    self.recorder.emit_at(
+                        key.ta,
+                        key.intra,
+                        qualified_at,
+                        obs::EventKind::RoundDeferred { rounds: waited },
+                    );
+                }
+                self.recorder
+                    .emit_at(key.ta, key.intra, qualified_at, obs::EventKind::Qualified);
+                if !last_fresh {
+                    last_us = self.recorder.now_us();
+                }
+                self.recorder
+                    .emit_at(key.ta, key.intra, last_us, obs::EventKind::Dispatched);
+            }
+            // Chaos hook: a `Stall` right before a terminal executes holds
+            // back this step's completions and the shard's next round — and
+            // with them every lock the transaction holds.
+            if request.op.is_terminal() {
+                released = true;
+                if let Some(chaos::Fault::Stall { millis }) =
+                    self.injector.fire(chaos::Hook::WorkerCommit { shard })
+                {
+                    cx.stall(millis);
+                }
+            }
+            let result = match self.dispatcher.execute_request(request) {
+                // A late statement of a transaction the engine already
+                // finished.  A pruned history has forgotten the terminal and
+                // granted the statement a lock; record one again so the
+                // refusal leaves no lock behind.
+                Err(refused)
+                    if request.op.is_data() && self.dispatcher.transaction_finished(request.ta) =>
+                {
+                    released = true;
+                    let terminal = Request::abort(0, request.ta, request.intra);
+                    self.scheduler
+                        .preload_history(&[terminal])
+                        .and(Err(refused))
+                }
+                result => result,
+            };
+            self.executed_ctr.inc();
+            if sampled {
+                last_us = self.recorder.now_us();
+                self.recorder
+                    .emit_at(key.ta, key.intra, last_us, obs::EventKind::Executed);
+            }
+            last_fresh = sampled;
+            self.executed_log.push(*request);
+            self.resolve(key, result);
+        }
+        self.round_no += 1;
+        // A terminal frees locks, an executed statement may be the earlier
+        // submission a handshake waits for: either way this round is the
+        // event parked handshakes are re-armed by.
+        self.releases += u64::from(released);
+        let made_progress = !batch.is_empty();
+        if made_progress && !self.parked.is_empty() {
+            self.wake_parked(released, cx);
+        }
+        made_progress
+    }
+
+    /// Write the live queue-depth gauge.
+    fn publish_depth(&self) {
+        let depth = self.scheduler.queued() + self.scheduler.pending();
+        self.depth.store(depth as u64, Ordering::Relaxed);
+    }
+
+    /// The shard's final report, with `busy_us` as measured by its driver.
+    pub(crate) fn into_report(self, busy_us: u64) -> ShardReport {
+        ShardReport {
+            shard: self.shard,
+            scheduler: self.scheduler.metrics(),
+            dispatch: self.dispatcher.totals(),
+            busy_us,
+            final_rows: self.dispatcher.final_rows(self.rows),
+            executed_log: self.executed_log,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use declsched::{shard_of, Operation, Protocol, SchedulerConfig, TriggerPolicy};
+    use std::collections::{BTreeSet, VecDeque};
+    use std::hash::{DefaultHasher, Hash, Hasher};
+
+    const SHARDS: usize = 4;
+    const ROWS: usize = 64;
+    const TRANSACTIONS: u64 = 1_000;
+
+    /// The test's [`Context`]: one FIFO mailbox per shard, every publish in
+    /// order.
+    struct Fifo {
+        mailboxes: Vec<VecDeque<ShardMessage>>,
+        published: Vec<Completion>,
+    }
+
+    impl Context for Fifo {
+        fn post(&mut self, shard: usize, message: ShardMessage) -> Result<(), ShardMessage> {
+            self.mailboxes[shard].push_back(message);
+            Ok(())
+        }
+
+        fn publish(&mut self, completions: &mut Vec<Completion>) {
+            self.published.append(completions);
+        }
+
+        fn stall(&mut self, _millis: u64) {
+            unreachable!("no chaos plan in this fleet");
+        }
+    }
+
+    /// A fleet of [`WorkerCore`]s and one [`Lane`] on one thread, under a
+    /// virtual clock.
+    struct Fleet {
+        cores: Vec<WorkerCore>,
+        wakes: Vec<Wake>,
+        lane: Arc<Lane>,
+        hub: Arc<CompletionHub>,
+        inflight: Arc<AtomicU64>,
+        cx: Fifo,
+        now_us: u64,
+    }
+
+    impl Fleet {
+        fn new() -> Self {
+            let config = ShardConfig::new(SHARDS, Protocol::algebra(ProtocolKind::Ss2pl))
+                .with_scheduler(SchedulerConfig {
+                    trigger: TriggerPolicy::Hybrid {
+                        interval_ms: 1,
+                        threshold: 4,
+                    },
+                    ..SchedulerConfig::default()
+                })
+                .with_table("bench", ROWS);
+            let (sink, registry) = (obs::TraceSink::disabled(), obs::Registry::new());
+            let lane = Lane::new(&config, &sink, &registry);
+            let (homes, hub) = (Arc::new(TxnHomes::new()), CompletionHub::new());
+            let cores = (0..SHARDS)
+                .map(|shard| WorkerCore::new(shard, &config, &lane, &homes, &hub, &sink, &registry))
+                .collect::<SchedResult<_>>()
+                .unwrap();
+            Fleet {
+                cores,
+                wakes: vec![Wake::Mail; SHARDS],
+                lane,
+                hub,
+                inflight: Arc::new(AtomicU64::new(0)),
+                cx: Fifo {
+                    mailboxes: (0..SHARDS).map(|_| VecDeque::new()).collect(),
+                    published: Vec::new(),
+                },
+                now_us: 0,
             }
         }
 
-        // One hub synchronization for everything the round resolved.
-        state.flush_completions();
-
-        busy_us += iteration_started.elapsed().as_micros() as u64;
-        if stop {
-            break;
+        /// Route one transaction the way the router does: a one-shard
+        /// footprint straight to its mailbox, a spanning one to the lane.
+        fn submit(&mut self, token: u64, requests: Vec<Request>) {
+            let weight = requests.len() as u64;
+            self.inflight.fetch_add(weight, Ordering::Relaxed);
+            let reply = HubReply::new(
+                Arc::clone(&self.hub),
+                token,
+                weight,
+                Arc::clone(&self.inflight),
+            );
+            let touched: BTreeSet<usize> = requests
+                .iter()
+                .filter(|r| r.op.is_data())
+                .map(|r| shard_of(r.object, SHARDS))
+                .collect();
+            if let [shard] = touched.iter().copied().collect::<Vec<_>>()[..] {
+                let submission = Submission { requests, reply };
+                self.cx.mailboxes[shard].push_back(ShardMessage::Batch(vec![submission]));
+            } else {
+                let touched = touched.into_iter().collect();
+                let now_us = self.now_us;
+                self.lane
+                    .submit(requests, touched, reply, now_us, &mut self.cx)
+                    .unwrap();
+            }
         }
-        if state.disconnected && state.scheduler.queued() == 0 && state.scheduler.pending() == 0 {
-            break;
+
+        /// Each shard in turn takes its whole mailbox and steps, if it has
+        /// mail or its wake is due; then 10 µs pass.  Whether any shard ran.
+        fn step(&mut self) -> bool {
+            let mut ran = false;
+            for shard in 0..SHARDS {
+                let due = match self.wakes[shard] {
+                    Wake::Now => true,
+                    Wake::At(ms) => ms * 1_000 <= self.now_us,
+                    Wake::Mail | Wake::Stop => false,
+                };
+                if !due && self.cx.mailboxes[shard].is_empty() {
+                    continue;
+                }
+                ran = true;
+                while let Some(message) = self.cx.mailboxes[shard].pop_front() {
+                    self.cores[shard].handle(message, self.now_us, &mut self.cx);
+                }
+                self.wakes[shard] = self.cores[shard].tick(self.now_us, &mut self.cx);
+            }
+            self.now_us += 10;
+            ran
+        }
+
+        /// Step until every shard waits on mail alone, jumping the clock to
+        /// the earliest trigger deadline whenever nothing else is due.
+        fn settle(&mut self) {
+            loop {
+                if self.step() {
+                    continue;
+                }
+                let deadline = self.wakes.iter().filter_map(|wake| match wake {
+                    Wake::At(ms) => Some(ms * 1_000),
+                    _ => None,
+                });
+                match deadline.min() {
+                    Some(at) => self.now_us = self.now_us.max(at),
+                    None => return,
+                }
+            }
         }
     }
-    state.flush_completions();
 
-    // Publish the true final depth (0 on a clean drain; the stranded
-    // backlog if the drain bailed on a rule failure) — the loop's last
-    // sample predates the final round.
-    state.depth.store(
-        (state.scheduler.queued() + state.scheduler.pending()) as u64,
-        Ordering::Relaxed,
-    );
+    /// A seeded stream: two statements and a commit per transaction, every
+    /// fifth spanning two shards, over a small table so they contend.
+    fn stream() -> Vec<Vec<Request>> {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let on_shard = |shard: usize| -> Vec<i64> {
+            (0..ROWS as i64)
+                .filter(|&o| shard_of(o, SHARDS) == shard)
+                .collect()
+        };
+        let homes: Vec<Vec<i64>> = (0..SHARDS).map(on_shard).collect();
+        (1..=TRANSACTIONS)
+            .map(|ta| {
+                let first = next(SHARDS as u64) as usize;
+                let second = if ta % 5 == 0 {
+                    (first + 1 + next(SHARDS as u64 - 1) as usize) % SHARDS
+                } else {
+                    first
+                };
+                let mut requests: Vec<Request> = [first, second]
+                    .iter()
+                    .enumerate()
+                    .map(|(intra, &shard)| {
+                        let object = homes[shard][next(homes[shard].len() as u64) as usize];
+                        if next(2) == 0 {
+                            Request::read(0, ta, intra as u32, object)
+                        } else {
+                            Request::write(0, ta, intra as u32, object)
+                        }
+                    })
+                    .collect();
+                requests.push(Request::commit(0, ta, 2));
+                requests
+            })
+            .collect()
+    }
 
-    // Prefer the kernel's on-CPU accounting; the accumulated wall spans
-    // are the portable fallback (exact on an unloaded box, inflated by
-    // preemption on an oversubscribed one).
-    let busy_us = match (cpu_at_start, thread_on_cpu_us()) {
-        (Some(start), Some(end)) => end.saturating_sub(start),
-        _ => busy_us,
-    };
+    /// Strict two-phase locking on one shard's log: from a transaction's
+    /// access of an object until its terminal there, no other transaction
+    /// accesses the object in conflict.
+    fn strict_2pl_violations(log: &[Request]) -> Vec<String> {
+        let mut violations = Vec::new();
+        for (at, holder) in log.iter().enumerate().filter(|(_, r)| r.op.is_data()) {
+            let later = log[at + 1..].iter();
+            for other in later.take_while(|r| !(r.ta == holder.ta && r.op.is_terminal())) {
+                let write = holder.op == Operation::Write || other.op == Operation::Write;
+                if other.op.is_data()
+                    && other.object == holder.object
+                    && other.ta != holder.ta
+                    && write
+                {
+                    violations.push(format!("T{} {:?} under T{}", other.ta, other.op, holder.ta));
+                }
+            }
+        }
+        violations
+    }
 
-    ShardReport {
-        shard: state.shard,
-        scheduler: state.scheduler.metrics(),
-        dispatch: state.dispatcher.totals(),
-        peak_pending: state.peak_pending,
-        busy_us,
-        final_rows: state.dispatcher.final_rows(rows),
-        executed_log: state.executed_log,
+    /// Run the stream through a fresh fleet, check it, and return the hash
+    /// of every shard's ordered executed log.
+    fn run_and_check() -> u64 {
+        let stream = stream();
+        let mut fleet = Fleet::new();
+        // Ten new transactions, then three delivery steps, at a time: the
+        // fleet sees arrivals between rounds and handshakes in flight.
+        for (wave, chunk) in stream.chunks(10).enumerate() {
+            for (offset, requests) in chunk.iter().enumerate() {
+                fleet.submit((wave * 10 + offset) as u64, requests.clone());
+            }
+            for _ in 0..3 {
+                fleet.step();
+            }
+        }
+        fleet.settle();
+
+        // Every ticket resolved exactly once, and every transaction committed.
+        let mut tokens: Vec<u64> = fleet.cx.published.iter().map(|(t, _)| *t).collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, (0..TRANSACTIONS).collect::<Vec<_>>());
+        for (token, result) in &fleet.cx.published {
+            assert_eq!(result, &Ok(()), "ticket {token}");
+        }
+        assert_eq!(fleet.inflight.load(Ordering::Relaxed), 0);
+        let lane = fleet.lane.shutdown(&mut fleet.cx);
+        assert_eq!((lane.escalations, lane.failed), (TRANSACTIONS / 5, 0));
+        assert!(lane.retries > 0, "some handshake was denied and re-armed");
+
+        let mut hasher = DefaultHasher::new();
+        for (shard, core) in fleet.cores.iter().enumerate() {
+            for request in &core.executed_log {
+                if request.op.is_data() {
+                    assert_eq!(shard_of(request.object, SHARDS), shard, "{request:?}");
+                }
+                (shard, request.ta, request.intra, request.op, request.object).hash(&mut hasher);
+            }
+            let violations = strict_2pl_violations(&core.executed_log);
+            assert!(violations.is_empty(), "shard {shard}: {violations:?}");
+        }
+        // Each statement executed once, on its home; each commit once on
+        // every shard its transaction touched.
+        for (index, requests) in stream.iter().enumerate() {
+            let ta = index as u64 + 1;
+            let touched: BTreeSet<usize> = requests
+                .iter()
+                .filter(|r| r.op.is_data())
+                .map(|r| shard_of(r.object, SHARDS))
+                .collect();
+            for (shard, core) in fleet.cores.iter().enumerate() {
+                let mine = core.executed_log.iter().filter(|r| r.ta == ta);
+                let (terminals, data): (Vec<&Request>, Vec<&Request>) =
+                    mine.partition(|r| r.op.is_terminal());
+                let expected_terminals = usize::from(touched.contains(&shard));
+                assert_eq!(
+                    terminals.len(),
+                    expected_terminals,
+                    "T{ta} on shard {shard}"
+                );
+                let homed = requests
+                    .iter()
+                    .filter(|r| r.op.is_data() && shard_of(r.object, SHARDS) == shard);
+                assert_eq!(data.len(), homed.count(), "T{ta} on shard {shard}");
+            }
+        }
+        hasher.finish()
+    }
+
+    /// The whole fleet — four worker cores and the escalation lane — runs
+    /// on one thread through FIFO queues: 1 000 transactions, a fifth of
+    /// them two-shard handshakes, all commit under strict 2PL, and the
+    /// interleaving is a function of the input alone.
+    #[test]
+    fn a_fifo_fleet_on_one_thread_commits_everything_deterministically() {
+        assert_eq!(run_and_check(), run_and_check());
     }
 }

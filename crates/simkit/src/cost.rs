@@ -74,7 +74,7 @@ impl CostModel {
         }
     }
 
-    /// A flat model with no concurrency knee — used by ablation benches to
+    /// A flat model with no concurrency knee — used to
     /// isolate what the pure lock manager contributes.
     pub fn flat() -> Self {
         CostModel {

@@ -10,7 +10,8 @@ pub enum KeyDistribution {
     Uniform,
     /// Zipfian distribution with the given skew parameter `s > 0`;
     /// higher values concentrate accesses on fewer rows, which is how the
-    /// ablation benches raise contention without changing the client count.
+    /// contended scenarios raise contention without changing the client
+    /// count.
     Zipfian {
         /// Skew exponent (typical OLTP skew is 0.8–1.2).
         s: f64,

@@ -5,7 +5,7 @@
 //! UPDATE statements against a single table of 100 000 rows, every statement
 //! touching exactly one uniformly random row.  This crate generates that
 //! workload deterministically (seeded), plus the variants used by the
-//! examples and ablation benches:
+//! examples, the tests and the benchmark:
 //!
 //! * [`oltp::OltpSpec`] — the paper's workload, with configurable statement
 //!   counts, table size and key distribution ([`dist::KeyDistribution`]

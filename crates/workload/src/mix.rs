@@ -2,8 +2,8 @@
 //!
 //! The paper's future-work section calls for "different workloads with more
 //! complex statements"; these mixes (read-heavy web traffic, write-heavy
-//! ingest, long BI-style read batches) are what the ablation benches use to
-//! probe how the declarative scheduler behaves away from the 20+20 setting.
+//! ingest, long BI-style read batches) are what the scenarios and tests use
+//! to probe how the declarative scheduler behaves away from the 20+20 setting.
 
 use crate::dist::KeyDistribution;
 use crate::oltp::OltpSpec;

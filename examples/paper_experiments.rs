@@ -78,11 +78,9 @@ fn sec43_scheduler(clients: usize, backend: Backend, paper: bool) -> (Declarativ
         SchedulerConfig {
             trigger: TriggerPolicy::Always,
             prune_history: false,
-            enforce_intra_order: false,
             // The experiment measures the declarative evaluation itself,
             // which the incremental qualifier would skip.
             incremental: false,
-            ..SchedulerConfig::default()
         },
     );
     let first_txns = generated.iter().map(|client| &client.transactions[0]);

@@ -2,8 +2,9 @@
 //!
 //! The workspace builds offline, so this local shim provides the
 //! `crossbeam::channel` API subset the middleware and shard crates use:
-//! `bounded` / `unbounded` MPSC channels with `send`, `recv`, `try_recv` and
-//! `recv_timeout`, plus disconnect detection on both ends.  Built on
+//! `bounded` / `unbounded` MPSC channels with `send`, `recv`, `try_recv`,
+//! `recv_deadline` and `recv_timeout`, plus disconnect detection on both
+//! ends.  Built on
 //! `std::sync::{Mutex, Condvar}`.
 
 /// Multi-producer channels with timeouts and disconnect detection.
@@ -49,7 +50,8 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Error returned by [`Receiver::recv_timeout`].
+    /// Error returned by [`Receiver::recv_timeout`] and
+    /// [`Receiver::recv_deadline`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum RecvTimeoutError {
         /// The timeout elapsed with no message.
@@ -196,7 +198,12 @@ pub mod channel {
 
         /// Receive, blocking for at most `timeout`.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            self.recv_deadline(Instant::now() + timeout)
+        }
+
+        /// Receive, blocking until `deadline` at the latest (a deadline in
+        /// the past only takes what is already buffered).
+        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
             let mut state = self.inner.state.lock().expect("channel lock poisoned");
             loop {
                 if let Some(value) = state.queue.pop_front() {
@@ -240,7 +247,7 @@ pub mod channel {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use std::time::Duration;
+        use std::time::{Duration, Instant};
 
         #[test]
         fn round_trip_and_fifo() {
@@ -272,6 +279,15 @@ pub mod channel {
             let t = std::thread::spawn(move || tx.send(42).unwrap());
             assert_eq!(rx.recv_timeout(Duration::from_millis(500)), Ok(42));
             t.join().unwrap();
+        }
+
+        #[test]
+        fn deadline_in_the_past_takes_only_what_is_buffered() {
+            let (tx, rx) = unbounded();
+            let past = Instant::now();
+            assert_eq!(rx.recv_deadline(past), Err(RecvTimeoutError::Timeout));
+            tx.send(3).unwrap();
+            assert_eq!(rx.recv_deadline(past), Ok(3));
         }
 
         #[test]

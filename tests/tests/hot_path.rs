@@ -114,7 +114,6 @@ fn build(backend: declsched::protocol::Backend, incremental: bool) -> Declarativ
             trigger: TriggerPolicy::Always,
             prune_history: false,
             incremental,
-            ..SchedulerConfig::default()
         },
     )
 }

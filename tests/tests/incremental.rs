@@ -139,9 +139,7 @@ fn scheduler_for(
         SchedulerConfig {
             trigger: TriggerPolicy::Always,
             prune_history,
-            enforce_intra_order: true,
             incremental,
-            ..SchedulerConfig::default()
         },
     );
     // Rationing consults `object_class`; register the identical

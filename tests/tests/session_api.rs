@@ -310,6 +310,34 @@ fn dropped_tickets_do_not_wedge_the_scheduler() {
     }
 }
 
+/// Once a burst has drained, an idle deployment's queue depth reads 0 with
+/// no further traffic.  Nothing wakes an idle worker, so the gauge must be
+/// written after the round that emptied it, not only before: a stale
+/// pre-round backlog would keep shedding low tiers forever.
+#[test]
+fn queue_depth_reads_zero_once_a_burst_has_drained() {
+    for scheduler in [
+        builder().unsharded().build().unwrap(),
+        builder().shards(4).build().unwrap(),
+    ] {
+        let kind = scheduler.backend_kind();
+        let mut session = scheduler.connect();
+        // Four hot objects, so the burst queues behind its own locks.
+        let tickets: Vec<Ticket> = (1..=64u64)
+            .map(|ta| {
+                let txn = Txn::new(ta).write((ta % 4) as i64, 1).commit();
+                session.submit(txn).unwrap()
+            })
+            .collect();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        assert_eq!(scheduler.queue_depth(), 0, "{kind}");
+        drop(session);
+        scheduler.shutdown();
+    }
+}
+
 /// Satellite (SLA regression): the old `execute_transaction` entry point
 /// silently dropped SLA metadata.  Through the unified API the metadata
 /// reaches the scheduling rounds: under the SLA-priority protocol a
