@@ -39,15 +39,16 @@ use std::sync::{Mutex, Once};
 /// shard `0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Hook {
-    /// Top of a scheduler/worker loop iteration, after draining the
-    /// mailbox.  `Stall` sleeps the loop; `Kill` turns the worker dead.
+    /// Once per worker step, after the mail it follows.  `Stall` pauses the
+    /// worker after the step; `Kill` turns the worker dead.
     WorkerRound {
         /// Shard whose loop is visiting the hook.
         shard: usize,
     },
     /// Immediately before a terminal (commit/rollback) request executes.
-    /// `Stall` here is an artificial lock-hold extension: every lock the
-    /// transaction owns stays held for the stall duration.
+    /// `Stall` pauses the worker after the step, before its completions
+    /// are published: the transaction's completion and the shard's next
+    /// round wait out the stall.
     WorkerCommit {
         /// Shard executing the terminal request.
         shard: usize,
@@ -65,7 +66,8 @@ pub enum Hook {
     /// the submissions on that stripe.
     LaneJob,
     /// A two-phase `Prepare` reaching a participant shard, fired by that
-    /// shard's worker before it votes.  `Stall` delays the handshake;
+    /// shard's worker before it votes.  `Stall` pauses the worker after the
+    /// step in which it voted;
     /// `Kill` kills the participant mid-handshake, so the deciding shard
     /// must release every granted sibling and fail the escalation with a
     /// typed error.
@@ -75,7 +77,7 @@ pub enum Hook {
     },
     /// Between a participant's granted vote and the execution of its
     /// commit-phase sub-batch, fired by that shard's worker.  `Stall`
-    /// extends the hold; `Kill` kills the participant before its slice
+    /// holds back the step's completions; `Kill` kills the participant before its slice
     /// executes.
     LaneCommit {
         /// Participant shard about to execute its sub-batch.

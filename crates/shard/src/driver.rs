@@ -58,16 +58,22 @@ impl Context for Wire<'_> {
 }
 
 /// The shard worker thread body: block until mail or the trigger's
-/// deadline, hand the mail to the core, then step it.  `wire` holds every
-/// mailbox of the fleet, this worker's own included, so its channel never
-/// disconnects: shutdown is a message.
+/// deadline, hand the mail to the core, then step it.  `mailboxes` holds
+/// every mailbox of the fleet, this worker's own included, so its channel
+/// never disconnects: shutdown is a message.
 pub(crate) fn run_worker(
     mut core: WorkerCore,
     receiver: Receiver<ShardMessage>,
-    mut wire: Wire,
+    mailboxes: &[Sender<ShardMessage>],
+    hub: &CompletionHub,
     clock: Clock,
 ) -> ShardReport {
     let cpu_at_start = thread_on_cpu_us();
+    let mut wire = Wire {
+        mailboxes,
+        hub,
+        stall_ms: 0,
+    };
     // Processing time, excluding the waits for mail: the fallback busy time.
     let mut busy_us = 0u64;
     let mut wake = Wake::Mail;

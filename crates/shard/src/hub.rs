@@ -216,18 +216,6 @@ impl CompletionHub {
         }
     }
 
-    /// Completions and abandonment marks currently stored, over all stripes.
-    #[cfg(test)]
-    pub(crate) fn residue(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|stripe| {
-                let inner = Self::lock(stripe);
-                inner.results.len() + inner.abandoned.len()
-            })
-            .sum()
-    }
-
     /// Block until `token`'s completion is published (removing it), or
     /// until the hub closes without one.
     pub(crate) fn wait(&self, token: u64) -> SchedResult<()> {
@@ -318,5 +306,19 @@ impl Drop for HubReply {
                 }),
             );
         }
+    }
+}
+
+#[cfg(test)]
+impl CompletionHub {
+    /// Completions and abandonment marks currently stored, over all stripes.
+    pub(crate) fn residue(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|stripe| {
+                let inner = Self::lock(stripe);
+                inner.results.len() + inner.abandoned.len()
+            })
+            .sum()
     }
 }

@@ -24,8 +24,7 @@
 //!   footprint (`declsched::footprint` / `declsched::shard_of`).  A
 //!   transaction whose footprint maps to one shard goes into that shard's
 //!   **submission buffer**; buffers are flushed as one channel message per
-//!   shard on a configurable latency bound
-//!   (`SchedulerConfig::batch_flush_micros`), so a pipelined client costs
+//!   shard on a fixed 100 µs latency bound, so a pipelined client costs
 //!   one synchronization per batch, not per transaction.  Completions flow
 //!   back the same way, through a shared completion hub the workers publish
 //!   into once per round.
@@ -37,21 +36,11 @@
 //!   handlers; one threaded driver per shard blocks until mail arrives or
 //!   the trigger's deadline passes, and nothing polls.
 //! * Transactions whose footprint **spans** shards take a **two-phase
-//!   handshake** that involves only the touched shards and that they drive
-//!   themselves — there is no lane thread: the submitting client posts each
-//!   one a *prepare*, the shard qualifies its slice of the footprint against
-//!   its local `history` (locks are per-object and each object has exactly
-//!   one home, so the conjunction of per-shard slice admissions is exactly
-//!   the union-relation admission the unsharded scheduler would compute),
-//!   votes, and holds its round loop; the last voter *commits* on every
-//!   voter on unanimous grant, otherwise it *releases* them and the denying
-//!   shard's next lock release re-arms the handshake; the last finisher
-//!   resolves the ticket.  Untouched shards never stop, and escalations
-//!   over **disjoint shard sets execute concurrently** (FIFO admission
-//!   without overtaking keeps the outcome equal to serialized execution).
-//!   Custom datalog protocols — whose rules may not decompose by object —
-//!   still evaluate over the union of the touched shards' history
-//!   snapshots, collected in the same prepare round-trip.
+//!   handshake** over only the touched shards, which drive it themselves
+//!   (the `escalation` module): each qualifies its slice against its local
+//!   `history` and votes, the last voter commits or releases them all, and
+//!   the last finisher resolves the ticket.  Untouched shards never stop,
+//!   and escalations over **disjoint shard sets execute concurrently**.
 //! * [`ShardedMetrics`] merges per-shard `SchedulerMetrics` and dispatch
 //!   totals with routing counters (throughput, fleet-wide in-flight peak,
 //!   cross-shard escalation rate, concurrent-escalation peak).

@@ -82,9 +82,9 @@ struct Counters {
 /// transaction), and the session façade
 /// (which reclaims when a client abandons a transaction mid-flight).
 ///
-/// Every reclaim path goes through [`TxnHomes::remove`]/
-/// [`TxnHomes::remove_many`] so entries cannot outlive their transaction:
-/// the router removes on terminal routing and on failed sends, workers
+/// Every reclaim path goes through [`TxnHomes::remove`] so entries cannot
+/// outlive their transaction: the router removes on terminal routing and
+/// on failed sends, workers
 /// remove every transaction they fail, and `Session::drop` removes
 /// transactions abandoned without a terminal.
 ///
@@ -131,13 +131,6 @@ impl TxnHomes {
             Err(poisoned) => poisoned.into_inner(),
         };
         map.remove(&ta);
-    }
-
-    /// Drop the entries for every given transaction.
-    pub(crate) fn remove_many(&self, tas: impl IntoIterator<Item = u64>) {
-        for ta in tas {
-            self.remove(ta);
-        }
     }
 
     fn len(&self) -> usize {
@@ -430,25 +423,23 @@ impl RouterCore {
             .map_err(|_| closed("shard worker"))
     }
 
-    /// Per-shard backlog: the worker's own gauge (incoming + pending,
-    /// updated around every round) plus its channel's live message count — the
-    /// channel term keeps the signal fresh while a worker is inside a long
-    /// round and its gauge is stale.
-    fn queue_depths(&self) -> Vec<u64> {
-        self.depths
-            .iter()
-            .zip(&self.workers)
-            .map(|(gauge, worker)| gauge.load(Ordering::Relaxed) + worker.len() as u64)
-            .collect()
-    }
-
     /// The deepest backlog anywhere in the fleet: the worst shard queue or
     /// the escalation lane's waiting + running jobs, whichever is larger —
     /// cross-shard overload piles up in the lane's admission state, not on
-    /// any worker.
+    /// any worker.  A shard's queue is its worker's gauge (incoming +
+    /// pending, written around every round) plus its mailbox's live message
+    /// count, which keeps the signal fresh while a worker is inside a long
+    /// round.
     fn max_queue_depth(&self) -> usize {
-        let worker = self.queue_depths().into_iter().max().unwrap_or(0) as usize;
-        worker.max(self.lane.backlog())
+        let shards = self.depths.iter().zip(&self.workers);
+        let depth = |(gauge, worker): (&Arc<AtomicU64>, &Sender<ShardMessage>)| {
+            gauge.load(Ordering::Relaxed) as usize + worker.len()
+        };
+        shards
+            .map(depth)
+            .max()
+            .unwrap_or(0)
+            .max(self.lane.backlog())
     }
 }
 
@@ -557,14 +548,7 @@ impl ShardRouter {
                 let (mailboxes, hub) = (workers.clone(), Arc::clone(&hub));
                 std::thread::Builder::new()
                     .name(format!("declsched-shard-{shard}"))
-                    .spawn(move || {
-                        let wire = Wire {
-                            mailboxes: &mailboxes,
-                            hub: &hub,
-                            stall_ms: 0,
-                        };
-                        run_worker(core, receiver, wire, clock)
-                    })
+                    .spawn(move || run_worker(core, receiver, &mailboxes, &hub, clock))
                     .expect("spawning a shard worker cannot fail")
             })
             .collect();

@@ -366,7 +366,7 @@ impl WorkerCore {
             let mut dead: Vec<u64> = waiting.iter().map(|(key, _)| key.ta).collect();
             dead.sort_unstable();
             dead.dedup();
-            self.homes.remove_many(dead);
+            dead.into_iter().for_each(|ta| self.homes.remove(ta));
         }
         for (key, index) in waiting {
             if let Some(ticket) = self.tickets[index].as_mut() {
