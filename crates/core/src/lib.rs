@@ -96,9 +96,7 @@ pub use error::{SchedError, SchedResult};
 pub use history::HistoryStore;
 pub use metrics::{RoundPhases, SchedulerMetrics};
 pub use pending::PendingStore;
-pub use protocol::{
-    AdaptiveProtocol, Backend, Protocol, ProtocolFeatures, ProtocolKind, SchedulingPolicy,
-};
+pub use protocol::{AdaptiveProtocol, Protocol, ProtocolFeatures, ProtocolKind, SchedulingPolicy};
 pub use qualify::{qualify_once, IncrementalQualifier};
 pub use queue::IncomingQueue;
 pub use relalg::Symbol;
@@ -116,7 +114,7 @@ pub mod prelude {
     pub use crate::passthrough::PassthroughScheduler;
     pub use crate::pending::PendingStore;
     pub use crate::protocol::{
-        AdaptiveProtocol, Backend, Protocol, ProtocolFeatures, ProtocolKind, SchedulingPolicy,
+        AdaptiveProtocol, Protocol, ProtocolFeatures, ProtocolKind, SchedulingPolicy,
     };
     pub use crate::queue::IncomingQueue;
     pub use crate::request::{footprint, shard_of, Operation, Request, RequestKey, SlaMeta};

@@ -10,7 +10,7 @@
 //! (relaxed) protocol.  Because protocols are data, the switch is just a
 //! different rule set being handed to the same evaluator.
 
-use super::{Backend, Protocol, ProtocolKind};
+use super::{Protocol, ProtocolKind};
 
 /// A pair of protocols plus the load threshold at which to switch.
 #[derive(Debug, Clone)]
@@ -26,11 +26,11 @@ pub struct AdaptiveProtocol {
 
 impl AdaptiveProtocol {
     /// The configuration the paper sketches: SS2PL normally, relaxed reads
-    /// under overload.
-    pub fn ss2pl_with_relaxed_overflow(backend: Backend, overload_threshold: usize) -> Self {
+    /// under overload, each on its relational-algebra plan.
+    pub fn ss2pl_with_relaxed_overflow(overload_threshold: usize) -> Self {
         AdaptiveProtocol {
-            normal: Protocol::new(ProtocolKind::Ss2pl, backend),
-            overload: Protocol::new(ProtocolKind::RelaxedReads, backend),
+            normal: Protocol::algebra(ProtocolKind::Ss2pl),
+            overload: Protocol::algebra(ProtocolKind::RelaxedReads),
             overload_threshold,
         }
     }
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn switches_at_the_threshold() {
-        let adaptive = AdaptiveProtocol::ss2pl_with_relaxed_overflow(Backend::Algebra, 100);
+        let adaptive = AdaptiveProtocol::ss2pl_with_relaxed_overflow(100);
         assert_eq!(adaptive.select(0).kind, ProtocolKind::Ss2pl);
         assert_eq!(adaptive.select(99).kind, ProtocolKind::Ss2pl);
         assert_eq!(adaptive.select(100).kind, ProtocolKind::RelaxedReads);
@@ -117,8 +117,7 @@ mod tests {
         assert_eq!(fixed.label(), "ss2pl");
         assert_eq!(fixed.select(1_000_000).kind, ProtocolKind::Ss2pl);
 
-        let adaptive: SchedulingPolicy =
-            AdaptiveProtocol::ss2pl_with_relaxed_overflow(Backend::Datalog, 50).into();
+        let adaptive: SchedulingPolicy = AdaptiveProtocol::ss2pl_with_relaxed_overflow(50).into();
         assert!(adaptive.label().contains("adaptive"));
         assert!(adaptive.label().contains("relaxed-reads"));
         assert_eq!(adaptive.select(49).kind, ProtocolKind::Ss2pl);

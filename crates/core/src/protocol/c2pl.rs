@@ -9,8 +9,6 @@
 //! precisely the flexibility argument of the paper.
 
 use super::ss2pl::blocked_keys_plan;
-use super::{Backend, Protocol, ProtocolFeatures, ProtocolKind};
-use crate::rules::{OrderingSpec, RuleBackend, RuleSet};
 use relalg::{Expr, JoinKind, Plan, PlanBuilder};
 
 /// The conservative-2PL qualification plan: pending `(ta, intrata)` pairs of
@@ -30,111 +28,15 @@ pub fn c2pl_algebra_plan() -> Plan {
         .build()
 }
 
-/// The Datalog source of the conservative-2PL protocol.
-pub const C2PL_DATALOG_SOURCE: &str = r#"
-finished(T)   :- history(Id, T, I, "c", O).
-finished(T)   :- history(Id, T, I, "a", O).
-wrote(T, O)   :- history(Id, T, I, "w", O).
-wlocked(O, T) :- history(Id, T, I, "w", O), !finished(T).
-rlocked(O, T) :- history(Id, T, I, "r", O), !finished(T), !wrote(T, O).
-
-blocked(T, I) :- requests(Id, T, I, Op, O), wlocked(O, T2), T != T2.
-blocked(T, I) :- requests(Id, T, I, "w", O), rlocked(O, T2), T != T2.
-blocked(T2, I2) :- requests(Id2, T2, I2, Op2, O), requests(Id1, T1, I1, "w", O), T2 > T1.
-blocked(T2, I2) :- requests(Id2, T2, I2, "w", O), requests(Id1, T1, I1, Op1, O), T2 > T1.
-
-% The conservative twist: one blocked request blocks the whole transaction.
-txn_blocked(T)  :- blocked(T, I).
-qualified(T, I) :- requests(Id, T, I, Op, O), !txn_blocked(T).
-"#;
-
-/// Build the conservative-2PL protocol on the requested back-end.
-pub(crate) fn build(backend: Backend) -> Protocol {
-    let rule_backend = match backend {
-        Backend::Algebra => RuleBackend::Algebra {
-            plan: c2pl_algebra_plan(),
-        },
-        Backend::Datalog => RuleBackend::Datalog {
-            program: datalog::parse_program(C2PL_DATALOG_SOURCE)
-                .expect("embedded C2PL program parses"),
-            output: "qualified".to_string(),
-        },
-    };
-    Protocol {
-        kind: ProtocolKind::Conservative2pl,
-        rules: RuleSet::new(
-            ProtocolKind::Conservative2pl.name(),
-            rule_backend,
-            OrderingSpec::ByTransaction,
-        ),
-        features: ProtocolFeatures {
-            performance: true,
-            qos: false,
-            declarative: true,
-            flexible: true,
-            high_scalability: true,
-        },
-        description: "Conservative 2PL: a transaction is admitted only when all of its pending requests are conflict-free",
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::catalog;
+    use super::super::{Protocol, ProtocolKind};
     use crate::request::Request;
-    use relalg::{Catalog, Table};
-
-    fn catalog(pending: &[Request], history: &[Request]) -> Catalog {
-        let mut c = Catalog::new();
-        let mut requests = Table::new("requests", Request::schema());
-        for r in pending {
-            requests.push(r.to_tuple()).unwrap();
-        }
-        let mut hist = Table::new("history", Request::schema());
-        for r in history {
-            hist.push(r.to_tuple()).unwrap();
-        }
-        c.register(requests);
-        c.register(hist);
-        c
-    }
-
-    fn qualify_both(pending: &[Request], history: &[Request]) -> Vec<(u64, u32)> {
-        let c = catalog(pending, history);
-        let algebra = build(Backend::Algebra).rules.qualify(&c).unwrap();
-        let datalog = build(Backend::Datalog).rules.qualify(&c).unwrap();
-        assert_eq!(algebra, datalog, "algebra and datalog C2PL rules disagree");
-        algebra.into_iter().map(|k| (k.ta, k.intra)).collect()
-    }
-
-    #[test]
-    fn one_blocked_request_excludes_the_whole_transaction() {
-        // T10 holds a write lock on object 5 (from history).
-        let history = [Request::write(1, 10, 0, 5)];
-        // T11 has two pending requests, one of which conflicts.
-        let pending = [
-            Request::read(2, 11, 0, 5), // conflicts
-            Request::read(3, 11, 1, 6), // would be fine under SS2PL
-            Request::read(4, 12, 0, 7), // independent transaction
-        ];
-        let qualified = qualify_both(&pending, &history);
-        assert_eq!(qualified, vec![(12, 0)]);
-    }
-
-    #[test]
-    fn conflict_free_transactions_are_admitted_whole() {
-        let pending = [
-            Request::read(1, 20, 0, 1),
-            Request::write(2, 20, 1, 2),
-            Request::read(3, 21, 0, 3),
-        ];
-        let qualified = qualify_both(&pending, &[]);
-        assert_eq!(qualified, vec![(20, 0), (20, 1), (21, 0)]);
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn c2pl_admits_a_subset_of_ss2pl() {
-        use super::super::ss2pl;
         let history = [Request::write(1, 30, 0, 9)];
         let pending = [
             Request::read(2, 31, 0, 9),
@@ -142,18 +44,12 @@ mod tests {
             Request::write(4, 32, 0, 11),
         ];
         let c = catalog(&pending, &history);
-        let c2pl: std::collections::BTreeSet<_> = build(Backend::Algebra)
-            .rules
-            .qualify(&c)
-            .unwrap()
-            .into_iter()
-            .collect();
-        let ss2pl: std::collections::BTreeSet<_> = ss2pl::build(Backend::Algebra)
-            .rules
-            .qualify(&c)
-            .unwrap()
-            .into_iter()
-            .collect();
+        let qualify = |kind| -> BTreeSet<_> {
+            let keys = Protocol::algebra(kind).rules.qualify(&c).unwrap();
+            keys.into_iter().collect()
+        };
+        let c2pl = qualify(ProtocolKind::Conservative2pl);
+        let ss2pl = qualify(ProtocolKind::Ss2pl);
         assert!(c2pl.is_subset(&ss2pl));
         assert!(c2pl.len() < ss2pl.len());
     }

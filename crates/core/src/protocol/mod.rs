@@ -4,10 +4,14 @@
 //! consistency protocols such as variants of 2PL, (b) service-level
 //! agreements, and (c) new application-specific consistency protocols — all
 //! as declarative rules instead of hand-written scheduler code.  Every
-//! protocol below is therefore *data*: a qualification rule (available in
-//! both the relational-algebra and the Datalog back-end) plus an ordering
-//! specification.  The only imperative code involved is the generic rule
-//! evaluator.
+//! protocol below is therefore *data*: a qualification rule plus an ordering
+//! specification.  A built-in protocol's declared rule is its SchedLang text
+//! (`schedlang::stdlib`, compiled to Datalog); this module keeps the
+//! relational-algebra plan of each (the paper's SQL formulation, Listing 1
+//! for SS2PL), and [`Protocol::builtin`] wraps either rule as the built-in
+//! it states.  The only imperative code involved is the generic rule
+//! evaluator and the hot path in [`crate::qualify`], which both forms are
+//! checked against.
 
 mod adaptive;
 mod c2pl;
@@ -18,23 +22,10 @@ mod sla;
 mod ss2pl;
 
 pub use adaptive::{AdaptiveProtocol, SchedulingPolicy};
-pub use c2pl::C2PL_DATALOG_SOURCE;
-pub use fcfs::FCFS_DATALOG_SOURCE;
-pub use rationing::{object_class_table, ObjectClass, RATIONING_DATALOG_SOURCE};
-pub use relaxed::RELAXED_DATALOG_SOURCE;
-pub use ss2pl::SS2PL_DATALOG_SOURCE;
+pub use rationing::{object_class_table, ObjectClass};
 
-use crate::rules::RuleSet;
+use crate::rules::{OrderingSpec, RuleBackend, RuleSet};
 use std::fmt;
-
-/// Which rule back-end a protocol constructor should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Relational-algebra plans (the paper's SQL formulation).
-    Algebra,
-    /// Stratified Datalog programs.
-    Datalog,
-}
 
 /// The protocols shipped with the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,23 +131,62 @@ pub struct Protocol {
 }
 
 impl Protocol {
-    /// Construct a protocol of the given kind with the given rule back-end.
+    /// Wrap `rules` as the built-in protocol `kind`: the rule set is renamed
+    /// to `kind`'s canonical name and keeps its own ordering; the features
+    /// and the description are `kind`'s.  [`Protocol::algebra`] passes the
+    /// kind's relational-algebra plan, `schedlang::stdlib::protocol` its
+    /// compiled SchedLang text.  A scheduler answers either on the hot path
+    /// of [`crate::qualify`] when incremental qualification is on.
     ///
     /// # Panics
-    /// Panics if `kind` is [`ProtocolKind::Custom`] — custom protocols carry
-    /// their own rules and are built with [`Protocol::custom`] instead.
-    pub fn new(kind: ProtocolKind, backend: Backend) -> Protocol {
-        match kind {
-            ProtocolKind::Ss2pl => ss2pl::build(backend),
-            ProtocolKind::Conservative2pl => c2pl::build(backend),
-            ProtocolKind::Fcfs => fcfs::build(backend),
-            ProtocolKind::SlaPriority => sla::build_priority(backend),
-            ProtocolKind::EarliestDeadline => sla::build_edf(backend),
-            ProtocolKind::RelaxedReads => relaxed::build(backend),
-            ProtocolKind::ConsistencyRationing => rationing::build(backend),
+    /// Panics if `kind` is [`ProtocolKind::Custom`] — custom protocols are
+    /// built with [`Protocol::custom`] instead.
+    pub fn builtin(kind: ProtocolKind, mut rules: RuleSet) -> Protocol {
+        let (qos, description) = match kind {
+            ProtocolKind::Ss2pl => (
+                false,
+                "Strong strict 2PL: serialisable schedules via declarative lock rules (paper Listing 1)",
+            ),
+            ProtocolKind::Conservative2pl => (
+                false,
+                "Conservative 2PL: a transaction is admitted only when all of its pending requests are conflict-free",
+            ),
+            ProtocolKind::Fcfs => (
+                false,
+                "First-come-first-served: no consistency checks, arrival-order dispatch",
+            ),
+            ProtocolKind::SlaPriority => (
+                true,
+                "SS2PL correctness with premium-before-free dispatch ordering (class-based SLA)",
+            ),
+            ProtocolKind::EarliestDeadline => (
+                true,
+                "SS2PL correctness with earliest-deadline-first dispatch ordering (response-time SLA)",
+            ),
+            ProtocolKind::RelaxedReads => (
+                false,
+                "Relaxed reads: reads never wait, writes keep write-write exclusion (read-committed-style)",
+            ),
+            ProtocolKind::ConsistencyRationing => (
+                true,
+                "Consistency rationing: SS2PL for category-A objects, relaxed admission for category-C objects",
+            ),
             ProtocolKind::Custom => {
                 panic!("custom protocols are built with Protocol::custom(rule_set)")
             }
+        };
+        rules.name = kind.name().to_string();
+        Protocol {
+            kind,
+            rules,
+            features: ProtocolFeatures {
+                performance: true,
+                qos,
+                declarative: true,
+                flexible: true,
+                high_scalability: true,
+            },
+            description,
         }
     }
 
@@ -179,14 +209,33 @@ impl Protocol {
         }
     }
 
-    /// Shorthand for [`Protocol::new`] with [`Backend::Algebra`].
+    /// The built-in protocol `kind` on its relational-algebra plan.
+    ///
+    /// # Panics
+    /// Panics if `kind` is [`ProtocolKind::Custom`].
     pub fn algebra(kind: ProtocolKind) -> Protocol {
-        Protocol::new(kind, Backend::Algebra)
-    }
-
-    /// Shorthand for [`Protocol::new`] with [`Backend::Datalog`].
-    pub fn datalog(kind: ProtocolKind) -> Protocol {
-        Protocol::new(kind, Backend::Datalog)
+        let (plan, ordering) = match kind {
+            ProtocolKind::Ss2pl => (ss2pl::ss2pl_algebra_plan(), OrderingSpec::FifoById),
+            ProtocolKind::Conservative2pl => {
+                (c2pl::c2pl_algebra_plan(), OrderingSpec::ByTransaction)
+            }
+            ProtocolKind::Fcfs => (fcfs::fcfs_algebra_plan(), OrderingSpec::FifoById),
+            ProtocolKind::SlaPriority => {
+                (ss2pl::ss2pl_algebra_plan(), OrderingSpec::PriorityThenId)
+            }
+            ProtocolKind::EarliestDeadline => {
+                (ss2pl::ss2pl_algebra_plan(), OrderingSpec::DeadlineThenId)
+            }
+            ProtocolKind::RelaxedReads => (relaxed::relaxed_algebra_plan(), OrderingSpec::FifoById),
+            ProtocolKind::ConsistencyRationing => {
+                (rationing::rationing_algebra_plan(), OrderingSpec::FifoById)
+            }
+            ProtocolKind::Custom => {
+                panic!("custom protocols are built with Protocol::custom(rule_set)")
+            }
+        };
+        let rules = RuleSet::new(kind.name(), RuleBackend::Algebra { plan }, ordering);
+        Protocol::builtin(kind, rules)
     }
 
     /// The protocol's name: the rule set's name, which for built-in
@@ -203,23 +252,23 @@ impl fmt::Display for Protocol {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::request::Request;
+    use relalg::{Catalog, Table};
 
-    #[test]
-    fn every_protocol_builds_on_both_backends() {
-        for &kind in ProtocolKind::all() {
-            for backend in [Backend::Algebra, Backend::Datalog] {
-                let p = Protocol::new(kind, backend);
-                assert_eq!(p.kind, kind);
-                assert_eq!(p.rules.name, kind.name());
-                // Declarativity and flexibility are the point of the system:
-                // every protocol defined here carries them.
-                assert!(p.features.declarative);
-                assert!(p.features.flexible);
-                assert!(!p.description.is_empty());
+    /// A catalog holding `pending` as `requests` and `history` as
+    /// `history`.
+    pub(crate) fn catalog(pending: &[Request], history: &[Request]) -> Catalog {
+        let mut c = Catalog::new();
+        for (name, rows) in [("requests", pending), ("history", history)] {
+            let mut table = Table::new(name, Request::schema());
+            for r in rows {
+                table.push(r.to_tuple()).unwrap();
             }
+            c.register(table);
         }
+        c
     }
 
     #[test]
@@ -243,7 +292,19 @@ mod tests {
 
     #[test]
     fn display_mentions_backend() {
-        let p = Protocol::datalog(ProtocolKind::Ss2pl);
-        assert_eq!(p.to_string(), "ss2pl (datalog)");
+        let p = Protocol::algebra(ProtocolKind::Ss2pl);
+        assert_eq!(p.to_string(), "ss2pl (algebra)");
+        let program = datalog::parse_program(r#"qualified(T, I) :- requests(Id, T, I, "w", O)."#)
+            .expect("program parses");
+        let rules = RuleSet::new(
+            "writes",
+            RuleBackend::Datalog {
+                program,
+                output: "qualified".into(),
+            },
+            OrderingSpec::FifoById,
+        );
+        let p = Protocol::custom(rules, "admits writes only");
+        assert_eq!(p.to_string(), "writes (datalog)");
     }
 }

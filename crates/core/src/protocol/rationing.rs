@@ -10,8 +10,6 @@
 //! which data is critical is a data change, not a code change.
 
 use super::ss2pl::blocked_keys_plan;
-use super::{Backend, Protocol, ProtocolFeatures, ProtocolKind};
-use crate::rules::{OrderingSpec, RuleBackend, RuleSet};
 use relalg::{DataType, Expr, Field, JoinKind, Plan, PlanBuilder, Schema, Table, Value};
 
 /// Consistency category of an object.
@@ -86,131 +84,9 @@ pub fn rationing_algebra_plan() -> Plan {
     on_relaxed.union_all(on_critical).distinct().build()
 }
 
-/// The Datalog source of the consistency-rationing protocol.
-pub const RATIONING_DATALOG_SOURCE: &str = r#"
-finished(T)   :- history(Id, T, I, "c", O).
-finished(T)   :- history(Id, T, I, "a", O).
-wrote(T, O)   :- history(Id, T, I, "w", O).
-wlocked(O, T) :- history(Id, T, I, "w", O), !finished(T).
-rlocked(O, T) :- history(Id, T, I, "r", O), !finished(T), !wrote(T, O).
-
-blocked(T, I) :- requests(Id, T, I, Op, O), wlocked(O, T2), T != T2.
-blocked(T, I) :- requests(Id, T, I, "w", O), rlocked(O, T2), T != T2.
-blocked(T2, I2) :- requests(Id2, T2, I2, Op2, O), requests(Id1, T1, I1, "w", O), T2 > T1.
-blocked(T2, I2) :- requests(Id2, T2, I2, "w", O), requests(Id1, T1, I1, Op1, O), T2 > T1.
-
-% Category C objects never wait.
-relaxed_obj(O)  :- object_class(O, "c").
-qualified(T, I) :- requests(Id, T, I, Op, O), relaxed_obj(O).
-
-% Everything else keeps SS2PL semantics.
-qualified(T, I) :- requests(Id, T, I, Op, O), !relaxed_obj(O), !blocked(T, I).
-"#;
-
-/// Build the consistency-rationing protocol on the requested back-end.
-pub(crate) fn build(backend: Backend) -> Protocol {
-    let rule_backend = match backend {
-        Backend::Algebra => RuleBackend::Algebra {
-            plan: rationing_algebra_plan(),
-        },
-        Backend::Datalog => RuleBackend::Datalog {
-            program: datalog::parse_program(RATIONING_DATALOG_SOURCE)
-                .expect("embedded rationing program parses"),
-            output: "qualified".to_string(),
-        },
-    };
-    Protocol {
-        kind: ProtocolKind::ConsistencyRationing,
-        rules: RuleSet::new(
-            ProtocolKind::ConsistencyRationing.name(),
-            rule_backend,
-            OrderingSpec::FifoById,
-        ),
-        features: ProtocolFeatures {
-            performance: true,
-            qos: true,
-            declarative: true,
-            flexible: true,
-            high_scalability: true,
-        },
-        description: "Consistency rationing: SS2PL for category-A objects, relaxed admission for category-C objects",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::Request;
-    use relalg::Catalog;
-
-    fn catalog(
-        pending: &[Request],
-        history: &[Request],
-        classes: &[(i64, ObjectClass)],
-    ) -> Catalog {
-        let mut c = Catalog::new();
-        let mut requests = Table::new("requests", Request::schema());
-        for r in pending {
-            requests.push(r.to_tuple()).unwrap();
-        }
-        let mut hist = Table::new("history", Request::schema());
-        for r in history {
-            hist.push(r.to_tuple()).unwrap();
-        }
-        c.register(requests);
-        c.register(hist);
-        c.register(object_class_table(classes));
-        c
-    }
-
-    fn qualify_both(
-        pending: &[Request],
-        history: &[Request],
-        classes: &[(i64, ObjectClass)],
-    ) -> Vec<(u64, u32)> {
-        let c = catalog(pending, history, classes);
-        let algebra = build(Backend::Algebra).rules.qualify(&c).unwrap();
-        let datalog = build(Backend::Datalog).rules.qualify(&c).unwrap();
-        assert_eq!(
-            algebra, datalog,
-            "algebra and datalog rationing rules disagree"
-        );
-        algebra.into_iter().map(|k| (k.ta, k.intra)).collect()
-    }
-
-    #[test]
-    fn relaxed_objects_bypass_locks_critical_objects_do_not() {
-        // Object 1 is critical (A), object 2 is relaxed (C); both are
-        // write-locked by T10 in the history.
-        let classes = [(1, ObjectClass::Critical), (2, ObjectClass::Relaxed)];
-        let history = [Request::write(1, 10, 0, 1), Request::write(2, 10, 1, 2)];
-        let pending = [
-            Request::write(3, 11, 0, 1), // critical: blocked
-            Request::write(4, 12, 0, 2), // relaxed: qualifies
-        ];
-        assert_eq!(qualify_both(&pending, &history, &classes), vec![(12, 0)]);
-    }
-
-    #[test]
-    fn unclassified_objects_default_to_critical() {
-        let history = [Request::write(1, 10, 0, 7)];
-        let pending = [Request::read(2, 11, 0, 7)];
-        // No classification rows at all: object 7 behaves as category A.
-        assert_eq!(qualify_both(&pending, &history, &[]), vec![]);
-    }
-
-    #[test]
-    fn batch_conflicts_ignored_for_relaxed_objects() {
-        let classes = [(5, ObjectClass::Relaxed)];
-        let pending = [
-            Request::write(1, 20, 0, 5),
-            Request::write(2, 21, 0, 5), // same relaxed object: both qualify
-        ];
-        assert_eq!(
-            qualify_both(&pending, &[], &classes),
-            vec![(20, 0), (21, 0)]
-        );
-    }
 
     #[test]
     fn object_class_table_builds() {

@@ -8,8 +8,6 @@
 //! reads are acceptable, but lost updates are not.
 
 use super::ss2pl::wlocked_objects_plan;
-use super::{Backend, Protocol, ProtocolFeatures, ProtocolKind};
-use crate::rules::{OrderingSpec, RuleBackend, RuleSet};
 use relalg::{Expr, JoinKind, Plan, PlanBuilder, Value};
 
 /// The relaxed-reads qualification plan.
@@ -67,109 +65,15 @@ pub fn relaxed_algebra_plan() -> Plan {
     non_writes.union_all(free_writes).distinct().build()
 }
 
-/// The Datalog source of the relaxed-reads protocol.
-pub const RELAXED_DATALOG_SOURCE: &str = r#"
-finished(T)   :- history(Id, T, I, "c", O).
-finished(T)   :- history(Id, T, I, "a", O).
-wlocked(O, T) :- history(Id, T, I, "w", O), !finished(T).
-
-% Reads and terminators never wait.
-qualified(T, I) :- requests(Id, T, I, "r", O).
-qualified(T, I) :- requests(Id, T, I, "c", O).
-qualified(T, I) :- requests(Id, T, I, "a", O).
-
-% Writes follow the write-write rules of SS2PL.
-wblocked(T, I)  :- requests(Id, T, I, "w", O), wlocked(O, T2), T != T2.
-wblocked(T2, I2) :- requests(Id2, T2, I2, "w", O), requests(Id1, T1, I1, "w", O), T2 > T1.
-qualified(T, I) :- requests(Id, T, I, "w", O), !wblocked(T, I).
-"#;
-
-/// Build the relaxed-reads protocol on the requested back-end.
-pub(crate) fn build(backend: Backend) -> Protocol {
-    let rule_backend = match backend {
-        Backend::Algebra => RuleBackend::Algebra {
-            plan: relaxed_algebra_plan(),
-        },
-        Backend::Datalog => RuleBackend::Datalog {
-            program: datalog::parse_program(RELAXED_DATALOG_SOURCE)
-                .expect("embedded relaxed-reads program parses"),
-            output: "qualified".to_string(),
-        },
-    };
-    Protocol {
-        kind: ProtocolKind::RelaxedReads,
-        rules: RuleSet::new(
-            ProtocolKind::RelaxedReads.name(),
-            rule_backend,
-            OrderingSpec::FifoById,
-        ),
-        features: ProtocolFeatures {
-            performance: true,
-            qos: false,
-            declarative: true,
-            flexible: true,
-            high_scalability: true,
-        },
-        description: "Relaxed reads: reads never wait, writes keep write-write exclusion (read-committed-style)",
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::catalog;
+    use super::super::{Protocol, ProtocolKind};
     use crate::request::Request;
-    use relalg::{Catalog, Table};
-
-    fn catalog(pending: &[Request], history: &[Request]) -> Catalog {
-        let mut c = Catalog::new();
-        let mut requests = Table::new("requests", Request::schema());
-        for r in pending {
-            requests.push(r.to_tuple()).unwrap();
-        }
-        let mut hist = Table::new("history", Request::schema());
-        for r in history {
-            hist.push(r.to_tuple()).unwrap();
-        }
-        c.register(requests);
-        c.register(hist);
-        c
-    }
-
-    fn qualify_both(pending: &[Request], history: &[Request]) -> Vec<(u64, u32)> {
-        let c = catalog(pending, history);
-        let algebra = build(Backend::Algebra).rules.qualify(&c).unwrap();
-        let datalog = build(Backend::Datalog).rules.qualify(&c).unwrap();
-        assert_eq!(
-            algebra, datalog,
-            "algebra and datalog relaxed rules disagree"
-        );
-        algebra.into_iter().map(|k| (k.ta, k.intra)).collect()
-    }
-
-    #[test]
-    fn reads_ignore_write_locks() {
-        let history = [Request::write(1, 10, 0, 5)];
-        let pending = [
-            Request::read(2, 11, 0, 5),  // qualifies despite T10's write lock
-            Request::write(3, 12, 0, 5), // still blocked (write-write)
-            Request::commit(4, 13, 0),   // terminators always qualify
-        ];
-        assert_eq!(qualify_both(&pending, &history), vec![(11, 0), (13, 0)]);
-    }
-
-    #[test]
-    fn writes_still_exclude_each_other_within_a_batch() {
-        let pending = [
-            Request::write(1, 20, 0, 9),
-            Request::write(2, 21, 0, 9),
-            Request::read(3, 22, 0, 9),
-        ];
-        assert_eq!(qualify_both(&pending, &[]), vec![(20, 0), (22, 0)]);
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn relaxed_admits_a_superset_of_ss2pl() {
-        use super::super::ss2pl;
         let history = [Request::write(1, 30, 0, 7), Request::read(2, 31, 0, 8)];
         let pending = [
             Request::read(3, 32, 0, 7),
@@ -177,18 +81,12 @@ mod tests {
             Request::write(5, 34, 0, 9),
         ];
         let c = catalog(&pending, &history);
-        let relaxed: std::collections::BTreeSet<_> = build(Backend::Algebra)
-            .rules
-            .qualify(&c)
-            .unwrap()
-            .into_iter()
-            .collect();
-        let strict: std::collections::BTreeSet<_> = ss2pl::build(Backend::Algebra)
-            .rules
-            .qualify(&c)
-            .unwrap()
-            .into_iter()
-            .collect();
+        let qualify = |kind| -> BTreeSet<_> {
+            let keys = Protocol::algebra(kind).rules.qualify(&c).unwrap();
+            keys.into_iter().collect()
+        };
+        let relaxed = qualify(ProtocolKind::RelaxedReads);
+        let strict = qualify(ProtocolKind::Ss2pl);
         assert!(strict.is_subset(&relaxed));
         assert!(relaxed.len() > strict.len());
     }

@@ -1,8 +1,8 @@
 //! SLA-aware protocols: priority dispatch and earliest-deadline-first.
 //!
 //! The paper's second constraint class is service-level agreements —
-//! "e.g. for premium vs. free customers in Web applications".  Both
-//! protocols below keep SS2PL as their correctness rule and change only the
+//! "e.g. for premium vs. free customers in Web applications".  Both SLA
+//! protocols keep SS2PL as their correctness rule and change only the
 //! dispatch *ordering* — priority for class-based SLAs, deadline for
 //! response-time SLAs — which demonstrates the separation the declarative
 //! design gives between correctness rules and QoS policy.
@@ -11,72 +11,17 @@
 //! [`crate::request::SlaMeta`]) and also exposed to rules as the auxiliary
 //! `sla(ta, class, priority, arrival_ms, deadline_ms)` relation so future
 //! protocols can make *qualification* decisions on it too (e.g. admit only
-//! premium traffic under overload, which the adaptive protocol does).
-
-use super::ss2pl::{ss2pl_algebra_plan, ss2pl_datalog_program};
-use super::{Backend, Protocol, ProtocolFeatures, ProtocolKind};
-use crate::rules::{OrderingSpec, RuleBackend, RuleSet};
-
-fn sla_backend(backend: Backend) -> RuleBackend {
-    match backend {
-        Backend::Algebra => RuleBackend::Algebra {
-            plan: ss2pl_algebra_plan(),
-        },
-        Backend::Datalog => RuleBackend::Datalog {
-            program: ss2pl_datalog_program(),
-            output: "qualified".to_string(),
-        },
-    }
-}
-
-/// Build the SLA-priority protocol (SS2PL qualification, priority ordering).
-pub(crate) fn build_priority(backend: Backend) -> Protocol {
-    Protocol {
-        kind: ProtocolKind::SlaPriority,
-        rules: RuleSet::new(
-            ProtocolKind::SlaPriority.name(),
-            sla_backend(backend),
-            OrderingSpec::PriorityThenId,
-        ),
-        features: ProtocolFeatures {
-            performance: true,
-            qos: true,
-            declarative: true,
-            flexible: true,
-            high_scalability: true,
-        },
-        description:
-            "SS2PL correctness with premium-before-free dispatch ordering (class-based SLA)",
-    }
-}
-
-/// Build the earliest-deadline-first protocol (SS2PL qualification, EDF
-/// ordering).
-pub(crate) fn build_edf(backend: Backend) -> Protocol {
-    Protocol {
-        kind: ProtocolKind::EarliestDeadline,
-        rules: RuleSet::new(
-            ProtocolKind::EarliestDeadline.name(),
-            sla_backend(backend),
-            OrderingSpec::DeadlineThenId,
-        ),
-        features: ProtocolFeatures {
-            performance: true,
-            qos: true,
-            declarative: true,
-            flexible: true,
-            high_scalability: true,
-        },
-        description:
-            "SS2PL correctness with earliest-deadline-first dispatch ordering (response-time SLA)",
-    }
-}
+//! premium traffic, as `schedlang::stdlib::PREMIUM_ONLY` does).
+//!
+//! Neither protocol has a plan of its own: [`super::Protocol::algebra`]
+//! pairs SS2PL's plan with the ordering, and their SchedLang texts are
+//! SS2PL's under `order by priority` / `order by deadline`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::catalog;
+    use super::super::{Protocol, ProtocolKind};
     use crate::request::{Request, SlaMeta};
-    use relalg::{Catalog, Table};
 
     fn sla(priority: i64, deadline: u64) -> SlaMeta {
         SlaMeta {
@@ -91,15 +36,10 @@ mod tests {
     fn qualification_is_ss2pl_but_ordering_differs() {
         let premium = Request::read(10, 2, 0, 101).with_sla(sla(3, 500));
         let free = Request::read(5, 1, 0, 100).with_sla(sla(1, 100));
-        let mut catalog = Catalog::new();
-        let mut requests = Table::new("requests", Request::schema());
-        requests.push(free.to_tuple()).unwrap();
-        requests.push(premium.to_tuple()).unwrap();
-        catalog.register(requests);
-        catalog.register(Table::new("history", Request::schema()));
+        let catalog = catalog(&[free, premium], &[]);
 
-        let prio = build_priority(Backend::Algebra);
-        let edf = build_edf(Backend::Datalog);
+        let prio = Protocol::algebra(ProtocolKind::SlaPriority);
+        let edf = Protocol::algebra(ProtocolKind::EarliestDeadline);
         // Both qualify the same set (no conflicts here).
         assert_eq!(
             prio.rules.qualify(&catalog).unwrap(),
@@ -119,9 +59,10 @@ mod tests {
 
     #[test]
     fn both_protocols_advertise_qos() {
-        assert!(build_priority(Backend::Algebra).features.qos);
-        assert!(build_edf(Backend::Algebra).features.qos);
-        assert_eq!(build_priority(Backend::Datalog).name(), "sla-priority");
-        assert_eq!(build_edf(Backend::Datalog).name(), "edf");
+        let prio = Protocol::algebra(ProtocolKind::SlaPriority);
+        let edf = Protocol::algebra(ProtocolKind::EarliestDeadline);
+        assert!(prio.features.qos && edf.features.qos);
+        assert_eq!(prio.name(), "sla-priority");
+        assert_eq!(edf.name(), "edf");
     }
 }

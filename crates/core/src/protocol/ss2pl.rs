@@ -13,17 +13,15 @@
 //! | `OpsOnSameObjAsPriorSelectOps` | third branch of [`blocked_keys_plan`] |
 //! | `QualifiedSS2PLOps` | the final `EXCEPT` in [`ss2pl_algebra_plan`] |
 //!
-//! The Datalog formulation ([`ss2pl_datalog_program`]) derives the same
-//! relations as predicates; both back-ends must qualify exactly the same
-//! requests (checked by integration tests and property tests).
+//! The declared rule is the SchedLang text `schedlang::stdlib::SS2PL`,
+//! which derives the same relations as predicates; the text, this plan and
+//! the hot path of [`crate::qualify`] must qualify exactly the same requests
+//! (checked by the integration and property tests).
 //!
 //! Like the paper, the rule assumes each transaction accesses an object at
 //! most once per pending batch ("we assume that each transaction accesses an
 //! object only once").
 
-use super::{Backend, Protocol, ProtocolFeatures, ProtocolKind};
-use crate::rules::{OrderingSpec, RuleBackend, RuleSet};
-use datalog::Program;
 use relalg::{Expr, JoinKind, Plan, PlanBuilder, Value};
 
 /// Column names of the history relation after renaming for joins.
@@ -160,183 +158,11 @@ pub fn ss2pl_algebra_plan() -> Plan {
         .build()
 }
 
-/// The SS2PL rule as a Datalog program.  The output predicate is
-/// `qualified(Ta, Intra)`.
-pub fn ss2pl_datalog_program() -> Program {
-    datalog::parse_program(SS2PL_DATALOG_SOURCE).expect("embedded SS2PL program parses")
-}
-
-/// The Datalog source of the SS2PL protocol — kept as text so examples can
-/// print it and so it can serve as documentation of how compact the
-/// declarative definition is compared to an imperative lock manager.
-pub const SS2PL_DATALOG_SOURCE: &str = r#"
-% --- lock bookkeeping derived from the history relation -------------------
-finished(T)   :- history(Id, T, I, "c", O).
-finished(T)   :- history(Id, T, I, "a", O).
-wrote(T, O)   :- history(Id, T, I, "w", O).
-wlocked(O, T) :- history(Id, T, I, "w", O), !finished(T).
-rlocked(O, T) :- history(Id, T, I, "r", O), !finished(T), !wrote(T, O).
-
-% --- pending requests that must wait ---------------------------------------
-blocked(T, I) :- requests(Id, T, I, Op, O), wlocked(O, T2), T != T2.
-blocked(T, I) :- requests(Id, T, I, "w", O), rlocked(O, T2), T != T2.
-blocked(T2, I2) :- requests(Id2, T2, I2, Op2, O), requests(Id1, T1, I1, "w", O), T2 > T1.
-blocked(T2, I2) :- requests(Id2, T2, I2, "w", O), requests(Id1, T1, I1, Op1, O), T2 > T1.
-
-% --- everything else may execute now ---------------------------------------
-qualified(T, I) :- requests(Id, T, I, Op, O), !blocked(T, I).
-"#;
-
-/// Build the SS2PL protocol on the requested back-end.
-pub(crate) fn build(backend: Backend) -> Protocol {
-    let rule_backend = match backend {
-        Backend::Algebra => RuleBackend::Algebra {
-            plan: ss2pl_algebra_plan(),
-        },
-        Backend::Datalog => RuleBackend::Datalog {
-            program: ss2pl_datalog_program(),
-            output: "qualified".to_string(),
-        },
-    };
-    Protocol {
-        kind: ProtocolKind::Ss2pl,
-        rules: RuleSet::new(
-            ProtocolKind::Ss2pl.name(),
-            rule_backend,
-            OrderingSpec::FifoById,
-        ),
-        features: ProtocolFeatures {
-            performance: true,
-            qos: false,
-            declarative: true,
-            flexible: true,
-            high_scalability: true,
-        },
-        description:
-            "Strong strict 2PL: serialisable schedules via declarative lock rules (paper Listing 1)",
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::catalog;
+    use super::super::{Protocol, ProtocolKind};
     use crate::request::Request;
-    use relalg::{Catalog, Table};
-
-    /// Build a catalog from pending and history request lists.
-    fn catalog(pending: &[Request], history: &[Request]) -> Catalog {
-        let mut c = Catalog::new();
-        let mut requests = Table::new("requests", Request::schema());
-        for r in pending {
-            requests.push(r.to_tuple()).unwrap();
-        }
-        let mut hist = Table::new("history", Request::schema());
-        for r in history {
-            hist.push(r.to_tuple()).unwrap();
-        }
-        c.register(requests);
-        c.register(hist);
-        c
-    }
-
-    fn qualify_both(pending: &[Request], history: &[Request]) -> Vec<(u64, u32)> {
-        let c = catalog(pending, history);
-        let algebra = build(Backend::Algebra).rules.qualify(&c).unwrap();
-        let datalog = build(Backend::Datalog).rules.qualify(&c).unwrap();
-        assert_eq!(
-            algebra, datalog,
-            "algebra and datalog SS2PL rules disagree\npending: {pending:?}\nhistory: {history:?}"
-        );
-        algebra.into_iter().map(|k| (k.ta, k.intra)).collect()
-    }
-
-    #[test]
-    fn empty_history_qualifies_non_conflicting_requests() {
-        // Two requests on different objects: both qualify.
-        let qualified = qualify_both(
-            &[Request::read(1, 10, 0, 100), Request::write(2, 11, 0, 101)],
-            &[],
-        );
-        assert_eq!(qualified, vec![(10, 0), (11, 0)]);
-    }
-
-    #[test]
-    fn write_lock_in_history_blocks_other_transactions() {
-        // T20 holds a write lock on object 7 (wrote it, not finished).
-        let history = [Request::write(1, 20, 0, 7)];
-        let pending = [
-            Request::read(2, 21, 0, 7),  // blocked: object write-locked by T20
-            Request::write(3, 22, 0, 8), // free object: qualifies
-            Request::read(4, 20, 1, 7),  // T20's own request: qualifies
-        ];
-        let qualified = qualify_both(&pending, &history);
-        assert_eq!(qualified, vec![(20, 1), (22, 0)]);
-    }
-
-    #[test]
-    fn committed_write_lock_is_released() {
-        // T20 wrote object 7 but committed: the lock is gone.
-        let history = [Request::write(1, 20, 0, 7), Request::commit(2, 20, 1)];
-        let pending = [Request::read(3, 21, 0, 7)];
-        assert_eq!(qualify_both(&pending, &history), vec![(21, 0)]);
-    }
-
-    #[test]
-    fn read_lock_blocks_writers_but_not_readers() {
-        // T30 read object 9 and is still active.
-        let history = [Request::read(1, 30, 0, 9)];
-        let pending = [
-            Request::write(2, 31, 0, 9), // blocked by the read lock
-            Request::read(3, 32, 0, 9),  // shared with the read lock: qualifies
-        ];
-        // NOTE: request (32,0) also conflicts with pending (31,0) through the
-        // prior-ops rule only if the earlier pending request is a write and
-        // has a smaller TA — 31 < 32 and is a write, so (32,0) is blocked as
-        // well.  Verify exactly that.
-        assert_eq!(qualify_both(&pending, &history), vec![]);
-        // Without the pending writer, the reader qualifies.
-        let pending = [Request::read(3, 32, 0, 9)];
-        assert_eq!(qualify_both(&pending, &history), vec![(32, 0)]);
-    }
-
-    #[test]
-    fn read_write_by_same_transaction_counts_as_write_lock() {
-        // T40 read then wrote object 5 → write lock, and its read must not
-        // additionally appear as a read lock (Listing 1's NOT EXISTS).
-        let history = [Request::read(1, 40, 0, 5), Request::write(2, 40, 1, 5)];
-        let pending = [
-            Request::read(3, 41, 0, 5),  // blocked by T40's write lock
-            Request::write(4, 40, 2, 5), // T40 itself: qualifies
-        ];
-        assert_eq!(qualify_both(&pending, &history), vec![(40, 2)]);
-    }
-
-    #[test]
-    fn conflicts_within_the_pending_batch_prefer_lower_ta() {
-        let pending = [
-            Request::write(1, 50, 0, 3),
-            Request::write(2, 51, 0, 3), // loses against T50 on the same object
-            Request::read(3, 52, 0, 3),  // also loses (write earlier in batch)
-        ];
-        assert_eq!(qualify_both(&pending, &[]), vec![(50, 0)]);
-    }
-
-    #[test]
-    fn reads_in_batch_do_not_conflict_with_each_other() {
-        let pending = [
-            Request::read(1, 60, 0, 4),
-            Request::read(2, 61, 0, 4),
-            Request::read(3, 62, 0, 4),
-        ];
-        assert_eq!(qualify_both(&pending, &[]), vec![(60, 0), (61, 0), (62, 0)]);
-    }
-
-    #[test]
-    fn commit_requests_always_qualify() {
-        let history = [Request::write(1, 70, 0, 2)];
-        let pending = [Request::commit(2, 70, 1), Request::commit(3, 71, 0)];
-        assert_eq!(qualify_both(&pending, &history), vec![(70, 1), (71, 0)]);
-    }
 
     #[test]
     fn qualified_count_is_roughly_half_under_pairwise_conflicts() {
@@ -349,22 +175,10 @@ mod tests {
             pending.push(Request::write(2 * i, 100 + 2 * i, 0, i as i64));
             pending.push(Request::write(2 * i + 1, 100 + 2 * i + 1, 0, i as i64));
         }
-        let qualified = qualify_both(&pending, &[]);
+        let qualified = Protocol::algebra(ProtocolKind::Ss2pl)
+            .rules
+            .qualify(&catalog(&pending, &[]))
+            .unwrap();
         assert_eq!(qualified.len(), 50);
-    }
-
-    #[test]
-    fn datalog_source_is_printable_and_compact() {
-        // The declarative definition the paper argues for: a handful of rules.
-        let rule_lines = SS2PL_DATALOG_SOURCE
-            .lines()
-            .filter(|l| l.contains(":-"))
-            .count();
-        assert!(
-            rule_lines <= 12,
-            "SS2PL should stay compact, got {rule_lines} rules"
-        );
-        // And it actually parses.
-        let _ = ss2pl_datalog_program();
     }
 }

@@ -15,10 +15,11 @@
 //! [`IncrementalQualifier`] therefore keeps, per object, the cached set of
 //! blocked pending keys, re-derives it only for objects whose pending rows
 //! or lock state changed since the last round (the *dirty set*), and
-//! assembles the qualified set from the caches.  Equivalence with the
-//! from-scratch rule — on both the relational-algebra and the Datalog
-//! back-end — is enforced per protocol by the property suite in
-//! `tests/tests/incremental.rs`.
+//! assembles the qualified set from the caches.  These per-kind arms are a
+//! hand-written third encoding of each protocol; equivalence with its
+//! declared rule — the `schedlang::stdlib` text, evaluated by `datalog` —
+//! and with its relational-algebra plan, both from scratch, is enforced per
+//! protocol by the property suite in `tests/tests/incremental.rs`.
 //!
 //! Custom protocols carry arbitrary rules and are not supported here; the
 //! scheduler falls back to from-scratch evaluation (or, for custom Datalog
@@ -427,7 +428,7 @@ fn relaxed_objects(aux: &[Table]) -> FastIdSet<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{object_class_table, Backend, ObjectClass, Protocol};
+    use crate::protocol::{object_class_table, ObjectClass, Protocol};
     use relalg::Catalog;
 
     /// Evaluate `kind`'s declarative rule from scratch over the same state —
@@ -445,10 +446,7 @@ mod tests {
         for t in aux {
             catalog.replace(t.clone());
         }
-        Protocol::new(kind, Backend::Algebra)
-            .rules
-            .qualify(&catalog)
-            .unwrap()
+        Protocol::algebra(kind).rules.qualify(&catalog).unwrap()
     }
 
     fn check_all_kinds(pending: &PendingStore, history: &HistoryStore, aux: &[Table]) {

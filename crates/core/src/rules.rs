@@ -12,8 +12,11 @@
 //! * [`RuleBackend::Datalog`] — a stratified Datalog program whose designated
 //!   output predicate lists the qualified `(ta, intrata)` pairs.
 //!
-//! Both back-ends must produce the same qualified sets for the same input —
-//! an invariant the integration tests check protocol by protocol.
+//! Each built-in protocol exists in both: its plan
+//! ([`crate::Protocol::algebra`]) and its declared SchedLang text compiled
+//! to Datalog (`schedlang::stdlib::protocol`).  The two, and the hot path of
+//! [`crate::qualify`], must produce the same qualified sets for the same
+//! input — an invariant the integration tests check protocol by protocol.
 
 use crate::error::{SchedError, SchedResult};
 use crate::request::{Request, RequestKey};

@@ -897,11 +897,11 @@ fn lap(mark: &mut Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Backend, Protocol, ProtocolKind};
+    use crate::protocol::{Protocol, ProtocolKind};
 
     fn scheduler(kind: ProtocolKind) -> DeclarativeScheduler {
         DeclarativeScheduler::new(
-            Protocol::new(kind, Backend::Algebra),
+            Protocol::algebra(kind),
             SchedulerConfig {
                 trigger: TriggerPolicy::Always,
                 ..SchedulerConfig::default()
@@ -1009,7 +1009,7 @@ mod tests {
     fn adaptive_policy_switches_and_counts_overload_rounds() {
         use crate::protocol::AdaptiveProtocol;
         let mut s = DeclarativeScheduler::new(
-            AdaptiveProtocol::ss2pl_with_relaxed_overflow(Backend::Algebra, 3),
+            AdaptiveProtocol::ss2pl_with_relaxed_overflow(3),
             SchedulerConfig {
                 trigger: TriggerPolicy::Always,
                 ..SchedulerConfig::default()
@@ -1199,117 +1199,6 @@ mod tests {
         s.run_round(2).unwrap();
         s.run_round(3).unwrap();
         assert!(!s.transaction_pending(2));
-    }
-
-    fn custom_ss2pl(prune_history: bool) -> DeclarativeScheduler {
-        use crate::rules::{OrderingSpec, RuleBackend, RuleSet};
-        let rules = RuleSet::new(
-            "custom-ss2pl",
-            RuleBackend::Datalog {
-                program: datalog::parse_program(crate::protocol::SS2PL_DATALOG_SOURCE)
-                    .expect("embedded SS2PL program parses"),
-                output: "qualified".into(),
-            },
-            OrderingSpec::FifoById,
-        );
-        DeclarativeScheduler::new(
-            Protocol::custom(rules, "SS2PL supplied as a Datalog program"),
-            SchedulerConfig {
-                trigger: TriggerPolicy::Always,
-                prune_history,
-                ..SchedulerConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn custom_rule_rounds_feed_deltas_and_count_them() {
-        let mut s = custom_ss2pl(true);
-        let fed = |s: &DeclarativeScheduler, before: u64| s.metrics().delta_rows - before;
-
-        // Round 1: T1 and T2 write objects 5 and 6 — two arrivals.
-        s.submit(Request::write(0, 1, 0, 5), 0);
-        s.submit(Request::write(0, 2, 0, 6), 0);
-        assert_eq!(s.run_round(0).unwrap().len(), 2);
-        assert_eq!(fed(&s, 0), 2);
-        let recomputed_by_round_one = s.metrics().strata_recomputed;
-        assert!(recomputed_by_round_one > 0);
-        assert_eq!(s.metrics().strata_maintained, 0);
-
-        // Round 2: both leave `requests` and enter `history` (2 + 2), T3's
-        // read of object 5 arrives (1) and is blocked.
-        let mark = s.metrics().delta_rows;
-        s.submit(Request::read(0, 3, 0, 5), 1);
-        assert!(s.run_round(1).unwrap().is_empty());
-        assert_eq!(fed(&s, mark), 5);
-
-        // Round 3: nothing was scheduled; T1's commit arrives (1).
-        let mark = s.metrics().delta_rows;
-        s.submit(Request::commit(0, 1, 1), 2);
-        assert_eq!(s.run_round(2).unwrap().len(), 1);
-        assert_eq!(fed(&s, mark), 1);
-
-        // Round 4: the commit leaves `requests` (1) and T1's write is pruned
-        // from `history` (1); the commit itself was pruned before it was
-        // ever fed.  T3 now qualifies.
-        let mark = s.metrics().delta_rows;
-        let batch = s.run_round(3).unwrap();
-        assert_eq!(batch.requests[0].ta, 3);
-        assert_eq!(fed(&s, mark), 2);
-        assert_eq!(s.metrics().incremental_rounds, 4);
-        assert_eq!(s.metrics().catalog_build_micros, 0);
-        // Only the first round had no delta to go by.
-        assert_eq!(s.metrics().strata_recomputed, recomputed_by_round_one);
-        assert!(s.metrics().strata_maintained > 0);
-    }
-
-    #[test]
-    fn custom_rule_inputs_are_fed_whole_after_an_undescribed_change() {
-        let mut s = custom_ss2pl(true);
-        s.submit(Request::write(0, 1, 0, 5), 0);
-        s.run_round(0).unwrap();
-        s.submit(Request::read(0, 2, 0, 5), 1);
-        s.submit(Request::read(0, 3, 0, 6), 1);
-        s.submit(Request::read(0, 3, 1, 5), 1);
-        // T3's first read is scheduled, its second is blocked like T2's.
-        assert_eq!(s.run_round(1).unwrap().len(), 1);
-        // A purge is not a round: the evaluator still holds both blocked
-        // reads when the next round starts, and must drop them.
-        assert_eq!(s.purge_unscheduled(2), 2);
-        s.submit(Request::write(0, 4, 0, 5), 3);
-        let mark = s.metrics().delta_rows;
-        assert!(s.run_round(3).unwrap().is_empty(), "T1 still holds 5");
-        // `requests` was replaced by its single row; `history` took T3's
-        // scheduled read as a delta.
-        assert_eq!(s.metrics().delta_rows - mark, 1 + 1);
-        assert_eq!(s.pending(), 1);
-        s.submit(Request::commit(0, 1, 1), 4);
-        s.run_round(4).unwrap();
-        assert_eq!(s.run_round(5).unwrap().requests[0].ta, 4);
-    }
-
-    #[test]
-    fn custom_rule_drops_a_superseded_duplicate_from_its_inputs() {
-        let mut s = custom_ss2pl(true);
-        s.submit(Request::write(0, 1, 0, 5), 0);
-        s.run_round(0).unwrap();
-        // T2's read of object 5 waits behind T1 …
-        s.submit(Request::read(0, 2, 0, 5), 1);
-        assert!(s.run_round(1).unwrap().is_empty());
-        // … and is then superseded (same key) by a read of the free object
-        // 6.  The generations move as in any round; only the row counts
-        // tell the evaluator that a row left without being scheduled.
-        s.submit(Request::read(0, 2, 0, 6), 2);
-        let batch = s.run_round(2).unwrap();
-        assert_eq!(batch.requests[0].object, 6);
-        // Were the old row still fed, T3's write would wait behind T2's
-        // phantom read of object 5 even after T1 commits.
-        s.submit(Request::commit(0, 1, 1), 3);
-        s.submit(Request::write(0, 3, 0, 5), 3);
-        s.run_round(3).unwrap();
-        let batch = s.run_round(4).unwrap();
-        assert_eq!(batch.requests.len(), 1, "T3 takes the released object");
-        assert_eq!(batch.requests[0].ta, 3);
     }
 
     #[test]

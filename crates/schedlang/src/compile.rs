@@ -11,6 +11,10 @@ use relalg::Value;
 const BLOCKED: &str = "schedlang_blocked";
 /// Name of the output predicate.
 const QUALIFIED: &str = "qualified";
+/// Prefix of the compiler's fresh variables (one per wildcard `_` and per
+/// request-binding id).  The lexer reads no `#` in a name, so a user's
+/// variable can never be one of them.
+const FRESH: &str = "_#";
 
 /// Compile a parsed protocol definition into a [`RuleSet`] on the Datalog
 /// back-end.
@@ -148,7 +152,7 @@ impl Compiler {
 
     fn fresh_var(&mut self) -> String {
         self.fresh += 1;
-        format!("_G{}", self.fresh)
+        format!("{FRESH}{}", self.fresh)
     }
 
     /// Translate a term appearing in a `define` clause (no request-field
@@ -201,7 +205,7 @@ impl Compiler {
                     let terms: Vec<Term> = terms.iter().map(|t| term(self, t)).collect();
                     if terms
                         .iter()
-                        .any(|t| matches!(t, Term::Var(v) if v.starts_with("_G")))
+                        .any(|t| matches!(t, Term::Var(v) if v.starts_with(FRESH)))
                     {
                         return Err(LangError::Semantic {
                             protocol: self.protocol.clone(),
@@ -285,31 +289,27 @@ mod tests {
     }
 
     #[test]
-    fn schedlang_ss2pl_matches_the_builtin_protocol() {
-        let src = crate::stdlib::SS2PL;
-        let lang = compile_protocol(src).unwrap();
-        let builtin = Protocol::datalog(declsched::ProtocolKind::Ss2pl);
-
-        // A scenario with history locks and batch conflicts.
-        let history = [
-            Request::write(1, 10, 0, 5),
-            Request::read(2, 11, 0, 6),
-            Request::write(3, 12, 0, 7),
-            Request::commit(4, 12, 1),
-        ];
-        let pending = [
-            Request::read(5, 20, 0, 5),  // blocked: wlock by T10
-            Request::write(6, 21, 0, 6), // blocked: rlock by T11
-            Request::read(7, 22, 0, 7),  // free: T12 committed
-            Request::write(8, 23, 0, 8),
-            Request::write(9, 24, 0, 8), // batch conflict: loses to T23
-            Request::commit(10, 25, 0),
-        ];
-        let c = catalog(&pending, &history);
-        assert_eq!(
-            lang.rules.qualify(&c).unwrap(),
-            builtin.rules.qualify(&c).unwrap()
+    fn a_user_variable_cannot_capture_a_wildcard() {
+        // `_G1` was the name of the request-binding atom's fresh id: the
+        // clause then compared each request with itself and never blocked.
+        let c = catalog(
+            &[Request::write(1, 1, 0, 5), Request::write(2, 2, 0, 5)],
+            &[],
         );
+        let qualify = |var: &str| {
+            let src = format!(
+                r#"protocol p {{ block when requests({var}, T1, _, "w", obj), T1 < ta; }}"#
+            );
+            compile_protocol(&src).unwrap().rules.qualify(&c).unwrap()
+        };
+        assert_eq!(qualify("_X1"), vec![RequestKey { ta: 1, intra: 0 }]);
+        assert_eq!(qualify("_G1"), qualify("_X1"));
+        // A named variable is not a wildcard, even under a negation.
+        let named = r#"protocol p { block when requests(_G1, T1, _, "w", obj), not seen(_G1); }"#;
+        assert!(!matches!(
+            compile_protocol(named),
+            Err(LangError::Semantic { .. })
+        ));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! query languages, and its future work asks for "a suitable declarative
 //! scheduler language which is more succinct than SQL".  SchedLang is that
 //! language: a small, scheduling-specific surface syntax that compiles to the
-//! Datalog rule back-end of the `declsched` crate.
+//! Datalog rule back-end of the `declsched` crate.  Every built-in protocol
+//! is declared here, once: [`stdlib`] holds its text, and
+//! [`stdlib::protocol`] compiles it into that built-in.
 //!
 //! A protocol reads like the policy it states:
 //!

@@ -188,7 +188,7 @@ fn a_scripted_send_failure_refuses_one_transaction() {
 #[test]
 fn shutdown_with_no_clients_is_clean() {
     let scheduler = Scheduler::builder()
-        .policy(Protocol::datalog(ProtocolKind::Fcfs))
+        .policy(Protocol::algebra(ProtocolKind::Fcfs))
         .table("bench", 10)
         .unsharded()
         .build()

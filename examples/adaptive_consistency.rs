@@ -10,13 +10,12 @@
 //! and the relaxed rule admits the readers despite the write locks — all
 //! driven through the same pipelined `Session` surface.
 
-use declsched::protocol::Backend;
 use declsched::{AdaptiveProtocol, SchedResult, SchedulerConfig, TriggerPolicy};
 use session::{Scheduler, Txn};
 use std::time::Duration;
 
 fn main() -> SchedResult<()> {
-    let adaptive = AdaptiveProtocol::ss2pl_with_relaxed_overflow(Backend::Algebra, 16);
+    let adaptive = AdaptiveProtocol::ss2pl_with_relaxed_overflow(16);
     println!(
         "adaptive policy: {} below {} pending requests, {} at or above\n",
         adaptive.normal.name(),

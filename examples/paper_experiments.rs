@@ -1,7 +1,8 @@
 //! The paper's evaluation in one run: Figure 2 and the Section 4.2.2
 //! operating points (the native lock-based scheduler), Section 4.3.2 (the
-//! cost of one declarative SS2PL round, relational-algebra and Datalog
-//! back-ends), the Section 4.4 crossover and Tables 1–2.
+//! cost of one declarative SS2PL round, on its relational-algebra plan and
+//! on its SchedLang text evaluated by Datalog), the Section 4.4 crossover
+//! and Tables 1–2.
 //!
 //! Run with: `cargo run --release --example paper_experiments [-- --paper]`
 //!
@@ -12,7 +13,7 @@
 //! scheduling rounds on the machine that runs it.  Every section ends with
 //! the paper's own figures on `# paper:` lines.
 
-use declsched::{Backend, DeclarativeScheduler, Protocol, ProtocolKind, Request};
+use declsched::{DeclarativeScheduler, Protocol, ProtocolKind, Request};
 use declsched::{SchedulerConfig, TriggerPolicy};
 use simkit::{fig2_point, CostModel, Fig2Point, MultiUserConfig};
 use std::time::Instant;
@@ -70,11 +71,11 @@ struct Sec43Row {
 /// the paper's pre-fill) and has its next statement pending.  Also returns
 /// the statement count of the whole workload, which the paper extrapolates
 /// from.
-fn sec43_scheduler(clients: usize, backend: Backend, paper: bool) -> (DeclarativeScheduler, u64) {
+fn sec43_scheduler(clients: usize, protocol: Protocol, paper: bool) -> (DeclarativeScheduler, u64) {
     let spec = workload_spec(clients, paper);
     let generated = spec.generate();
     let mut scheduler = DeclarativeScheduler::new(
-        Protocol::new(ProtocolKind::Ss2pl, backend),
+        protocol,
         SchedulerConfig {
             trigger: TriggerPolicy::Always,
             prune_history: false,
@@ -97,10 +98,15 @@ fn sec43_scheduler(clients: usize, backend: Backend, paper: bool) -> (Declarativ
     (scheduler, spec.total_statements() as u64)
 }
 
-/// Section 4.3.2: time one declarative scheduling round per client count.
-fn sec43_experiment(client_counts: &[usize], backend: Backend, paper: bool) -> Vec<Sec43Row> {
+/// Section 4.3.2: time one declarative scheduling round per client count
+/// under the SS2PL rule `ss2pl` builds.
+fn sec43_experiment(
+    client_counts: &[usize],
+    ss2pl: fn() -> Protocol,
+    paper: bool,
+) -> Vec<Sec43Row> {
     let measure = |clients| {
-        let (mut scheduler, total_statements) = sec43_scheduler(clients, backend, paper);
+        let (mut scheduler, total_statements) = sec43_scheduler(clients, ss2pl(), paper);
         let history_rows = scheduler.history_len();
         let started = Instant::now();
         let batch = scheduler.run_round(2).expect("measurement round");
@@ -124,11 +130,16 @@ fn sec43_experiment(client_counts: &[usize], backend: Backend, paper: bool) -> V
 /// algebra back-end).
 fn crossover_table(client_counts: &[usize], paper: bool) -> Vec<(usize, f64, f64)> {
     let fig2 = fig2_series(client_counts, paper);
-    let sec43 = sec43_experiment(client_counts, Backend::Algebra, paper);
+    let sec43 = sec43_experiment(client_counts, algebra_ss2pl, paper);
     let pair = |(f, s): (&Fig2Point, &Sec43Row)| {
         (f.clients, f.overhead_secs_per_240s(), s.total_overhead_secs)
     };
     fig2.iter().zip(&sec43).map(pair).collect()
+}
+
+/// SS2PL on its relational-algebra plan, the paper's Listing 1.
+fn algebra_ss2pl() -> Protocol {
+    Protocol::algebra(ProtocolKind::Ss2pl)
 }
 
 /// One `+`/`-` row of Table 1.
@@ -173,8 +184,12 @@ fn print_sec43(paper: bool) {
     let client_counts = [100, 200, 300, 400, 500, 600];
     println!("# Section 4.3.2 — declarative scheduling overhead (SS2PL rule, Listing 1)");
     println!("clients,backend,history_rows,round_micros,rule_micros,qualified,scheduler_runs,total_overhead_secs");
-    let algebra = sec43_experiment(&client_counts, Backend::Algebra, paper);
-    let datalog = sec43_experiment(&client_counts, Backend::Datalog, paper);
+    let algebra = sec43_experiment(&client_counts, algebra_ss2pl, paper);
+    let datalog = sec43_experiment(
+        &client_counts,
+        || schedlang::stdlib::protocol(ProtocolKind::Ss2pl),
+        paper,
+    );
     for (backend, rows) in [("algebra", &algebra), ("datalog", &datalog)] {
         for r in rows {
             println!(
@@ -189,7 +204,7 @@ fn print_sec43(paper: bool) {
             );
         }
     }
-    // One rule, two back-ends: over the same history they must qualify the
+    // One rule, two forms: over the same history they must qualify the
     // same number of requests — some, and at most one per client.
     for (a, d) in algebra.iter().zip(&datalog) {
         let agree = (a.qualified, a.history_rows) == (d.qualified, d.history_rows);

@@ -104,7 +104,7 @@ fn main() -> SchedResult<()> {
     )?;
     run(
         "Earliest deadline first",
-        Protocol::datalog(ProtocolKind::EarliestDeadline),
+        schedlang::stdlib::protocol(ProtocolKind::EarliestDeadline),
     )?;
     println!("Same correctness rule, three QoS policies — only the declarative protocol changed.");
     Ok(())

@@ -157,7 +157,7 @@ fn relaxed_protocol_needs_no_more_rounds_than_strict() {
 fn datalog_and_algebra_backends_schedule_identically_end_to_end() {
     let spec = small_spec(5, 400, 47);
     let (da, ma) = run_workload(Protocol::algebra(ProtocolKind::Ss2pl), &spec);
-    let (dd, md) = run_workload(Protocol::datalog(ProtocolKind::Ss2pl), &spec);
+    let (dd, md) = run_workload(schedlang::stdlib::protocol(ProtocolKind::Ss2pl), &spec);
     assert_eq!(ma.rounds, md.rounds);
     assert_eq!(ma.requests_scheduled, md.requests_scheduled);
     assert_eq!(da.totals(), dd.totals());

@@ -107,9 +107,9 @@ fn scenario() -> impl Strategy<Value = (Vec<Request>, Vec<Request>)> {
         })
 }
 
-fn build(backend: declsched::protocol::Backend, incremental: bool) -> DeclarativeScheduler {
+fn build(protocol: Protocol, incremental: bool) -> DeclarativeScheduler {
     DeclarativeScheduler::new(
-        Protocol::new(ProtocolKind::Ss2pl, backend),
+        protocol,
         SchedulerConfig {
             trigger: TriggerPolicy::Always,
             prune_history: false,
@@ -130,13 +130,13 @@ proptest! {
     fn pooled_rounds_match_allocating_rounds_exactly(
         ((history, pending), backend_pick) in (scenario(), 0..2u8)
     ) {
-        let backend = if backend_pick == 0 {
-            declsched::protocol::Backend::Algebra
+        let protocol = || if backend_pick == 0 {
+            Protocol::algebra(ProtocolKind::Ss2pl)
         } else {
-            declsched::protocol::Backend::Datalog
+            schedlang::stdlib::protocol(ProtocolKind::Ss2pl)
         };
-        let mut pooled = build(backend, true);
-        let mut scratch = build(backend, false);
+        let mut pooled = build(protocol(), true);
+        let mut scratch = build(protocol(), false);
         pooled.preload_history(&history).unwrap();
         scratch.preload_history(&history).unwrap();
         for r in &pending {

@@ -5,12 +5,12 @@
 //! rules) must be **observationally indistinguishable** from re-evaluating
 //! the declarative rule from scratch: same qualified sets, same batches in
 //! the same dispatch order, same pending/history evolution — for every
-//! protocol, on both rule back-ends, under random interleavings of
+//! protocol, on both of its rule forms, under random interleavings of
 //! submissions, rounds and pruning.  These properties drive two schedulers
 //! (incremental on / off) through identical event sequences and compare
 //! them round by round.
 
-use declsched::protocol::{object_class_table, Backend, ObjectClass};
+use declsched::protocol::{object_class_table, ObjectClass};
 use declsched::{
     DeclarativeScheduler, Protocol, ProtocolKind, Request, RuleBackend, RuleSet, SchedulerConfig,
     SlaMeta, TriggerPolicy,
@@ -176,45 +176,33 @@ fn assert_equivalent(protocol_of: impl Fn() -> Protocol, events: &[Event], prune
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every built-in protocol, on both rule back-ends, with and without
-    /// history pruning: the incremental engine reproduces the declarative
-    /// rule exactly, round by round.
+    /// Every built-in protocol, on its algebra plan and on its declared
+    /// SchedLang text, with and without history pruning: the incremental
+    /// engine reproduces the declarative rule exactly, round by round.
     #[test]
     fn incremental_matches_from_scratch_for_every_protocol(
         (events, prune_selector) in (events(), 0u8..2)
     ) {
         let prune = prune_selector == 1;
         for &kind in ProtocolKind::all() {
-            for backend in [Backend::Algebra, Backend::Datalog] {
-                assert_equivalent(|| Protocol::new(kind, backend), &events, prune);
-            }
+            assert_equivalent(|| Protocol::algebra(kind), &events, prune);
+            assert_equivalent(|| schedlang::stdlib::protocol(kind), &events, prune);
         }
     }
 
-    /// A custom Datalog protocol has no conflict-index shortcut; it runs on
-    /// the engine-level persistent evaluation (`IncrementalEvaluation`),
-    /// which must also match one-shot evaluation exactly.
+    /// A custom Datalog protocol (here the C2PL text, compiled as a user
+    /// rule) has no conflict-index shortcut; it runs on the engine-level
+    /// persistent evaluation (`IncrementalEvaluation`), which must also
+    /// match one-shot evaluation exactly.
     #[test]
     fn custom_datalog_persistent_evaluation_matches_one_shot(
         (events, prune_selector) in (events(), 0u8..2)
     ) {
         let prune = prune_selector == 1;
         let custom = || {
-            let program = datalog::parse_program(declsched::protocol::C2PL_DATALOG_SOURCE)
-                .expect("embedded program parses");
-            Protocol::custom(
-                RuleSet::new(
-                    "custom-c2pl",
-                    RuleBackend::Datalog {
-                        program,
-                        output: "qualified".to_string(),
-                    },
-                    declsched::OrderingSpec::ByTransaction,
-                ),
-                "conservative 2PL as a user-supplied Datalog program",
-            )
+            schedlang::compile_protocol(schedlang::stdlib::C2PL).expect("stdlib text compiles")
         };
-        let label = "custom-c2pl";
+        let label = "c2pl";
         let mut persistent = scheduler_for(custom(), true, prune);
         let mut one_shot = scheduler_for(custom(), false, prune);
         let (rounds_a, pending_a, history_a) = replay(&mut persistent, &events);
@@ -229,32 +217,17 @@ proptest! {
         );
     }
 
-    /// The custom protocol also matches the *built-in* C2PL (same rule,
-    /// different evaluation stack end to end) — pinning the persistent
-    /// Datalog path against the conflict-index path.
+    /// The C2PL text as a custom protocol also matches the *built-in* C2PL
+    /// (same rule, different evaluation stack end to end) — pinning the
+    /// persistent Datalog path against the conflict-index path.
     #[test]
     fn custom_datalog_matches_the_builtin_conflict_index(events in events()) {
         let custom = || {
-            let program = datalog::parse_program(declsched::protocol::C2PL_DATALOG_SOURCE)
-                .expect("embedded program parses");
-            Protocol::custom(
-                RuleSet::new(
-                    "custom-c2pl",
-                    RuleBackend::Datalog {
-                        program,
-                        output: "qualified".to_string(),
-                    },
-                    declsched::OrderingSpec::ByTransaction,
-                ),
-                "conservative 2PL as a user-supplied Datalog program",
-            )
+            schedlang::compile_protocol(schedlang::stdlib::C2PL).expect("stdlib text compiles")
         };
         let mut via_engine = scheduler_for(custom(), true, true);
-        let mut via_index = scheduler_for(
-            Protocol::new(ProtocolKind::Conservative2pl, Backend::Datalog),
-            true,
-            true,
-        );
+        let mut via_index =
+            scheduler_for(Protocol::algebra(ProtocolKind::Conservative2pl), true, true);
         let (rounds_a, pending_a, history_a) = replay(&mut via_engine, &events);
         let (rounds_b, pending_b, history_b) = replay(&mut via_index, &events);
         // Protocol names differ; compare the scheduled keys only.
@@ -265,23 +238,6 @@ proptest! {
         prop_assert_eq!(pending_a, pending_b);
         prop_assert_eq!(history_a, history_b);
     }
-}
-
-/// Wrap a Datalog program as a *custom* protocol: whatever rule it states,
-/// the scheduler cannot recognise its kind and must run it on the compiled,
-/// delta-fed `datalog::IncrementalEvaluation`.
-fn custom_datalog(name: &str, source: &str, ordering: declsched::OrderingSpec) -> Protocol {
-    Protocol::custom(
-        RuleSet::new(
-            name,
-            RuleBackend::Datalog {
-                program: datalog::parse_program(source).expect("embedded program parses"),
-                output: "qualified".to_string(),
-            },
-            ordering,
-        ),
-        "a built-in rule supplied as a user program",
-    )
 }
 
 /// Replay `events` on a custom-rule scheduler and on an oracle that shares
@@ -342,10 +298,12 @@ fn premium_only_algebra() -> Protocol {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The three `schedlang` standard-library protocols, compiled to Datalog
-    /// and run by the compiled executor, against oracles that share nothing
-    /// with it: the hand-written hot qualifier of the same kind for SS2PL
-    /// and relaxed reads, a from-scratch algebra plan for premium-only.
+    /// Every built-in's SchedLang text, compiled as a *custom* rule so that
+    /// it runs on the compiled, delta-fed `datalog::IncrementalEvaluation`,
+    /// against oracles that share nothing with it: the kind's algebra plan
+    /// evaluated from scratch by `relalg`, and the kind's hand-written hot
+    /// qualifier.  `premium_only` has no built-in twin; its oracle is the
+    /// same rule as an algebra plan.
     #[test]
     fn schedlang_stdlib_matches_hand_written_oracles(
         (events, prune_selector) in (events(), 0u8..2)
@@ -354,22 +312,18 @@ proptest! {
         let compiled = |source: &str| {
             schedlang::compile_protocol(source).expect("stdlib protocol compiles")
         };
-        assert_matches_oracle(
-            "schedlang ss2pl",
-            compiled(schedlang::stdlib::SS2PL),
-            Protocol::algebra(ProtocolKind::Ss2pl),
-            true,
-            &events,
-            prune,
-        );
-        assert_matches_oracle(
-            "schedlang relaxed_reads",
-            compiled(schedlang::stdlib::RELAXED_READS),
-            Protocol::algebra(ProtocolKind::RelaxedReads),
-            true,
-            &events,
-            prune,
-        );
+        for &kind in ProtocolKind::all() {
+            for hot_path in [false, true] {
+                assert_matches_oracle(
+                    &format!("schedlang {} (oracle hot path: {hot_path})", kind.name()),
+                    compiled(schedlang::stdlib::source(kind)),
+                    Protocol::algebra(kind),
+                    hot_path,
+                    &events,
+                    prune,
+                );
+            }
+        }
         assert_matches_oracle(
             "schedlang premium_only",
             compiled(schedlang::stdlib::PREMIUM_ONLY),
@@ -378,38 +332,6 @@ proptest! {
             &events,
             prune,
         );
-    }
-
-    /// The five embedded Datalog programs, each forced onto the compiled
-    /// persistent evaluation by wrapping it as a custom protocol, against
-    /// their relational-algebra twins evaluated from scratch by `relalg`.
-    #[test]
-    fn embedded_datalog_programs_match_their_algebra_twins(
-        (events, prune_selector) in (events(), 0u8..2)
-    ) {
-        use declsched::protocol::{
-            C2PL_DATALOG_SOURCE, FCFS_DATALOG_SOURCE, RATIONING_DATALOG_SOURCE,
-            RELAXED_DATALOG_SOURCE, SS2PL_DATALOG_SOURCE,
-        };
-        let prune = prune_selector == 1;
-        for (kind, source) in [
-            (ProtocolKind::Ss2pl, SS2PL_DATALOG_SOURCE),
-            (ProtocolKind::Conservative2pl, C2PL_DATALOG_SOURCE),
-            (ProtocolKind::Fcfs, FCFS_DATALOG_SOURCE),
-            (ProtocolKind::RelaxedReads, RELAXED_DATALOG_SOURCE),
-            (ProtocolKind::ConsistencyRationing, RATIONING_DATALOG_SOURCE),
-        ] {
-            let twin = Protocol::algebra(kind);
-            let label = format!("custom {}", kind.name());
-            assert_matches_oracle(
-                &label,
-                custom_datalog(&label, source, twin.rules.ordering),
-                twin,
-                false,
-                &events,
-                prune,
-            );
-        }
     }
 }
 
@@ -616,4 +538,107 @@ fn sharded_escalation_union_path_matches_unsharded() {
         sharded.scheduler.incremental_rounds,
         sharded.scheduler.rounds
     );
+}
+
+/// A scheduler running the standard library's SS2PL text as a custom rule,
+/// i.e. on the persistent, delta-fed Datalog evaluation.
+fn custom_ss2pl(prune_history: bool) -> DeclarativeScheduler {
+    DeclarativeScheduler::new(
+        schedlang::compile_protocol(schedlang::stdlib::SS2PL).expect("stdlib text compiles"),
+        SchedulerConfig {
+            trigger: TriggerPolicy::Always,
+            prune_history,
+            ..SchedulerConfig::default()
+        },
+    )
+}
+
+#[test]
+fn custom_rule_rounds_feed_deltas_and_count_them() {
+    let mut s = custom_ss2pl(true);
+    let fed = |s: &DeclarativeScheduler, before: u64| s.metrics().delta_rows - before;
+
+    // Round 1: T1 and T2 write objects 5 and 6 — two arrivals.
+    s.submit(Request::write(0, 1, 0, 5), 0);
+    s.submit(Request::write(0, 2, 0, 6), 0);
+    assert_eq!(s.run_round(0).unwrap().len(), 2);
+    assert_eq!(fed(&s, 0), 2);
+    let recomputed_by_round_one = s.metrics().strata_recomputed;
+    assert!(recomputed_by_round_one > 0);
+    assert_eq!(s.metrics().strata_maintained, 0);
+
+    // Round 2: both leave `requests` and enter `history` (2 + 2), T3's
+    // read of object 5 arrives (1) and is blocked.
+    let mark = s.metrics().delta_rows;
+    s.submit(Request::read(0, 3, 0, 5), 1);
+    assert!(s.run_round(1).unwrap().is_empty());
+    assert_eq!(fed(&s, mark), 5);
+
+    // Round 3: nothing was scheduled; T1's commit arrives (1).
+    let mark = s.metrics().delta_rows;
+    s.submit(Request::commit(0, 1, 1), 2);
+    assert_eq!(s.run_round(2).unwrap().len(), 1);
+    assert_eq!(fed(&s, mark), 1);
+
+    // Round 4: the commit leaves `requests` (1) and T1's write is pruned
+    // from `history` (1); the commit itself was pruned before it was
+    // ever fed.  T3 now qualifies.
+    let mark = s.metrics().delta_rows;
+    let batch = s.run_round(3).unwrap();
+    assert_eq!(batch.requests[0].ta, 3);
+    assert_eq!(fed(&s, mark), 2);
+    assert_eq!(s.metrics().incremental_rounds, 4);
+    assert_eq!(s.metrics().catalog_build_micros, 0);
+    // Only the first round had no delta to go by.
+    assert_eq!(s.metrics().strata_recomputed, recomputed_by_round_one);
+    assert!(s.metrics().strata_maintained > 0);
+}
+
+#[test]
+fn custom_rule_inputs_are_fed_whole_after_an_undescribed_change() {
+    let mut s = custom_ss2pl(true);
+    s.submit(Request::write(0, 1, 0, 5), 0);
+    s.run_round(0).unwrap();
+    s.submit(Request::read(0, 2, 0, 5), 1);
+    s.submit(Request::read(0, 3, 0, 6), 1);
+    s.submit(Request::read(0, 3, 1, 5), 1);
+    // T3's first read is scheduled, its second is blocked like T2's.
+    assert_eq!(s.run_round(1).unwrap().len(), 1);
+    // A purge is not a round: the evaluator still holds both blocked
+    // reads when the next round starts, and must drop them.
+    assert_eq!(s.purge_unscheduled(2), 2);
+    s.submit(Request::write(0, 4, 0, 5), 3);
+    let mark = s.metrics().delta_rows;
+    assert!(s.run_round(3).unwrap().is_empty(), "T1 still holds 5");
+    // `requests` was replaced by its single row; `history` took T3's
+    // scheduled read as a delta.
+    assert_eq!(s.metrics().delta_rows - mark, 1 + 1);
+    assert_eq!(s.pending(), 1);
+    s.submit(Request::commit(0, 1, 1), 4);
+    s.run_round(4).unwrap();
+    assert_eq!(s.run_round(5).unwrap().requests[0].ta, 4);
+}
+
+#[test]
+fn custom_rule_drops_a_superseded_duplicate_from_its_inputs() {
+    let mut s = custom_ss2pl(true);
+    s.submit(Request::write(0, 1, 0, 5), 0);
+    s.run_round(0).unwrap();
+    // T2's read of object 5 waits behind T1 …
+    s.submit(Request::read(0, 2, 0, 5), 1);
+    assert!(s.run_round(1).unwrap().is_empty());
+    // … and is then superseded (same key) by a read of the free object
+    // 6.  The generations move as in any round; only the row counts
+    // tell the evaluator that a row left without being scheduled.
+    s.submit(Request::read(0, 2, 0, 6), 2);
+    let batch = s.run_round(2).unwrap();
+    assert_eq!(batch.requests[0].object, 6);
+    // Were the old row still fed, T3's write would wait behind T2's
+    // phantom read of object 5 even after T1 commits.
+    s.submit(Request::commit(0, 1, 1), 3);
+    s.submit(Request::write(0, 3, 0, 5), 3);
+    s.run_round(3).unwrap();
+    let batch = s.run_round(4).unwrap();
+    assert_eq!(batch.requests.len(), 1, "T3 takes the released object");
+    assert_eq!(batch.requests[0].ta, 3);
 }

@@ -2,7 +2,6 @@
 //! and its substrates.
 
 use declsched::prelude::*;
-use declsched::protocol::Backend;
 use proptest::prelude::*;
 use relalg::{Catalog, Table};
 use std::collections::{HashMap, HashSet};
@@ -121,14 +120,15 @@ fn ss2pl_oracle(pending: &[Request], history: &[Request]) -> HashSet<RequestKey>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The algebra and Datalog formulations of SS2PL are equivalent, and both
-    /// match an independently written imperative oracle.
+    /// The algebra plan and the declared SchedLang text of SS2PL are
+    /// equivalent, and both match an independently written imperative
+    /// oracle.
     #[test]
     fn ss2pl_backends_agree_and_match_oracle((history, pending) in scenario()) {
         let c = catalog(&pending, &history);
-        let algebra: HashSet<RequestKey> = Protocol::new(ProtocolKind::Ss2pl, Backend::Algebra)
+        let algebra: HashSet<RequestKey> = Protocol::algebra(ProtocolKind::Ss2pl)
             .rules.qualify(&c).unwrap().into_iter().collect();
-        let datalog: HashSet<RequestKey> = Protocol::new(ProtocolKind::Ss2pl, Backend::Datalog)
+        let datalog: HashSet<RequestKey> = schedlang::stdlib::protocol(ProtocolKind::Ss2pl)
             .rules.qualify(&c).unwrap().into_iter().collect();
         let oracle = ss2pl_oracle(&pending, &history);
         prop_assert_eq!(&algebra, &datalog);
@@ -141,8 +141,12 @@ proptest! {
     #[test]
     fn qualified_batches_are_conflict_free((history, pending) in scenario()) {
         let c = catalog(&pending, &history);
-        for backend in [Backend::Algebra, Backend::Datalog] {
-            let qualified: Vec<Request> = Protocol::new(ProtocolKind::Ss2pl, backend)
+        let forms = [
+            Protocol::algebra(ProtocolKind::Ss2pl),
+            schedlang::stdlib::protocol(ProtocolKind::Ss2pl),
+        ];
+        for protocol in forms {
+            let qualified: Vec<Request> = protocol
                 .rules.qualify(&c).unwrap()
                 .into_iter()
                 .filter_map(|k| pending.iter().find(|r| r.key() == k).cloned())

@@ -4,7 +4,6 @@
 
 use declsched::passthrough::{PassthroughOutcome, PassthroughScheduler};
 use declsched::prelude::*;
-use declsched::protocol::Backend;
 
 /// In declaratively scheduled mode the server never blocks or deadlocks —
 /// the middleware's rule already serialised the conflicting requests — while
@@ -22,7 +21,7 @@ fn scheduled_mode_keeps_the_server_free_of_lock_activity() {
 
     // (a) Declaratively scheduled.
     let mut scheduler = DeclarativeScheduler::new(
-        Protocol::new(ProtocolKind::Ss2pl, Backend::Algebra),
+        Protocol::algebra(ProtocolKind::Ss2pl),
         SchedulerConfig {
             trigger: TriggerPolicy::Always,
             ..SchedulerConfig::default()
@@ -75,7 +74,7 @@ fn scheduled_mode_keeps_the_server_free_of_lock_activity() {
 #[test]
 fn middleware_orders_premium_traffic_first() {
     let scheduler = session::Scheduler::builder()
-        .policy(Protocol::new(ProtocolKind::SlaPriority, Backend::Algebra))
+        .policy(Protocol::algebra(ProtocolKind::SlaPriority))
         .scheduler_config(SchedulerConfig {
             // Large fill threshold + short interval: both requests of the
             // test are normally batched into the same round.
@@ -120,7 +119,7 @@ fn middleware_orders_premium_traffic_first() {
 fn time_trigger_batches_bursts() {
     let run = |arrival_gap_ms: u64| {
         let mut scheduler = DeclarativeScheduler::new(
-            Protocol::new(ProtocolKind::Fcfs, Backend::Algebra),
+            Protocol::algebra(ProtocolKind::Fcfs),
             SchedulerConfig {
                 trigger: TriggerPolicy::TimeElapsed { interval_ms: 10 },
                 ..SchedulerConfig::default()
@@ -160,7 +159,7 @@ fn time_trigger_batches_bursts() {
 #[test]
 fn history_pruning_bounds_rule_input() {
     let mut pruned = DeclarativeScheduler::new(
-        Protocol::new(ProtocolKind::Ss2pl, Backend::Algebra),
+        Protocol::algebra(ProtocolKind::Ss2pl),
         SchedulerConfig {
             trigger: TriggerPolicy::Always,
             prune_history: true,
@@ -168,7 +167,7 @@ fn history_pruning_bounds_rule_input() {
         },
     );
     let mut unpruned = DeclarativeScheduler::new(
-        Protocol::new(ProtocolKind::Ss2pl, Backend::Algebra),
+        Protocol::algebra(ProtocolKind::Ss2pl),
         SchedulerConfig {
             trigger: TriggerPolicy::Always,
             prune_history: false,
