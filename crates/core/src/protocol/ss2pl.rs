@@ -181,4 +181,20 @@ mod tests {
             .unwrap();
         assert_eq!(qualified.len(), 50);
     }
+
+    #[test]
+    fn datalog_source_is_printable_and_compact() {
+        // The declarative definition the paper argues for: a handful of rules.
+        let def = schedlang::parse(schedlang::stdlib::SS2PL).expect("SS2PL text parses");
+        let program = schedlang::compile_datalog(&def).expect("SS2PL text compiles");
+        assert!(
+            program.rules.len() <= 12,
+            "SS2PL should stay compact, got {} rules",
+            program.rules.len()
+        );
+        // And its Datalog form prints, one rule a line.
+        let source = program.to_string();
+        assert_eq!(source.lines().count(), program.rules.len());
+        assert!(source.lines().all(|rule| rule.contains(":-")), "{source}");
+    }
 }

@@ -19,6 +19,20 @@ const FRESH: &str = "_#";
 /// Compile a parsed protocol definition into a [`RuleSet`] on the Datalog
 /// back-end.
 pub fn compile(def: &ProtocolDef) -> LangResult<RuleSet> {
+    Ok(RuleSet::new(
+        def.name.clone(),
+        RuleBackend::Datalog {
+            program: compile_datalog(def)?,
+            output: QUALIFIED.to_string(),
+        },
+        ordering_spec(def.ordering()),
+    ))
+}
+
+/// Compile a parsed protocol definition into its Datalog program, whose
+/// `qualified` predicate holds the admitted `(ta, intrata)` pairs.  The
+/// program is checked for safety and stratification.
+pub fn compile_datalog(def: &ProtocolDef) -> LangResult<Program> {
     let mut ctx = Compiler {
         protocol: def.name.clone(),
         fresh: 0,
@@ -96,15 +110,7 @@ pub fn compile(def: &ProtocolDef) -> LangResult<RuleSet> {
         protocol: def.name.clone(),
         message: e.to_string(),
     })?;
-
-    Ok(RuleSet::new(
-        def.name.clone(),
-        RuleBackend::Datalog {
-            program,
-            output: QUALIFIED.to_string(),
-        },
-        ordering_spec(def.ordering()),
-    ))
+    Ok(program)
 }
 
 /// Parse and compile a protocol, wrapping it as a [`Protocol`] ready to hand

@@ -61,7 +61,7 @@ pub mod parser;
 pub mod stdlib;
 
 pub use ast::{BodyTerm, Clause, OrderBy, ProtocolDef};
-pub use compile::{compile, compile_protocol};
+pub use compile::{compile, compile_datalog, compile_protocol};
 pub use error::{LangError, LangResult};
 pub use lexer::{tokenize, Token, TokenKind};
 pub use parser::parse;

@@ -300,29 +300,23 @@ proptest! {
 
     /// Every built-in's SchedLang text, compiled as a *custom* rule so that
     /// it runs on the compiled, delta-fed `datalog::IncrementalEvaluation`,
-    /// against oracles that share nothing with it: the kind's algebra plan
-    /// evaluated from scratch by `relalg`, and the kind's hand-written hot
-    /// qualifier.  `premium_only` has no built-in twin; its oracle is the
-    /// same rule as an algebra plan.
+    /// against an oracle that shares nothing with it: the kind's
+    /// hand-written hot qualifier.  `premium_only` has no built-in twin; its
+    /// oracle is the same rule as an algebra plan.
     #[test]
     fn schedlang_stdlib_matches_hand_written_oracles(
         (events, prune_selector) in (events(), 0u8..2)
     ) {
         let prune = prune_selector == 1;
-        let compiled = |source: &str| {
-            schedlang::compile_protocol(source).expect("stdlib protocol compiles")
-        };
         for &kind in ProtocolKind::all() {
-            for hot_path in [false, true] {
-                assert_matches_oracle(
-                    &format!("schedlang {} (oracle hot path: {hot_path})", kind.name()),
-                    compiled(schedlang::stdlib::source(kind)),
-                    Protocol::algebra(kind),
-                    hot_path,
-                    &events,
-                    prune,
-                );
-            }
+            assert_matches_oracle(
+                &format!("schedlang {}", kind.name()),
+                compiled(schedlang::stdlib::source(kind)),
+                Protocol::algebra(kind),
+                true,
+                &events,
+                prune,
+            );
         }
         assert_matches_oracle(
             "schedlang premium_only",
@@ -333,6 +327,32 @@ proptest! {
             prune,
         );
     }
+
+    /// The Datalog program embedded in each built-in (its compiled
+    /// SchedLang text), forced onto the persistent evaluation by wrapping it
+    /// as a custom protocol, against its relational-algebra twin evaluated
+    /// from scratch by `relalg`.
+    #[test]
+    fn embedded_datalog_programs_match_their_algebra_twins(
+        (events, prune_selector) in (events(), 0u8..2)
+    ) {
+        let prune = prune_selector == 1;
+        for &kind in ProtocolKind::all() {
+            assert_matches_oracle(
+                &format!("custom {}", kind.name()),
+                compiled(schedlang::stdlib::source(kind)),
+                Protocol::algebra(kind),
+                false,
+                &events,
+                prune,
+            );
+        }
+    }
+}
+
+/// A `schedlang` source compiled as a custom protocol.
+fn compiled(source: &str) -> Protocol {
+    schedlang::compile_protocol(source).expect("stdlib protocol compiles")
 }
 
 /// A seeded closed loop over a few hot objects: `depth` transactions in
