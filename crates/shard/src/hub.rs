@@ -8,8 +8,7 @@
 //! publish them with one lock acquisition per *stripe*
 //! ([`CompletionHub::resolve_many`]), and a [`crate::TxnTicket`] waits on
 //! its token under its stripe's lock.  One synchronization per batch of
-//! completions, not per transaction — the ack-side mirror of the
-//! router's submission batching.
+//! completions, not per transaction.
 //!
 //! The map is split into [`STRIPES`] independent `Mutex` + `Condvar`
 //! stripes keyed by token.  A single global lock would serialize every
@@ -19,7 +18,6 @@
 //! stripes never contend, and a publish wakes only the ~1/[`STRIPES`]
 //! of waiters sharing its stripe.
 
-use crate::worker::Submission;
 use declsched::{SchedError, SchedResult};
 use obs::{FastIdMap, FastIdSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,10 +28,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// round-robin across stripes.
 const STRIPES: usize = 32;
 
-/// Spare buffers kept per hub pool.  Steady state needs one bucket array
-/// per concurrently-flushing worker and one batch buffer per in-flight
-/// `Batch` message; beyond a small surplus the extras are just parked
-/// capacity, so anything over the cap is dropped.
+/// Spare scatter-bucket arrays kept in the hub's pool.  Steady state needs
+/// one per concurrently-publishing worker; beyond a small surplus the
+/// extras are just parked capacity, so anything over the cap is dropped.
 const POOL_CAP: usize = 32;
 
 /// The per-stripe scatter buffer [`CompletionHub::resolve_many`] sorts a
@@ -46,20 +43,10 @@ type BucketArray = Vec<Vec<(u64, SchedResult<()>)>>;
 /// reclaims an already-published completion, or marks the token abandoned
 /// so the publisher discards the completion instead of storing it
 /// ([`CompletionHub::abandon`]).
-///
-/// The hub also doubles as the fleet's buffer exchange: it is the one
-/// object the router and every worker share, so the `Vec<Submission>`
-/// batch buffers the router flushes travel worker → hub → router in a
-/// cycle ([`CompletionHub::take_batch_buffer`] /
-/// [`CompletionHub::recycle_batch_buffer`]) instead of being allocated
-/// per flush, and `resolve_many`'s stripe scatter buckets are recycled
-/// the same way.
 pub(crate) struct CompletionHub {
     stripes: Vec<Stripe>,
     /// Spare scatter-bucket arrays for `resolve_many`.
     bucket_pool: Mutex<Vec<BucketArray>>,
-    /// Spare submission-batch buffers for the router's flush path.
-    batch_pool: Mutex<Vec<Vec<Submission>>>,
 }
 
 struct Stripe {
@@ -99,37 +86,7 @@ impl CompletionHub {
                 })
                 .collect(),
             bucket_pool: Mutex::new(Vec::new()),
-            batch_pool: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Pop a recycled submission-batch buffer (empty, capacity retained),
-    /// or a fresh one if the pool is dry.  The router's flush path uses
-    /// this as the replacement buffer so steady-state flushes allocate
-    /// nothing.
-    pub(crate) fn take_batch_buffer(&self) -> Vec<Submission> {
-        let mut pool = self
-            .batch_pool
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        pool.pop().unwrap_or_default()
-    }
-
-    /// Return a drained submission-batch buffer to the pool (workers call
-    /// this after consuming a `Batch` message).  Buffers beyond
-    /// [`POOL_CAP`] spares are dropped.
-    pub(crate) fn recycle_batch_buffer(&self, mut buffer: Vec<Submission>) {
-        buffer.clear();
-        if buffer.capacity() == 0 {
-            return;
-        }
-        let mut pool = self
-            .batch_pool
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if pool.len() < POOL_CAP {
-            pool.push(buffer);
-        }
     }
 
     fn stripe(&self, token: u64) -> &Stripe {

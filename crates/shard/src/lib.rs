@@ -8,9 +8,9 @@
 //!
 //! ```text
 //!                         ┌─ shard 0 ─────────────────────────────────┐
-//!                  ┌────► │ batch → requests₀/history₀ → rule → exec  │
-//!   clients ──► ShardRouter (hash of object footprint, per-shard      │
-//!                  │        submission buffers + completion hub)      │
+//!                  ┌────► │ mail → requests₀/history₀ → rule → exec   │
+//!   clients ──► ShardRouter (hash of object footprint, one post per   │
+//!                  │        transaction + completion hub)             │
 //!                  ├────► │ shard 1: …                                │
 //!                  ├────► │ shard N-1: …                              │
 //!                  └────► │ escalation lane (two-phase, concurrent):  │
@@ -22,12 +22,11 @@
 //!
 //! * [`ShardRouter`] hash-partitions incoming transactions by their object
 //!   footprint (`declsched::footprint` / `declsched::shard_of`).  A
-//!   transaction whose footprint maps to one shard goes into that shard's
-//!   **submission buffer**; buffers are flushed as one channel message per
-//!   shard on a fixed 100 µs latency bound, so a pipelined client costs
-//!   one synchronization per batch, not per transaction.  Completions flow
-//!   back the same way, through a shared completion hub the workers publish
-//!   into once per round.
+//!   transaction whose footprint maps to one shard is posted straight onto
+//!   that shard's **mailbox** by the submitting thread; the worker takes its
+//!   whole mailbox before each step, so batching happens on the receiving
+//!   side and nothing waits on a timer.  Completions flow back through a
+//!   shared completion hub the workers publish into once per step.
 //! * Each shard worker owns a full private copy of the paper's Figure-1
 //!   pipeline: incoming queue, `requests` (pending) relation, `history`
 //!   relation, the declarative rule, and a dispatcher with its own engine.
@@ -45,8 +44,8 @@
 //!   totals with routing counters (throughput, fleet-wide in-flight peak,
 //!   cross-shard escalation rate, concurrent-escalation peak).
 //! * A fleet of **one** shard is the paper's single global scheduler: it
-//!   has nothing to route, so the router posts each transaction straight
-//!   onto the worker's mailbox and starts no flusher.  The `session`
+//!   has nothing to route, so the router posts each transaction onto the
+//!   worker's mailbox without computing a footprint.  The `session`
 //!   façade's `.unsharded()` deployment is exactly this.
 //!
 //! The benchmark package (`benchmark/`) measures both paths on four shards:

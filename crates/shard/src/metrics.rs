@@ -86,7 +86,7 @@ pub struct ShardedMetrics {
     /// All per-shard dispatch totals merged.
     pub dispatch: DispatchReport,
     /// High-water mark of requests concurrently in flight fleet-wide:
-    /// submitted (buffered, queued, or pending on a shard) and not yet
+    /// submitted (in a mailbox, queued, or pending on a shard) and not yet
     /// resolved.  This is a true occupancy peak — a request counts only
     /// between its submission and its completion, so a serial client that
     /// submits 1 280 transactions one at a time reports its real pipeline

@@ -5,18 +5,17 @@
 //! hash is fixed for the fleet's lifetime, so resolving a home takes no
 //! lock and every holder of a request agrees on where it executes.
 //!
-//! Submissions are **batched per shard**: the fast path pushes into a
-//! per-shard buffer and a flusher thread drains every buffer every
-//! [`FLUSH_MICROS`] (a buffer also flushes inline when the fleet is
-//! otherwise idle or the buffer fills), so a pipelined client costs one
-//! channel synchronization per *batch* rather than per transaction.  Completions come back through
-//! the shared [`CompletionHub`] the same way — one hub synchronization per
-//! worker round.
+//! A transaction whose footprint lives on one shard is posted straight onto
+//! that shard's mailbox as one [`ShardMessage::Submit`], from the client's
+//! own thread.  The router buffers nothing and runs no thread of its own:
+//! the worker's driver empties its whole mailbox before each step, so the
+//! receiving side batches whatever piled up meanwhile.  Completions come
+//! back through the shared [`CompletionHub`], one hub synchronization per
+//! worker step.
 //!
 //! A fleet of **one** shard — which is also what the unsharded deployment
 //! runs — has nothing to route: [`RouterCore::submit`] posts the
-//! transaction straight onto the worker's mailbox, and no flusher thread is
-//! started.
+//! transaction without computing a footprint or recording a home.
 
 use crate::config::ShardConfig;
 use crate::driver::{self, run_worker, Clock, Wire};
@@ -32,15 +31,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// A submission buffer flushes as soon as it holds this many transactions,
-/// independent of the latency bound — batches beyond this see diminishing
-/// returns on the channel synchronization while adding tail latency.
-const MAX_BATCH: usize = 128;
-
-/// Latency bound, in microseconds, on a buffered submission: the flusher
-/// drains every buffer this often.
-const FLUSH_MICROS: u64 = 100;
 
 /// A pending completion for one submitted transaction, waited on through
 /// the fleet's shared completion hub.
@@ -90,7 +80,7 @@ struct Counters {
 ///
 /// The map is striped by `ta` so the lock doubles as the *per-transaction*
 /// submission lock without serializing unrelated transactions: `submit`
-/// holds its transaction's stripe across the whole route-and-buffer (that
+/// holds its transaction's stripe across the whole route-and-post (that
 /// is what keeps one transaction's incremental submissions ordered), while
 /// concurrent submitters on other stripes route in parallel.
 pub(crate) struct TxnHomes {
@@ -159,7 +149,7 @@ pub(crate) struct RouterCore {
     shards: usize,
     counters: Counters,
     /// Per-transaction homes (also the per-transaction submission lock:
-    /// holding it across the route-and-buffer keeps per-transaction
+    /// holding it across the route-and-post keeps per-transaction
     /// ordering stable).
     homes: Arc<TxnHomes>,
     /// Live per-shard queue depth (incoming + pending), written by each
@@ -167,10 +157,6 @@ pub(crate) struct RouterCore {
     depths: Vec<Arc<AtomicU64>>,
     /// The shared completion hub tickets wait on.
     hub: Arc<CompletionHub>,
-    /// Per-shard submission buffers, drained by the flusher thread (or
-    /// inline — see [`RouterCore::enqueue`]).  Sends happen under the
-    /// buffer lock, so batch order equals push order.
-    buffers: Vec<Mutex<Vec<Submission>>>,
     /// Requests currently in flight fleet-wide (submitted, not resolved) —
     /// decremented by the hub replies.
     inflight: Arc<AtomicU64>,
@@ -180,13 +166,11 @@ pub(crate) struct RouterCore {
     /// Completion-hub token allocator.
     next_token: AtomicU64,
     /// Set at the start of shutdown: submissions are refused from then on.
-    /// Without this, a submission could be accepted into a buffer that
-    /// will never flush again (buffering decouples accepting a transaction
-    /// from delivering it, so "the worker's channel died" no longer
-    /// surfaces at submit time).
+    /// A worker's mailbox stays open until its thread exits, so a post that
+    /// lands behind the workers' `Shutdown` would be accepted and never
+    /// run; refusing it here gives a typed error at submit instead of one
+    /// at `wait`.
     closed: AtomicBool,
-    /// Distribution of flushed batch sizes (`router.batch_size`).
-    batch_hist: Arc<obs::MetricHistogram>,
     /// Flight recorder for routing decisions (`Routed`/`Escalated` events).
     recorder: obs::SharedRecorder,
     /// Chaos fault injector: the router fires `RouterSend` before every
@@ -196,9 +180,8 @@ pub(crate) struct RouterCore {
 
 impl RouterCore {
     /// Allocate a hub token for a transaction of `weight` requests and
-    /// count it in flight: the fleet-side reply, the client-side ticket, and
-    /// the in-flight request count before this transaction.
-    fn open_ticket(&self, weight: u64) -> (HubReply, TxnTicket, u64) {
+    /// count it in flight: the fleet-side reply and the client-side ticket.
+    fn open_ticket(&self, weight: u64) -> (HubReply, TxnTicket) {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let before = self.inflight.fetch_add(weight, Ordering::Relaxed);
         self.peak_inflight
@@ -214,12 +197,11 @@ impl RouterCore {
             token,
             waited: false,
         };
-        (reply, ticket, before)
+        (reply, ticket)
     }
 
-    /// Chaos hook, visited before every fast-path send — buffered, or
-    /// direct in a fleet of one: whether a scripted `SendFail` refuses this
-    /// one as if the worker's mailbox were gone.
+    /// Chaos hook, visited before every fast-path post: whether a scripted
+    /// `SendFail` refuses this one as if the worker's mailbox were gone.
     fn chaos_refuses_send(&self, shard: usize) -> bool {
         matches!(
             self.injector.fire(chaos::Hook::RouterSend { shard }),
@@ -227,10 +209,10 @@ impl RouterCore {
         )
     }
 
-    /// Route one transaction: single-shard footprints go into their
-    /// shard's submission buffer, spanning footprints to the escalation
-    /// lane.  A fleet of one has no routing decision to make and posts the
-    /// transaction straight onto its only worker's mailbox.
+    /// Route one transaction: a single-shard footprint is posted onto its
+    /// shard's mailbox, a spanning one goes to the escalation lane.  A fleet
+    /// of one has no routing decision to make and posts the transaction
+    /// straight onto its only worker's mailbox.
     pub(crate) fn submit(&self, requests: Vec<Request>) -> SchedResult<TxnTicket> {
         if self.closed.load(Ordering::Acquire) {
             return Err(SchedError::ChannelClosed {
@@ -240,11 +222,10 @@ impl RouterCore {
         let weight = requests.len().max(1) as u64;
         if self.shards == 1 {
             // Nothing below applies: every object lives on shard 0, so
-            // there is no footprint to compute, no home to remember and no
-            // batch to amortise a second mailbox over.  (A failed send
-            // drops the reply and the ticket, which settle each other in
-            // the hub.)
-            let (reply, ticket, _) = self.open_ticket(weight);
+            // there is no footprint to compute and no home to remember.  (A
+            // failed send drops the reply and the ticket, which settle each
+            // other in the hub.)
+            let (reply, ticket) = self.open_ticket(weight);
             if self.chaos_refuses_send(0) {
                 reply.resolve_now(Err(closed("shard worker (chaos send failure)")));
                 return Ok(ticket);
@@ -263,7 +244,7 @@ impl RouterCore {
         let ta = requests.first().map(|r| r.ta);
         let has_terminal = requests.iter().any(|r| r.op.is_terminal());
 
-        let (reply, ticket, before) = self.open_ticket(weight);
+        let (reply, ticket) = self.open_ticket(weight);
 
         let mut homes = self.homes.lock(ta.unwrap_or(0))?;
         // Union with the shards already touched by earlier submissions of
@@ -295,32 +276,24 @@ impl RouterCore {
             }
             // Fast path: the whole transaction lives on one shard
             // (terminal-only transactions with no recorded home default to
-            // shard 0).  Buffer it; flush inline when the fleet is
-            // otherwise idle (a lone sequential client must not eat the
-            // flush latency) or when the buffer fills.
-            self.enqueue(target, Submission { requests, reply }, before == 0)
+            // shard 0).
+            self.wire()
+                .post(target, ShardMessage::Submit(Submission { requests, reply }))
+                .map_err(|_| closed("shard worker"))
         } else {
-            // The handshake must observe every earlier same-transaction
-            // submission: flush the touched shards' buffers *before*
-            // admitting the job, so the workers' FIFO mailboxes order the
-            // buffered batches ahead of the handshake's prepare.
-            touched
-                .iter()
-                .try_for_each(|&shard| self.flush_shard(shard))
-                .and_then(|()| {
-                    // Chaos hook: a `Stall` here delays this job's admission
-                    // (and, as this thread holds its transaction's homes
-                    // stripe, later submissions on that stripe).
-                    if let Some(chaos::Fault::Stall { millis }) =
-                        self.injector.fire(chaos::Hook::LaneJob)
-                    {
-                        driver::stall(millis);
-                    }
-                    let touched = touched.iter().copied().collect();
-                    let now_us = self.clock.now_us();
-                    self.lane
-                        .submit(requests, touched, reply, now_us, &mut self.wire())
-                })
+            // Every earlier submission of this transaction was posted under
+            // the stripe this thread holds, so it is already on the touched
+            // workers' FIFO mailboxes, ahead of the handshake's prepare.
+            // Chaos hook: a `Stall` here delays this job's admission (and,
+            // as this thread holds its transaction's homes stripe, later
+            // submissions on that stripe).
+            if let Some(chaos::Fault::Stall { millis }) = self.injector.fire(chaos::Hook::LaneJob) {
+                driver::stall(millis);
+            }
+            let touched = touched.iter().copied().collect();
+            let now_us = self.clock.now_us();
+            self.lane
+                .submit(requests, touched, reply, now_us, &mut self.wire())
         };
 
         match sent {
@@ -381,55 +354,14 @@ impl RouterCore {
         }
     }
 
-    /// Push one submission into its shard's buffer, flushing inline when
-    /// `inline` (the fleet was idle at submit time) or when the buffer
-    /// reaches [`MAX_BATCH`].
-    fn enqueue(&self, shard: usize, submission: Submission, inline: bool) -> SchedResult<()> {
-        let mut buffer = self.buffers[shard]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        buffer.push(submission);
-        if inline || buffer.len() >= MAX_BATCH {
-            self.flush_locked(shard, &mut buffer)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Flush one shard's buffer (no-op when empty).
-    pub(crate) fn flush_shard(&self, shard: usize) -> SchedResult<()> {
-        let mut buffer = self.buffers[shard]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        self.flush_locked(shard, &mut buffer)
-    }
-
-    /// Send the buffered batch while holding the buffer lock, so batch
-    /// order on the worker's FIFO mailbox equals submission order.  A
-    /// failed send drops the batch — every contained reply then resolves
-    /// its ticket with a closed-channel error through its drop guard.
-    ///
-    /// The replacement buffer comes from the hub's recycle pool, where
-    /// workers return `Batch` buffers after draining them — so a warmed-up
-    /// fleet flushes without allocating.
-    fn flush_locked(&self, shard: usize, buffer: &mut Vec<Submission>) -> SchedResult<()> {
-        if buffer.is_empty() {
-            return Ok(());
-        }
-        self.batch_hist.observe(buffer.len() as u64);
-        let batch = std::mem::replace(buffer, self.hub.take_batch_buffer());
-        self.wire()
-            .post(shard, ShardMessage::Batch(batch))
-            .map_err(|_| closed("shard worker"))
-    }
-
     /// The deepest backlog anywhere in the fleet: the worst shard queue or
     /// the escalation lane's waiting + running jobs, whichever is larger —
     /// cross-shard overload piles up in the lane's admission state, not on
     /// any worker.  A shard's queue is its worker's gauge (incoming +
     /// pending, written around every round) plus its mailbox's live message
     /// count, which keeps the signal fresh while a worker is inside a long
-    /// round.
+    /// round.  Every client transaction is its own message, so that count
+    /// includes each transaction the worker has not taken yet.
     fn max_queue_depth(&self) -> usize {
         let shards = self.depths.iter().zip(&self.workers);
         let depth = |(gauge, worker): (&Arc<AtomicU64>, &Sender<ShardMessage>)| {
@@ -471,7 +403,10 @@ impl FleetHandle {
     }
 
     /// The deepest backlog anywhere in the fleet — the watermark the
-    /// session layer's overload-shedding policy samples.
+    /// session layer's overload-shedding policy samples.  A shard's backlog
+    /// is the requests its worker has queued or pending plus one per
+    /// transaction still in its mailbox, so traffic the worker has not
+    /// taken yet counts in full.
     pub fn max_queue_depth(&self) -> usize {
         self.core.max_queue_depth()
     }
@@ -500,8 +435,6 @@ pub struct ShardedReport {
 pub struct ShardRouter {
     core: Arc<RouterCore>,
     worker_handles: Vec<JoinHandle<ShardReport>>,
-    flusher_stop: Arc<AtomicBool>,
-    flusher_handle: Option<JoinHandle<()>>,
 }
 
 impl ShardRouter {
@@ -537,7 +470,7 @@ impl ShardRouter {
         // Every core is built before any thread starts, so a failed build
         // leaves no worker behind.
         let cores = (0..shards)
-            .map(|shard| WorkerCore::new(shard, &config, &lane, &homes, &hub, &sink, &registry))
+            .map(|shard| WorkerCore::new(shard, &config, &lane, &homes, &sink, &registry))
             .collect::<SchedResult<Vec<_>>>()?;
         let depths = cores.iter().map(WorkerCore::depth_gauge).collect();
         let worker_handles = cores
@@ -574,40 +507,17 @@ impl ShardRouter {
             homes,
             depths,
             hub,
-            buffers: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             closed: AtomicBool::new(false),
             inflight,
             peak_inflight,
             next_token: AtomicU64::new(0),
-            batch_hist: registry.histogram("router.batch_size"),
             recorder: sink.shared_recorder(),
             injector: Arc::clone(&config.injector),
-        });
-
-        // The flusher enforces the latency bound on buffered submissions.
-        // A fleet of one buffers nothing, so it needs no flusher.
-        let flusher_stop = Arc::new(AtomicBool::new(false));
-        let flusher_handle = (shards > 1).then(|| {
-            let flusher_core = Arc::clone(&core);
-            let stop = Arc::clone(&flusher_stop);
-            std::thread::Builder::new()
-                .name("declsched-flusher".to_string())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_micros(FLUSH_MICROS));
-                        for shard in 0..flusher_core.shards {
-                            let _ = flusher_core.flush_shard(shard);
-                        }
-                    }
-                })
-                .expect("spawning the submission flusher cannot fail")
         });
 
         Ok(ShardRouter {
             core,
             worker_handles,
-            flusher_stop,
-            flusher_handle,
         })
     }
 
@@ -634,17 +544,8 @@ impl ShardRouter {
     /// still-alive handles after this call are not executed.
     pub fn shutdown(self) -> ShardedReport {
         // Refuse new submissions first: anything accepted after this point
-        // would land in a buffer that never flushes again.
+        // could land behind the workers' `Shutdown` and never run.
         self.core.closed.store(true, Ordering::Release);
-        // Stop the flusher, then push every still-buffered submission out:
-        // nothing may sit in a buffer once the workers start draining.
-        self.flusher_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.flusher_handle {
-            let _ = handle.join();
-        }
-        for shard in 0..self.core.shards {
-            let _ = self.core.flush_shard(shard);
-        }
 
         // Quiesce the escalation lane next so no handshake can outlive a
         // worker: every job admitted before this point resolves its ticket,
@@ -693,7 +594,7 @@ mod tests {
     /// A ticket dropped without `wait()` must leave nothing in the hub —
     /// whether its completion was already published (the drop reclaims it)
     /// or not yet (the publisher discards it).  Covers the one-shard path
-    /// every unsharded deployment takes and the buffered multi-shard path.
+    /// every unsharded deployment takes and the routed multi-shard path.
     #[test]
     fn dropped_tickets_leave_no_residue_in_the_hub() {
         for shards in [1, 2] {

@@ -15,11 +15,11 @@
 //! is [`crate::driver`], and a test can drive a whole fleet through FIFO
 //! queues on one thread instead.
 //!
-//! Client traffic arrives in [`ShardMessage::Batch`]es — the router
-//! accumulates submissions per shard and the worker drains a whole batch
-//! per message — or, in a fleet of one, as single
-//! [`ShardMessage::Submit`]s.  Completions flow back the same way:
-//! resolved tickets are buffered over a step and published in one call.
+//! Client traffic arrives as one [`ShardMessage::Submit`] per transaction,
+//! posted by the submitting client's thread; the driver hands the worker
+//! everything in its mailbox before each step, so a step sees every
+//! transaction that arrived since the last one.  Completions are buffered
+//! over a step and published in one call.
 //!
 //! Besides client transactions, the worker drives its part of the two-phase
 //! escalation handshake (see [`crate::escalation`]): on `Prepare` it
@@ -34,7 +34,7 @@
 //! and shards outside the transaction's footprint never stop.
 
 use crate::escalation::{Handshake, Lane, Own, Parked, Vote};
-use crate::hub::{CompletionHub, HubReply};
+use crate::hub::HubReply;
 use crate::metrics::ShardReport;
 use crate::router::TxnHomes;
 use crate::ShardConfig;
@@ -45,7 +45,7 @@ use declsched::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One client transaction inside a router batch.
+/// One client transaction, as the router posts it.
 pub(crate) struct Submission {
     /// The transaction's requests, in intra order.
     pub requests: Vec<Request>,
@@ -55,11 +55,7 @@ pub(crate) struct Submission {
 
 /// Messages understood by a shard worker.
 pub(crate) enum ShardMessage {
-    /// A batch of client transactions accumulated by the router — one
-    /// mailbox hop for the whole batch.
-    Batch(Vec<Submission>),
-    /// One client transaction, posted directly by a fleet of one (which
-    /// has no router buffer to batch in).
+    /// One client transaction whose footprint lives on this shard.
     Submit(Submission),
     /// Escalation handshake, phase 1: qualify this shard's slice of the
     /// record and vote.  A granted vote holds the shard (no rounds) until
@@ -171,9 +167,6 @@ pub(crate) struct WorkerCore {
     /// The router's homes map, for reclaiming entries of transactions this
     /// worker fails.
     homes: Arc<TxnHomes>,
-    /// The completion hub, for handing drained batch buffers back to the
-    /// router.
-    hub: Arc<CompletionHub>,
     /// Completions resolved since the last publish.
     completions: Vec<Completion>,
     /// Reusable scratch for `submit_transaction`'s duplicate-key check, so
@@ -208,7 +201,6 @@ impl WorkerCore {
         config: &ShardConfig,
         lane: &Arc<Lane>,
         homes: &Arc<TxnHomes>,
-        hub: &Arc<CompletionHub>,
         sink: &obs::TraceSink,
         registry: &obs::Registry,
     ) -> SchedResult<Self> {
@@ -240,7 +232,6 @@ impl WorkerCore {
             escalated_scratch: Vec::new(),
             depth,
             homes: Arc::clone(homes),
-            hub: Arc::clone(hub),
             completions: Vec::new(),
             batch_keys: obs::FastIdSet::default(),
             recorder: sink.recorder(),
@@ -595,14 +586,6 @@ impl WorkerCore {
     pub(crate) fn handle(&mut self, message: ShardMessage, now_us: u64, cx: &mut dyn Context) {
         self.now_us = now_us;
         match message {
-            ShardMessage::Batch(mut submissions) => {
-                for submission in submissions.drain(..) {
-                    self.submit_transaction(submission.requests, submission.reply);
-                }
-                // Hand the emptied buffer back so the router's next flush
-                // reuses it instead of allocating.
-                self.hub.recycle_batch_buffer(submissions);
-            }
             ShardMessage::Submit(submission) => {
                 self.submit_transaction(submission.requests, submission.reply);
             }
@@ -838,6 +821,7 @@ impl WorkerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hub::CompletionHub;
     use declsched::{shard_of, Operation, Protocol, SchedulerConfig, TriggerPolicy};
     use std::collections::{BTreeSet, VecDeque};
     use std::hash::{DefaultHasher, Hash, Hasher};
@@ -895,7 +879,7 @@ mod tests {
             let lane = Lane::new(&config, &sink, &registry);
             let (homes, hub) = (Arc::new(TxnHomes::new()), CompletionHub::new());
             let cores = (0..SHARDS)
-                .map(|shard| WorkerCore::new(shard, &config, &lane, &homes, &hub, &sink, &registry))
+                .map(|shard| WorkerCore::new(shard, &config, &lane, &homes, &sink, &registry))
                 .collect::<SchedResult<_>>()
                 .unwrap();
             Fleet {
@@ -930,7 +914,7 @@ mod tests {
                 .collect();
             if let [shard] = touched.iter().copied().collect::<Vec<_>>()[..] {
                 let submission = Submission { requests, reply };
-                self.cx.mailboxes[shard].push_back(ShardMessage::Batch(vec![submission]));
+                self.cx.mailboxes[shard].push_back(ShardMessage::Submit(submission));
             } else {
                 let touched = touched.into_iter().collect();
                 let now_us = self.now_us;

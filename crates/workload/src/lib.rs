@@ -13,7 +13,6 @@
 //! * [`sla::SlaSpec`] — premium/free client classes with per-class deadlines,
 //!   the SLA scenario the paper motivates ("premium vs. free customers in
 //!   Web applications"),
-//! * [`mix::MixSpec`] — read-heavy / write-heavy / BI-batch mixes,
 //! * [`trace::Trace`] — recording of executed statement sequences so the
 //!   multi-user schedule can be replayed in single-user mode, exactly as the
 //!   paper's lower-bound measurement does,
@@ -44,7 +43,6 @@
 #![deny(unsafe_code)]
 
 pub mod dist;
-pub mod mix;
 pub mod oltp;
 pub mod scenario;
 pub mod sharded;
@@ -52,7 +50,6 @@ pub mod sla;
 pub mod trace;
 
 pub use dist::KeyDistribution;
-pub use mix::{MixSpec, OperationMix};
 pub use oltp::{ClientWorkload, OltpSpec, TransactionSpec};
 pub use scenario::{ArrivalSpec, Scenario, ScenarioParams, ScenarioTxn};
 pub use sharded::ShardedSpec;
@@ -62,7 +59,6 @@ pub use trace::Trace;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::dist::KeyDistribution;
-    pub use crate::mix::{MixSpec, OperationMix};
     pub use crate::oltp::{ClientWorkload, OltpSpec, TransactionSpec};
     pub use crate::scenario::{ArrivalSpec, Scenario, ScenarioParams, ScenarioTxn};
     pub use crate::sharded::ShardedSpec;

@@ -201,8 +201,8 @@ fn unsharded_and_a_fleet_of_one_are_the_same_code_path() {
 }
 
 /// What an unsharded run looks like from outside: it is worker 0 of a
-/// fleet (`shard.0.*` instruments), and nothing was routed — no router
-/// batch was ever flushed and no request carries a `Routed` event.
+/// fleet (`shard.0.*` instruments), and nothing was routed — no request
+/// carries a `Routed` event.
 #[test]
 fn unsharded_runs_one_worker_with_nothing_to_route() {
     let scheduler = builder()
@@ -221,7 +221,6 @@ fn unsharded_runs_one_worker_with_nothing_to_route() {
     // (observations, sum): one per round, every executed request in one.
     let batches = snapshot.histograms["shard.0.batch_size"];
     assert_eq!(batches, (report.rounds, 32 * 3));
-    assert_eq!(registry.histogram("router.batch_size").count(), 0);
     assert_eq!(report.trace.dropped(), 0);
     let routed = |kind: &obs::EventKind| matches!(kind, obs::EventKind::Routed { .. });
     assert!(!report.trace.events().iter().any(|e| routed(&e.kind)));

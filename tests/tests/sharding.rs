@@ -8,6 +8,7 @@
 //! first), so the per-object execution sequence must be bit-identical
 //! regardless of how many shards the relations are partitioned over.
 
+use chaos::{Fault, FaultInjector, FaultPlan, Hook};
 use declsched::{
     shard_of, Operation, Protocol, ProtocolKind, Request, RequestKey, SchedulerConfig,
     TriggerPolicy,
@@ -34,9 +35,9 @@ fn objects_on(shard: usize, shards: usize) -> Vec<i64> {
         .collect()
 }
 
-/// A fleet under `policy` with the suite's trigger and table.
-fn start_router(shards: usize, policy: Protocol) -> ShardRouter {
-    let config = ShardConfig::new(shards, policy)
+/// A fleet configuration under `policy` with the suite's trigger and table.
+fn fleet_config(shards: usize, policy: Protocol) -> ShardConfig {
+    ShardConfig::new(shards, policy)
         .with_scheduler(SchedulerConfig {
             trigger: TriggerPolicy::Hybrid {
                 interval_ms: 1,
@@ -44,8 +45,12 @@ fn start_router(shards: usize, policy: Protocol) -> ShardRouter {
             },
             ..SchedulerConfig::default()
         })
-        .with_table("bench", TABLE_ROWS);
-    ShardRouter::start(config).expect("router starts")
+        .with_table("bench", TABLE_ROWS)
+}
+
+/// A fleet under `policy` with the suite's trigger and table.
+fn start_router(shards: usize, policy: Protocol) -> ShardRouter {
+    ShardRouter::start(fleet_config(shards, policy)).expect("router starts")
 }
 
 fn run_with_shards(transactions: &[TransactionSpec], shards: usize) -> ShardedReport {
@@ -809,6 +814,83 @@ fn shutdown_fails_what_an_abandoned_holder_parked_and_completes_the_rest() {
     assert_eq!(report.metrics.escalation.failed, 1);
     // Every terminal on shard 0 re-arms all that is parked there, T2 too.
     assert!(report.metrics.escalation.retries >= 1);
+}
+
+/// A statement posted without waiting runs on its shard before its own
+/// transaction's escalation does: the client holds the transaction's homes
+/// stripe across route-and-post, so the statement is on shard 0's FIFO
+/// mailbox ahead of the handshake's prepare, and shard 0 denies the
+/// prepare (`own_pending`) until the statement has executed.  Otherwise the
+/// replicated commit would finish the transaction there first and the
+/// engine would refuse the statement.
+#[test]
+fn a_pipelined_statement_runs_before_its_own_transactions_escalation() {
+    const TRANSACTIONS: u64 = 300;
+    let router = start_router(2, Protocol::algebra(ProtocolKind::Ss2pl));
+    let (a, b) = (objects_on(0, 2)[0], objects_on(1, 2)[0]);
+    within(60, "a pipelined escalation hung", || {
+        for ta in 1..=TRANSACTIONS {
+            let first = router
+                .submit_transaction(vec![Request::write(0, ta, 0, a)])
+                .expect("submission succeeds");
+            let second = router
+                .submit_transaction(vec![Request::write(0, ta, 1, b), Request::commit(0, ta, 2)])
+                .expect("submission succeeds");
+            first.wait().expect("the statement executes");
+            second.wait().expect("the escalation commits");
+        }
+    });
+
+    let report = router.shutdown();
+    assert_eq!(report.metrics.escalation.escalations, TRANSACTIONS);
+    assert_eq!(report.metrics.escalation.failed, 0);
+    assert_eq!(report.metrics.unreclaimed_homes, 0);
+    let shard0: Vec<(u64, u32)> = report.shards[0]
+        .executed_log
+        .iter()
+        .map(|r| (r.ta, r.intra))
+        .collect();
+    let expected: Vec<(u64, u32)> = (1..=TRANSACTIONS)
+        .flat_map(|ta| [(ta, 0), (ta, 2)])
+        .collect();
+    assert_eq!(shard0, expected);
+}
+
+/// The backlog the session layer's shedding samples counts transactions,
+/// not messages: with shard 0 stalled on its first step, 49 transactions
+/// submitted behind it all show up in `max_queue_depth`.
+#[test]
+fn a_stalled_shards_backlog_counts_every_waiting_transaction() {
+    let plan = FaultPlan::new().inject(
+        Hook::WorkerRound { shard: 0 },
+        0,
+        Fault::Stall { millis: 400 },
+    );
+    let config = fleet_config(2, Protocol::algebra(ProtocolKind::Fcfs))
+        .with_chaos(std::sync::Arc::new(FaultInjector::new(&plan)));
+    let router = ShardRouter::start(config).expect("router starts");
+    let a = objects_on(0, 2)[0];
+    let txn = |ta: u64| vec![Request::write(0, ta, 0, a), Request::commit(0, ta, 1)];
+    let submit = |ta: u64| {
+        router
+            .submit_transaction(txn(ta))
+            .expect("submission succeeds")
+    };
+    let first = submit(1);
+    // Let shard 0 take T1 and enter its stall.
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let rest: Vec<_> = (2..=50).map(submit).collect();
+    let backlog = router.handle().max_queue_depth();
+    assert!(
+        backlog >= 49,
+        "backlog {backlog} misses waiting transactions"
+    );
+
+    first.wait().expect("T1 commits after the stall");
+    for ticket in rest {
+        ticket.wait().expect("every waiting transaction commits");
+    }
+    router.shutdown();
 }
 
 /// A `.shards(n)` deployment behind the session façade, with the suite's
