@@ -168,7 +168,6 @@ mod tests {
             pending_after: 0,
             rule_eval_micros: 0,
             round_micros: 0,
-            protocol: "test",
         }
     }
 

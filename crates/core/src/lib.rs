@@ -27,8 +27,6 @@
 //!   move qualified requests to the history DB and hand the ordered batch to
 //!   the [`dispatch::Dispatcher`], which executes it on the `txnstore` server
 //!   with the server's own locking disabled.
-//! * A [`passthrough`] mode forwards requests without scheduling, which is
-//!   how the paper measures the pure scheduling overhead.
 //! * This crate spawns no thread and polls no mailbox: the client-worker /
 //!   control-instance threading of the paper's Section 3.3 is the `shard`
 //!   crate's worker, which every scheduling deployment runs (an unsharded
@@ -66,10 +64,8 @@
 //!
 //! Protocols shipped (all expressed declaratively, see [`protocol`]):
 //! SS2PL (the paper's example), conservative 2PL, FCFS, SLA priority,
-//! earliest-deadline-first, relaxed reads, consistency rationing and an
-//! adaptive protocol that switches consistency levels under load — the
-//! paper's stated long-term goal ("reduced consistency criteria may be used
-//! during times of high load").
+//! earliest-deadline-first, relaxed reads and consistency rationing.  A
+//! scheduler applies the one protocol it was built with, every round.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -78,7 +74,6 @@ pub mod dispatch;
 pub mod error;
 pub mod history;
 pub mod metrics;
-pub mod passthrough;
 pub mod pending;
 pub mod protocol;
 pub mod qualify;
@@ -96,7 +91,7 @@ pub use error::{SchedError, SchedResult};
 pub use history::HistoryStore;
 pub use metrics::{RoundPhases, SchedulerMetrics};
 pub use pending::PendingStore;
-pub use protocol::{AdaptiveProtocol, Protocol, ProtocolFeatures, ProtocolKind, SchedulingPolicy};
+pub use protocol::{Protocol, ProtocolFeatures, ProtocolKind};
 pub use qualify::{qualify_once, IncrementalQualifier};
 pub use queue::IncomingQueue;
 pub use relalg::Symbol;
@@ -111,11 +106,8 @@ pub mod prelude {
     pub use crate::error::{SchedError, SchedResult};
     pub use crate::history::HistoryStore;
     pub use crate::metrics::{RoundPhases, SchedulerMetrics};
-    pub use crate::passthrough::PassthroughScheduler;
     pub use crate::pending::PendingStore;
-    pub use crate::protocol::{
-        AdaptiveProtocol, Protocol, ProtocolFeatures, ProtocolKind, SchedulingPolicy,
-    };
+    pub use crate::protocol::{Protocol, ProtocolFeatures, ProtocolKind};
     pub use crate::queue::IncomingQueue;
     pub use crate::request::{footprint, shard_of, Operation, Request, RequestKey, SlaMeta};
     pub use crate::rules::{OrderingSpec, RuleBackend, RuleSet};

@@ -56,8 +56,6 @@ pub struct SchedulerMetrics {
     pub rounds_skipped: u64,
     /// Largest batch produced by a single round.
     pub max_batch: u64,
-    /// Rounds that ran in overload (relaxed) mode under an adaptive policy.
-    pub overload_rounds: u64,
     /// Where the rounds' wall-clock time went, phase by phase.
     pub phases: RoundPhases,
 }
@@ -167,7 +165,6 @@ impl SchedulerMetrics {
         self.strata_recomputed += other.strata_recomputed;
         self.rounds_skipped += other.rounds_skipped;
         self.max_batch = self.max_batch.max(other.max_batch);
-        self.overload_rounds += other.overload_rounds;
         self.phases.merge(&other.phases);
     }
 }
@@ -209,7 +206,6 @@ mod tests {
             strata_recomputed: 3,
             rounds_skipped: 4,
             max_batch: 9,
-            overload_rounds: 1,
             phases: RoundPhases {
                 qualify_nanos: 700,
                 prune_nanos: 30,
@@ -235,7 +231,6 @@ mod tests {
         assert_eq!(a.strata_recomputed, 3);
         assert_eq!(a.rounds_skipped, 4);
         assert_eq!(a.max_batch, 9);
-        assert_eq!(a.overload_rounds, 1);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! evaluator and the hot path in [`crate::qualify`], which both forms are
 //! checked against.
 
-mod adaptive;
 mod c2pl;
 mod fcfs;
 mod rationing;
@@ -21,7 +20,6 @@ mod relaxed;
 mod sla;
 mod ss2pl;
 
-pub use adaptive::{AdaptiveProtocol, SchedulingPolicy};
 pub use rationing::{object_class_table, ObjectClass};
 
 use crate::rules::{OrderingSpec, RuleBackend, RuleSet};

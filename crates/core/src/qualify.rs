@@ -32,18 +32,17 @@ use crate::request::{Operation, Request, RequestKey};
 use obs::{FastIdMap, FastIdSet};
 use relalg::Table;
 
-/// Cross-round incremental evaluation of a built-in protocol's
+/// Cross-round incremental evaluation of one built-in protocol's
 /// qualification rule.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct IncrementalQualifier {
-    /// Protocol kind the caches were computed for; a switch (an adaptive
-    /// policy crossing its overload threshold) invalidates everything.
-    kind: Option<ProtocolKind>,
+    /// The protocol whose rule the caches hold, fixed at construction.
+    kind: ProtocolKind,
     /// Objects whose pending rows or lock state changed since the last
     /// `qualify` call.
     dirty: FastIdSet<i64>,
-    /// Recompute every object on the next call (protocol switch, aux
-    /// relation change, first round).
+    /// Recompute every object on the next call (aux relation change, first
+    /// round).
     all_dirty: bool,
     /// Blocked pending keys, per object, under `kind`'s per-request rules
     /// (kept for Conservative 2PL's transaction-level assembly).
@@ -74,11 +73,23 @@ pub struct IncrementalQualifier {
 }
 
 impl IncrementalQualifier {
-    /// A fresh qualifier (everything dirty).
-    pub fn new() -> Self {
+    /// A fresh qualifier for `kind`'s rule (everything dirty).  A
+    /// [`ProtocolKind::Custom`] qualifier is inert: callers check
+    /// [`Self::supports`] before asking it anything.
+    pub fn new(kind: ProtocolKind) -> Self {
         IncrementalQualifier {
+            kind,
+            dirty: FastIdSet::default(),
             all_dirty: true,
-            ..IncrementalQualifier::default()
+            blocked_by_object: FastIdMap::default(),
+            qualified_by_object: FastIdMap::default(),
+            relaxed_objects: FastIdSet::default(),
+            relaxed_built: false,
+            last_delta_rows: 0,
+            objects_scratch: Vec::new(),
+            key_list_pool: Vec::new(),
+            blocked_tas_scratch: FastIdSet::default(),
+            slice_rows_scratch: Vec::new(),
         }
     }
 
@@ -123,22 +134,21 @@ impl IncrementalQualifier {
         self.last_delta_rows
     }
 
-    /// Evaluate the qualification rule of `kind` over the current state,
+    /// Evaluate the protocol's qualification rule over the current state,
     /// re-deriving only dirty objects.  Returns the qualified keys sorted
     /// and deduplicated, exactly as the declarative back-ends do.
     ///
     /// # Panics
-    /// Debug-asserts that `kind` is supported; release builds fall back to
-    /// treating it as SS2PL, so callers must check [`Self::supports`].
+    /// Debug-asserts that the kind is supported; release builds fall back
+    /// to treating it as SS2PL, so callers must check [`Self::supports`].
     pub fn qualify(
         &mut self,
-        kind: ProtocolKind,
         pending: &PendingStore,
         history: &HistoryStore,
         aux: &[Table],
     ) -> Vec<RequestKey> {
         let mut qualified = Vec::new();
-        self.qualify_into(kind, pending, history, aux, &mut qualified);
+        self.qualify_into(pending, history, aux, &mut qualified);
         qualified
     }
 
@@ -147,21 +157,16 @@ impl IncrementalQualifier {
     /// buffer across rounds.
     pub fn qualify_into(
         &mut self,
-        kind: ProtocolKind,
         pending: &PendingStore,
         history: &HistoryStore,
         aux: &[Table],
         qualified: &mut Vec<RequestKey>,
     ) {
         debug_assert!(
-            Self::supports(kind),
+            Self::supports(self.kind),
             "custom rules have no incremental form"
         );
-        if self.kind != Some(kind) {
-            self.kind = Some(kind);
-            self.all_dirty = true;
-        }
-        self.ensure_relaxed_objects(kind, aux);
+        self.ensure_relaxed_objects(aux);
 
         self.last_delta_rows = 0;
         let mut objects = std::mem::take(&mut self.objects_scratch);
@@ -184,14 +189,14 @@ impl IncrementalQualifier {
             objects.extend(self.dirty.drain());
         }
         for &object in &objects {
-            self.recompute_object(kind, object, pending, history);
+            self.recompute_object(object, pending, history);
         }
         objects.clear();
         self.objects_scratch = objects;
 
         // Assemble the qualified set from the per-object caches.
         qualified.clear();
-        match kind {
+        match self.kind {
             ProtocolKind::Conservative2pl => {
                 // One blocked request blocks its whole transaction.
                 self.blocked_tas_scratch.clear();
@@ -211,7 +216,7 @@ impl IncrementalQualifier {
     }
 
     /// Whether *every* request of an escalated transaction's local `slice`
-    /// (data requests only) qualifies under `kind` against the live
+    /// (data requests only) qualifies under the protocol against the live
     /// `history` — the shard's vote in the cross-shard handshake.  The slice
     /// is judged as if it were the only pending work, by the same
     /// per-object rule a round applies (`judge_object`), out of reusable
@@ -219,16 +224,15 @@ impl IncrementalQualifier {
     /// cross-round caches is touched.
     pub fn slice_admitted(
         &mut self,
-        kind: ProtocolKind,
         slice: &[Request],
         history: &HistoryStore,
         aux: &[Table],
     ) -> bool {
         debug_assert!(
-            Self::supports(kind),
+            Self::supports(self.kind),
             "custom rules have no incremental form"
         );
-        self.ensure_relaxed_objects(kind, aux);
+        self.ensure_relaxed_objects(aux);
         let mut rows = std::mem::take(&mut self.slice_rows_scratch);
         let mut admitted = true;
         for (i, first) in slice.iter().enumerate() {
@@ -245,7 +249,7 @@ impl IncrementalQualifier {
                     .map(|r| (r.key(), r.op)),
             );
             judge_object(
-                kind,
+                self.kind,
                 first.object,
                 &rows,
                 history,
@@ -260,8 +264,8 @@ impl IncrementalQualifier {
 
     /// Derive the rationing protocol's category-C object set from `aux` on
     /// first use (and again after [`Self::note_aux_changed`]).
-    fn ensure_relaxed_objects(&mut self, kind: ProtocolKind, aux: &[Table]) {
-        if kind == ProtocolKind::ConsistencyRationing && !self.relaxed_built {
+    fn ensure_relaxed_objects(&mut self, aux: &[Table]) {
+        if self.kind == ProtocolKind::ConsistencyRationing && !self.relaxed_built {
             self.relaxed_objects = relaxed_objects(aux);
             self.relaxed_built = true;
         }
@@ -269,13 +273,7 @@ impl IncrementalQualifier {
 
     /// Re-derive the blocked/qualified split of the pending requests on one
     /// object, rebuilding both cached lists from the store's current rows.
-    fn recompute_object(
-        &mut self,
-        kind: ProtocolKind,
-        object: i64,
-        pending: &PendingStore,
-        history: &HistoryStore,
-    ) {
+    fn recompute_object(&mut self, object: i64, pending: &PendingStore, history: &HistoryStore) {
         // Drop the stale lists for this object.  Both lists are derived
         // from `rows_on_object` alone, so a request that moved to another
         // dirty object (duplicate-key replacement) simply reappears in the
@@ -297,7 +295,7 @@ impl IncrementalQualifier {
         let mut qualified_here = self.key_list_pool.pop().unwrap_or_default();
         let mut blocked_here = self.key_list_pool.pop().unwrap_or_default();
         judge_object(
-            kind,
+            self.kind,
             object,
             rows,
             history,
@@ -397,7 +395,7 @@ pub fn qualify_once(
     history: &HistoryStore,
     aux: &[Table],
 ) -> Vec<RequestKey> {
-    IncrementalQualifier::new().qualify(kind, pending, history, aux)
+    IncrementalQualifier::new(kind).qualify(pending, history, aux)
 }
 
 /// Category-C ("relaxed") objects from the auxiliary `object_class`
@@ -512,11 +510,8 @@ mod tests {
             // but the per-object minima must still agree.
             vec![Request::write(0, 21, 0, 8), Request::read(0, 20, 0, 8)],
         ];
-        let mut q = IncrementalQualifier::new();
         for &kind in ProtocolKind::all() {
-            if !IncrementalQualifier::supports(kind) {
-                continue;
-            }
+            let mut q = IncrementalQualifier::new(kind);
             for slice in &slices {
                 let mut pending = PendingStore::new();
                 let numbered: Vec<Request> = slice
@@ -531,7 +526,7 @@ mod tests {
                 let qualified = qualify_once(kind, &pending, &history, &aux);
                 let expected = slice.iter().all(|r| qualified.contains(&r.key()));
                 assert_eq!(
-                    q.slice_admitted(kind, slice, &history, &aux),
+                    q.slice_admitted(slice, &history, &aux),
                     expected,
                     "{kind:?} on {slice:?}"
                 );
@@ -558,7 +553,7 @@ mod tests {
 
     #[test]
     fn incremental_rounds_track_mutations() {
-        let mut q = IncrementalQualifier::new();
+        let mut q = IncrementalQualifier::new(ProtocolKind::Ss2pl);
         let mut pending = PendingStore::new();
         let mut history = HistoryStore::new();
 
@@ -566,7 +561,7 @@ mod tests {
         let r1 = Request::write(1, 1, 0, 9);
         let arrived = pending.insert_batch(vec![r1]);
         q.note_pending_changed(&arrived);
-        let k1 = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
+        let k1 = q.qualify(&pending, &history, &[]);
         assert_eq!(k1, vec![RequestKey { ta: 1, intra: 0 }]);
 
         // It is scheduled: taken from pending, inserted into history.
@@ -580,7 +575,7 @@ mod tests {
         let r3 = Request::read(3, 3, 0, 10);
         let arrived = pending.insert_batch(vec![r2, r3]);
         q.note_pending_changed(&arrived);
-        let k2 = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
+        let k2 = q.qualify(&pending, &history, &[]);
         assert_eq!(k2, vec![RequestKey { ta: 3, intra: 0 }]);
         // Only the two dirty objects' requests were examined.
         assert_eq!(q.last_delta_rows(), 2);
@@ -594,7 +589,7 @@ mod tests {
         let commit = Request::commit(4, 1, 1);
         let arrived = pending.insert_batch(vec![commit]);
         q.note_pending_changed(&arrived);
-        let k3 = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
+        let k3 = q.qualify(&pending, &history, &[]);
         assert_eq!(
             k3,
             vec![RequestKey { ta: 1, intra: 1 }],
@@ -605,14 +600,14 @@ mod tests {
         let changed = history.insert_batch(taken.iter());
         assert_eq!(changed, vec![9], "the commit released object 9");
         q.note_history_changed(&changed);
-        let k4 = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
+        let k4 = q.qualify(&pending, &history, &[]);
         assert_eq!(k4, vec![RequestKey { ta: 2, intra: 0 }]);
     }
 
     #[test]
     fn duplicate_key_replacement_across_objects_stays_equivalent() {
         let kind = ProtocolKind::Ss2pl;
-        let mut q = IncrementalQualifier::new();
+        let mut q = IncrementalQualifier::new(kind);
         let mut pending = PendingStore::new();
         let mut history = HistoryStore::new();
         // T1 write-locks object 5, T3 write-locks object 6.
@@ -623,14 +618,14 @@ mod tests {
         // T2's write on object 5 is blocked; the verdict caches under 5.
         let arrived = pending.insert_batch(vec![Request::write(3, 2, 0, 5)]);
         q.note_pending_changed(&arrived);
-        assert!(q.qualify(kind, &pending, &history, &[]).is_empty());
+        assert!(q.qualify(&pending, &history, &[]).is_empty());
 
         // The same (ta, intra) key resubmits on object 6: the replacement
         // dirties *both* objects, and the verdict moves to object 6.
         let arrived = pending.insert_batch(vec![Request::write(4, 2, 0, 6)]);
         assert_eq!(arrived, vec![5, 6]);
         q.note_pending_changed(&arrived);
-        let keys = q.qualify(kind, &pending, &history, &[]);
+        let keys = q.qualify(&pending, &history, &[]);
         assert_eq!(keys, scratch(kind, &pending, &history, &[]));
         assert!(keys.is_empty(), "still blocked, now by T3's lock on 6");
 
@@ -638,33 +633,15 @@ mod tests {
         // must not free T2 — it is legitimately blocked on object 6.
         let changed = history.insert(&Request::commit(5, 1, 1));
         q.note_history_changed(&changed);
-        let keys = q.qualify(kind, &pending, &history, &[]);
+        let keys = q.qualify(&pending, &history, &[]);
         assert_eq!(keys, scratch(kind, &pending, &history, &[]));
         assert!(keys.is_empty(), "T3 still write-locks object 6");
 
         // Mirror case: replacing onto a free object must unblock.
         let arrived = pending.insert_batch(vec![Request::write(6, 2, 0, 7)]);
         q.note_pending_changed(&arrived);
-        let keys = q.qualify(kind, &pending, &history, &[]);
+        let keys = q.qualify(&pending, &history, &[]);
         assert_eq!(keys, scratch(kind, &pending, &history, &[]));
         assert_eq!(keys, vec![RequestKey { ta: 2, intra: 0 }]);
-    }
-
-    #[test]
-    fn protocol_switch_invalidates_caches() {
-        let mut q = IncrementalQualifier::new();
-        let mut pending = PendingStore::new();
-        let mut history = HistoryStore::new();
-        history.insert(&Request::write(1, 1, 0, 5));
-        pending.insert_batch(vec![Request::read(2, 2, 0, 5)]);
-
-        let strict = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
-        assert!(strict.is_empty());
-        // The adaptive policy switches to relaxed reads: same state, new rule.
-        let relaxed = q.qualify(ProtocolKind::RelaxedReads, &pending, &history, &[]);
-        assert_eq!(relaxed, vec![RequestKey { ta: 2, intra: 0 }]);
-        // And back.
-        let strict = q.qualify(ProtocolKind::Ss2pl, &pending, &history, &[]);
-        assert!(strict.is_empty());
     }
 }

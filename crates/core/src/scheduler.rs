@@ -19,14 +19,14 @@ use crate::error::SchedResult;
 use crate::history::HistoryStore;
 use crate::metrics::{RoundPhases, SchedulerMetrics};
 use crate::pending::PendingStore;
-use crate::protocol::SchedulingPolicy;
+use crate::protocol::Protocol;
 use crate::qualify::IncrementalQualifier;
 use crate::queue::IncomingQueue;
 use crate::request::{Request, RequestKey};
 use crate::rules::{datalog_output_key, datalog_output_keys, RuleBackend};
 use crate::trigger::TriggerPolicy;
 use obs::{FastIdMap, FastIdSet};
-use relalg::{Catalog, Symbol, Table, Tuple};
+use relalg::{Catalog, Table, Tuple};
 use std::time::Instant;
 use txnstore::Statement;
 
@@ -78,10 +78,6 @@ pub struct ScheduleBatch {
     pub rule_eval_micros: u64,
     /// Wall-clock microseconds for the whole round.
     pub round_micros: u64,
-    /// Name of the protocol that was applied (relevant for adaptive
-    /// policies).  Built-in protocol names are static; custom protocol
-    /// names are interned once, so no round allocates for this field.
-    pub protocol: &'static str,
 }
 
 impl ScheduleBatch {
@@ -131,21 +127,15 @@ const BATCH_POOL_CAP: usize = 8;
 /// out and the qualified set by the rule's own delta.
 #[derive(Debug)]
 struct DatalogCache {
-    /// Interned name of the protocol the program belongs to (an adaptive
-    /// policy may swap custom protocols; a name change rebuilds the cache).
-    protocol: &'static str,
     eval: datalog::IncrementalEvaluation,
     /// The output relation as request keys, sorted — kept in step with it
     /// from its delta, read whole only when the evaluation recomputed it.
     qualified: Vec<RequestKey>,
-    /// The round that last evaluated the rule (the one whose outcome is fed
-    /// back at its end).
-    round: u64,
     /// The store generations the fed inputs stand for (`None`: not fed, or
     /// the row counts disagreed after a feed).  The next round expects to
     /// find them unmoved but for its own arrivals; anything else — a purge,
-    /// a preload, rounds run under another protocol — means no delta
-    /// describes the change and the input is fed whole.
+    /// a preload — means no delta describes the change and the input is fed
+    /// whole.
     pending_generation: Option<u64>,
     history_generation: Option<u64>,
     sla_generation: u64,
@@ -243,8 +233,8 @@ impl DatalogCache {
     }
 
     /// Bring the sorted key set up to date with the `output` relation after
-    /// an evaluation.
-    fn refresh_qualified(&mut self, output: &str) -> SchedResult<()> {
+    /// an evaluation; a malformed row is reported under `protocol`'s name.
+    fn refresh_qualified(&mut self, output: &str, protocol: &str) -> SchedResult<()> {
         let relation = self.eval.database().relation(output);
         // Beyond arity 2 several rows may share a key: no row-wise upkeep.
         let delta = match relation.and_then(|r| r.arity()) {
@@ -253,16 +243,16 @@ impl DatalogCache {
         };
         let Some((inserted, retracted)) = delta else {
             self.qualified.clear();
-            return datalog_output_keys(relation, output, self.protocol, &mut self.qualified);
+            return datalog_output_keys(relation, output, protocol, &mut self.qualified);
         };
         for row in retracted {
-            let key = datalog_output_key(row, self.protocol)?;
+            let key = datalog_output_key(row, protocol)?;
             if let Ok(at) = self.qualified.binary_search(&key) {
                 self.qualified.remove(at);
             }
         }
         for row in inserted {
-            let key = datalog_output_key(row, self.protocol)?;
+            let key = datalog_output_key(row, protocol)?;
             if let Err(at) = self.qualified.binary_search(&key) {
                 self.qualified.insert(at, key);
             }
@@ -274,7 +264,7 @@ impl DatalogCache {
 /// The declarative middleware scheduler.
 #[derive(Debug)]
 pub struct DeclarativeScheduler {
-    policy: SchedulingPolicy,
+    protocol: Protocol,
     config: SchedulerConfig,
     queue: IncomingQueue,
     pending: PendingStore,
@@ -309,10 +299,11 @@ pub struct DeclarativeScheduler {
 }
 
 impl DeclarativeScheduler {
-    /// Create a scheduler with the given policy and configuration.
-    pub fn new(policy: impl Into<SchedulingPolicy>, config: SchedulerConfig) -> Self {
+    /// Create a scheduler that applies `protocol` every round.
+    pub fn new(protocol: Protocol, config: SchedulerConfig) -> Self {
         DeclarativeScheduler {
-            policy: policy.into(),
+            qualifier: IncrementalQualifier::new(protocol.kind),
+            protocol,
             config,
             queue: IncomingQueue::new(),
             pending: PendingStore::new(),
@@ -324,7 +315,6 @@ impl DeclarativeScheduler {
             sla_rebuild: false,
             sla_generation: 0,
             aux_generation: 0,
-            qualifier: IncrementalQualifier::new(),
             datalog_cache: None,
             noop_fingerprint: None,
             deferred_seen: FastIdSet::default(),
@@ -335,9 +325,13 @@ impl DeclarativeScheduler {
     }
 
     /// Register an auxiliary relation (e.g. `object_class`) that protocol
-    /// rules may join against.
+    /// rules may join against.  A relation of the same name registered
+    /// earlier is replaced, as the rule's catalog replaces it.
     pub fn register_aux_relation(&mut self, table: Table) {
-        self.aux.push(table);
+        match self.aux.iter_mut().find(|t| t.name() == table.name()) {
+            Some(slot) => *slot = table,
+            None => self.aux.push(table),
+        }
         self.aux_generation += 1;
         self.qualifier.note_aux_changed();
     }
@@ -423,9 +417,9 @@ impl DeclarativeScheduler {
     }
 
     /// Whether an escalated transaction's local `slice` (its data requests
-    /// homed here) is admitted in full by the built-in rule of `kind`
-    /// against this scheduler's *live* history — the shard's vote in the
-    /// two-phase escalation handshake.
+    /// homed here) is admitted in full by the scheduler's built-in rule
+    /// against its *live* history — the shard's vote in the two-phase
+    /// escalation handshake.
     ///
     /// The slice is judged by the same per-object machinery a regular
     /// round uses, as if it were the only pending work; no scheduling
@@ -433,13 +427,9 @@ impl DeclarativeScheduler {
     /// object lives on exactly one shard, the conjunction of these
     /// shard-local verdicts equals a union-snapshot evaluation — that
     /// equivalence is what lets the handshake hold only the touched shards.
-    pub fn escalated_slice_admitted(
-        &mut self,
-        kind: crate::protocol::ProtocolKind,
-        slice: &[Request],
-    ) -> bool {
+    pub fn escalated_slice_admitted(&mut self, slice: &[Request]) -> bool {
         self.qualifier
-            .slice_admitted(kind, slice, &self.history, &self.aux)
+            .slice_admitted(slice, &self.history, &self.aux)
     }
 
     /// Accumulated metrics.
@@ -447,9 +437,9 @@ impl DeclarativeScheduler {
         self.metrics
     }
 
-    /// The label of the configured scheduling policy.
-    pub fn policy_label(&self) -> String {
-        self.policy.label()
+    /// The protocol this scheduler applies, fixed when it was built.
+    pub fn protocol(&self) -> &Protocol {
+        &self.protocol
     }
 
     /// Insert requests straight into the history database, bypassing
@@ -532,35 +522,21 @@ impl DeclarativeScheduler {
         let pending_before = self.pending.len();
         let drain_insert_nanos = lap(&mut mark);
 
-        // 2. Evaluate the declarative rule.  Both paths borrow the selected
-        //    protocol: the hot (built-in incremental) one extracts the
-        //    `Copy` facts it needs — kind, ordering, the interned name —
-        //    and the cold ones (custom rules, from-scratch evaluation)
-        //    select it again where they use it.
-        let selected = self.policy.select(pending_before);
-        let kind = selected.kind;
-        let ordering = selected.rules.ordering;
-        let protocol_name: &'static str = if selected.name() == kind.name() {
-            kind.name()
-        } else {
-            Symbol::intern(selected.name()).as_str()
-        };
-        let hot_path = self.config.incremental && IncrementalQualifier::supports(kind);
-        if let SchedulingPolicy::Adaptive(a) = &self.policy {
-            if a.is_overloaded(pending_before) {
-                self.metrics.overload_rounds += 1;
-            }
-        }
+        // 2. Evaluate the declarative rule: built-in rules on the
+        //    incremental hot path, custom rules and the from-scratch
+        //    configuration on the cold paths.
+        let hot_path =
+            self.config.incremental && IncrementalQualifier::supports(self.protocol.kind);
         let mut keys = std::mem::take(&mut self.scratch.keys);
         keys.clear();
         let cold_rule_eval_micros = if hot_path {
             self.qualifier
-                .qualify_into(kind, &self.pending, &self.history, &self.aux, &mut keys);
+                .qualify_into(&self.pending, &self.history, &self.aux, &mut keys);
             self.metrics.incremental_rounds += 1;
             self.metrics.delta_rows += self.qualifier.last_delta_rows();
             None
         } else {
-            Some(self.qualify_cold(pending_before, protocol_name, &drained, &mut keys)?)
+            Some(self.qualify_cold(&drained, &mut keys)?)
         };
         let qualify_nanos = lap(&mut mark);
         // The built-in qualifier is all of the qualify phase; the cold paths
@@ -582,7 +558,7 @@ impl DeclarativeScheduler {
         keys.clear();
         self.scratch.keys = keys;
         self.qualifier.note_taken(&batch);
-        ordering.sort(&mut batch);
+        self.protocol.rules.ordering.sort(&mut batch);
         let take_sort_nanos = lap(&mut mark);
 
         // 5. Record them in the history database.
@@ -601,11 +577,7 @@ impl DeclarativeScheduler {
         // A custom Datalog rule is told what its round did, as rows — part
         // of what evaluating it costs.
         let mut custom_feed_nanos = 0;
-        if let Some(cache) = self
-            .datalog_cache
-            .as_mut()
-            .filter(|c| c.round == self.round)
-        {
+        if let Some(cache) = self.datalog_cache.as_mut() {
             cache.feed_round_outcome(&batch, pruned > 0, &self.pending, &self.history)?;
             custom_feed_nanos = lap(&mut mark);
             rule_eval_micros += custom_feed_nanos / 1_000;
@@ -666,7 +638,6 @@ impl DeclarativeScheduler {
             pending_after,
             rule_eval_micros,
             round_micros,
-            protocol: protocol_name,
         })
     }
 
@@ -713,15 +684,13 @@ impl DeclarativeScheduler {
     /// `rule_eval_micros`, preserving the paper's Section 4.3 metric.
     fn qualify_cold(
         &mut self,
-        pending_before: usize,
-        protocol_name: &'static str,
         arrivals: &[Request],
         keys: &mut Vec<RequestKey>,
     ) -> SchedResult<u64> {
-        let backend = &self.policy.select(pending_before).rules.backend;
+        let backend = &self.protocol.rules.backend;
         if self.config.incremental && matches!(backend, RuleBackend::Datalog { .. }) {
             let rule_start = Instant::now();
-            self.qualify_custom_datalog(pending_before, protocol_name, arrivals, keys)?;
+            self.qualify_custom_datalog(arrivals, keys)?;
             self.metrics.incremental_rounds += 1;
             return Ok(rule_start.elapsed().as_micros() as u64);
         }
@@ -729,8 +698,7 @@ impl DeclarativeScheduler {
         let catalog = self.build_catalog();
         self.metrics.catalog_build_micros += catalog_start.elapsed().as_micros() as u64;
         let rule_start = Instant::now();
-        let protocol = self.policy.select(pending_before);
-        keys.extend(protocol.rules.qualify(&catalog)?);
+        keys.extend(self.protocol.rules.qualify(&catalog)?);
         Ok(rule_start.elapsed().as_micros() as u64)
     }
 
@@ -759,14 +727,12 @@ impl DeclarativeScheduler {
     /// [`DatalogCache`]).
     fn qualify_custom_datalog(
         &mut self,
-        pending_before: usize,
-        name: &'static str,
         arrivals: &[Request],
         keys: &mut Vec<RequestKey>,
     ) -> SchedResult<()> {
         self.refresh_sla_table();
         let DeclarativeScheduler {
-            policy,
+            protocol,
             pending,
             history,
             aux,
@@ -775,30 +741,23 @@ impl DeclarativeScheduler {
             sla_generation,
             aux_generation,
             datalog_cache,
-            round,
             ..
         } = self;
-        let RuleBackend::Datalog { program, output } = &policy.select(pending_before).rules.backend
-        else {
+        let RuleBackend::Datalog { program, output } = &protocol.rules.backend else {
             unreachable!("the caller checked the backend")
         };
-        if datalog_cache.as_ref().is_none_or(|c| c.protocol != name) {
-            *datalog_cache = Some(DatalogCache {
-                protocol: name,
+        let cache = match datalog_cache {
+            Some(cache) => cache,
+            None => datalog_cache.insert(DatalogCache {
                 eval: datalog::IncrementalEvaluation::new(program)?,
                 qualified: Vec::new(),
-                round: 0,
                 pending_generation: None,
                 history_generation: None,
                 sla_generation: u64::MAX,
                 aux_generation: u64::MAX,
                 batch_rows: Vec::new(),
-            });
-        }
-        let cache = datalog_cache
-            .as_mut()
-            .expect("cache was just ensured above");
-        cache.round = *round;
+            }),
+        };
 
         cache.feed_round_start(pending, history, arrivals)?;
         if cache.sla_generation != *sla_generation {
@@ -821,7 +780,7 @@ impl DeclarativeScheduler {
         metrics.delta_rows += stats.delta_rows_in as u64;
         metrics.strata_maintained += stats.maintained as u64;
         metrics.strata_recomputed += stats.recomputed as u64;
-        cache.refresh_qualified(output)?;
+        cache.refresh_qualified(output, protocol.name())?;
         keys.extend_from_slice(&cache.qualified);
         Ok(())
     }
@@ -922,7 +881,7 @@ mod tests {
         assert_eq!(s.pending(), 0);
         assert_eq!(s.metrics().rounds, 1);
         assert_eq!(s.metrics().requests_scheduled, 2);
-        assert_eq!(batch.protocol, "ss2pl");
+        assert_eq!(s.protocol().name(), "ss2pl");
     }
 
     #[test]
@@ -1005,32 +964,30 @@ mod tests {
         assert!(s.tick(100).unwrap().is_none());
     }
 
+    /// Registering `object_class` a second time replaces the first table,
+    /// in the built-in qualifier as in the declared rule's catalog: object 5
+    /// reclassified as critical keeps T1's write lock, so T2's read waits on
+    /// both paths.
     #[test]
-    fn adaptive_policy_switches_and_counts_overload_rounds() {
-        use crate::protocol::AdaptiveProtocol;
-        let mut s = DeclarativeScheduler::new(
-            AdaptiveProtocol::ss2pl_with_relaxed_overflow(3),
-            SchedulerConfig {
-                trigger: TriggerPolicy::Always,
-                ..SchedulerConfig::default()
-            },
-        );
-        // Low load: strict protocol blocks the conflicting read.
-        s.submit(Request::write(0, 1, 0, 5), 0);
-        s.run_round(0).unwrap();
-        s.submit(Request::read(0, 2, 0, 5), 1);
-        let low = s.run_round(1).unwrap();
-        assert_eq!(low.protocol, "ss2pl");
-        assert!(low.is_empty());
-        // High load (>= 3 pending): relaxed protocol admits reads despite the
-        // write lock.
-        s.submit(Request::read(0, 3, 0, 5), 2);
-        s.submit(Request::read(0, 4, 0, 5), 2);
-        let high = s.run_round(2).unwrap();
-        assert_eq!(high.protocol, "relaxed-reads");
-        assert_eq!(high.len(), 3);
-        assert_eq!(s.metrics().overload_rounds, 1);
-        assert!(s.policy_label().contains("adaptive"));
+    fn re_registering_an_aux_relation_replaces_it() {
+        use crate::protocol::{object_class_table, ObjectClass};
+        for incremental in [true, false] {
+            let mut s = DeclarativeScheduler::new(
+                Protocol::algebra(ProtocolKind::ConsistencyRationing),
+                SchedulerConfig {
+                    trigger: TriggerPolicy::Always,
+                    incremental,
+                    ..SchedulerConfig::default()
+                },
+            );
+            s.register_aux_relation(object_class_table(&[(5, ObjectClass::Relaxed)]));
+            s.register_aux_relation(object_class_table(&[(5, ObjectClass::Critical)]));
+            s.submit(Request::write(0, 1, 0, 5), 0);
+            assert_eq!(s.run_round(0).unwrap().len(), 1);
+            s.submit(Request::read(0, 2, 0, 5), 1);
+            let batch = s.run_round(1).unwrap();
+            assert!(batch.is_empty(), "incremental={incremental}: {batch:?}");
+        }
     }
 
     #[test]

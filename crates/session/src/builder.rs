@@ -7,7 +7,6 @@ use crate::report::Report;
 use crate::sess::Session;
 use crate::sharded::ShardedBackend;
 use crate::tier::TierRegistry;
-use declsched::protocol::SchedulingPolicy;
 use declsched::{Protocol, ProtocolKind, SchedResult, SchedulerConfig};
 use relalg::Table;
 use shard::{ShardConfig, ShardRouter};
@@ -104,7 +103,7 @@ enum Topology {
 /// Defaults: the paper's SS2PL protocol on the relational-algebra back-end,
 /// default [`SchedulerConfig`], a 10 000-row `bench` table, unsharded.
 pub struct SchedulerBuilder {
-    policy: SchedulingPolicy,
+    protocol: Protocol,
     config: SchedulerConfig,
     table: String,
     rows: usize,
@@ -118,7 +117,7 @@ pub struct SchedulerBuilder {
 impl SchedulerBuilder {
     fn new() -> Self {
         SchedulerBuilder {
-            policy: Protocol::algebra(ProtocolKind::Ss2pl).into(),
+            protocol: Protocol::algebra(ProtocolKind::Ss2pl),
             config: SchedulerConfig::default(),
             table: "bench".to_string(),
             rows: 10_000,
@@ -130,11 +129,11 @@ impl SchedulerBuilder {
         }
     }
 
-    /// The declarative scheduling policy (a [`declsched::Protocol`], an
-    /// [`declsched::AdaptiveProtocol`], or anything convertible).  Ignored
-    /// in passthrough mode, where the server's native scheduler decides.
-    pub fn policy(mut self, policy: impl Into<SchedulingPolicy>) -> Self {
-        self.policy = policy.into();
+    /// The declarative protocol every scheduler of the deployment applies,
+    /// every round, for the deployment's whole life.  Ignored in passthrough
+    /// mode, where the server's native scheduler decides.
+    pub fn policy(mut self, protocol: Protocol) -> Self {
+        self.protocol = protocol;
         self
     }
 
@@ -220,7 +219,7 @@ impl SchedulerBuilder {
         });
         let backend: Arc<dyn Backend> = match self.topology {
             Topology::Fleet(kind, shards) => {
-                let mut config = ShardConfig::new(shards, self.policy)
+                let mut config = ShardConfig::new(shards, self.protocol)
                     .with_scheduler(self.config)
                     .with_table(self.table, self.rows)
                     .with_chaos(Arc::clone(&injector));

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //!   Scheduler::builder()                 Session::submit(txn) -> Ticket
-//!     .policy(...)            ┌──────────────────────────────────────────┐
+//!     .policy(protocol)       ┌──────────────────────────────────────────┐
 //!     .table("bench", rows)   │  Backend (trait)                         │
 //!     .shards(4)         ──►  │   ├─ unsharded middleware (1 scheduler)  │
 //!     .build()?               │   ├─ shard router fleet   (N schedulers) │

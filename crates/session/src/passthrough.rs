@@ -2,21 +2,25 @@
 //!
 //! The paper: "In this mode, the scheduler forwards the requests to the
 //! server without scheduling.  This way, the server undertakes the task of
-//! doing request scheduling."  To serve pipelined sessions the forwarding
-//! runs on its own worker thread: transactions queue in arrival order, a
-//! statement the server blocks on a native lock stays queued and is
-//! retried in arrival order whenever anything else makes progress (the
-//! lock holder's commit arrives as a later submission).
+//! doing request scheduling."  The worker owns a `txnstore` engine with its
+//! native lock-based scheduling on and hands it each statement as is, so
+//! the difference between this deployment and a scheduling one is, by
+//! construction, the declarative scheduling overhead.  To serve pipelined
+//! sessions the forwarding runs on its own worker thread: transactions
+//! queue in arrival order, a statement the server blocks on a native lock
+//! stays queued and is retried in arrival order whenever anything else
+//! makes progress (the lock holder's commit arrives as a later
+//! submission).
 
 use crate::backend::{Backend, BackendKind, Completion};
 use crate::report::Report;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use declsched::passthrough::{PassthroughOutcome, PassthroughScheduler};
 use declsched::{DispatchReport, Operation, Request, SchedError, SchedResult, SchedulerMetrics};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use txnstore::{Engine, ExecOutcome};
 
 enum PassthroughMessage {
     Txn {
@@ -39,11 +43,12 @@ impl PassthroughBackend {
         rows: usize,
         injector: Arc<chaos::FaultInjector>,
     ) -> SchedResult<Self> {
-        let scheduler = PassthroughScheduler::new(table.clone(), rows)?;
+        let mut engine = Engine::new();
+        engine.setup_benchmark_table(&table, rows)?;
         let (sender, receiver) = unbounded::<PassthroughMessage>();
         let worker = std::thread::Builder::new()
             .name("declsched-passthrough".to_string())
-            .spawn(move || forward_loop(scheduler, receiver, table, rows, injector))
+            .spawn(move || forward_loop(engine, receiver, table, rows, injector))
             .expect("spawning the passthrough worker cannot fail");
         Ok(PassthroughBackend {
             sender,
@@ -95,7 +100,7 @@ struct InFlight {
 
 /// The passthrough worker body.
 fn forward_loop(
-    mut scheduler: PassthroughScheduler,
+    mut engine: Engine,
     receiver: Receiver<PassthroughMessage>,
     table: String,
     rows: usize,
@@ -187,15 +192,15 @@ fn forward_loop(
                             std::thread::sleep(Duration::from_millis(millis));
                         }
                     }
-                    match scheduler.forward(&request) {
-                        Ok(PassthroughOutcome::Executed) => {
+                    match engine.execute(&request.to_statement(&table)) {
+                        Ok(ExecOutcome::Completed { .. }) => {
                             progressed = true;
                             count(&mut dispatch, request.op);
                             executed_log.push(request);
                             queue[index].next += 1;
                         }
-                        Ok(PassthroughOutcome::Blocked) => break,
-                        Ok(PassthroughOutcome::Aborted) => {
+                        Ok(ExecOutcome::Blocked { .. }) => break,
+                        Ok(ExecOutcome::DeadlockVictim { .. }) => {
                             progressed = true;
                             dispatch.aborts += 1;
                             let ta = request.ta;
@@ -211,7 +216,7 @@ fn forward_loop(
                         Err(e) => {
                             progressed = true;
                             let txn = queue.remove(index).expect("index in bounds");
-                            let _ = txn.reply.send(Err(e));
+                            let _ = txn.reply.send(Err(e.into()));
                             remove = true;
                             break;
                         }
@@ -239,7 +244,7 @@ fn forward_loop(
         }
     }
 
-    let final_rows = declsched::dispatch::snapshot_final_rows(scheduler.engine(), &table, rows);
+    let final_rows = declsched::dispatch::snapshot_final_rows(&engine, &table, rows);
     Report {
         backend: BackendKind::Passthrough,
         transactions,
@@ -249,7 +254,7 @@ fn forward_loop(
         executed_log,
         final_rows,
         sharded: None,
-        server: Some(scheduler.server_metrics()),
+        server: Some(engine.metrics()),
         tiers: Vec::new(),
         trace: obs::Trace::default(),
         anomalies: Vec::new(),

@@ -1,7 +1,6 @@
 //! Configuration of a sharded scheduler deployment.
 
-use declsched::protocol::SchedulingPolicy;
-use declsched::SchedulerConfig;
+use declsched::{Protocol, SchedulerConfig};
 use relalg::Table;
 use std::sync::Arc;
 
@@ -11,9 +10,10 @@ pub struct ShardConfig {
     /// Number of shards (worker threads).  One shard degenerates to the
     /// paper's single global scheduler behind a router.
     pub shards: usize,
-    /// The declarative protocol every shard evaluates (also used by the
-    /// escalation lane over the merged relations).
-    pub policy: SchedulingPolicy,
+    /// The declarative protocol every shard applies, in its rounds and in
+    /// its escalation votes (and the lane, for a custom rule, over the
+    /// participants' merged relations).
+    pub protocol: Protocol,
     /// Per-shard scheduler configuration (trigger, pruning, intra-order).
     pub scheduler: SchedulerConfig,
     /// Name of the benchmark table every shard's dispatcher serves.
@@ -33,12 +33,12 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// A config with the given shard count and policy, default scheduler
+    /// A config with the given shard count and protocol, default scheduler
     /// settings and a 10k-row `bench` table.
-    pub fn new(shards: usize, policy: impl Into<SchedulingPolicy>) -> Self {
+    pub fn new(shards: usize, protocol: Protocol) -> Self {
         ShardConfig {
             shards: shards.max(1),
-            policy: policy.into(),
+            protocol,
             scheduler: SchedulerConfig::default(),
             table: "bench".to_string(),
             rows: 10_000,

@@ -55,7 +55,6 @@
 use crate::hub::HubReply;
 use crate::metrics::EscalationStats;
 use crate::worker::{Context, ShardMessage};
-use declsched::protocol::SchedulingPolicy;
 use declsched::{shard_of, Protocol, Request, SchedError, SchedResult};
 use relalg::{Catalog, Table};
 use std::collections::VecDeque;
@@ -222,7 +221,9 @@ impl Admission {
 /// stamps a phase takes the fleet clock's `now_us`: the lane owns no
 /// mailbox and reads no clock.
 pub(crate) struct Lane {
-    policy: SchedulingPolicy,
+    /// The fleet's protocol: every handshake votes under the rule every
+    /// shard's own rounds apply.
+    protocol: Protocol,
     shards: usize,
     aux_relations: Vec<Table>,
     recorder: obs::SharedRecorder,
@@ -248,7 +249,7 @@ impl Lane {
         let concurrent_peak = Arc::new(AtomicU64::new(0));
         registry.adopt_gauge("lane.concurrent_peak", Arc::clone(&concurrent_peak));
         Arc::new(Lane {
-            policy: config.policy.clone(),
+            protocol: config.protocol.clone(),
             shards: config.shards.max(1),
             aux_relations: config.aux_relations.clone(),
             recorder: sink.shared_recorder(),
@@ -262,12 +263,6 @@ impl Lane {
             prepare_hist: registry.histogram("lane.prepare_us"),
             commit_hist: registry.histogram("lane.commit_us"),
         })
-    }
-
-    /// The protocol a handshake votes under (selected by reference; every
-    /// participant derives the same one from the shared record).
-    pub(crate) fn protocol(&self, handshake: &Handshake) -> &Protocol {
-        self.policy.select(handshake.requests.len())
     }
 
     /// Jobs waiting for, inside or parked by a handshake — the cross-shard
@@ -646,7 +641,7 @@ impl Lane {
         for aux in &self.aux_relations {
             catalog.replace(aux.clone());
         }
-        let qualified = self.protocol(handshake).rules.qualify(&catalog)?;
+        let qualified = self.protocol.rules.qualify(&catalog)?;
         Ok(handshake
             .requests
             .iter()

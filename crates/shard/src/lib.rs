@@ -37,8 +37,9 @@
 //! * Transactions whose footprint **spans** shards take a **two-phase
 //!   handshake** over only the touched shards, which drive it themselves
 //!   (the `escalation` module): each qualifies its slice against its local
-//!   `history` and votes, the last voter commits or releases them all, and
-//!   the last finisher resolves the ticket.  Untouched shards never stop,
+//!   `history` under the fleet's one protocol ([`ShardConfig::protocol`],
+//!   the rule its own rounds apply) and votes, the last voter commits or
+//!   releases them all, and the last finisher resolves the ticket.  Untouched shards never stop,
 //!   and escalations over **disjoint shard sets execute concurrently**.
 //! * [`ShardedMetrics`] merges per-shard `SchedulerMetrics` and dispatch
 //!   totals with routing counters (throughput, fleet-wide in-flight peak,

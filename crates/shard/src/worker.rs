@@ -205,7 +205,7 @@ impl WorkerCore {
         registry: &obs::Registry,
     ) -> SchedResult<Self> {
         let mut scheduler =
-            DeclarativeScheduler::new(config.policy.clone(), config.scheduler.clone());
+            DeclarativeScheduler::new(config.protocol.clone(), config.scheduler.clone());
         for aux in &config.aux_relations {
             scheduler.register_aux_relation(aux.clone());
         }
@@ -374,10 +374,11 @@ impl WorkerCore {
 
     /// Vote on an escalation's `Prepare`: qualify the transaction's local
     /// slice against this shard's live history and, if admitted, hold the
-    /// shard for the decision.  Qualification runs the same per-object rule
-    /// local rounds use — over the shard's own relations, incrementally
-    /// maintained, with no union snapshot — which is sound because locks
-    /// live per object and every object has exactly one home shard.
+    /// shard for the decision.  The vote applies the scheduler's own
+    /// protocol, the one every round here applies — the same per-object
+    /// rule, over the shard's own relations, incrementally maintained, with
+    /// no union snapshot — which is sound because locks live per object and
+    /// every object has exactly one home shard.
     fn prepare(&mut self, handshake: &Handshake) -> Vote {
         if self.killed {
             return Vote::Error(self.dead("prepare refused"));
@@ -399,8 +400,7 @@ impl WorkerCore {
                 return Vote::Denied { own_pending: true };
             }
         }
-        let kind = self.lane.protocol(handshake).kind;
-        if kind == ProtocolKind::Custom {
+        if self.scheduler.protocol().kind == ProtocolKind::Custom {
             // Custom protocols: the decider evaluates the declarative rule
             // over the union of the participants' snapshots; this shard
             // just holds and hands over its history.
@@ -412,7 +412,7 @@ impl WorkerCore {
         let mut slice = std::mem::take(&mut self.escalated_scratch);
         slice.clear();
         slice.extend(handshake.slice(self.shard));
-        let admitted = self.scheduler.escalated_slice_admitted(kind, &slice);
+        let admitted = self.scheduler.escalated_slice_admitted(&slice);
         self.escalated_scratch = slice;
         if admitted {
             self.held = Some(handshake.job_id);

@@ -77,7 +77,7 @@ fn replay(scheduler: &mut DeclarativeScheduler, events: &[Event]) -> (RoundLog, 
     let mut run = |scheduler: &mut DeclarativeScheduler, now: u64| {
         let batch = scheduler.run_round(now).expect("built-in rules evaluate");
         rounds.push((
-            batch.protocol.to_string(),
+            scheduler.protocol().name().to_string(),
             batch.requests.iter().map(|r| (r.ta, r.intra)).collect(),
         ));
     };

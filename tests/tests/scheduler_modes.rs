@@ -2,8 +2,8 @@
 //! declaratively scheduled vs non-scheduling passthrough, the threaded
 //! middleware, trigger behaviour and history pruning.
 
-use declsched::passthrough::{PassthroughOutcome, PassthroughScheduler};
 use declsched::prelude::*;
+use txnstore::{Engine, ExecOutcome};
 
 /// In declaratively scheduled mode the server never blocks or deadlocks —
 /// the middleware's rule already serialised the conflicting requests — while
@@ -54,10 +54,12 @@ fn scheduled_mode_keeps_the_server_free_of_lock_activity() {
     assert_eq!(server.commits, 3);
 
     // (b) Passthrough: the server's own scheduler has to cope.
-    let mut passthrough = PassthroughScheduler::new("bench", 10).unwrap();
+    let mut passthrough = Engine::new();
+    passthrough.setup_benchmark_table("bench", 10).unwrap();
     let mut blocked = 0;
     for r in &requests {
-        if passthrough.forward(r).unwrap() == PassthroughOutcome::Blocked {
+        let outcome = passthrough.execute(&r.to_statement("bench")).unwrap();
+        if matches!(outcome, ExecOutcome::Blocked { .. }) {
             blocked += 1;
         }
     }
@@ -65,7 +67,7 @@ fn scheduled_mode_keeps_the_server_free_of_lock_activity() {
         blocked, 2,
         "the native scheduler must block the two later writers"
     );
-    assert_eq!(passthrough.server_metrics().lock_waits, 2);
+    assert_eq!(passthrough.metrics().lock_waits, 2);
 }
 
 /// The threaded middleware delivers SLA metadata through to the scheduling
