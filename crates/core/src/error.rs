@@ -51,6 +51,13 @@ pub enum SchedError {
         /// Which shared structure was poisoned.
         what: &'static str,
     },
+    /// An auxiliary relation was given the name of one of the scheduler's
+    /// own relations (`requests`, `history`, `sla`), which it would shadow
+    /// in the rule's catalog.
+    ReservedRelation {
+        /// The refused name.
+        relation: String,
+    },
     /// The submission was shed by the overload-protection policy before it
     /// reached the scheduler: the deployment is past its queue-depth
     /// watermark and the transaction's SLA tier is below the protected
@@ -98,6 +105,10 @@ impl fmt::Display for SchedError {
             SchedError::Poisoned { what } => {
                 write!(f, "shared lock poisoned: {what}")
             }
+            SchedError::ReservedRelation { relation } => write!(
+                f,
+                "auxiliary relation `{relation}` would shadow the scheduler's own relation"
+            ),
             SchedError::Shed { class } => {
                 write!(f, "transaction shed under overload (class `{class}`)")
             }

@@ -126,25 +126,11 @@ impl RuleBackend {
                         detail: "output has no `intrata` column".into(),
                     }
                 })?;
-                let mut keys = Vec::with_capacity(result.len());
-                for row in result.rows() {
-                    let ta = row.get(ta_idx).as_int().ok_or_else(|| {
-                        SchedError::MalformedRuleOutput {
-                            protocol: protocol.into(),
-                            detail: format!("non-integer ta value `{}`", row.get(ta_idx)),
-                        }
-                    })?;
-                    let intra = row.get(intra_idx).as_int().ok_or_else(|| {
-                        SchedError::MalformedRuleOutput {
-                            protocol: protocol.into(),
-                            detail: format!("non-integer intrata value `{}`", row.get(intra_idx)),
-                        }
-                    })?;
-                    keys.push(RequestKey {
-                        ta: ta as u64,
-                        intra: intra as u32,
-                    });
-                }
+                let mut keys = result
+                    .rows()
+                    .iter()
+                    .map(|row| output_key(row.get(ta_idx), row.get(intra_idx), protocol))
+                    .collect::<SchedResult<Vec<_>>>()?;
                 keys.sort_unstable();
                 keys.dedup();
                 Ok(keys)
@@ -189,27 +175,41 @@ pub(crate) fn datalog_output_keys(
     }
     keys.reserve(relation.len());
     for row in relation.rows() {
-        keys.push(datalog_output_key(row, protocol)?);
+        keys.push(output_key(row.get(0), row.get(1), protocol)?);
     }
     keys.sort_unstable();
     keys.dedup();
     Ok(())
 }
 
-/// The request key one row (of arity two or more) of a Datalog output
-/// relation names.
-pub(crate) fn datalog_output_key(row: &relalg::Tuple, protocol: &str) -> SchedResult<RequestKey> {
-    let int = |value: &relalg::Value, column: &str| {
-        value
-            .as_int()
-            .ok_or_else(|| SchedError::MalformedRuleOutput {
-                protocol: protocol.into(),
-                detail: format!("non-integer {column} value `{value}`"),
-            })
-    };
+/// The request key named by a rule's output row, given its `ta` and
+/// `intrata` values — the one decoder of both back-ends.  A value that is
+/// not an integer, or does not fit the key's type, is malformed output of
+/// `protocol` rather than a key that matches no request.
+pub(crate) fn output_key(
+    ta: &relalg::Value,
+    intra: &relalg::Value,
+    protocol: &str,
+) -> SchedResult<RequestKey> {
+    fn decode<T: TryFrom<i64>>(
+        value: &relalg::Value,
+        column: &str,
+        protocol: &str,
+    ) -> SchedResult<T> {
+        let malformed = |kind: &str| SchedError::MalformedRuleOutput {
+            protocol: protocol.into(),
+            detail: format!("{kind} {column} value `{value}`"),
+        };
+        // Only an integer names a key: `Value::as_int` would also read a
+        // boolean as 0 or 1.
+        let relalg::Value::Int(int) = *value else {
+            return Err(malformed("non-integer"));
+        };
+        T::try_from(int).map_err(|_| malformed("out-of-range"))
+    }
     Ok(RequestKey {
-        ta: int(row.get(0), "ta")? as u64,
-        intra: int(row.get(1), "intrata")? as u32,
+        ta: decode(ta, "ta", protocol)?,
+        intra: decode(intra, "intrata", protocol)?,
     })
 }
 
@@ -265,7 +265,7 @@ impl fmt::Display for RuleSet {
 mod tests {
     use super::*;
     use crate::request::SlaMeta;
-    use relalg::{Expr, PlanBuilder};
+    use relalg::{Expr, PlanBuilder, Value};
 
     fn catalog_with_requests() -> Catalog {
         let mut catalog = Catalog::new();
@@ -298,6 +298,41 @@ mod tests {
             ]
         );
         assert_eq!(backend.label(), "algebra");
+    }
+
+    /// Output values that are not integers, or do not fit a request key,
+    /// are malformed output, not keys that silently match some other
+    /// request or none.
+    #[test]
+    fn algebra_backend_rejects_out_of_range_keys() {
+        for (ta, intra, detail) in [
+            (Value::Int(-1), Value::Int(0), "out-of-range ta value `-1`"),
+            (
+                Value::Int(11),
+                Value::Int(1 << 32),
+                "out-of-range intrata value `4294967296`",
+            ),
+            (
+                Value::Bool(true),
+                Value::Int(0),
+                "non-integer ta value `true`",
+            ),
+        ] {
+            let plan = PlanBuilder::scan("requests")
+                .project_as(vec![(Expr::lit(ta), "ta"), (Expr::lit(intra), "intrata")])
+                .build();
+            let backend = RuleBackend::Algebra { plan };
+            match backend.evaluate(&catalog_with_requests()).unwrap_err() {
+                SchedError::MalformedRuleOutput {
+                    protocol,
+                    detail: text,
+                } => {
+                    assert_eq!(protocol, "<algebra>");
+                    assert!(text.contains(detail), "{text}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -354,6 +389,11 @@ mod tests {
                 "non-integer intrata value",
             ),
             ("qualified(T) :- requests(Id, T, I, Op, O).", "has arity 1"),
+            // An integer no request key can carry.
+            (
+                "qualified(-1, I) :- requests(Id, T, I, Op, O).",
+                "out-of-range ta value `-1`",
+            ),
         ] {
             let backend = RuleBackend::Datalog {
                 program: datalog::parse_program(source).unwrap(),

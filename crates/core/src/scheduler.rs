@@ -15,7 +15,7 @@
 //! per-round wall-clock cost is recorded in [`SchedulerMetrics`], split by
 //! phase in [`crate::metrics::RoundPhases`].
 
-use crate::error::SchedResult;
+use crate::error::{SchedError, SchedResult};
 use crate::history::HistoryStore;
 use crate::metrics::{RoundPhases, SchedulerMetrics};
 use crate::pending::PendingStore;
@@ -23,7 +23,7 @@ use crate::protocol::Protocol;
 use crate::qualify::IncrementalQualifier;
 use crate::queue::IncomingQueue;
 use crate::request::{Request, RequestKey};
-use crate::rules::{datalog_output_key, datalog_output_keys, RuleBackend};
+use crate::rules::{datalog_output_keys, output_key, RuleBackend};
 use crate::trigger::TriggerPolicy;
 use obs::{FastIdMap, FastIdSet};
 use relalg::{Catalog, Table, Tuple};
@@ -246,13 +246,13 @@ impl DatalogCache {
             return datalog_output_keys(relation, output, protocol, &mut self.qualified);
         };
         for row in retracted {
-            let key = datalog_output_key(row, protocol)?;
+            let key = output_key(row.get(0), row.get(1), protocol)?;
             if let Ok(at) = self.qualified.binary_search(&key) {
                 self.qualified.remove(at);
             }
         }
         for row in inserted {
-            let key = datalog_output_key(row, protocol)?;
+            let key = output_key(row.get(0), row.get(1), protocol)?;
             if let Err(at) = self.qualified.binary_search(&key) {
                 self.qualified.insert(at, key);
             }
@@ -326,14 +326,23 @@ impl DeclarativeScheduler {
 
     /// Register an auxiliary relation (e.g. `object_class`) that protocol
     /// rules may join against.  A relation of the same name registered
-    /// earlier is replaced, as the rule's catalog replaces it.
-    pub fn register_aux_relation(&mut self, table: Table) {
+    /// earlier is replaced, as the rule's catalog replaces it.  The
+    /// scheduler's own relations (`requests`, `history`, `sla`) cannot be
+    /// shadowed: their names are refused with
+    /// [`SchedError::ReservedRelation`].
+    pub fn register_aux_relation(&mut self, table: Table) -> SchedResult<()> {
+        if matches!(table.name(), "requests" | "history" | "sla") {
+            return Err(SchedError::ReservedRelation {
+                relation: table.name().to_string(),
+            });
+        }
         match self.aux.iter_mut().find(|t| t.name() == table.name()) {
             Some(slot) => *slot = table,
             None => self.aux.push(table),
         }
         self.aux_generation += 1;
         self.qualifier.note_aux_changed();
+        Ok(())
     }
 
     /// Submit a fully formed request (the id is assigned by the scheduler).
@@ -980,14 +989,38 @@ mod tests {
                     ..SchedulerConfig::default()
                 },
             );
-            s.register_aux_relation(object_class_table(&[(5, ObjectClass::Relaxed)]));
-            s.register_aux_relation(object_class_table(&[(5, ObjectClass::Critical)]));
+            s.register_aux_relation(object_class_table(&[(5, ObjectClass::Relaxed)]))
+                .unwrap();
+            s.register_aux_relation(object_class_table(&[(5, ObjectClass::Critical)]))
+                .unwrap();
             s.submit(Request::write(0, 1, 0, 5), 0);
             assert_eq!(s.run_round(0).unwrap().len(), 1);
             s.submit(Request::read(0, 2, 0, 5), 1);
             let batch = s.run_round(1).unwrap();
             assert!(batch.is_empty(), "incremental={incremental}: {batch:?}");
         }
+    }
+
+    /// An auxiliary relation named like one of the scheduler's own would
+    /// replace it in the rule's catalog (letting, say, an empty `history`
+    /// admit a write past a write lock), so those names are refused.
+    #[test]
+    fn aux_relations_cannot_shadow_the_schedulers_own() {
+        let mut s = scheduler(ProtocolKind::Ss2pl);
+        for name in ["requests", "history", "sla"] {
+            let err = s
+                .register_aux_relation(Table::new(name, Request::schema()))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SchedError::ReservedRelation {
+                    relation: name.into()
+                }
+            );
+        }
+        assert!(s
+            .register_aux_relation(Table::new("object_class", Request::schema()))
+            .is_ok());
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! constructors.
 
 use crate::expr::Expr;
-use crate::plan::{Aggregate, JoinKind, Plan, ProjectItem, SortKey};
-use crate::value::Value;
+use crate::plan::{JoinKind, Plan, ProjectItem};
 
 /// Fluent plan builder.  Every method consumes and returns the builder so
 /// pipelines read top-down like SQL `FROM ... WHERE ... SELECT`.
@@ -23,21 +22,6 @@ impl PlanBuilder {
                 relation: relation.into(),
             },
         }
-    }
-
-    /// Start from literal rows.
-    pub fn values(columns: Vec<&str>, rows: Vec<Vec<Value>>) -> Self {
-        PlanBuilder {
-            plan: Plan::Values {
-                columns: columns.into_iter().map(String::from).collect(),
-                rows,
-            },
-        }
-    }
-
-    /// Wrap an existing plan.
-    pub fn from_plan(plan: Plan) -> Self {
-        PlanBuilder { plan }
     }
 
     /// Filter rows (`WHERE`).
@@ -118,52 +102,11 @@ impl PlanBuilder {
         }
     }
 
-    /// Set intersection (`INTERSECT`).
-    pub fn intersect(self, right: PlanBuilder) -> Self {
-        PlanBuilder {
-            plan: Plan::Intersect {
-                left: Box::new(self.plan),
-                right: Box::new(right.plan),
-            },
-        }
-    }
-
     /// Remove duplicates (`DISTINCT`).
     pub fn distinct(self) -> Self {
         PlanBuilder {
             plan: Plan::Distinct {
                 input: Box::new(self.plan),
-            },
-        }
-    }
-
-    /// Sort rows (`ORDER BY`).
-    pub fn sort(self, keys: Vec<SortKey>) -> Self {
-        PlanBuilder {
-            plan: Plan::Sort {
-                input: Box::new(self.plan),
-                keys,
-            },
-        }
-    }
-
-    /// Keep the first `count` rows (`LIMIT`).
-    pub fn limit(self, count: usize) -> Self {
-        PlanBuilder {
-            plan: Plan::Limit {
-                input: Box::new(self.plan),
-                count,
-            },
-        }
-    }
-
-    /// Group-by aggregation.
-    pub fn aggregate(self, group_by: Vec<Expr>, aggregates: Vec<Aggregate>) -> Self {
-        PlanBuilder {
-            plan: Plan::Aggregate {
-                input: Box::new(self.plan),
-                group_by,
-                aggregates,
             },
         }
     }
@@ -193,7 +136,6 @@ impl From<PlanBuilder> for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::AggFunc;
 
     #[test]
     fn builder_produces_expected_tree_shape() {
@@ -201,12 +143,22 @@ mod tests {
             .filter(Expr::col("operation").eq(Expr::lit("w")))
             .project(vec![Expr::col("ta")])
             .distinct()
-            .limit(10)
             .build();
-        assert_eq!(plan.node_count(), 5);
-        let text = plan.explain();
-        assert!(text.contains("Limit 10"));
-        assert!(text.contains("Scan requests"));
+        let scan = Plan::Scan {
+            relation: "requests".into(),
+        };
+        let select = Plan::Select {
+            input: Box::new(scan),
+            predicate: Expr::col("operation").eq(Expr::lit("w")),
+        };
+        let project = Plan::Project {
+            input: Box::new(select),
+            items: vec![ProjectItem::expr(Expr::col("ta"))],
+        };
+        let expected = Plan::Distinct {
+            input: Box::new(project),
+        };
+        assert_eq!(plan, expected);
     }
 
     #[test]
@@ -232,19 +184,12 @@ mod tests {
     #[test]
     fn aggregate_and_rename_builders() {
         let plan = PlanBuilder::scan("requests")
-            .aggregate(
-                vec![Expr::col("ta")],
-                vec![Aggregate::new(AggFunc::Count, Expr::col("id"), "n")],
-            )
+            .project(vec![Expr::col("ta"), Expr::col("id")])
             .rename(vec!["ta", "count"])
             .build();
-        assert!(plan.explain().contains("Rename [ta, count]"));
-    }
-
-    #[test]
-    fn values_builder() {
-        let plan =
-            PlanBuilder::values(vec!["a"], vec![vec![Value::Int(1)], vec![Value::Int(2)]]).build();
-        assert!(matches!(plan, Plan::Values { ref rows, .. } if rows.len() == 2));
+        assert!(matches!(
+            plan,
+            Plan::Rename { ref columns, .. } if columns == &["ta", "count"]
+        ));
     }
 }

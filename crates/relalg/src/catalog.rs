@@ -20,7 +20,11 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register a table under its own name.  Fails if the name is taken.
+    /// Register a table under its own name.
+    ///
+    /// # Panics
+    /// Panics if a relation of that name is already registered; use
+    /// [`Catalog::replace`] to overwrite one.
     pub fn register(&mut self, table: Table) -> &mut Self {
         let name = table.name().to_string();
         assert!(
@@ -31,40 +35,15 @@ impl Catalog {
         self
     }
 
-    /// Register a table, failing with an error (rather than panicking) if the
-    /// name is already taken.
-    pub fn try_register(&mut self, table: Table) -> RelResult<()> {
-        let name = table.name().to_string();
-        if self.tables.contains_key(&name) {
-            return Err(RelError::DuplicateRelation { relation: name });
-        }
-        self.tables.insert(name, table);
-        Ok(())
-    }
-
     /// Insert or replace a table under its own name.
     pub fn replace(&mut self, table: Table) {
         self.tables.insert(table.name().to_string(), table);
-    }
-
-    /// Remove a table by name, returning it if present.
-    pub fn remove(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name)
     }
 
     /// Look up a table by name.
     pub fn get(&self, name: &str) -> RelResult<&Table> {
         self.tables
             .get(name)
-            .ok_or_else(|| RelError::UnknownRelation {
-                relation: name.to_string(),
-            })
-    }
-
-    /// Look up a table mutably by name.
-    pub fn get_mut(&mut self, name: &str) -> RelResult<&mut Table> {
-        self.tables
-            .get_mut(name)
             .ok_or_else(|| RelError::UnknownRelation {
                 relation: name.to_string(),
             })
@@ -113,16 +92,10 @@ mod tests {
         assert!(c.contains("requests"));
         assert_eq!(c.get("requests").unwrap().len(), 1);
         assert!(c.get("missing").is_err());
-        assert!(c.remove("history").is_some());
-        assert!(!c.contains("history"));
-    }
-
-    #[test]
-    fn try_register_rejects_duplicates() {
-        let mut c = Catalog::new();
-        c.try_register(table("requests")).unwrap();
-        let err = c.try_register(table("requests")).unwrap_err();
-        assert!(matches!(err, RelError::DuplicateRelation { .. }));
+        assert!(!c.contains("missing"));
+        let mut names = c.relation_names();
+        names.sort_unstable();
+        assert_eq!(names, vec!["history", "requests"]);
     }
 
     #[test]
@@ -132,13 +105,5 @@ mod tests {
         let schema = Schema::new(vec![Field::int("x")]);
         c.replace(Table::new("requests", schema));
         assert_eq!(c.get("requests").unwrap().len(), 0);
-    }
-
-    #[test]
-    fn get_mut_allows_in_place_mutation() {
-        let mut c = Catalog::new();
-        c.register(table("requests"));
-        c.get_mut("requests").unwrap().push(tuple![2]).unwrap();
-        assert_eq!(c.get("requests").unwrap().len(), 2);
     }
 }

@@ -21,11 +21,6 @@ pub enum RelError {
         /// The relation that was requested.
         relation: String,
     },
-    /// A relation with this name is already registered.
-    DuplicateRelation {
-        /// The offending name.
-        relation: String,
-    },
     /// A tuple's arity or a value's type does not match the schema.
     SchemaMismatch {
         /// Human-readable description of the mismatch.
@@ -43,11 +38,6 @@ pub enum RelError {
         /// Right schema rendered as text.
         right: String,
     },
-    /// An aggregate was used in a non-aggregating context or vice versa.
-    InvalidAggregate {
-        /// Human-readable description.
-        detail: String,
-    },
 }
 
 impl fmt::Display for RelError {
@@ -61,15 +51,11 @@ impl fmt::Display for RelError {
             RelError::UnknownRelation { relation } => {
                 write!(f, "unknown relation `{relation}`")
             }
-            RelError::DuplicateRelation { relation } => {
-                write!(f, "relation `{relation}` is already registered")
-            }
             RelError::SchemaMismatch { detail } => write!(f, "schema mismatch: {detail}"),
             RelError::TypeError { detail } => write!(f, "type error: {detail}"),
             RelError::NotUnionCompatible { left, right } => {
                 write!(f, "inputs are not union-compatible: {left} vs {right}")
             }
-            RelError::InvalidAggregate { detail } => write!(f, "invalid aggregate: {detail}"),
         }
     }
 }

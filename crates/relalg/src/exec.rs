@@ -1,6 +1,6 @@
 //! Plan execution: a straightforward materialising evaluator.
 //!
-//! Every node produces an intermediate [`Table`] (unnamed).  This is the
+//! Every node produces an intermediate [`ResultSet`] (unnamed).  This is the
 //! right trade-off for the declarative scheduler: its relations are a batch
 //! of pending requests plus the relevant history, i.e. thousands of rows,
 //! not millions, and the same plan is re-executed every scheduling round.
@@ -9,10 +9,9 @@
 
 use crate::catalog::Catalog;
 use crate::error::{RelError, RelResult};
-use crate::expr::{AggFunc, BinOp, Expr};
-use crate::plan::{Aggregate, JoinKind, Plan, SortOrder};
-use crate::schema::{DataType, Field, Schema};
-use crate::table::Table;
+use crate::expr::{BinOp, Expr};
+use crate::plan::{JoinKind, Plan};
+use crate::schema::{Field, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -50,27 +49,6 @@ impl ResultSet {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Consume into rows.
-    pub fn into_rows(self) -> Vec<Tuple> {
-        self.rows
-    }
-
-    /// Convert into a named table (e.g. to register the output as `rte`).
-    pub fn into_table(self, name: impl Into<String>) -> Table {
-        let mut t = Table::new(name, self.schema.clone());
-        for row in self.rows {
-            // Rows were produced under this schema, so this cannot fail.
-            t.push(row).expect("result rows always match result schema");
-        }
-        t
-    }
-
-    /// Extract a single column as values.
-    pub fn column(&self, name: &str) -> RelResult<Vec<Value>> {
-        let idx = self.schema.try_index_of(name)?;
-        Ok(self.rows.iter().map(|r| *r.get(idx)).collect())
-    }
 }
 
 /// Execute a logical plan against a catalog.
@@ -82,22 +60,6 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> RelResult<ResultSet> {
                 table.schema().clone(),
                 table.rows().to_vec(),
             ))
-        }
-        Plan::Values { columns, rows } => {
-            let fields = columns
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let dt = rows
-                        .first()
-                        .map(|r| literal_type(&r[i]))
-                        .unwrap_or(DataType::Any);
-                    Field::new(c.clone(), dt)
-                })
-                .collect();
-            let schema = Schema::new(fields);
-            let tuples = rows.iter().map(|r| Tuple::new(r.clone())).collect();
-            Ok(ResultSet::new(schema, tuples))
         }
         Plan::Select { input, predicate } => {
             let input = execute(input, catalog)?;
@@ -158,20 +120,6 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> RelResult<ResultSet> {
             }
             Ok(ResultSet::new(l.schema().clone(), rows))
         }
-        Plan::Intersect { left, right } => {
-            let l = execute(left, catalog)?;
-            let r = execute(right, catalog)?;
-            check_union_compatible(&l, &r)?;
-            let keep: std::collections::HashSet<&Tuple> = r.rows().iter().collect();
-            let mut seen = std::collections::HashSet::new();
-            let mut rows = Vec::new();
-            for row in l.rows() {
-                if keep.contains(row) && seen.insert(row.clone()) {
-                    rows.push(row.clone());
-                }
-            }
-            Ok(ResultSet::new(l.schema().clone(), rows))
-        }
         Plan::Distinct { input } => {
             let input = execute(input, catalog)?;
             let mut seen = std::collections::HashSet::new();
@@ -182,48 +130,6 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> RelResult<ResultSet> {
                 }
             }
             Ok(ResultSet::new(input.schema().clone(), rows))
-        }
-        Plan::Sort { input, keys } => {
-            let input = execute(input, catalog)?;
-            let schema = input.schema().clone();
-            // Pre-compute sort keys so expression evaluation errors surface
-            // before the (infallible) sort comparator runs.
-            let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::with_capacity(input.len());
-            for row in input.rows() {
-                let mut kvals = Vec::with_capacity(keys.len());
-                for k in keys {
-                    kvals.push(k.expr.eval(row, &schema)?);
-                }
-                keyed.push((kvals, row.clone()));
-            }
-            keyed.sort_by(|(ka, _), (kb, _)| {
-                for (i, key) in keys.iter().enumerate() {
-                    let ord = ka[i].total_cmp(&kb[i]);
-                    let ord = match key.order {
-                        SortOrder::Asc => ord,
-                        SortOrder::Desc => ord.reverse(),
-                    };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            let rows = keyed.into_iter().map(|(_, t)| t).collect();
-            Ok(ResultSet::new(schema, rows))
-        }
-        Plan::Limit { input, count } => {
-            let input = execute(input, catalog)?;
-            let rows = input.rows().iter().take(*count).cloned().collect();
-            Ok(ResultSet::new(input.schema().clone(), rows))
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            let input = execute(input, catalog)?;
-            execute_aggregate(&input, group_by, aggregates)
         }
         Plan::Rename { input, columns } => {
             let input = execute(input, catalog)?;
@@ -243,16 +149,6 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> RelResult<ResultSet> {
                 .collect();
             Ok(ResultSet::new(Schema::new(fields), input.rows().to_vec()))
         }
-    }
-}
-
-fn literal_type(v: &Value) -> DataType {
-    match v {
-        Value::Int(_) => DataType::Int,
-        Value::Float(_) => DataType::Float,
-        Value::Bool(_) => DataType::Bool,
-        Value::Str(_) => DataType::Str,
-        Value::Null => DataType::Any,
     }
 }
 
@@ -292,7 +188,11 @@ fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-fn extract_equi_keys(on: &Expr, left: &Schema, right: &Schema) -> EquiKeys {
+/// Turn each `col = col` conjunct of `on` whose two names land on opposite
+/// sides of the joined schema into a hash key pair.  Names resolve exactly
+/// as the residual and nested-loop paths resolve them: against the joined
+/// schema, where a name both inputs carry means the left column.
+fn extract_equi_keys(on: &Expr, joined: &Schema, left_arity: usize) -> EquiKeys {
     let mut keys = EquiKeys {
         left: Vec::new(),
         right: Vec::new(),
@@ -306,16 +206,17 @@ fn extract_equi_keys(on: &Expr, left: &Schema, right: &Schema) -> EquiKeys {
         } = conj
         {
             if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                // col(left) = col(right) in either order
-                if let (Some(li), Some(ri)) = (left.index_of(ca), right.index_of(cb)) {
-                    keys.left.push(li);
-                    keys.right.push(ri);
-                    continue;
-                }
-                if let (Some(li), Some(ri)) = (left.index_of(cb), right.index_of(ca)) {
-                    keys.left.push(li);
-                    keys.right.push(ri);
-                    continue;
+                if let (Some(ia), Some(ib)) = (joined.index_of(ca), joined.index_of(cb)) {
+                    let pair = match (ia < left_arity, ib < left_arity) {
+                        (true, false) => Some((ia, ib - left_arity)),
+                        (false, true) => Some((ib, ia - left_arity)),
+                        _ => None,
+                    };
+                    if let Some((li, ri)) = pair {
+                        keys.left.push(li);
+                        keys.right.push(ri);
+                        continue;
+                    }
                 }
             }
         }
@@ -332,12 +233,12 @@ fn execute_join(
 ) -> RelResult<ResultSet> {
     let joined_schema = l.schema().join(r.schema(), "right");
     let out_schema = match kind {
-        JoinKind::Inner | JoinKind::LeftOuter => joined_schema.clone(),
+        JoinKind::Inner => joined_schema.clone(),
         JoinKind::Semi | JoinKind::Anti => l.schema().clone(),
     };
 
     // Decide between hash and nested-loop strategies.
-    let equi = on.map(|e| extract_equi_keys(e, l.schema(), r.schema()));
+    let equi = on.map(|e| extract_equi_keys(e, &joined_schema, l.schema().len()));
     let use_hash = equi.as_ref().map(|k| !k.left.is_empty()).unwrap_or(false);
 
     let mut out_rows: Vec<Tuple> = Vec::new();
@@ -368,9 +269,7 @@ fn execute_join(
                         if passes {
                             matched = true;
                             match kind {
-                                JoinKind::Inner | JoinKind::LeftOuter => {
-                                    out_rows.push(combined);
-                                }
+                                JoinKind::Inner => out_rows.push(combined),
                                 JoinKind::Semi => {
                                     out_rows.push(lrow.clone());
                                     break;
@@ -381,7 +280,9 @@ fn execute_join(
                     }
                 }
             }
-            finish_left_row(kind, matched, lrow, r.schema().len(), &mut out_rows);
+            if kind == JoinKind::Anti && !matched {
+                out_rows.push(lrow.clone());
+            }
         }
     } else {
         for lrow in l.rows() {
@@ -395,7 +296,7 @@ fn execute_join(
                 if passes {
                     matched = true;
                     match kind {
-                        JoinKind::Inner | JoinKind::LeftOuter => out_rows.push(combined),
+                        JoinKind::Inner => out_rows.push(combined),
                         JoinKind::Semi => {
                             out_rows.push(lrow.clone());
                             break;
@@ -404,7 +305,9 @@ fn execute_join(
                     }
                 }
             }
-            finish_left_row(kind, matched, lrow, r.schema().len(), &mut out_rows);
+            if kind == JoinKind::Anti && !matched {
+                out_rows.push(lrow.clone());
+            }
         }
     }
 
@@ -420,133 +323,11 @@ fn residual_passes(residual: &[Expr], combined: &Tuple, schema: &Schema) -> RelR
     Ok(true)
 }
 
-fn finish_left_row(
-    kind: JoinKind,
-    matched: bool,
-    lrow: &Tuple,
-    right_arity: usize,
-    out_rows: &mut Vec<Tuple>,
-) {
-    match kind {
-        JoinKind::LeftOuter if !matched => out_rows.push(lrow.concat_nulls(right_arity)),
-        JoinKind::Anti if !matched => out_rows.push(lrow.clone()),
-        _ => {}
-    }
-}
-
-fn execute_aggregate(
-    input: &ResultSet,
-    group_by: &[Expr],
-    aggregates: &[Aggregate],
-) -> RelResult<ResultSet> {
-    if aggregates.is_empty() && group_by.is_empty() {
-        return Err(RelError::InvalidAggregate {
-            detail: "aggregate node with neither group keys nor aggregates".into(),
-        });
-    }
-
-    // Output schema: group keys then aggregates.
-    let mut fields = Vec::with_capacity(group_by.len() + aggregates.len());
-    for g in group_by {
-        fields.push(Field::new(g.display_name(), g.result_type(input.schema())));
-    }
-    for a in aggregates {
-        let dt = match a.func {
-            AggFunc::Count => DataType::Int,
-            AggFunc::Avg => DataType::Float,
-            _ => a.expr.result_type(input.schema()),
-        };
-        fields.push(Field::new(a.alias.clone(), dt));
-    }
-    let schema = Schema::new(fields);
-
-    // Group rows.
-    let mut groups: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for row in input.rows() {
-        let mut key = Vec::with_capacity(group_by.len());
-        for g in group_by {
-            key.push(g.eval(row, input.schema())?);
-        }
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push(row);
-    }
-    // Global aggregate over an empty input still yields one row.
-    if group_by.is_empty() && groups.is_empty() {
-        order.push(Vec::new());
-        groups.insert(Vec::new(), Vec::new());
-    }
-
-    let mut out_rows = Vec::with_capacity(groups.len());
-    for key in order {
-        let rows = &groups[&key];
-        let mut values = key.clone();
-        for agg in aggregates {
-            values.push(compute_aggregate(agg, rows, input.schema())?);
-        }
-        out_rows.push(Tuple::new(values));
-    }
-    Ok(ResultSet::new(schema, out_rows))
-}
-
-fn compute_aggregate(agg: &Aggregate, rows: &[&Tuple], schema: &Schema) -> RelResult<Value> {
-    let mut non_null: Vec<Value> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let v = agg.expr.eval(row, schema)?;
-        if !v.is_null() {
-            non_null.push(v);
-        }
-    }
-    Ok(match agg.func {
-        AggFunc::Count => Value::Int(non_null.len() as i64),
-        AggFunc::Min => non_null
-            .iter()
-            .cloned()
-            .min_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null),
-        AggFunc::Max => non_null
-            .iter()
-            .cloned()
-            .max_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null),
-        AggFunc::Sum => {
-            if non_null.is_empty() {
-                Value::Null
-            } else if non_null.iter().all(|v| matches!(v, Value::Int(_))) {
-                Value::Int(non_null.iter().map(|v| v.as_int().unwrap_or(0)).sum())
-            } else {
-                let mut sum = 0.0;
-                for v in &non_null {
-                    sum += v.as_float().ok_or_else(|| RelError::TypeError {
-                        detail: format!("SUM over non-numeric `{v}`"),
-                    })?;
-                }
-                Value::Float(sum)
-            }
-        }
-        AggFunc::Avg => {
-            if non_null.is_empty() {
-                Value::Null
-            } else {
-                let mut sum = 0.0;
-                for v in &non_null {
-                    sum += v.as_float().ok_or_else(|| RelError::TypeError {
-                        detail: format!("AVG over non-numeric `{v}`"),
-                    })?;
-                }
-                Value::Float(sum / non_null.len() as f64)
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::PlanBuilder;
-    use crate::plan::SortKey;
+    use crate::table::Table;
     use crate::tuple;
 
     fn catalog() -> Catalog {
@@ -585,55 +366,55 @@ mod tests {
         assert_eq!(out.rows()[0].get(0), &Value::Int(1));
     }
 
-    #[test]
-    fn inner_join_hash_path_matches_nested_loop() {
-        let c = catalog();
-        // Hash path: pure equi-join.
-        let hash_plan = PlanBuilder::scan("requests")
-            .join(
-                PlanBuilder::scan("history").rename(vec!["h_id", "h_ta", "h_op", "h_object"]),
-                JoinKind::Inner,
-                Some(Expr::col("object").eq(Expr::col("h_object"))),
-            )
-            .build();
-        // Nested-loop path: force non-equi shape with the same semantics.
-        let nl_plan = PlanBuilder::scan("requests")
-            .join(
-                PlanBuilder::scan("history").rename(vec!["h_id", "h_ta", "h_op", "h_object"]),
-                JoinKind::Inner,
-                Some(
-                    Expr::col("object")
-                        .ge(Expr::col("h_object"))
-                        .and(Expr::col("object").le(Expr::col("h_object"))),
-                ),
-            )
-            .build();
-        let a = execute(&hash_plan, &c).unwrap();
-        let b = execute(&nl_plan, &c).unwrap();
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.len(), 3); // objects 10 (two requests) and 12 (one)
+    /// Sorted rows, so results of the two join strategies compare as bags.
+    fn sorted_rows(out: &ResultSet) -> Vec<String> {
+        let mut rows: Vec<String> = out.rows().iter().map(Tuple::to_string).collect();
+        rows.sort_unstable();
+        rows
     }
 
     #[test]
-    fn left_outer_join_pads_with_nulls() {
+    fn inner_join_hash_path_matches_nested_loop() {
         let c = catalog();
-        let plan = PlanBuilder::scan("requests")
-            .join(
-                PlanBuilder::scan("history").rename(vec!["h_id", "h_ta", "h_op", "h_object"]),
-                JoinKind::LeftOuter,
-                Some(Expr::col("object").eq(Expr::col("h_object"))),
-            )
-            .build();
-        let out = execute(&plan, &c).unwrap();
-        assert_eq!(out.len(), 4);
-        // request with object 11 has no history match -> NULL padded.
-        let unmatched: Vec<&Tuple> = out
-            .rows()
-            .iter()
-            .filter(|r| r.get(3).as_int() == Some(11))
-            .collect();
-        assert_eq!(unmatched.len(), 1);
-        assert!(unmatched[0].get(4).is_null());
+        // (renamed history columns, left column, right column, expected
+        // inner-join rows).  In the second case `id` names a column of both
+        // inputs; over the joined schema it means the left one, so the
+        // predicate compares two left columns and no hash key exists.
+        let cases = [
+            (
+                ["h_id", "h_ta", "h_op", "h_object"],
+                "object",
+                "h_object",
+                3,
+            ),
+            (["h_id", "id", "h_op", "h_object"], "ta", "id", 2),
+        ];
+        for (columns, lcol, rcol, inner_rows) in cases {
+            let history = || PlanBuilder::scan("history").rename(columns.to_vec());
+            // Hash path: pure equi-join.
+            let eq = Expr::col(lcol).eq(Expr::col(rcol));
+            // Nested-loop path: force non-equi shape with the same semantics.
+            let range = Expr::col(lcol)
+                .ge(Expr::col(rcol))
+                .and(Expr::col(lcol).le(Expr::col(rcol)));
+            for kind in [JoinKind::Inner, JoinKind::Semi, JoinKind::Anti] {
+                let run = |on: &Expr| {
+                    let plan = PlanBuilder::scan("requests")
+                        .join(history(), kind, Some(on.clone()))
+                        .build();
+                    execute(&plan, &c).unwrap()
+                };
+                let (hash, nested) = (run(&eq), run(&range));
+                assert_eq!(
+                    sorted_rows(&hash),
+                    sorted_rows(&nested),
+                    "{kind:?} on {lcol} = {rcol}"
+                );
+                if kind == JoinKind::Inner {
+                    assert_eq!(hash.len(), inner_rows, "{lcol} = {rcol}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -661,13 +442,10 @@ mod tests {
         let a = PlanBuilder::scan("requests").project(vec![Expr::col("ta")]);
         let b = PlanBuilder::scan("history").project(vec![Expr::col("ta")]);
         let union = a.clone().union_all(b.clone()).build();
-        let except = a.clone().except(b.clone()).build();
-        let intersect = a.clone().intersect(a.clone()).build();
+        let except = a.except(b).build();
         assert_eq!(execute(&union, &c).unwrap().len(), 6);
         // EXCEPT is set-semantics: tas {1,2,3} minus {9} = {1,2,3}
         assert_eq!(execute(&except, &c).unwrap().len(), 3);
-        // INTERSECT with itself deduplicates: {1,2,3}
-        assert_eq!(execute(&intersect, &c).unwrap().len(), 3);
     }
 
     #[test]
@@ -688,96 +466,39 @@ mod tests {
         let plan = PlanBuilder::scan("requests")
             .project(vec![Expr::col("operation")])
             .distinct()
-            .sort(vec![SortKey::desc(Expr::col("operation"))])
-            .limit(1)
             .build();
         let out = execute(&plan, &c).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0].get(0).as_str(), Some("w"));
-    }
-
-    #[test]
-    fn aggregate_grouped_and_global() {
-        let c = catalog();
-        let grouped = PlanBuilder::scan("requests")
-            .aggregate(
-                vec![Expr::col("ta")],
-                vec![Aggregate::new(AggFunc::Count, Expr::col("id"), "n")],
-            )
-            .sort(vec![SortKey::asc(Expr::col("ta"))])
-            .build();
-        let out = execute(&grouped, &c).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.rows()[0].get(1), &Value::Int(2)); // ta=1 has 2 requests
-
-        let global = PlanBuilder::scan("requests")
-            .aggregate(
-                vec![],
-                vec![
-                    Aggregate::new(AggFunc::Count, Expr::col("id"), "n"),
-                    Aggregate::new(AggFunc::Max, Expr::col("object"), "max_obj"),
-                    Aggregate::new(AggFunc::Min, Expr::col("object"), "min_obj"),
-                    Aggregate::new(AggFunc::Sum, Expr::col("object"), "sum_obj"),
-                    Aggregate::new(AggFunc::Avg, Expr::col("object"), "avg_obj"),
-                ],
-            )
-            .build();
-        let out = execute(&global, &c).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0].get(0), &Value::Int(4));
-        assert_eq!(out.rows()[0].get(1), &Value::Int(12));
-        assert_eq!(out.rows()[0].get(2), &Value::Int(10));
-        assert_eq!(out.rows()[0].get(3), &Value::Int(43));
-        assert_eq!(out.rows()[0].get(4), &Value::Float(43.0 / 4.0));
-    }
-
-    #[test]
-    fn aggregate_over_empty_input_yields_single_row() {
-        let mut c = Catalog::new();
-        c.register(Table::new("empty", Schema::new(vec![Field::int("x")])));
-        let plan = PlanBuilder::scan("empty")
-            .aggregate(
-                vec![],
-                vec![Aggregate::new(AggFunc::Count, Expr::col("x"), "n")],
-            )
-            .build();
-        let out = execute(&plan, &c).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0].get(0), &Value::Int(0));
+        let mut ops: Vec<&str> = out
+            .rows()
+            .iter()
+            .filter_map(|r| r.get(0).as_str())
+            .collect();
+        ops.sort_unstable();
+        assert_eq!(ops, vec!["r", "w"]);
     }
 
     #[test]
     fn values_plan_and_rename() {
-        let c = Catalog::new();
-        let plan = Plan::Values {
-            columns: vec!["a".into(), "b".into()],
-            rows: vec![
-                vec![Value::Int(1), Value::str("x")],
-                vec![Value::Int(2), Value::str("y")],
-            ],
-        };
-        let out = execute(&plan, &c).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.schema().names(), vec!["a", "b"]);
-
+        let c = catalog();
+        let plan = PlanBuilder::scan("requests")
+            .project(vec![Expr::col("ta"), Expr::col("operation")])
+            .build();
         let renamed = Plan::Rename {
-            input: Box::new(plan),
+            input: Box::new(plan.clone()),
             columns: vec!["p".into(), "q".into()],
         };
         let out = execute(&renamed, &c).unwrap();
         assert_eq!(out.schema().names(), vec!["p", "q"]);
-    }
+        assert_eq!(out.rows(), execute(&plan, &c).unwrap().rows());
 
-    #[test]
-    fn result_set_into_table_and_column() {
-        let c = catalog();
-        let plan = PlanBuilder::scan("requests").build();
-        let out = execute(&plan, &c).unwrap();
-        let col = out.column("ta").unwrap();
-        assert_eq!(col.len(), 4);
-        let t = out.into_table("rte");
-        assert_eq!(t.name(), "rte");
-        assert_eq!(t.len(), 4);
+        let wrong_arity = Plan::Rename {
+            input: Box::new(plan),
+            columns: vec!["p".into()],
+        };
+        assert!(matches!(
+            execute(&wrong_arity, &c),
+            Err(RelError::SchemaMismatch { .. })
+        ));
     }
 
     #[test]

@@ -25,12 +25,6 @@ pub enum BinOp {
     And,
     /// Logical OR (three-valued).
     Or,
-    /// Integer/float addition.
-    Add,
-    /// Integer/float subtraction.
-    Sub,
-    /// Integer/float multiplication.
-    Mul,
 }
 
 impl fmt::Display for BinOp {
@@ -44,37 +38,6 @@ impl fmt::Display for BinOp {
             BinOp::Ge => ">=",
             BinOp::And => "AND",
             BinOp::Or => "OR",
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Aggregate functions supported by [`crate::plan::Plan::Aggregate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// Row count.
-    Count,
-    /// Sum of an integer/float column.
-    Sum,
-    /// Minimum value.
-    Min,
-    /// Maximum value.
-    Max,
-    /// Arithmetic mean.
-    Avg,
-}
-
-impl fmt::Display for AggFunc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            AggFunc::Count => "COUNT",
-            AggFunc::Sum => "SUM",
-            AggFunc::Min => "MIN",
-            AggFunc::Max => "MAX",
-            AggFunc::Avg => "AVG",
         };
         f.write_str(s)
     }
@@ -99,10 +62,6 @@ pub enum Expr {
     },
     /// Logical negation (three-valued: NOT NULL = NULL).
     Not(Box<Expr>),
-    /// `IS NULL` test.
-    IsNull(Box<Expr>),
-    /// `IS NOT NULL` test.
-    IsNotNull(Box<Expr>),
     /// `expr IN (v1, v2, ...)` membership test against literals.
     InList {
         /// Tested expression.
@@ -163,32 +122,10 @@ impl Expr {
         self.binary(BinOp::Or, other)
     }
 
-    /// `self + other`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn add(self, other: Expr) -> Expr {
-        self.binary(BinOp::Add, other)
-    }
-
-    /// `self - other`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn sub(self, other: Expr) -> Expr {
-        self.binary(BinOp::Sub, other)
-    }
-
     /// `NOT self`.
     #[allow(clippy::should_implement_trait)]
     pub fn not(self) -> Expr {
         Expr::Not(Box::new(self))
-    }
-
-    /// `self IS NULL`.
-    pub fn is_null(self) -> Expr {
-        Expr::IsNull(Box::new(self))
-    }
-
-    /// `self IS NOT NULL`.
-    pub fn is_not_null(self) -> Expr {
-        Expr::IsNotNull(Box::new(self))
     }
 
     /// `self IN (list)`.
@@ -204,27 +141,6 @@ impl Expr {
             op,
             left: Box::new(self),
             right: Box::new(other),
-        }
-    }
-
-    /// All column names referenced by this expression (used by the optimizer
-    /// for predicate pushdown).
-    pub fn columns(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Expr::Column(c) => out.push(c.as_str()),
-            Expr::Literal(_) => {}
-            Expr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) => e.collect_columns(out),
-            Expr::InList { expr, .. } => expr.collect_columns(out),
         }
     }
 
@@ -250,8 +166,6 @@ impl Expr {
                     Ok(Value::Bool(!b))
                 }
             },
-            Expr::IsNull(e) => Ok(Value::Bool(e.eval(tuple, schema)?.is_null())),
-            Expr::IsNotNull(e) => Ok(Value::Bool(!e.eval(tuple, schema)?.is_null())),
             Expr::InList { expr, list } => {
                 let v = expr.eval(tuple, schema)?;
                 if v.is_null() {
@@ -288,21 +202,7 @@ impl Expr {
                 Value::Str(_) => DataType::Str,
                 Value::Null => DataType::Any,
             },
-            Expr::Binary { op, left, right } => match op {
-                BinOp::Add | BinOp::Sub | BinOp::Mul => {
-                    let lt = left.result_type(schema);
-                    let rt = right.result_type(schema);
-                    if lt == DataType::Float || rt == DataType::Float {
-                        DataType::Float
-                    } else {
-                        DataType::Int
-                    }
-                }
-                _ => DataType::Bool,
-            },
-            Expr::Not(_) | Expr::IsNull(_) | Expr::IsNotNull(_) | Expr::InList { .. } => {
-                DataType::Bool
-            }
+            Expr::Binary { .. } | Expr::Not(_) | Expr::InList { .. } => DataType::Bool,
         }
     }
 
@@ -351,33 +251,6 @@ fn eval_binary(op: BinOp, l: &Value, r: &Value) -> RelResult<Value> {
                 detail: format!("OR applied to `{l}` and `{r}`"),
             }),
         },
-        Add | Sub | Mul => {
-            if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
-            }
-            match (l, r) {
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(match op {
-                    Add => a.wrapping_add(*b),
-                    Sub => a.wrapping_sub(*b),
-                    Mul => a.wrapping_mul(*b),
-                    _ => unreachable!(),
-                })),
-                _ => {
-                    let a = l.as_float().ok_or_else(|| RelError::TypeError {
-                        detail: format!("arithmetic on non-numeric `{l}`"),
-                    })?;
-                    let b = r.as_float().ok_or_else(|| RelError::TypeError {
-                        detail: format!("arithmetic on non-numeric `{r}`"),
-                    })?;
-                    Ok(Value::Float(match op {
-                        Add => a + b,
-                        Sub => a - b,
-                        Mul => a * b,
-                        _ => unreachable!(),
-                    }))
-                }
-            }
-        }
     }
 }
 
@@ -391,8 +264,6 @@ impl fmt::Display for Expr {
             },
             Expr::Binary { op, left, right } => write!(f, "({left} {op} {right})"),
             Expr::Not(e) => write!(f, "(NOT {e})"),
-            Expr::IsNull(e) => write!(f, "({e} IS NULL)"),
-            Expr::IsNotNull(e) => write!(f, "({e} IS NOT NULL)"),
             Expr::InList { expr, list } => {
                 write!(f, "({expr} IN (")?;
                 for (i, v) in list.iter().enumerate() {
@@ -454,27 +325,12 @@ mod tests {
         // NULL = 1 is NULL, which a WHERE clause treats as rejection.
         let pred = Expr::col("x").eq(Expr::lit(1));
         assert!(!pred.eval_predicate(&t, &s).unwrap());
-        // IS NULL sees it.
-        assert!(Expr::col("x").is_null().eval_predicate(&t, &s).unwrap());
-        assert!(!Expr::col("x").is_not_null().eval_predicate(&t, &s).unwrap());
         // NOT NULL stays NULL -> rejected.
         assert!(!Expr::col("x")
             .eq(Expr::lit(1))
             .not()
             .eval_predicate(&t, &s)
             .unwrap());
-    }
-
-    #[test]
-    fn arithmetic_int_and_float() {
-        let s = schema();
-        let t = tuple![7, "w", 42, 0.5];
-        let e = Expr::col("ta").add(Expr::lit(3));
-        assert_eq!(e.eval(&t, &s).unwrap(), Value::Int(10));
-        let e = Expr::col("weight").add(Expr::lit(1));
-        assert_eq!(e.eval(&t, &s).unwrap(), Value::Float(1.5));
-        let e = Expr::col("operation").add(Expr::lit(1));
-        assert!(e.eval(&t, &s).is_err());
     }
 
     #[test]
@@ -505,16 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_collected_for_pushdown() {
-        let e = Expr::col("a")
-            .eq(Expr::lit(1))
-            .and(Expr::col("b").is_null());
-        let mut cols = e.columns();
-        cols.sort_unstable();
-        assert_eq!(cols, vec!["a", "b"]);
-    }
-
-    #[test]
     fn display_is_readable_sql_like() {
         let e = Expr::col("op")
             .eq(Expr::lit("w"))
@@ -526,10 +372,7 @@ mod tests {
     fn result_types() {
         let s = schema();
         assert_eq!(Expr::col("ta").result_type(&s), DataType::Int);
-        assert_eq!(
-            Expr::col("weight").add(Expr::lit(1)).result_type(&s),
-            DataType::Float
-        );
+        assert_eq!(Expr::col("weight").result_type(&s), DataType::Float);
         assert_eq!(
             Expr::col("ta").eq(Expr::lit(1)).result_type(&s),
             DataType::Bool

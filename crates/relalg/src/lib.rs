@@ -11,12 +11,12 @@
 //!
 //! * a dynamically typed [`Value`]/[`Tuple`] data model with named
 //!   [`Schema`]s,
-//! * heap [`Table`]s with optional hash indexes,
-//! * scalar [`expr::Expr`]essions and predicates,
-//! * a logical [`plan::Plan`] algebra (scan, select, project, joins including
-//!   semi/anti joins, union, except, distinct, sort, limit, aggregate),
-//! * a straightforward iterator-style [`exec`]utor plus a small rule-based
-//!   [`optimizer`],
+//! * heap [`Table`]s whose clones are copy-on-write snapshots,
+//! * scalar [`expr::Expr`]essions and predicates (comparisons, `AND`, `OR`,
+//!   `NOT`, `IN`),
+//! * a logical [`plan::Plan`] algebra (scan, select, project, rename, inner,
+//!   semi and anti joins, union all, except, distinct),
+//! * a straightforward materialising [`exec`]utor with a hash-join path,
 //! * a [`Catalog`] for registering named relations, and
 //! * a fluent [`builder`] API so scheduling protocols can be written as
 //!   readable algebra instead of strings.
@@ -61,7 +61,6 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod intern;
-pub mod optimizer;
 pub mod plan;
 pub mod schema;
 pub mod table;
@@ -74,7 +73,7 @@ pub use error::{RelError, RelResult};
 pub use exec::execute;
 pub use expr::Expr;
 pub use intern::Symbol;
-pub use plan::{JoinKind, Plan, SortKey, SortOrder};
+pub use plan::{JoinKind, Plan};
 pub use schema::{DataType, Field, Schema};
 pub use table::Table;
 pub use tuple::Tuple;
@@ -86,10 +85,9 @@ pub mod prelude {
     pub use crate::catalog::Catalog;
     pub use crate::error::{RelError, RelResult};
     pub use crate::exec::execute;
-    pub use crate::expr::{AggFunc, BinOp, Expr};
+    pub use crate::expr::{BinOp, Expr};
     pub use crate::intern::Symbol;
-    pub use crate::optimizer::optimize;
-    pub use crate::plan::{JoinKind, Plan, SortKey, SortOrder};
+    pub use crate::plan::{JoinKind, Plan};
     pub use crate::schema::{DataType, Field, Schema};
     pub use crate::table::Table;
     pub use crate::tuple::Tuple;

@@ -1,90 +1,17 @@
 //! Logical relational algebra plans.
 
-use crate::expr::{AggFunc, Expr};
-use std::fmt;
+use crate::expr::Expr;
 
 /// Kind of join to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     /// Inner equi/theta join: output concatenated matching pairs.
     Inner,
-    /// Left outer join: unmatched left tuples padded with NULLs.
-    LeftOuter,
     /// Left semi join: left tuples with at least one match, left columns only.
     Semi,
     /// Left anti join: left tuples with no match, left columns only.  This is
     /// the workhorse of the paper's SS2PL rule (`NOT EXISTS` / `EXCEPT`).
     Anti,
-}
-
-impl fmt::Display for JoinKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            JoinKind::Inner => "INNER",
-            JoinKind::LeftOuter => "LEFT OUTER",
-            JoinKind::Semi => "SEMI",
-            JoinKind::Anti => "ANTI",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Sort direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortOrder {
-    /// Ascending (default).
-    Asc,
-    /// Descending.
-    Desc,
-}
-
-/// One sort key: an expression plus a direction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SortKey {
-    /// Key expression (usually a column).
-    pub expr: Expr,
-    /// Direction.
-    pub order: SortOrder,
-}
-
-impl SortKey {
-    /// Ascending sort key on an expression.
-    pub fn asc(expr: Expr) -> Self {
-        SortKey {
-            expr,
-            order: SortOrder::Asc,
-        }
-    }
-
-    /// Descending sort key on an expression.
-    pub fn desc(expr: Expr) -> Self {
-        SortKey {
-            expr,
-            order: SortOrder::Desc,
-        }
-    }
-}
-
-/// One aggregate computation: function, argument and output column name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Aggregate {
-    /// Aggregate function.
-    pub func: AggFunc,
-    /// Argument expression (ignored for COUNT(*), pass any column or literal).
-    pub expr: Expr,
-    /// Name of the output column.
-    pub alias: String,
-}
-
-impl Aggregate {
-    /// Construct an aggregate.
-    pub fn new(func: AggFunc, expr: Expr, alias: impl Into<String>) -> Self {
-        Aggregate {
-            func,
-            expr,
-            alias: alias.into(),
-        }
-    }
 }
 
 /// A projection item: expression plus optional alias.
@@ -120,24 +47,15 @@ impl ProjectItem {
 
 /// A logical relational algebra plan.
 ///
-/// Plans are trees; leaves are [`Plan::Scan`]s of catalog relations or
-/// [`Plan::Values`] literals.  The executor ([`crate::exec::execute`])
-/// materialises every node, which is appropriate for the scheduler's small
-/// per-round relations.
+/// Plans are trees whose leaves are [`Plan::Scan`]s of catalog relations.
+/// The executor ([`crate::exec::execute`]) materialises every node, which is
+/// appropriate for the scheduler's small per-round relations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Scan a named relation from the catalog.
     Scan {
         /// Relation name.
         relation: String,
-    },
-    /// A literal relation given inline (column names + rows of expressions
-    /// must be literal values).
-    Values {
-        /// Output column names.
-        columns: Vec<String>,
-        /// Literal rows.
-        rows: Vec<Vec<crate::value::Value>>,
     },
     /// Filter rows by a predicate.
     Select {
@@ -162,7 +80,7 @@ pub enum Plan {
         /// Join kind.
         kind: JoinKind,
         /// Join predicate; `None` means cross join (for Inner) or
-        /// "matches everything" (for Semi/Anti/LeftOuter).
+        /// "matches everything" (for Semi/Anti).
         on: Option<Expr>,
     },
     /// Bag union of two union-compatible inputs (UNION ALL).
@@ -180,41 +98,10 @@ pub enum Plan {
         /// Right input.
         right: Box<Plan>,
     },
-    /// Set intersection of two union-compatible inputs (INTERSECT, set
-    /// semantics).
-    Intersect {
-        /// Left input.
-        left: Box<Plan>,
-        /// Right input.
-        right: Box<Plan>,
-    },
     /// Remove duplicate rows.
     Distinct {
         /// Input plan.
         input: Box<Plan>,
-    },
-    /// Sort rows.
-    Sort {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Sort keys, major first.
-        keys: Vec<SortKey>,
-    },
-    /// Keep only the first `count` rows.
-    Limit {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Maximum number of rows.
-        count: usize,
-    },
-    /// Group-by aggregation.
-    Aggregate {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Grouping expressions (empty = single global group).
-        group_by: Vec<Expr>,
-        /// Aggregates to compute per group.
-        aggregates: Vec<Aggregate>,
     },
     /// Rename the output columns of the input (arity must match).
     Rename {
@@ -225,204 +112,17 @@ pub enum Plan {
     },
 }
 
-impl Plan {
-    /// Number of nodes in the plan tree (used in tests and by the optimizer
-    /// to assert it does not bloat plans).
-    pub fn node_count(&self) -> usize {
-        1 + match self {
-            Plan::Scan { .. } | Plan::Values { .. } => 0,
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Rename { input, .. } => input.node_count(),
-            Plan::Join { left, right, .. }
-            | Plan::UnionAll { left, right }
-            | Plan::Except { left, right }
-            | Plan::Intersect { left, right } => left.node_count() + right.node_count(),
-        }
-    }
-
-    /// Names of all relations scanned by this plan.
-    pub fn scanned_relations(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_scans(&mut out);
-        out
-    }
-
-    fn collect_scans<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Plan::Scan { relation } => out.push(relation.as_str()),
-            Plan::Values { .. } => {}
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Aggregate { input, .. }
-            | Plan::Rename { input, .. } => input.collect_scans(out),
-            Plan::Join { left, right, .. }
-            | Plan::UnionAll { left, right }
-            | Plan::Except { left, right }
-            | Plan::Intersect { left, right } => {
-                left.collect_scans(out);
-                right.collect_scans(out);
-            }
-        }
-    }
-
-    /// Render the plan as an indented tree, one node per line.
-    pub fn explain(&self) -> String {
-        let mut out = String::new();
-        self.explain_into(&mut out, 0);
-        out
-    }
-
-    fn explain_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        match self {
-            Plan::Scan { relation } => out.push_str(&format!("{pad}Scan {relation}\n")),
-            Plan::Values { columns, rows } => out.push_str(&format!(
-                "{pad}Values [{}] ({} rows)\n",
-                columns.join(", "),
-                rows.len()
-            )),
-            Plan::Select { input, predicate } => {
-                out.push_str(&format!("{pad}Select {predicate}\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Project { input, items } => {
-                let cols: Vec<String> = items.iter().map(|i| i.name()).collect();
-                out.push_str(&format!("{pad}Project [{}]\n", cols.join(", ")));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Join {
-                left,
-                right,
-                kind,
-                on,
-            } => {
-                match on {
-                    Some(p) => out.push_str(&format!("{pad}{kind} Join on {p}\n")),
-                    None => out.push_str(&format!("{pad}{kind} Join (cross)\n")),
-                }
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            Plan::UnionAll { left, right } => {
-                out.push_str(&format!("{pad}UnionAll\n"));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            Plan::Except { left, right } => {
-                out.push_str(&format!("{pad}Except\n"));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            Plan::Intersect { left, right } => {
-                out.push_str(&format!("{pad}Intersect\n"));
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            Plan::Distinct { input } => {
-                out.push_str(&format!("{pad}Distinct\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Sort { input, keys } => {
-                let ks: Vec<String> = keys
-                    .iter()
-                    .map(|k| {
-                        format!(
-                            "{} {}",
-                            k.expr,
-                            if k.order == SortOrder::Asc {
-                                "ASC"
-                            } else {
-                                "DESC"
-                            }
-                        )
-                    })
-                    .collect();
-                out.push_str(&format!("{pad}Sort [{}]\n", ks.join(", ")));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Limit { input, count } => {
-                out.push_str(&format!("{pad}Limit {count}\n"));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggregates,
-            } => {
-                let gb: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
-                let ag: Vec<String> = aggregates
-                    .iter()
-                    .map(|a| format!("{}({}) AS {}", a.func, a.expr, a.alias))
-                    .collect();
-                out.push_str(&format!(
-                    "{pad}Aggregate group_by=[{}] aggs=[{}]\n",
-                    gb.join(", "),
-                    ag.join(", ")
-                ));
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Rename { input, columns } => {
-                out.push_str(&format!("{pad}Rename [{}]\n", columns.join(", ")));
-                input.explain_into(out, depth + 1);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_plan() -> Plan {
-        Plan::Select {
-            input: Box::new(Plan::Join {
-                left: Box::new(Plan::Scan {
-                    relation: "requests".into(),
-                }),
-                right: Box::new(Plan::Scan {
-                    relation: "history".into(),
-                }),
-                kind: JoinKind::Anti,
-                on: Some(Expr::col("object").eq(Expr::col("h.object"))),
-            }),
-            predicate: Expr::col("operation").eq(Expr::lit("w")),
-        }
-    }
-
-    #[test]
-    fn node_count_and_scans() {
-        let p = sample_plan();
-        assert_eq!(p.node_count(), 4);
-        assert_eq!(p.scanned_relations(), vec!["requests", "history"]);
-    }
-
-    #[test]
-    fn explain_renders_tree() {
-        let p = sample_plan();
-        let text = p.explain();
-        assert!(text.contains("Select"));
-        assert!(text.contains("ANTI Join"));
-        assert!(text.contains("Scan requests"));
-        // Child nodes are indented deeper than the root.
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[1].starts_with("  "));
-    }
-
     #[test]
     fn sort_key_and_project_item_helpers() {
-        let k = SortKey::desc(Expr::col("ta"));
-        assert_eq!(k.order, SortOrder::Desc);
-        let item = ProjectItem::aliased(Expr::col("ta").add(Expr::lit(1)), "next_ta");
+        let item = ProjectItem::aliased(Expr::col("ta"), "next_ta");
         assert_eq!(item.name(), "next_ta");
         let item = ProjectItem::expr(Expr::col("ta"));
         assert_eq!(item.name(), "ta");
+        let item = ProjectItem::expr(Expr::col("ta").eq(Expr::lit(1)));
+        assert_eq!(item.name(), "(ta = 1)");
     }
 }

@@ -22,8 +22,8 @@ pub enum DataType {
 
 impl DataType {
     /// Whether a concrete runtime [`Value`] is admissible for this type.
-    /// NULL is admissible for every type (all columns are nullable, as in the
-    /// paper's history/pending relations where outer joins introduce NULLs).
+    /// NULL is admissible for every type (all columns are nullable, as in
+    /// SQL).
     pub fn admits(self, value: &Value) -> bool {
         matches!(
             (self, value),

@@ -1,10 +1,8 @@
-//! Heap tables with optional hash indexes.
+//! Heap tables: a schema plus copy-on-write row storage.
 
 use crate::error::{RelError, RelResult};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -12,12 +10,9 @@ use std::sync::Arc;
 ///
 /// The paper's three scheduling relations (its Table 2) are tables of this
 /// kind: `requests` (pending), `history` (already executed) and `rte`
-/// (ready-to-execute, the output of a scheduling round).  Tables support
-/// equality hash indexes on single columns because the SS2PL rule joins on
-/// `object` and `ta` constantly.
+/// (ready-to-execute, the output of a scheduling round).
 ///
-/// Row storage and indexes are reference-counted with copy-on-write
-/// semantics: `Table::clone` is O(1), which is what lets the scheduler
+/// Row storage is reference-counted with copy-on-write semantics: `Table::clone` is O(1), which is what lets the scheduler
 /// snapshot its long-lived relations (`sla`, auxiliary tables) into a
 /// rule-evaluation catalog without copying a single row.  A clone only pays
 /// for the rows if it (or the original) is mutated while the other snapshot
@@ -27,8 +22,6 @@ pub struct Table {
     name: String,
     schema: Schema,
     rows: Arc<Vec<Tuple>>,
-    /// column index -> (value -> row positions)
-    indexes: Arc<HashMap<usize, HashMap<Value, Vec<usize>>>>,
 }
 
 impl Table {
@@ -38,13 +31,11 @@ impl Table {
             name: name.into(),
             schema,
             rows: Arc::new(Vec::new()),
-            indexes: Arc::new(HashMap::new()),
         }
     }
 
     /// Create a table pre-populated with rows (rows are validated).  The
-    /// vector becomes the row storage as is: a fresh table has no index to
-    /// maintain.
+    /// vector becomes the row storage as is.
     pub fn with_rows(name: impl Into<String>, schema: Schema, rows: Vec<Tuple>) -> RelResult<Self> {
         let mut t = Table::new(name, schema);
         for r in &rows {
@@ -121,15 +112,9 @@ impl Table {
         Ok(())
     }
 
-    /// Append a tuple, maintaining any indexes.
+    /// Append a tuple.
     pub fn push(&mut self, tuple: Tuple) -> RelResult<()> {
         self.validate(&tuple)?;
-        let pos = self.rows.len();
-        if !self.indexes.is_empty() {
-            for (&col, index) in Arc::make_mut(&mut self.indexes).iter_mut() {
-                index.entry(*tuple.get(col)).or_default().push(pos);
-            }
-        }
         Arc::make_mut(&mut self.rows).push(tuple);
         Ok(())
     }
@@ -142,116 +127,9 @@ impl Table {
         Ok(())
     }
 
-    /// Remove all rows (indexes are cleared too).
+    /// Remove all rows.
     pub fn clear(&mut self) {
         Arc::make_mut(&mut self.rows).clear();
-        for index in Arc::make_mut(&mut self.indexes).values_mut() {
-            index.clear();
-        }
-    }
-
-    /// Build (or rebuild) a hash index on the named column.
-    pub fn create_index(&mut self, column: &str) -> RelResult<()> {
-        let col = self.schema.try_index_of(column)?;
-        let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-        for (pos, row) in self.rows.iter().enumerate() {
-            index.entry(*row.get(col)).or_default().push(pos);
-        }
-        Arc::make_mut(&mut self.indexes).insert(col, index);
-        Ok(())
-    }
-
-    /// Whether an index exists on the named column.
-    pub fn has_index(&self, column: &str) -> bool {
-        self.schema
-            .index_of(column)
-            .map(|c| self.indexes.contains_key(&c))
-            .unwrap_or(false)
-    }
-
-    /// Look up rows whose `column` equals `value` using the index if present,
-    /// falling back to a scan otherwise.
-    pub fn lookup(&self, column: &str, value: &Value) -> RelResult<Vec<&Tuple>> {
-        let col = self.schema.try_index_of(column)?;
-        if let Some(index) = self.indexes.get(&col) {
-            Ok(index
-                .get(value)
-                .map(|positions| positions.iter().map(|&p| &self.rows[p]).collect())
-                .unwrap_or_default())
-        } else {
-            Ok(self
-                .rows
-                .iter()
-                .filter(|r| r.get(col).sql_eq(value) == Some(true))
-                .collect())
-        }
-    }
-
-    /// Delete every row matching the predicate, returning how many were
-    /// removed.  Indexes are rebuilt afterwards (deletion is rare and
-    /// batch-oriented in the scheduler: qualified requests are removed from
-    /// the pending table once per scheduling round).
-    pub fn delete_where<F>(&mut self, mut pred: F) -> usize
-    where
-        F: FnMut(&Tuple) -> bool,
-    {
-        let before = self.rows.len();
-        Arc::make_mut(&mut self.rows).retain(|t| !pred(t));
-        let removed = before - self.rows.len();
-        if removed > 0 {
-            let columns: Vec<usize> = self.indexes.keys().copied().collect();
-            for col in columns {
-                let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-                for (pos, row) in self.rows.iter().enumerate() {
-                    index.entry(*row.get(col)).or_default().push(pos);
-                }
-                Arc::make_mut(&mut self.indexes).insert(col, index);
-            }
-        }
-        removed
-    }
-
-    /// Render the table as an ASCII grid, useful in examples and for
-    /// debugging scheduling rules.
-    pub fn to_ascii(&self) -> String {
-        let names = self.schema.names();
-        let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
-        let rendered: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| r.values().iter().map(|v| v.to_string()).collect())
-            .collect();
-        for row in &rendered {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let header: Vec<String> = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| format!("{:width$}", n, width = widths[i]))
-            .collect();
-        out.push_str(&header.join(" | "));
-        out.push('\n');
-        out.push_str(
-            &widths
-                .iter()
-                .map(|w| "-".repeat(*w))
-                .collect::<Vec<_>>()
-                .join("-+-"),
-        );
-        out.push('\n');
-        for row in &rendered {
-            let line: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
-                .collect();
-            out.push_str(&line.join(" | "));
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -296,67 +174,19 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_scanned_lookup_agree() {
-        let mut t = req_table();
-        let scanned: Vec<i64> = t
-            .lookup("object", &Value::Int(100))
-            .unwrap()
-            .iter()
-            .map(|r| r.get(0).as_int().unwrap())
-            .collect();
-        t.create_index("object").unwrap();
-        assert!(t.has_index("object"));
-        let indexed: Vec<i64> = t
-            .lookup("object", &Value::Int(100))
-            .unwrap()
-            .iter()
-            .map(|r| r.get(0).as_int().unwrap())
-            .collect();
-        assert_eq!(scanned, indexed);
-        assert_eq!(indexed, vec![1, 3]);
-    }
-
-    #[test]
-    fn index_maintained_across_push_and_delete() {
-        let mut t = req_table();
-        t.create_index("ta").unwrap();
-        t.push(tuple![4, 11, "r", 102]).unwrap();
-        assert_eq!(t.lookup("ta", &Value::Int(11)).unwrap().len(), 2);
-        let removed = t.delete_where(|r| r.get(1).as_int() == Some(11));
-        assert_eq!(removed, 2);
-        assert!(t.lookup("ta", &Value::Int(11)).unwrap().is_empty());
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn lookup_on_missing_value_and_column() {
-        let t = req_table();
-        assert!(t.lookup("object", &Value::Int(999)).unwrap().is_empty());
-        assert!(t.lookup("nope", &Value::Int(1)).is_err());
-    }
-
-    #[test]
     fn clear_empties_rows_and_indexes() {
         let mut t = req_table();
-        t.create_index("object").unwrap();
+        let snapshot = t.clone();
         t.clear();
         assert!(t.is_empty());
-        assert!(t.lookup("object", &Value::Int(100)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn ascii_rendering_contains_all_cells() {
-        let t = req_table();
-        let grid = t.to_ascii();
-        assert!(grid.contains("operation"));
-        assert!(grid.contains("101"));
-        assert_eq!(grid.lines().count(), 2 + t.len());
+        assert_eq!(snapshot.len(), 3, "clearing must not touch a snapshot");
+        t.push(tuple![4, 12, "r", 100]).unwrap();
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn clone_is_a_zero_copy_snapshot_with_cow_divergence() {
         let mut t = req_table();
-        t.create_index("object").unwrap();
         let snapshot = t.clone();
         assert!(snapshot.shares_rows_with(&t), "clone must not copy rows");
 
@@ -365,11 +195,8 @@ mod tests {
         assert!(!snapshot.shares_rows_with(&t));
         assert_eq!(t.len(), 4);
         assert_eq!(snapshot.len(), 3);
-        assert_eq!(t.lookup("object", &Value::Int(100)).unwrap().len(), 3);
-        assert_eq!(
-            snapshot.lookup("object", &Value::Int(100)).unwrap().len(),
-            2
-        );
+        assert_eq!(t.rows()[..3], snapshot.rows()[..]);
+        assert_eq!(t.rows()[3], tuple![4, 12, "r", 100]);
 
         // Once the snapshot is dropped, further mutation is in-place again.
         drop(snapshot);

@@ -142,32 +142,6 @@ impl Tuple {
         Tuple::from_slices(self.values(), other.values())
     }
 
-    /// Concatenate with `arity` NULL values (used by outer joins for the
-    /// unmatched side, exactly as the paper's SS2PL query relies on to detect
-    /// transactions without a commit/abort record).
-    pub fn concat_nulls(&self, arity: usize) -> Tuple {
-        let own = self.values();
-        let total = own.len() + arity;
-        if total <= Self::INLINE {
-            // Spare slots are already NULL.
-            let mut vals = [Value::Null; Self::INLINE];
-            vals[..own.len()].copy_from_slice(own);
-            Tuple {
-                repr: Repr::Inline {
-                    len: total as u8,
-                    vals,
-                },
-            }
-        } else {
-            let mut values = Vec::with_capacity(total);
-            values.extend_from_slice(own);
-            values.extend(std::iter::repeat_n(Value::Null, arity));
-            Tuple {
-                repr: Repr::Heap(values),
-            }
-        }
-    }
-
     /// Build a new tuple containing the values at the given positions.
     pub fn project(&self, indices: &[usize]) -> Tuple {
         let own = self.values();
@@ -266,11 +240,6 @@ mod tests {
         let c = a.concat(&b);
         assert_eq!(c.arity(), 3);
         assert_eq!(c.get(2).as_str(), Some("x"));
-
-        let padded = a.concat_nulls(2);
-        assert_eq!(padded.arity(), 4);
-        assert!(padded.get(2).is_null());
-        assert!(padded.get(3).is_null());
     }
 
     #[test]

@@ -9,8 +9,8 @@ use std::fmt;
 /// Values are intentionally minimal: the request relations of the scheduler
 /// (see Table 2 of the paper — `ID`, `TA`, `INTRATA`, `Operation`, `Object`)
 /// need integers and short strings; SLA metadata adds floats and booleans.
-/// `Null` exists because outer joins (used by the paper's SS2PL query to find
-/// unfinished transactions) produce unmatched sides.
+/// `Null` is SQL's absent value; comparisons with it are unknown, so a
+/// predicate over it rejects the row and a NULL join key matches nothing.
 ///
 /// Every variant is `Copy`: strings are carried as interned [`Symbol`]s
 /// (see [`crate::intern`]), so copying a value — and therefore a whole row —
@@ -52,15 +52,6 @@ impl Value {
         match self {
             Value::Int(i) => Some(*i),
             Value::Bool(b) => Some(i64::from(*b)),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as a float if possible (integers widen).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
             _ => None,
         }
     }
@@ -323,7 +314,6 @@ mod tests {
     fn as_accessors() {
         assert_eq!(Value::Int(5).as_int(), Some(5));
         assert_eq!(Value::Bool(true).as_int(), Some(1));
-        assert_eq!(Value::Int(5).as_float(), Some(5.0));
         assert_eq!(Value::str("abc").as_str(), Some("abc"));
         assert_eq!(Value::str("abc").as_int(), None);
         assert_eq!(Value::Int(0).as_bool(), Some(false));

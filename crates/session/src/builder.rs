@@ -172,7 +172,9 @@ impl SchedulerBuilder {
     }
 
     /// Register an auxiliary relation (e.g. `object_class` for consistency
-    /// rationing) with every scheduler of the deployment.
+    /// rationing) with every scheduler of the deployment.  A table named
+    /// `requests`, `history` or `sla` makes [`SchedulerBuilder::build`] fail
+    /// with [`declsched::SchedError::ReservedRelation`].
     pub fn aux_relation(mut self, table: Table) -> Self {
         self.aux_relations.push(table);
         self

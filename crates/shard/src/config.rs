@@ -55,7 +55,8 @@ impl ShardConfig {
         self
     }
 
-    /// Register an auxiliary relation protocol rules may join against.
+    /// Register an auxiliary relation protocol rules may join against.  A
+    /// reserved name (`requests`, `history`, `sla`) fails the fleet's start.
     pub fn with_aux_relation(mut self, table: Table) -> Self {
         self.aux_relations.push(table);
         self

@@ -207,7 +207,7 @@ impl WorkerCore {
         let mut scheduler =
             DeclarativeScheduler::new(config.protocol.clone(), config.scheduler.clone());
         for aux in &config.aux_relations {
-            scheduler.register_aux_relation(aux.clone());
+            scheduler.register_aux_relation(aux.clone())?;
         }
         let depth = Arc::new(AtomicU64::new(0));
         registry.adopt_gauge(&format!("shard.{shard}.queue_depth"), Arc::clone(&depth));

@@ -144,11 +144,13 @@ fn scheduler_for(
     );
     // Rationing consults `object_class`; register the identical
     // classification everywhere (other protocols ignore it).
-    scheduler.register_aux_relation(object_class_table(&[
-        (0, ObjectClass::Relaxed),
-        (1, ObjectClass::Critical),
-        (3, ObjectClass::Relaxed),
-    ]));
+    scheduler
+        .register_aux_relation(object_class_table(&[
+            (0, ObjectClass::Relaxed),
+            (1, ObjectClass::Critical),
+            (3, ObjectClass::Relaxed),
+        ]))
+        .expect("`object_class` is not a reserved name");
     scheduler
 }
 

@@ -625,3 +625,23 @@ fn shedding_triggers_on_a_cross_shard_only_backlog() {
     assert_eq!(free_tier.shed, 1);
     assert_eq!(free_tier.completed, 1);
 }
+
+/// An auxiliary relation named like one of the scheduler's own relations is
+/// refused before any worker starts, instead of shadowing the real relation
+/// on the from-scratch and union-vote paths.
+#[test]
+fn an_aux_relation_cannot_shadow_the_history() {
+    let history = relalg::Table::new("history", declsched::Request::schema());
+    let err = builder()
+        .shards(2)
+        .aux_relation(history)
+        .build()
+        .err()
+        .expect("a reserved auxiliary name must fail the build");
+    assert_eq!(
+        err,
+        declsched::SchedError::ReservedRelation {
+            relation: "history".into()
+        }
+    );
+}
