@@ -176,17 +176,6 @@ impl Schema {
         Schema::new(fields)
     }
 
-    /// Build a schema consisting of the named subset of this schema's
-    /// columns, in the given order.
-    pub fn project(&self, names: &[&str]) -> RelResult<Schema> {
-        let mut fields = Vec::with_capacity(names.len());
-        for n in names {
-            let idx = self.try_index_of(n)?;
-            fields.push(self.fields[idx].clone());
-        }
-        Ok(Schema::new(fields))
-    }
-
     /// Check that two schemas are union-compatible (same arity and types,
     /// names may differ — as in SQL's `UNION`/`EXCEPT`).
     pub fn union_compatible(&self, other: &Schema) -> bool {
@@ -250,14 +239,6 @@ mod tests {
         assert_eq!(joined.field(9).name, "h.object");
         // Left columns keep their plain names.
         assert_eq!(joined.index_of("ta"), Some(1));
-    }
-
-    #[test]
-    fn projection_preserves_order_given() {
-        let s = req_schema();
-        let p = s.project(&["object", "ta"]).unwrap();
-        assert_eq!(p.names(), vec!["object", "ta"]);
-        assert!(s.project(&["nope"]).is_err());
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl Table {
         &self.rows
     }
 
-    /// Consume the table, returning its rows (copying only if a snapshot of
-    /// this table is still alive elsewhere).
-    pub fn into_rows(self) -> Vec<Tuple> {
-        Arc::try_unwrap(self.rows).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Whether this table shares its row storage with another snapshot
     /// (diagnostic; used by tests to prove snapshots are zero-copy).
     pub fn shares_rows_with(&self, other: &Table) -> bool {
@@ -203,15 +197,6 @@ mod tests {
         let rows_before = std::sync::Arc::as_ptr(&t.rows);
         t.push(tuple![5, 13, "w", 7]).unwrap();
         assert_eq!(std::sync::Arc::as_ptr(&t.rows), rows_before);
-    }
-
-    #[test]
-    fn into_rows_of_a_shared_table_copies_once() {
-        let t = req_table();
-        let snapshot = t.clone();
-        let rows = snapshot.into_rows();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(t.len(), 3);
     }
 
     #[test]

@@ -88,16 +88,6 @@ impl Tuple {
         }
     }
 
-    /// The empty tuple.
-    pub fn empty() -> Self {
-        Tuple {
-            repr: Repr::Inline {
-                len: 0,
-                vals: [Value::Null; Self::INLINE],
-            },
-        }
-    }
-
     /// Number of values.
     pub fn arity(&self) -> usize {
         match &self.repr {
@@ -126,40 +116,6 @@ impl Tuple {
         match &self.repr {
             Repr::Inline { len, vals } => &vals[..*len as usize],
             Repr::Heap(v) => v,
-        }
-    }
-
-    /// Consume the tuple and return its values.
-    pub fn into_values(self) -> Vec<Value> {
-        match self.repr {
-            Repr::Inline { len, vals } => vals[..len as usize].to_vec(),
-            Repr::Heap(v) => v,
-        }
-    }
-
-    /// Concatenate with another tuple (used by joins).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        Tuple::from_slices(self.values(), other.values())
-    }
-
-    /// Build a new tuple containing the values at the given positions.
-    pub fn project(&self, indices: &[usize]) -> Tuple {
-        let own = self.values();
-        if indices.len() <= Self::INLINE {
-            let mut vals = [Value::Null; Self::INLINE];
-            for (slot, &i) in vals.iter_mut().zip(indices) {
-                *slot = own[i];
-            }
-            Tuple {
-                repr: Repr::Inline {
-                    len: indices.len() as u8,
-                    vals,
-                },
-            }
-        } else {
-            Tuple {
-                repr: Repr::Heap(indices.iter().map(|&i| own[i]).collect()),
-            }
         }
     }
 }
@@ -234,15 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_null_padding() {
-        let a = tuple![1, 2];
-        let b = tuple!["x"];
-        let c = a.concat(&b);
-        assert_eq!(c.arity(), 3);
-        assert_eq!(c.get(2).as_str(), Some("x"));
-    }
-
-    #[test]
     fn wide_rows_spill_to_the_heap_transparently() {
         let vals: Vec<Value> = (0..12).map(Value::from).collect();
         let wide = Tuple::new(vals.clone());
@@ -258,30 +205,22 @@ mod tests {
         // Inline/heap boundary round-trips.
         let eight = Tuple::new(vals[..8].to_vec());
         assert_eq!(eight.arity(), 8);
-        assert_eq!(eight.into_values(), vals[..8].to_vec());
+        assert_eq!(eight.values(), &vals[..8]);
     }
 
     #[test]
     fn from_slices_matches_concat() {
         let a = tuple![1, 2, 3, 4, 5];
         let b = tuple![6, 7, 8, 9, 10];
-        assert_eq!(Tuple::from_slices(a.values(), b.values()), a.concat(&b));
-        assert_eq!(a.concat(&b).arity(), 10);
-    }
-
-    #[test]
-    fn projection_reorders_and_duplicates() {
-        let t = tuple![10, 20, 30];
-        let p = t.project(&[2, 0, 0]);
-        assert_eq!(
-            p.values(),
-            &[Value::Int(30), Value::Int(10), Value::Int(10)]
-        );
+        let joined = Tuple::from_slices(a.values(), b.values());
+        let concatenated: Vec<Value> = a.values().iter().chain(b.values()).copied().collect();
+        assert_eq!(joined, Tuple::new(concatenated));
+        assert_eq!(joined.arity(), 10);
     }
 
     #[test]
     fn display_is_parenthesised() {
         assert_eq!(tuple![1, "r"].to_string(), "(1, r)");
-        assert_eq!(Tuple::empty().to_string(), "()");
+        assert_eq!(Tuple::new(Vec::new()).to_string(), "()");
     }
 }

@@ -152,7 +152,7 @@ impl SchedulerBuilder {
     }
 
     /// Deploy the paper's single-scheduler middleware (the default): one
-    /// worker thread, nothing to route.
+    /// driver thread with one shard core, nothing to route.
     pub fn unsharded(mut self) -> Self {
         self.topology = Topology::Fleet(BackendKind::Unsharded, 1);
         self

@@ -7,7 +7,8 @@ use std::sync::Arc;
 /// Configuration for a [`crate::ShardRouter`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Number of shards (worker threads).  One shard degenerates to the
+    /// Number of shards (shard cores, on min(shards, available cores)
+    /// driver threads).  One shard degenerates to the
     /// paper's single global scheduler behind a router.
     pub shards: usize,
     /// The declarative protocol every shard applies, in its rounds and in

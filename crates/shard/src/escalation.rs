@@ -355,7 +355,7 @@ impl Lane {
             for &shard in &handshake.touched {
                 let prepare = ShardMessage::Prepare(Arc::clone(&handshake));
                 if cx.post(shard, prepare).is_err() {
-                    // The shard's thread is gone: vote the typed error in
+                    // The shard's core has stopped: vote the typed error in
                     // its place so the handshake backs out, not hangs.
                     let gone = Vote::Error(closed("shard worker (prepare)"));
                     self.cast_vote(&handshake, shard, 0, gone, now_us, cx);

@@ -16,7 +16,9 @@
 //! would wake all waiters on every publish (a thundering herd that grows
 //! with pipelining depth).  Striping bounds both: publishes on different
 //! stripes never contend, and a publish wakes only the ~1/[`STRIPES`]
-//! of waiters sharing its stripe.
+//! of waiters sharing its stripe.  Each stripe also counts the tickets
+//! parked on it, and a publish notifies only a stripe that has one: a
+//! condvar notify is a wake-up syscall even when nobody waits.
 
 use declsched::{SchedError, SchedResult};
 use obs::{FastIdMap, FastIdSet};
@@ -59,6 +61,8 @@ struct HubInner {
     /// Tokens whose ticket was dropped before the completion arrived.
     abandoned: FastIdSet<u64>,
     closed: bool,
+    /// Tickets parked in [`CompletionHub::wait`] on this stripe.
+    waiters: usize,
 }
 
 impl HubInner {
@@ -72,6 +76,17 @@ impl HubInner {
     }
 }
 
+impl Stripe {
+    /// Release the stripe's lock and wake its parked tickets, if any.
+    fn wake(&self, inner: MutexGuard<'_, HubInner>) {
+        let parked = inner.waiters > 0;
+        drop(inner);
+        if parked {
+            self.cond.notify_all();
+        }
+    }
+}
+
 impl CompletionHub {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(CompletionHub {
@@ -81,6 +96,7 @@ impl CompletionHub {
                         results: FastIdMap::default(),
                         abandoned: FastIdSet::default(),
                         closed: false,
+                        waiters: 0,
                     }),
                     cond: Condvar::new(),
                 })
@@ -107,8 +123,7 @@ impl CompletionHub {
         let stripe = self.stripe(token);
         let mut inner = Self::lock(stripe);
         inner.publish(token, result);
-        drop(inner);
-        stripe.cond.notify_all();
+        stripe.wake(inner);
     }
 
     /// Publish a batch of completions with one lock acquisition per
@@ -138,8 +153,7 @@ impl CompletionHub {
             for (token, result) in bucket.drain(..) {
                 inner.publish(token, result);
             }
-            drop(inner);
-            stripe.cond.notify_all();
+            stripe.wake(inner);
         }
         let mut pool = self
             .bucket_pool
@@ -187,10 +201,12 @@ impl CompletionHub {
                     endpoint: "shard worker",
                 });
             }
+            inner.waiters += 1;
             inner = stripe
                 .cond
                 .wait(inner)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
+            inner.waiters -= 1;
         }
     }
 }
@@ -277,5 +293,47 @@ impl CompletionHub {
                 inner.results.len() + inner.abandoned.len()
             })
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Park a ticket on `token`, wait until its stripe counts it (for at
+    /// most 200 ms, so a count that is never raised still gets it parked),
+    /// run `wake`, and require the ticket back within a watchdog deadline.
+    fn parked_ticket_is_woken(token: u64, wake: impl FnOnce(&CompletionHub)) -> SchedResult<()> {
+        let hub = CompletionHub::new();
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        let waiter = Arc::clone(&hub);
+        let waiting = std::thread::spawn(move || done_tx.send(waiter.wait(token)));
+        let patience = Instant::now() + Duration::from_millis(200);
+        while CompletionHub::lock(hub.stripe(token)).waiters != 1 && Instant::now() < patience {
+            std::thread::yield_now();
+        }
+        wake(&hub);
+        let woken = done_rx
+            .recv_deadline(Instant::now() + Duration::from_secs(10))
+            .expect("the parked ticket was never woken");
+        waiting.join().unwrap().unwrap();
+        woken
+    }
+
+    #[test]
+    fn a_publish_wakes_a_parked_ticket() {
+        let one = parked_ticket_is_woken(3, |hub| hub.resolve_one(3, Ok(())));
+        assert_eq!(one, Ok(()));
+        let many = parked_ticket_is_woken(5, |hub| {
+            hub.resolve_many([(4, Ok(())), (5, Ok(())), (6, Ok(()))]);
+        });
+        assert_eq!(many, Ok(()));
+    }
+
+    #[test]
+    fn closing_the_hub_wakes_a_parked_ticket() {
+        let closed = parked_ticket_is_woken(7, CompletionHub::close);
+        assert!(matches!(closed, Err(SchedError::ChannelClosed { .. })));
     }
 }

@@ -32,8 +32,12 @@
 //!   relation, the declarative rule, and a dispatcher with its own engine.
 //!   Per-object serialization is preserved because an object has exactly one
 //!   home shard.  The pipeline and the escalation lane are I/O-free
-//!   handlers; one threaded driver per shard blocks until mail arrives or
-//!   the trigger's deadline passes, and nothing polls.
+//!   handlers.  The fleet's n shard cores share m = min(n, available
+//!   cores) driver threads, shard i on driver i mod m: a driver blocks
+//!   until mail arrives or its cores' earliest trigger deadline passes,
+//!   a post between two cores of one driver is a push onto its local
+//!   queue, and nothing polls.  A chaos `Stall` on one core pauses every
+//!   core of its driver.
 //! * Transactions whose footprint **spans** shards take a **two-phase
 //!   handshake** over only the touched shards, which drive it themselves
 //!   (the `escalation` module): each qualifies its slice against its local
@@ -91,6 +95,8 @@ mod escalation;
 mod hub;
 mod metrics;
 mod router;
+#[cfg(test)]
+mod testkit;
 mod worker;
 
 pub use config::ShardConfig;
@@ -100,7 +106,10 @@ pub use router::{FleetHandle, ShardRouter, ShardedReport, TxnTicket};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::RecvTimeoutError;
     use declsched::{shard_of, Protocol, ProtocolKind, Request, SchedulerConfig, TriggerPolicy};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn config(shards: usize) -> ShardConfig {
         ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Ss2pl))
@@ -329,6 +338,139 @@ mod tests {
             assert_eq!(next.wait(), Ok(()), "prune={prune_history}");
             assert_eq!(report.metrics.dispatch.commits, 2, "prune={prune_history}");
         }
+    }
+
+    /// Run `body` on its own thread and abort the process if it does not
+    /// finish within `seconds`: a hung fleet would never be joined.
+    fn within<T: Send>(seconds: u64, what: &str, body: impl FnOnce() -> T + Send) -> T {
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        std::thread::scope(|scope| {
+            scope.spawn(move || done_tx.send(body()));
+            let deadline = Instant::now() + Duration::from_secs(seconds);
+            match done_rx.recv_deadline(deadline) {
+                Ok(value) => value,
+                Err(RecvTimeoutError::Disconnected) => panic!("the watched body panicked"),
+                Err(RecvTimeoutError::Timeout) => {
+                    eprintln!("watchdog: {what}");
+                    std::process::abort()
+                }
+            }
+        })
+    }
+
+    fn start_on(config: ShardConfig, drivers: usize) -> ShardRouter {
+        let registry = Arc::new(obs::Registry::new());
+        ShardRouter::start_on(config, drivers, obs::TraceSink::disabled(), registry).unwrap()
+    }
+
+    /// A `.shards(4)` fleet starts one driver thread per core of the host,
+    /// never more than there are shards.
+    #[test]
+    fn a_fleet_starts_one_driver_per_core_at_most_one_per_shard() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let router = ShardRouter::start(config(4)).unwrap();
+        assert_eq!(router.driver_threads(), 4.min(cores));
+        router.shutdown();
+        let router = ShardRouter::start(config(1)).unwrap();
+        assert_eq!(router.driver_threads(), 1);
+        router.shutdown();
+    }
+
+    /// Four shard cores on one driver, then on two: the FIFO fleet test's
+    /// contended stream (1 000 transactions, a fifth spanning two shards)
+    /// on real threads, submitted by a client that keeps 32 in flight.  On
+    /// two drivers, shards 0 and 2 share one and 1 and 3 the other, so the
+    /// stream's two-shard pairs are co-resident and cross-driver both.
+    /// Every ticket resolves once and `Ok`, every commit lands once on each
+    /// touched shard, strict 2PL holds on each shard, and no homes entry
+    /// or hub residue is left.
+    ///
+    /// One client, because SS2PL orders conflicting pending requests by
+    /// transaction id: clients whose ids reach a shard out of order can
+    /// deadlock it (see `CHANGES.md`).
+    #[test]
+    fn shard_cores_sharing_drivers_commit_a_contended_stream_under_strict_2pl() {
+        const DEPTH: usize = 32;
+        let stream = testkit::stream();
+        let pairs: Vec<(usize, usize)> = stream
+            .iter()
+            .filter_map(|requests| {
+                let homes: Vec<usize> = requests[..2]
+                    .iter()
+                    .map(|r| shard_of(r.object, testkit::SHARDS))
+                    .collect();
+                (homes[0] != homes[1]).then_some((homes[0], homes[1]))
+            })
+            .collect();
+        let co_resident = pairs.iter().filter(|(a, b)| a % 2 == b % 2).count();
+        assert!(co_resident > 0 && co_resident < pairs.len(), "{pairs:?}");
+
+        for drivers in [1, 2] {
+            let router = start_on(testkit::config(), drivers);
+            assert_eq!(router.driver_threads(), drivers);
+            within(120, "a fleet on shared drivers hung", || {
+                let mut tickets = std::collections::VecDeque::new();
+                for requests in &stream {
+                    tickets.push_back(router.submit_transaction(requests.clone()).unwrap());
+                    if tickets.len() == DEPTH {
+                        let ticket = tickets.pop_front().unwrap();
+                        assert_eq!(ticket.wait(), Ok(()), "{drivers} driver(s)");
+                    }
+                }
+                for ticket in tickets {
+                    assert_eq!(ticket.wait(), Ok(()), "{drivers} driver(s)");
+                }
+            });
+            let hub = router.hub();
+            let report = router.shutdown();
+            assert_eq!(hub.residue(), 0, "{drivers} driver(s)");
+            let metrics = &report.metrics;
+            assert_eq!(metrics.transactions, testkit::TRANSACTIONS);
+            assert_eq!(metrics.escalation.escalations, pairs.len() as u64);
+            assert_eq!(metrics.escalation.failed, 0, "{drivers} driver(s)");
+            assert_eq!(metrics.unreclaimed_homes, 0, "{drivers} driver(s)");
+            let logs: Vec<&[Request]> = report.shards.iter().map(|s| &s.executed_log[..]).collect();
+            testkit::check_logs(&stream, &logs);
+        }
+    }
+
+    /// The backlog the session layer's shedding reads stays per shard when
+    /// cores share a driver: with shards 0 and 1 on one driver, stalled on
+    /// shard 0's first step, 49 transactions waiting for shard 1 and 20 for
+    /// shard 0 read as 49, not as the 69 letters the driver's channel holds.
+    #[test]
+    fn a_stalled_drivers_backlog_counts_each_waiting_transaction_on_its_own_shard() {
+        let plan = chaos::FaultPlan::new().inject(
+            chaos::Hook::WorkerRound { shard: 0 },
+            0,
+            chaos::Fault::Stall { millis: 400 },
+        );
+        let injector = Arc::new(chaos::FaultInjector::new(&plan));
+        let config = ShardConfig::new(2, Protocol::algebra(ProtocolKind::Fcfs))
+            .with_table("bench", 1_000)
+            .with_chaos(Arc::clone(&injector));
+        let router = start_on(config, 1);
+        let submit = |ta: u64, shard: usize| {
+            let object = object_on_shard(shard, 2);
+            router.submit_transaction(txn(ta, &[object], true)).unwrap()
+        };
+        let first = submit(1, 0);
+        // Once the stall has fired, the driver waits it out at the end of
+        // this step: everything submitted from here on waits in its channel.
+        within(10, "the planned stall never fired", || {
+            while injector.unfired() > 0 {
+                std::thread::yield_now();
+            }
+        });
+        let mut tickets: Vec<_> = (2..=50).map(|ta| submit(ta, 1)).collect();
+        tickets.extend((51..=70).map(|ta| submit(ta, 0)));
+        assert_eq!(router.handle().max_queue_depth(), 49);
+
+        first.wait().unwrap();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        router.shutdown();
     }
 
     #[test]

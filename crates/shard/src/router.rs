@@ -8,7 +8,7 @@
 //! A transaction whose footprint lives on one shard is posted straight onto
 //! that shard's mailbox as one [`ShardMessage::Submit`], from the client's
 //! own thread.  The router buffers nothing and runs no thread of its own:
-//! the worker's driver empties its whole mailbox before each step, so the
+//! the shard's driver empties its whole mailbox before each step, so the
 //! receiving side batches whatever piled up meanwhile.  Completions come
 //! back through the shared [`CompletionHub`], one hub synchronization per
 //! worker step.
@@ -18,12 +18,11 @@
 //! transaction without computing a footprint or recording a home.
 
 use crate::config::ShardConfig;
-use crate::driver::{self, run_worker, Clock, Wire};
+use crate::driver::{self, run_driver, Clock, PostOffice, Wire};
 use crate::escalation::{closed, Lane};
 use crate::hub::{CompletionHub, HubReply};
 use crate::metrics::{RouterSnapshot, ShardReport, ShardedMetrics};
 use crate::worker::{Context, ShardMessage, Submission, WorkerCore};
-use crossbeam::channel::{unbounded, Sender};
 use declsched::{shard_of, Request, SchedError, SchedResult};
 use obs::FastIdMap;
 use std::collections::BTreeSet;
@@ -141,7 +140,7 @@ impl TxnHomes {
 /// incrementally), so client handles route directly without a central
 /// router thread hop.
 pub(crate) struct RouterCore {
-    workers: Vec<Sender<ShardMessage>>,
+    post_office: Arc<PostOffice>,
     /// The cross-shard handshake's shared state: admission and counters.
     lane: Arc<Lane>,
     /// The fleet clock the lane's phase timings are stamped with.
@@ -166,7 +165,7 @@ pub(crate) struct RouterCore {
     /// Completion-hub token allocator.
     next_token: AtomicU64,
     /// Set at the start of shutdown: submissions are refused from then on.
-    /// A worker's mailbox stays open until its thread exits, so a post that
+    /// A core's mailbox stays open until the core stops, so a post that
     /// lands behind the workers' `Shutdown` would be accepted and never
     /// run; refusing it here gives a typed error at submit instead of one
     /// at `wait`.
@@ -347,27 +346,26 @@ impl RouterCore {
 
     /// The threaded context a client thread drives the lane through.
     fn wire(&self) -> Wire<'_> {
-        Wire {
-            mailboxes: &self.workers,
-            hub: &self.hub,
-            stall_ms: 0,
-        }
+        Wire::client(&self.post_office, &self.hub)
     }
 
     /// The deepest backlog anywhere in the fleet: the worst shard queue or
     /// the escalation lane's waiting + running jobs, whichever is larger —
     /// cross-shard overload piles up in the lane's admission state, not on
     /// any worker.  A shard's queue is its worker's gauge (incoming +
-    /// pending, written around every round) plus its mailbox's live message
-    /// count, which keeps the signal fresh while a worker is inside a long
-    /// round.  Every client transaction is its own message, so that count
-    /// includes each transaction the worker has not taken yet.
+    /// pending, written around every round) plus the messages posted to it
+    /// and not yet handled, which keeps the signal fresh while a worker is
+    /// inside a long round.  Every client transaction is its own message,
+    /// so that count includes each transaction the worker has not taken
+    /// yet — and only this shard's: its driver's channel also carries the
+    /// mail of the cores that share the driver.
     fn max_queue_depth(&self) -> usize {
-        let shards = self.depths.iter().zip(&self.workers);
-        let depth = |(gauge, worker): (&Arc<AtomicU64>, &Sender<ShardMessage>)| {
-            gauge.load(Ordering::Relaxed) as usize + worker.len()
+        let depth = |(shard, gauge): (usize, &Arc<AtomicU64>)| {
+            gauge.load(Ordering::Relaxed) as usize + self.post_office.queued(shard)
         };
-        shards
+        self.depths
+            .iter()
+            .enumerate()
             .map(depth)
             .max()
             .unwrap_or(0)
@@ -434,12 +432,14 @@ pub struct ShardedReport {
 /// transactions.
 pub struct ShardRouter {
     core: Arc<RouterCore>,
-    worker_handles: Vec<JoinHandle<ShardReport>>,
+    drivers: Vec<JoinHandle<Vec<ShardReport>>>,
 }
 
 impl ShardRouter {
-    /// Start the fleet: one worker thread per shard, each with a private
-    /// scheduler and dispatcher.
+    /// Start the fleet: one shard core per shard, each with a private
+    /// scheduler and dispatcher, on min(shards, available cores) driver
+    /// threads (`declsched-driver-{i}`); shard i runs on driver i mod that
+    /// count.
     pub fn start(config: ShardConfig) -> SchedResult<Self> {
         Self::start_observed(
             config,
@@ -460,12 +460,26 @@ impl ShardRouter {
         sink: obs::TraceSink,
         registry: Arc<obs::Registry>,
     ) -> SchedResult<Self> {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        Self::start_on(config, cores, sink, registry)
+    }
+
+    /// Like [`ShardRouter::start_observed`], on `drivers` driver threads
+    /// (at least one, at most one per shard) — the co-resident fleets a
+    /// test needs whatever the host's core count.
+    pub(crate) fn start_on(
+        config: ShardConfig,
+        drivers: usize,
+        sink: obs::TraceSink,
+        registry: Arc<obs::Registry>,
+    ) -> SchedResult<Self> {
         let shards = config.shards.max(1);
+        let drivers = drivers.clamp(1, shards);
         let homes = Arc::new(TxnHomes::new());
         let hub = CompletionHub::new();
         let clock = Clock::start();
-        let (workers, receivers): (Vec<_>, Vec<_>) =
-            (0..shards).map(|_| unbounded::<ShardMessage>()).unzip();
+        let (post_office, receivers) = PostOffice::new(shards, drivers);
+        let post_office = Arc::new(post_office);
         let lane = Lane::new(&config, &sink, &registry);
         // Every core is built before any thread starts, so a failed build
         // leaves no worker behind.
@@ -473,16 +487,20 @@ impl ShardRouter {
             .map(|shard| WorkerCore::new(shard, &config, &lane, &homes, &sink, &registry))
             .collect::<SchedResult<Vec<_>>>()?;
         let depths = cores.iter().map(WorkerCore::depth_gauge).collect();
-        let worker_handles = cores
+        let mut seated: Vec<Vec<WorkerCore>> = (0..drivers).map(|_| Vec::new()).collect();
+        for (shard, core) in cores.into_iter().enumerate() {
+            seated[shard % drivers].push(core);
+        }
+        let driver_handles = seated
             .into_iter()
             .zip(receivers)
             .enumerate()
-            .map(|(shard, (core, receiver))| {
-                let (mailboxes, hub) = (workers.clone(), Arc::clone(&hub));
+            .map(|(driver, (cores, receiver))| {
+                let (post_office, hub) = (Arc::clone(&post_office), Arc::clone(&hub));
                 std::thread::Builder::new()
-                    .name(format!("declsched-shard-{shard}"))
-                    .spawn(move || run_worker(core, receiver, &mailboxes, &hub, clock))
-                    .expect("spawning a shard worker cannot fail")
+                    .name(format!("declsched-driver-{driver}"))
+                    .spawn(move || run_driver(driver, cores, receiver, &post_office, &hub, clock))
+                    .expect("spawning a shard driver cannot fail")
             })
             .collect();
 
@@ -496,7 +514,7 @@ impl ShardRouter {
         registry.adopt_gauge("router.peak_inflight", Arc::clone(&peak_inflight));
 
         let core = Arc::new(RouterCore {
-            workers,
+            post_office,
             lane,
             clock,
             shards,
@@ -517,7 +535,7 @@ impl ShardRouter {
 
         Ok(ShardRouter {
             core,
-            worker_handles,
+            drivers: driver_handles,
         })
     }
 
@@ -556,12 +574,12 @@ impl ShardRouter {
             let _ = self.core.wire().post(shard, ShardMessage::Shutdown);
         }
         let mut reports: Vec<ShardReport> = self
-            .worker_handles
+            .drivers
             .into_iter()
-            .map(|handle| {
+            .flat_map(|handle| {
                 handle
                     .join()
-                    .expect("shard workers never panic during an orderly shutdown")
+                    .expect("shard drivers never panic during an orderly shutdown")
             })
             .collect();
         reports.sort_by_key(|r| r.shard);
@@ -583,6 +601,19 @@ impl ShardRouter {
             shards: reports,
             metrics,
         }
+    }
+}
+
+#[cfg(test)]
+impl ShardRouter {
+    /// The driver threads this fleet started.
+    pub(crate) fn driver_threads(&self) -> usize {
+        self.drivers.len()
+    }
+
+    /// The completion hub the fleet's tickets wait on.
+    pub(crate) fn hub(&self) -> Arc<CompletionHub> {
+        Arc::clone(&self.core.hub)
     }
 }
 

@@ -822,13 +822,10 @@ impl WorkerCore {
 mod tests {
     use super::*;
     use crate::hub::CompletionHub;
-    use declsched::{shard_of, Operation, Protocol, SchedulerConfig, TriggerPolicy};
+    use crate::testkit::{self, SHARDS, TRANSACTIONS};
+    use declsched::shard_of;
     use std::collections::{BTreeSet, VecDeque};
     use std::hash::{DefaultHasher, Hash, Hasher};
-
-    const SHARDS: usize = 4;
-    const ROWS: usize = 64;
-    const TRANSACTIONS: u64 = 1_000;
 
     /// The test's [`Context`]: one FIFO mailbox per shard, every publish in
     /// order.
@@ -866,15 +863,7 @@ mod tests {
 
     impl Fleet {
         fn new() -> Self {
-            let config = ShardConfig::new(SHARDS, Protocol::algebra(ProtocolKind::Ss2pl))
-                .with_scheduler(SchedulerConfig {
-                    trigger: TriggerPolicy::Hybrid {
-                        interval_ms: 1,
-                        threshold: 4,
-                    },
-                    ..SchedulerConfig::default()
-                })
-                .with_table("bench", ROWS);
+            let config = testkit::config();
             let (sink, registry) = (obs::TraceSink::disabled(), obs::Registry::new());
             let lane = Lane::new(&config, &sink, &registry);
             let (homes, hub) = (Arc::new(TxnHomes::new()), CompletionHub::new());
@@ -966,73 +955,10 @@ mod tests {
         }
     }
 
-    /// A seeded stream: two statements and a commit per transaction, every
-    /// fifth spanning two shards, over a small table so they contend.
-    fn stream() -> Vec<Vec<Request>> {
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut next = move |bound: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % bound
-        };
-        let on_shard = |shard: usize| -> Vec<i64> {
-            (0..ROWS as i64)
-                .filter(|&o| shard_of(o, SHARDS) == shard)
-                .collect()
-        };
-        let homes: Vec<Vec<i64>> = (0..SHARDS).map(on_shard).collect();
-        (1..=TRANSACTIONS)
-            .map(|ta| {
-                let first = next(SHARDS as u64) as usize;
-                let second = if ta % 5 == 0 {
-                    (first + 1 + next(SHARDS as u64 - 1) as usize) % SHARDS
-                } else {
-                    first
-                };
-                let mut requests: Vec<Request> = [first, second]
-                    .iter()
-                    .enumerate()
-                    .map(|(intra, &shard)| {
-                        let object = homes[shard][next(homes[shard].len() as u64) as usize];
-                        if next(2) == 0 {
-                            Request::read(0, ta, intra as u32, object)
-                        } else {
-                            Request::write(0, ta, intra as u32, object)
-                        }
-                    })
-                    .collect();
-                requests.push(Request::commit(0, ta, 2));
-                requests
-            })
-            .collect()
-    }
-
-    /// Strict two-phase locking on one shard's log: from a transaction's
-    /// access of an object until its terminal there, no other transaction
-    /// accesses the object in conflict.
-    fn strict_2pl_violations(log: &[Request]) -> Vec<String> {
-        let mut violations = Vec::new();
-        for (at, holder) in log.iter().enumerate().filter(|(_, r)| r.op.is_data()) {
-            let later = log[at + 1..].iter();
-            for other in later.take_while(|r| !(r.ta == holder.ta && r.op.is_terminal())) {
-                let write = holder.op == Operation::Write || other.op == Operation::Write;
-                if other.op.is_data()
-                    && other.object == holder.object
-                    && other.ta != holder.ta
-                    && write
-                {
-                    violations.push(format!("T{} {:?} under T{}", other.ta, other.op, holder.ta));
-                }
-            }
-        }
-        violations
-    }
-
     /// Run the stream through a fresh fleet, check it, and return the hash
     /// of every shard's ordered executed log.
     fn run_and_check() -> u64 {
-        let stream = stream();
+        let stream = testkit::stream();
         let mut fleet = Fleet::new();
         // Ten new transactions, then three delivery steps, at a time: the
         // fleet sees arrivals between rounds and handshakes in flight.
@@ -1058,40 +984,12 @@ mod tests {
         assert_eq!((lane.escalations, lane.failed), (TRANSACTIONS / 5, 0));
         assert!(lane.retries > 0, "some handshake was denied and re-armed");
 
+        let logs: Vec<&[Request]> = fleet.cores.iter().map(|c| &c.executed_log[..]).collect();
+        testkit::check_logs(&stream, &logs);
         let mut hasher = DefaultHasher::new();
-        for (shard, core) in fleet.cores.iter().enumerate() {
-            for request in &core.executed_log {
-                if request.op.is_data() {
-                    assert_eq!(shard_of(request.object, SHARDS), shard, "{request:?}");
-                }
+        for (shard, log) in logs.iter().enumerate() {
+            for request in log.iter() {
                 (shard, request.ta, request.intra, request.op, request.object).hash(&mut hasher);
-            }
-            let violations = strict_2pl_violations(&core.executed_log);
-            assert!(violations.is_empty(), "shard {shard}: {violations:?}");
-        }
-        // Each statement executed once, on its home; each commit once on
-        // every shard its transaction touched.
-        for (index, requests) in stream.iter().enumerate() {
-            let ta = index as u64 + 1;
-            let touched: BTreeSet<usize> = requests
-                .iter()
-                .filter(|r| r.op.is_data())
-                .map(|r| shard_of(r.object, SHARDS))
-                .collect();
-            for (shard, core) in fleet.cores.iter().enumerate() {
-                let mine = core.executed_log.iter().filter(|r| r.ta == ta);
-                let (terminals, data): (Vec<&Request>, Vec<&Request>) =
-                    mine.partition(|r| r.op.is_terminal());
-                let expected_terminals = usize::from(touched.contains(&shard));
-                assert_eq!(
-                    terminals.len(),
-                    expected_terminals,
-                    "T{ta} on shard {shard}"
-                );
-                let homed = requests
-                    .iter()
-                    .filter(|r| r.op.is_data() && shard_of(r.object, SHARDS) == shard);
-                assert_eq!(data.len(), homed.count(), "T{ta} on shard {shard}");
             }
         }
         hasher.finish()

@@ -4,8 +4,14 @@
 //! `crossbeam::channel` API subset the middleware and shard crates use:
 //! `bounded` / `unbounded` MPSC channels with `send`, `recv`, `try_recv`,
 //! `recv_deadline` and `recv_timeout`, plus disconnect detection on both
-//! ends.  Built on
-//! `std::sync::{Mutex, Condvar}`.
+//! ends.  Built on `std::sync::{Mutex, Condvar}`.
+//!
+//! A condvar notify costs a futex wake-up syscall even when nobody waits,
+//! which is an order of magnitude more than the lock around it.  So each
+//! channel counts its parked receivers and senders under its lock, and a
+//! `send` or a `recv` notifies only when the other side is parked: a
+//! receiver that is busy, or a sender on an unbounded channel, costs
+//! nothing to the other end.  Disconnects still notify unconditionally.
 
 /// Multi-producer channels with timeouts and disconnect detection.
 pub mod channel {
@@ -19,12 +25,28 @@ pub mod channel {
         senders: usize,
         receivers: usize,
         cap: Option<usize>,
+        /// Receivers parked in `recv` / `recv_deadline`: a send notifies
+        /// `not_empty` only while one is.
+        parked_receivers: usize,
+        /// Senders parked on a full bounded channel: a receive notifies
+        /// `not_full` only while one is.
+        parked_senders: usize,
     }
 
     struct Inner<T> {
         state: Mutex<State<T>>,
         not_empty: Condvar,
         not_full: Condvar,
+    }
+
+    impl<T> Inner<T> {
+        /// A message left the buffer: wake a sender parked on the freed slot,
+        /// if there is one.
+        fn taken(&self, state: &State<T>) {
+            if state.parked_senders > 0 {
+                self.not_full.notify_one();
+            }
+        }
     }
 
     /// Error returned by [`Sender::send`] when every receiver is gone; carries
@@ -88,6 +110,8 @@ pub mod channel {
                 senders: 1,
                 receivers: 1,
                 cap,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -127,14 +151,18 @@ pub mod channel {
                 let full = state.cap.is_some_and(|c| state.queue.len() >= c);
                 if !full {
                     state.queue.push_back(value);
-                    self.inner.not_empty.notify_one();
+                    if state.parked_receivers > 0 {
+                        self.inner.not_empty.notify_one();
+                    }
                     return Ok(());
                 }
+                state.parked_senders += 1;
                 state = self
                     .inner
                     .not_full
                     .wait(state)
                     .expect("channel lock poisoned");
+                state.parked_senders -= 1;
             }
         }
     }
@@ -168,17 +196,19 @@ pub mod channel {
             let mut state = self.inner.state.lock().expect("channel lock poisoned");
             loop {
                 if let Some(value) = state.queue.pop_front() {
-                    self.inner.not_full.notify_one();
+                    self.inner.taken(&state);
                     return Ok(value);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.parked_receivers += 1;
                 state = self
                     .inner
                     .not_empty
                     .wait(state)
                     .expect("channel lock poisoned");
+                state.parked_receivers -= 1;
             }
         }
 
@@ -186,7 +216,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.inner.state.lock().expect("channel lock poisoned");
             if let Some(value) = state.queue.pop_front() {
-                self.inner.not_full.notify_one();
+                self.inner.taken(&state);
                 return Ok(value);
             }
             if state.senders == 0 {
@@ -207,7 +237,7 @@ pub mod channel {
             let mut state = self.inner.state.lock().expect("channel lock poisoned");
             loop {
                 if let Some(value) = state.queue.pop_front() {
-                    self.inner.not_full.notify_one();
+                    self.inner.taken(&state);
                     return Ok(value);
                 }
                 if state.senders == 0 {
@@ -217,12 +247,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.parked_receivers += 1;
                 let (next, timed_out) = self
                     .inner
                     .not_empty
                     .wait_timeout(state, deadline - now)
                     .expect("channel lock poisoned");
                 state = next;
+                state.parked_receivers -= 1;
                 if timed_out.timed_out() && state.queue.is_empty() {
                     return if state.senders == 0 {
                         Err(RecvTimeoutError::Disconnected)
@@ -288,6 +320,83 @@ pub mod channel {
             assert_eq!(rx.recv_deadline(past), Err(RecvTimeoutError::Timeout));
             tx.send(3).unwrap();
             assert_eq!(rx.recv_deadline(past), Ok(3));
+        }
+
+        /// Wait until `parked` reads one (at most 200 ms, so a count that is
+        /// never raised still gets its waiter parked), run `wake`, and
+        /// require the waiter to finish within a watchdog deadline.
+        fn parked_waiter_is_woken<T: Send + 'static>(
+            waiter: impl FnOnce() -> T + Send + 'static,
+            parked: impl Fn() -> usize,
+            wake: impl FnOnce(),
+        ) -> T {
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let waiting = std::thread::spawn(move || done_tx.send(waiter()));
+            let patience = Instant::now() + Duration::from_millis(200);
+            while parked() != 1 && Instant::now() < patience {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            wake();
+            let woken = done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the parked waiter was never woken");
+            waiting.join().unwrap().unwrap();
+            woken
+        }
+
+        fn parked_receivers<T>(tx: &Sender<T>) -> usize {
+            tx.inner.state.lock().unwrap().parked_receivers
+        }
+
+        fn parked_senders<T>(rx: &Receiver<T>) -> usize {
+            rx.inner.state.lock().unwrap().parked_senders
+        }
+
+        #[test]
+        fn a_send_wakes_a_receiver_parked_in_recv() {
+            let (tx, rx) = unbounded();
+            let got = parked_waiter_is_woken(
+                move || rx.recv(),
+                || parked_receivers(&tx),
+                || tx.send(1).unwrap(),
+            );
+            assert_eq!(got, Ok(1));
+        }
+
+        #[test]
+        fn a_send_wakes_a_receiver_parked_in_recv_deadline() {
+            let (tx, rx) = unbounded();
+            let far = Instant::now() + Duration::from_secs(600);
+            let got = parked_waiter_is_woken(
+                move || rx.recv_deadline(far),
+                || parked_receivers(&tx),
+                || tx.send(2).unwrap(),
+            );
+            assert_eq!(got, Ok(2));
+        }
+
+        #[test]
+        fn a_receive_wakes_a_sender_parked_on_a_full_channel() {
+            for try_recv in [false, true] {
+                let (tx, rx) = bounded(1);
+                tx.send(0).unwrap();
+                let rx = std::sync::Arc::new(rx);
+                let (probe, taker) = (std::sync::Arc::clone(&rx), std::sync::Arc::clone(&rx));
+                let sent = parked_waiter_is_woken(
+                    move || tx.send(1).is_ok(),
+                    move || parked_senders(&probe),
+                    move || {
+                        let taken = if try_recv {
+                            taker.try_recv().ok()
+                        } else {
+                            taker.recv().ok()
+                        };
+                        assert_eq!(taken, Some(0));
+                    },
+                );
+                assert!(sent, "try_recv: {try_recv}");
+                assert_eq!(rx.recv(), Ok(1));
+            }
         }
 
         #[test]
