@@ -1,33 +1,70 @@
-//! The fleet's driver threads — the one place in the scheduling path that
-//! blocks, reads the clock or sleeps.  [`WorkerCore`] and the escalation
-//! lane are I/O-free handlers; [`Wire`] is their threaded [`Context`].
+//! The fleet's drivers — the one place in the scheduling path that blocks,
+//! reads the clock or sleeps.  [`WorkerCore`] and the escalation lane are
+//! I/O-free handlers; [`Wire`] is their threaded [`Context`].
 //!
 //! A fleet of n shard cores runs on m = min(n, available cores) drivers:
-//! shard i lives on driver i mod m, and a driver owns its cores and one
-//! channel of `(shard, message)` letters.  The shape is an event loop that
-//! serves several hosts: one wait, then each core that has mail or a due
-//! deadline is handled and stepped.
+//! shard i lives on driver i mod m.  A driver is a *desk* (its cores and
+//! its local queue of co-resident mail) behind one mutex, plus one channel
+//! of `(shard, message)` letters.  Its work is a *pass* over the desk: hand
+//! the mail to its cores, then step every core that is due.  There is one
+//! pass, and two kinds of thread run it:
 //!
-//! * A post to a core on another driver, or from a client's thread, is one
-//!   channel send, as it was when every shard had its own thread.
-//! * A post from a driver to one of its own cores (a *co-resident* post,
-//!   e.g. a decider's `Release2pc` to a sibling on the same driver) is a
-//!   push onto that driver's local queue: no channel and no wake-up.
-//! * **Causality.**  The local queue is the driver's mail in arrival order.
-//!   A co-resident post first moves whatever the channel holds onto the
-//!   local queue, so it lands behind every letter sent before it (a
-//!   client's earlier statement stays ahead of the prepare a co-resident
-//!   admission posts for its transaction's escalation).  And the driver
-//!   empties its local queue before it takes the next letter from the
-//!   channel, so a letter sent after it (another thread's `Prepare` for
-//!   the next job, admitted once this release let it start) lands behind
-//!   it.
+//! * the driver's own thread (`declsched-driver-{i}`), which waits for
+//!   mail, a wake or its cores' earliest deadline, then takes the desk and
+//!   runs passes until no core is due;
+//! * a client thread (*caller-runs*), on a fleet whose trigger is
+//!   `Always`.  A single-shard `Submit` to an idle driver (its thread is
+//!   waiting for mail, not going for the desk) tries the desk's lock.  If
+//!   the driver is busy, or the lock is, the submit is a channel send.  If
+//!   the client gets the lock, it moves what the channel holds onto the
+//!   local queue, puts its own letter behind that, and runs passes until
+//!   no core of the driver is due: at depth 1 it handles, executes and
+//!   resolves its own transaction with no send, no wake and no park.
+//!
+//! Which clients run passes:
+//!
+//! * Only under `Always`.  Under `TimeElapsed`, `FillLevel` and `Hybrid` no
+//!   client runs a pass: those triggers batch on purpose, and an open-loop
+//!   pacer must never run a round.
+//! * A client with another ticket open (one it has neither waited on nor
+//!   dropped) is pipelining.  On a fleet of several drivers it leaves the
+//!   passes to them: they run beside it and beside each other, and a
+//!   client running them would run them one after another.  On a fleet of
+//!   one driver there is no such overlap to lose, and it runs them too.
+//! * Cross-shard submissions and every other message are channel sends.
+//!
+//! The rules both kinds keep:
+//!
+//! * **Order.**  A letter leaves the channel only while its desk is held:
+//!   the driver thread waits for mail without taking any.  (A driver that
+//!   held a dequeued letter while a client ran a pass would reorder that
+//!   shard's arrivals, and SS2PL can deadlock on reordered ids.)
+//! * **Causality.**  The local queue is the desk's mail in arrival order.
+//!   A post to a core of the held desk — a co-resident post such as a
+//!   decider's `Release2pc` to a sibling, or a caller's own letter — first
+//!   moves whatever the channel holds onto the local queue, so it lands
+//!   behind every letter sent before it.  And a pass empties the local
+//!   queue before it takes the next letter from the channel, so a letter
+//!   sent after it lands behind it.
+//! * **No lost letter, no lost deadline.**  A send to a parked driver wakes
+//!   it.  A client leaves the desk only once no core is due, and if its
+//!   passes stopped a core or left a deadline earlier than the one the
+//!   driver sleeps on, it wakes the driver (a wake is kept until the
+//!   driver's next wait sees it).
+//! * **Lock order.**  Only a driver's own thread blocks on its desk, and
+//!   it holds no other lock then.  A client takes a desk by `try_lock` —
+//!   the sharded fast path does so while it holds its transaction's homes
+//!   stripe — and runs the passes only once it holds no other lock.  So a
+//!   pass may take homes, hub and lane locks without closing a cycle.
 //! * A core is stepped only when it got mail in this pass, its last step
 //!   asked for `Wake::Now`, or its `Wake::At` deadline has passed; an idle
 //!   sibling is not stepped, so a chaos `WorkerRound { shard }` visit is
 //!   still one step of that core.
-//! * A chaos `Stall` is slept off by the driver, so it pauses every core
-//!   that shares the stalled core's driver, not only the stalled one.
+//! * A chaos `Stall` is slept off by the thread that runs the pass, holding
+//!   the desk: on a driver's thread it pauses every core of that driver; in
+//!   a client's pass it stalls that client too.
+//! * Each core is charged the wall time of its own `handle` and `tick`
+//!   calls, whichever thread runs them (its report's `busy_us`).
 //! * A post to a core that has stopped is handed back, as a post to an
 //!   exited worker thread was: each shard's [`Mailbox`] has a closed flag.
 
@@ -35,8 +72,11 @@ use crate::hub::CompletionHub;
 use crate::metrics::ShardReport;
 use crate::worker::{Completion, Context, ShardMessage, Wake, WorkerCore};
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
+use declsched::TriggerPolicy;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// The fleet clock: one epoch for every thread of a fleet, so the lane can
@@ -65,6 +105,9 @@ pub(crate) fn stall(millis: u64) {
 
 /// A message on its way to a shard core.
 type Letter = (usize, ShardMessage);
+
+/// No deadline: a desk whose cores wait only for mail.
+const NEVER: u64 = u64::MAX;
 
 /// One shard's mailbox.  Aligned so that two shards' counters, written by
 /// different threads, never share a cache line.
@@ -96,126 +139,7 @@ impl Mailbox {
     }
 }
 
-/// Every mailbox of a fleet: one channel per driver, one [`Mailbox`] per
-/// shard.  The fleet keeps every channel's sender, so a driver's channel
-/// never disconnects while the fleet is up: shutdown is a message.
-pub(crate) struct PostOffice {
-    channels: Vec<Sender<Letter>>,
-    mailboxes: Vec<Mailbox>,
-}
-
-impl PostOffice {
-    /// Mailboxes for `shards` cores on `drivers` drivers, and each driver's
-    /// receiving end.
-    pub(crate) fn new(shards: usize, drivers: usize) -> (Self, Vec<Receiver<Letter>>) {
-        let (channels, receivers) = (0..drivers).map(|_| unbounded()).unzip();
-        let mailboxes = (0..shards)
-            .map(|shard| Mailbox {
-                driver: shard % drivers,
-                queued: (shard % drivers + drivers < shards).then(|| AtomicUsize::new(0)),
-                closed: AtomicBool::new(false),
-            })
-            .collect();
-        (
-            PostOffice {
-                channels,
-                mailboxes,
-            },
-            receivers,
-        )
-    }
-
-    /// Letters posted to `shard` that its core has not handled yet.
-    pub(crate) fn queued(&self, shard: usize) -> usize {
-        let mailbox = &self.mailboxes[shard];
-        match &mailbox.queued {
-            Some(queued) => queued.load(Ordering::Relaxed),
-            None => self.channels[mailbox.driver].len(),
-        }
-    }
-
-    fn drivers(&self) -> usize {
-        self.channels.len()
-    }
-}
-
-/// The threaded [`Context`]: a post leaves at once (a channel send, or a
-/// push onto the posting driver's local queue); a step's stall is slept
-/// off when the step publishes, before its completions reach the hub.
-pub(crate) struct Wire<'a> {
-    post_office: &'a PostOffice,
-    hub: &'a CompletionHub,
-    stall_ms: u64,
-    /// On a driver's thread: the driver and its channel.
-    own: Option<(usize, &'a Receiver<Letter>)>,
-    /// The driver's co-resident mail, in arrival order.
-    local: VecDeque<Letter>,
-}
-
-impl<'a> Wire<'a> {
-    /// The context a client's thread posts through: every post is a send.
-    pub(crate) fn client(post_office: &'a PostOffice, hub: &'a CompletionHub) -> Self {
-        Wire {
-            post_office,
-            hub,
-            stall_ms: 0,
-            own: None,
-            local: VecDeque::new(),
-        }
-    }
-
-    /// The driver's next letter: the local queue's oldest, else the
-    /// channel's.  (The causality rule: a letter sent after a co-resident
-    /// post is handled after it.)
-    fn next_letter(&mut self) -> Option<Letter> {
-        let channel = self.own.map(|(_, receiver)| receiver);
-        self.local
-            .pop_front()
-            .or_else(|| channel.and_then(|receiver| receiver.try_recv().ok()))
-    }
-}
-
-impl Context for Wire<'_> {
-    fn post(&mut self, shard: usize, message: ShardMessage) -> Result<(), ShardMessage> {
-        let mailbox = &self.post_office.mailboxes[shard];
-        if mailbox.closed.load(Ordering::Acquire) {
-            return Err(message);
-        }
-        mailbox.posted();
-        match self.own {
-            Some((driver, receiver)) if driver == mailbox.driver => {
-                // What the channel holds was sent before this post.
-                while let Ok(letter) = receiver.try_recv() {
-                    self.local.push_back(letter);
-                }
-                self.local.push_back((shard, message));
-                Ok(())
-            }
-            _ => {
-                let sent = self.post_office.channels[mailbox.driver].send((shard, message));
-                sent.map_err(|SendError((_, message))| {
-                    mailbox.taken();
-                    message
-                })
-            }
-        }
-    }
-
-    fn publish(&mut self, completions: &mut Vec<Completion>) {
-        if self.stall_ms > 0 {
-            stall(std::mem::take(&mut self.stall_ms));
-        }
-        if !completions.is_empty() {
-            self.hub.resolve_many(completions.drain(..));
-        }
-    }
-
-    fn stall(&mut self, millis: u64) {
-        self.stall_ms += millis;
-    }
-}
-
-/// One core on its driver, with what the driver knows about it.
+/// One core on its driver's desk, with what the desk knows about it.
 struct Seat {
     core: WorkerCore,
     /// What the core's last step asked for.
@@ -245,58 +169,37 @@ impl Seat {
     }
 }
 
-/// A driver thread's body: block until mail or the earliest deadline of
-/// its cores, hand the mail to its cores (the local queue before each next
-/// channel letter), then step every core that is due.  `cores` are the
-/// shards `driver`, `driver + m`, `driver + 2m`, … of a fleet on m drivers.
-/// Returns once every core has stopped.
-pub(crate) fn run_driver(
-    driver: usize,
-    cores: Vec<WorkerCore>,
-    receiver: Receiver<Letter>,
-    post_office: &PostOffice,
-    hub: &CompletionHub,
-    clock: Clock,
-) -> Vec<ShardReport> {
-    let cpu_at_start = thread_on_cpu_us();
-    let drivers = post_office.drivers();
-    let mut wire = Wire {
-        own: Some((driver, &receiver)),
-        ..Wire::client(post_office, hub)
-    };
-    let mut seats: Vec<Seat> = cores
-        .into_iter()
-        .map(|core| Seat {
-            core,
-            wake: Wake::Mail,
-            mailed: false,
-            busy_ns: 0,
-        })
-        .collect();
-    let mut live = seats.len();
-    while live > 0 {
-        let due_now = !wire.local.is_empty() || seats.iter().any(|s| s.wake == Wake::Now);
-        let first = if due_now {
-            receiver.try_recv().ok()
-        } else {
-            let earliest = seats.iter().filter_map(|seat| match seat.wake {
-                Wake::At(ms) => Some(ms),
-                _ => None,
-            });
-            // (A deadline beyond `Instant`'s range is no deadline.)
-            let deadline = earliest
-                .min()
-                .and_then(|ms| clock.0.checked_add(Duration::from_millis(ms)));
-            match deadline {
-                Some(deadline) => receiver.recv_deadline(deadline).ok(),
-                None => receiver.recv().ok(),
-            }
+/// What a driver's lock guards: the state every pass reads and writes.
+struct Desk {
+    /// The driver's cores: shards `driver`, `driver + m`, `driver + 2m`, …
+    seats: Vec<Seat>,
+    /// Co-resident mail, in arrival order.
+    local: VecDeque<Letter>,
+    /// Cores that have not stopped.
+    live: usize,
+    /// The fleet-clock millisecond the driver thread sleeps until
+    /// ([`NEVER`]: until mail or a wake).
+    sleeps_until: u64,
+}
+
+impl Desk {
+    /// One pass: hand every letter to its core (the local queue before each
+    /// next channel letter), then step every core that is due.  Returns
+    /// the fleet clock at its end, in µs.
+    fn pass(&mut self, driver: usize, office: &PostOffice) -> u64 {
+        let drivers = office.drivers.len();
+        let clock = office.clock;
+        let Desk {
+            seats, local, live, ..
+        } = self;
+        let mut wire = Wire {
+            own: Some((driver, local)),
+            ..Wire::client(office)
         };
-        wire.local.extend(first);
         // Each span from `mark` to the next clock read is one core's call.
         let mut mark = clock.now_ns();
         while let Some((shard, message)) = wire.next_letter() {
-            post_office.mailboxes[shard].taken();
+            office.mailboxes[shard].taken();
             let seat = &mut seats[shard / drivers];
             if seat.wake == Wake::Stop {
                 // Raced the core's stop: dropped, its reply resolves closed.
@@ -315,40 +218,361 @@ pub(crate) fn run_driver(
             seat.charge(&mut mark, clock);
             if seat.wake == Wake::Stop {
                 let shard = driver + index * drivers;
-                post_office.mailboxes[shard]
+                office.mailboxes[shard]
                     .closed
                     .store(true, Ordering::Release);
-                live -= 1;
+                *live -= 1;
+            }
+        }
+        mark / 1_000
+    }
+
+    /// Run passes until no core is due, counting each in `passes`.
+    fn serve(&mut self, driver: usize, office: &PostOffice, passes: &obs::Counter) {
+        loop {
+            let now_us = self.pass(driver, office);
+            passes.inc();
+            let due = !self.local.is_empty() || self.seats.iter().any(|s| s.due(now_us));
+            if self.live == 0 || !due {
+                return;
             }
         }
     }
-    // A driver of one core can report the kernel's on-CPU time, which wall
-    // spans overstate on an oversubscribed box; several cores cannot split
-    // it.
-    let on_cpu_us = match (seats.len(), cpu_at_start, thread_on_cpu_us()) {
-        (1, Some(start), Some(end)) => Some(end.saturating_sub(start)),
-        _ => None,
-    };
-    seats
-        .into_iter()
-        .map(|seat| {
-            let busy_us = on_cpu_us.unwrap_or(seat.busy_ns / 1_000);
-            seat.core.into_report(busy_us)
-        })
-        .collect()
+
+    /// The earliest `Wake::At` of the cores, in fleet milliseconds.
+    fn earliest(&self) -> u64 {
+        let at = self.seats.iter().filter_map(|seat| match seat.wake {
+            Wake::At(ms) => Some(ms),
+            _ => None,
+        });
+        at.min().unwrap_or(NEVER)
+    }
 }
 
-/// Microseconds this thread has spent on-CPU, from the kernel's scheduler
-/// statistics; `None` where unavailable.
-fn thread_on_cpu_us() -> Option<u64> {
-    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    let on_cpu_ns: u64 = text.split_whitespace().next()?.parse().ok()?;
-    Some(on_cpu_ns / 1_000)
+/// One driver: its desk and its channel's receiving end.  Aligned so that
+/// two drivers' desks, each written by its own thread, never share a cache
+/// line.
+#[repr(align(64))]
+struct Driver {
+    /// A letter leaves it only while `desk` is held (the order rule).
+    receiver: Receiver<Letter>,
+    desk: Mutex<Desk>,
+    /// The driver's thread is done serving the desk until its next wake:
+    /// cleared as it goes for the desk, set again before it lets go.  A
+    /// client takes the desk only while this is set, so it does not race an
+    /// awake driver for it.
+    idle: AtomicBool,
+}
+
+/// Every mailbox and driver of a fleet: one channel and one desk per
+/// driver, one [`Mailbox`] per shard.  The fleet keeps every channel's
+/// sender, so a driver's channel never disconnects while the fleet is up:
+/// shutdown is a message.
+pub(crate) struct PostOffice {
+    channels: Vec<Sender<Letter>>,
+    mailboxes: Vec<Mailbox>,
+    drivers: Vec<Driver>,
+    /// Clients run passes: the fleet's trigger is `Always`.
+    caller_runs: bool,
+    /// Where every pass publishes its resolved tickets.
+    pub(crate) hub: Arc<CompletionHub>,
+    pub(crate) clock: Clock,
+    /// Passes run by a client thread (`shard.caller_passes`).
+    caller_passes: obs::Counter,
+    /// Passes run by a driver's own thread (`shard.driver_passes`).
+    driver_passes: obs::Counter,
+}
+
+impl PostOffice {
+    /// Seat `cores` (shard i's at index i) on `drivers` desks, shard i on
+    /// desk i mod `drivers`, and register the pass counters.  Clients run
+    /// passes only under the `Always` trigger.
+    pub(crate) fn new(
+        cores: Vec<WorkerCore>,
+        drivers: usize,
+        trigger: &TriggerPolicy,
+        hub: Arc<CompletionHub>,
+        clock: Clock,
+        registry: &obs::Registry,
+    ) -> Self {
+        let shards = cores.len();
+        let (channels, receivers): (Vec<_>, Vec<_>) = (0..drivers).map(|_| unbounded()).unzip();
+        let mailboxes = (0..shards)
+            .map(|shard| Mailbox {
+                driver: shard % drivers,
+                queued: (shard % drivers + drivers < shards).then(|| AtomicUsize::new(0)),
+                closed: AtomicBool::new(false),
+            })
+            .collect();
+        let mut seated: Vec<Vec<Seat>> = (0..drivers).map(|_| Vec::new()).collect();
+        for (shard, core) in cores.into_iter().enumerate() {
+            seated[shard % drivers].push(Seat {
+                core,
+                wake: Wake::Mail,
+                mailed: false,
+                busy_ns: 0,
+            });
+        }
+        let drivers = seated
+            .into_iter()
+            .zip(receivers)
+            .map(|(seats, receiver)| Driver {
+                receiver,
+                idle: AtomicBool::new(true),
+                desk: Mutex::new(Desk {
+                    live: seats.len(),
+                    seats,
+                    local: VecDeque::new(),
+                    sleeps_until: NEVER,
+                }),
+            })
+            .collect();
+        PostOffice {
+            channels,
+            mailboxes,
+            drivers,
+            caller_runs: *trigger == TriggerPolicy::Always,
+            hub,
+            clock,
+            caller_passes: registry.counter("shard.caller_passes"),
+            driver_passes: registry.counter("shard.driver_passes"),
+        }
+    }
+
+    /// Letters posted to `shard` that its core has not handled yet.
+    pub(crate) fn queued(&self, shard: usize) -> usize {
+        let mailbox = &self.mailboxes[shard];
+        match &mailbox.queued {
+            Some(queued) => queued.load(Ordering::Relaxed),
+            None => self.channels[mailbox.driver].len(),
+        }
+    }
+
+    /// The desk of `driver`, for its own thread.  A pass that panicked
+    /// leaves it poisoned, and the driver panics with it.
+    fn desk(&self, driver: usize) -> MutexGuard<'_, Desk> {
+        self.drivers[driver]
+            .desk
+            .lock()
+            .expect("a pass panicked on this driver")
+    }
+
+    /// Post a client's letter to `shard`.  `alone`: the caller has no
+    /// other ticket open, so it would only block on this one.  On a
+    /// caller-runs fleet whose driver is idle (its thread waits for mail
+    /// and its desk is free), a caller that is alone, or whose fleet has
+    /// one driver, takes the desk: the channel's letters move onto the
+    /// local queue, this one goes behind them, and the taken desk comes
+    /// back for [`CallerTurn::run`], which the caller calls once it holds
+    /// no other lock.  Otherwise the letter is a channel send.  A stopped
+    /// core hands the letter back.
+    pub(crate) fn client_post(
+        &self,
+        shard: usize,
+        message: ShardMessage,
+        alone: bool,
+    ) -> Result<Option<CallerTurn<'_>>, ShardMessage> {
+        let driver = self.mailboxes[shard].driver;
+        // A pipelining caller on a fleet of several drivers leaves the
+        // passes to them: they run beside it and beside each other, and a
+        // caller running them would run them one after another.
+        let may_run = self.caller_runs && (alone || self.drivers.len() == 1);
+        if may_run && self.drivers[driver].idle.load(Ordering::Acquire) {
+            if let Ok(mut desk) = self.drivers[driver].desk.try_lock() {
+                let mut wire = Wire {
+                    own: Some((driver, &mut desk.local)),
+                    ..Wire::client(self)
+                };
+                wire.post(shard, message)?;
+                return Ok(Some(CallerTurn {
+                    office: self,
+                    driver,
+                    desk,
+                }));
+            }
+        }
+        Wire::client(self).post(shard, message).map(|()| None)
+    }
+
+    /// The driver thread's wait: until its channel has mail, a client wakes
+    /// it, or the fleet clock reaches `sleeps_until`.  Takes no letter.
+    fn wait_for_mail(&self, driver: usize, sleeps_until: u64) {
+        // (A deadline beyond `Instant`'s range is no deadline.)
+        let deadline = match sleeps_until {
+            NEVER => None,
+            ms => self.clock.0.checked_add(Duration::from_millis(ms)),
+        };
+        self.drivers[driver].receiver.wait_ready(deadline);
+    }
+
+    /// The driver thread's turn: take the desk and serve it.  Continues with
+    /// the millisecond to sleep until, or breaks with the cores' reports
+    /// once every core has stopped.
+    fn driver_turn(&self, driver: usize) -> ControlFlow<Vec<ShardReport>, u64> {
+        let idle = &self.drivers[driver].idle;
+        idle.store(false, Ordering::Release);
+        let mut desk = self.desk(driver);
+        if desk.live > 0 {
+            desk.serve(driver, self, &self.driver_passes);
+        }
+        if desk.live == 0 {
+            let seats = std::mem::take(&mut desk.seats);
+            let reports = seats.into_iter().map(|seat| {
+                let busy_us = seat.busy_ns / 1_000;
+                seat.core.into_report(busy_us)
+            });
+            return ControlFlow::Break(reports.collect());
+        }
+        desk.sleeps_until = desk.earliest();
+        idle.store(true, Ordering::Release);
+        ControlFlow::Continue(desk.sleeps_until)
+    }
+}
+
+/// A driver's desk, taken by a client thread with its letter posted.
+pub(crate) struct CallerTurn<'a> {
+    office: &'a PostOffice,
+    driver: usize,
+    desk: MutexGuard<'a, Desk>,
+}
+
+impl CallerTurn<'_> {
+    /// Run passes until no core of the driver is due, then wake the driver
+    /// if these passes stopped a core or left a deadline earlier than the
+    /// one it sleeps on.
+    pub(crate) fn run(mut self) {
+        let (office, driver) = (self.office, self.driver);
+        self.desk.serve(driver, office, &office.caller_passes);
+        let earliest = self.desk.earliest();
+        if self.desk.live == 0 || earliest < self.desk.sleeps_until {
+            self.desk.sleeps_until = earliest;
+            office.channels[driver].wake();
+        }
+    }
+}
+
+/// The threaded [`Context`]: a post leaves at once (a channel send, or a
+/// push onto the held desk's local queue); a step's stall is slept off when
+/// the step publishes, before its completions reach the hub.
+pub(crate) struct Wire<'a> {
+    office: &'a PostOffice,
+    stall_ms: u64,
+    /// Inside a pass or a caller's post: the driver whose desk this thread
+    /// holds, and the desk's local queue.
+    own: Option<(usize, &'a mut VecDeque<Letter>)>,
+}
+
+impl<'a> Wire<'a> {
+    /// The context a thread that holds no desk posts through: every post is
+    /// a send.
+    pub(crate) fn client(office: &'a PostOffice) -> Self {
+        Wire {
+            office,
+            stall_ms: 0,
+            own: None,
+        }
+    }
+
+    /// The held desk's next letter: the local queue's oldest; once the
+    /// local queue is empty, what the channel holds moves onto it first.
+    /// (The causality rule: a letter sent after a co-resident post is
+    /// handled after it.)
+    fn next_letter(&mut self) -> Option<Letter> {
+        let (driver, local) = self.own.as_mut()?;
+        if local.is_empty() {
+            self.office.drivers[*driver].receiver.drain_into(local);
+        }
+        local.pop_front()
+    }
+}
+
+impl Context for Wire<'_> {
+    fn post(&mut self, shard: usize, message: ShardMessage) -> Result<(), ShardMessage> {
+        let mailbox = &self.office.mailboxes[shard];
+        if mailbox.closed.load(Ordering::Acquire) {
+            return Err(message);
+        }
+        mailbox.posted();
+        match &mut self.own {
+            Some((driver, local)) if *driver == mailbox.driver => {
+                // What the channel holds was sent before this post.
+                self.office.drivers[*driver].receiver.drain_into(local);
+                local.push_back((shard, message));
+                Ok(())
+            }
+            _ => {
+                let sent = self.office.channels[mailbox.driver].send((shard, message));
+                sent.map_err(|SendError((_, message))| {
+                    mailbox.taken();
+                    message
+                })
+            }
+        }
+    }
+
+    fn publish(&mut self, completions: &mut Vec<Completion>) {
+        if self.stall_ms > 0 {
+            stall(std::mem::take(&mut self.stall_ms));
+        }
+        if !completions.is_empty() {
+            self.office.hub.resolve_many(completions.drain(..));
+        }
+    }
+
+    fn stall(&mut self, millis: u64) {
+        self.stall_ms += millis;
+    }
+}
+
+/// A driver thread's body: wait for mail, a wake or the earliest deadline
+/// of its cores (taking no letter), then take the desk and run passes
+/// until no core is due.  Returns the cores' reports once every core has
+/// stopped.
+pub(crate) fn run_driver(office: &PostOffice, driver: usize) -> Vec<ShardReport> {
+    let mut sleeps_until = NEVER;
+    loop {
+        office.wait_for_mail(driver, sleeps_until);
+        match office.driver_turn(driver) {
+            ControlFlow::Continue(next) => sleeps_until = next,
+            ControlFlow::Break(reports) => return reports,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escalation::Lane;
+    use crate::hub::HubReply;
+    use crate::router::TxnHomes;
+    use crate::worker::Submission;
+    use crate::ShardConfig;
+    use declsched::{Protocol, ProtocolKind, Request, SchedulerConfig};
+    use std::sync::atomic::AtomicU64;
+
+    /// The mailboxes and desks of a fleet configured by `config`, on
+    /// `drivers` drivers, with no driver thread: the test runs every turn.
+    fn office(config: &ShardConfig, drivers: usize) -> PostOffice {
+        let (sink, registry) = (obs::TraceSink::disabled(), obs::Registry::new());
+        let lane = Lane::new(config, &sink, &registry);
+        let homes = Arc::new(TxnHomes::new());
+        let cores = (0..config.shards)
+            .map(|shard| WorkerCore::new(shard, config, &lane, &homes, &sink, &registry).unwrap())
+            .collect();
+        let trigger = &config.scheduler.trigger;
+        PostOffice::new(
+            cores,
+            drivers,
+            trigger,
+            CompletionHub::new(),
+            Clock::start(),
+            &registry,
+        )
+    }
+
+    fn fcfs(shards: usize) -> ShardConfig {
+        ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Fcfs)).with_table("bench", 16)
+    }
 
     fn job(letter: Option<Letter>) -> Option<(usize, u64)> {
         match letter? {
@@ -361,16 +585,15 @@ mod tests {
     /// letter sent before it and ahead of every letter sent after it.
     #[test]
     fn a_co_resident_post_keeps_its_place_among_channel_letters() {
-        let (post_office, mut receivers) = PostOffice::new(2, 1);
-        let receiver = receivers.pop().unwrap();
-        let hub = CompletionHub::new();
+        let post_office = office(&fcfs(2), 1);
         let release = |job_id| ShardMessage::Release2pc { job_id };
-        let mut client = Wire::client(&post_office, &hub);
-        let mut driver = Wire {
-            own: Some((0, &receiver)),
-            ..Wire::client(&post_office, &hub)
-        };
+        let mut client = Wire::client(&post_office);
         assert!(client.post(1, release(1)).is_ok());
+        let mut desk = post_office.desk(0);
+        let mut driver = Wire {
+            own: Some((0, &mut desk.local)),
+            ..Wire::client(&post_office)
+        };
         assert!(driver.post(1, release(2)).is_ok());
         assert!(client.post(0, release(3)).is_ok());
         assert_eq!(post_office.queued(1), 2);
@@ -381,14 +604,76 @@ mod tests {
     /// A post to a core that has stopped is handed back.
     #[test]
     fn a_post_to_a_stopped_core_is_handed_back() {
-        let (post_office, _receivers) = PostOffice::new(2, 1);
-        let hub = CompletionHub::new();
+        let post_office = office(&fcfs(2), 1);
         post_office.mailboxes[1]
             .closed
             .store(true, Ordering::Release);
-        let mut client = Wire::client(&post_office, &hub);
+        let mut client = Wire::client(&post_office);
         assert!(client.post(0, ShardMessage::LastCall).is_ok());
         assert!(client.post(1, ShardMessage::LastCall).is_err());
         assert_eq!((post_office.queued(0), post_office.queued(1)), (1, 0));
+    }
+
+    /// Caller-runs order, step by step on one thread.  Another client's
+    /// letter, sent while the desk was busy, is handled before the `Submit`
+    /// of the client that takes the desk next; and the driver thread, woken
+    /// by that letter before the client took the desk, finds nothing left
+    /// to handle.  Both transactions write one row under FCFS, so the
+    /// executed log is arrival order; each statement runs once and each
+    /// ticket resolves once.
+    #[test]
+    fn a_callers_pass_handles_earlier_letters_first_and_a_woken_driver_none_twice() {
+        let config = fcfs(1).with_scheduler(SchedulerConfig {
+            trigger: TriggerPolicy::Always,
+            ..SchedulerConfig::default()
+        });
+        let post_office = office(&config, 1);
+        let hub = Arc::clone(&post_office.hub);
+        let inflight = Arc::new(AtomicU64::new(0));
+        let submit = |ta: u64| {
+            let requests = vec![Request::write(0, ta, 0, 5), Request::commit(0, ta, 1)];
+            let reply = HubReply::new(Arc::clone(&hub), ta, 2, Arc::clone(&inflight));
+            ShardMessage::Submit(Submission { requests, reply })
+        };
+
+        // T1's client finds the desk busy: its letter is a channel send.
+        let busy = post_office.desk(0);
+        assert!(matches!(
+            post_office.client_post(0, submit(1), true),
+            Ok(None)
+        ));
+        drop(busy);
+        // The driver wakes on that mail and takes no letter; it is still
+        // idle until it goes for the desk.
+        post_office.wait_for_mail(0, NEVER);
+        // T2's client finds the desk free and serves it before the driver
+        // gets there.
+        let Ok(Some(turn)) = post_office.client_post(0, submit(2), true) else {
+            panic!("the desk is free");
+        };
+        turn.run();
+        assert_eq!(post_office.caller_passes.get(), 1);
+        assert_eq!(post_office.queued(0), 0);
+        // The driver's turn: nothing is left for it.
+        assert!(matches!(
+            post_office.driver_turn(0),
+            ControlFlow::Continue(NEVER)
+        ));
+        assert_eq!(post_office.driver_passes.get(), 1);
+        assert_eq!((hub.wait(1), hub.wait(2)), (Ok(()), Ok(())));
+
+        assert!(Wire::client(&post_office)
+            .post(0, ShardMessage::Shutdown)
+            .is_ok());
+        let ControlFlow::Break(reports) = post_office.driver_turn(0) else {
+            panic!("the core did not stop on shutdown");
+        };
+        let log: Vec<(u64, u32)> = reports[0]
+            .executed_log
+            .iter()
+            .map(|r| (r.ta, r.intra))
+            .collect();
+        assert_eq!(log, [(1, 0), (1, 1), (2, 0), (2, 1)]);
+        assert_eq!(hub.residue(), 0);
     }
 }

@@ -358,9 +358,29 @@ mod tests {
         })
     }
 
-    fn start_on(config: ShardConfig, drivers: usize) -> ShardRouter {
+    /// A fleet on `drivers` driver threads, and the registry its counters
+    /// register into.
+    fn start_on(config: ShardConfig, drivers: usize) -> (ShardRouter, Arc<obs::Registry>) {
         let registry = Arc::new(obs::Registry::new());
-        ShardRouter::start_on(config, drivers, obs::TraceSink::disabled(), registry).unwrap()
+        let sink = obs::TraceSink::disabled();
+        let router = ShardRouter::start_on(config, drivers, sink, Arc::clone(&registry));
+        (router.unwrap(), registry)
+    }
+
+    /// Passes run by client threads and by driver threads.
+    fn passes(registry: &obs::Registry) -> (u64, u64) {
+        let snapshot = registry.snapshot();
+        (
+            snapshot.counter("shard.caller_passes"),
+            snapshot.counter("shard.driver_passes"),
+        )
+    }
+
+    fn always(config: ShardConfig) -> ShardConfig {
+        config.with_scheduler(SchedulerConfig {
+            trigger: TriggerPolicy::Always,
+            ..SchedulerConfig::default()
+        })
     }
 
     /// A `.shards(4)` fleet starts one driver thread per core of the host,
@@ -378,12 +398,15 @@ mod tests {
 
     /// Four shard cores on one driver, then on two: the FIFO fleet test's
     /// contended stream (1 000 transactions, a fifth spanning two shards)
-    /// on real threads, submitted by a client that keeps 32 in flight.  On
-    /// two drivers, shards 0 and 2 share one and 1 and 3 the other, so the
-    /// stream's two-shard pairs are co-resident and cross-driver both.
-    /// Every ticket resolves once and `Ok`, every commit lands once on each
-    /// touched shard, strict 2PL holds on each shard, and no homes entry
-    /// or hub residue is left.
+    /// on real threads, submitted by a client that keeps 32 in flight under
+    /// the paper's `Hybrid` trigger, and again by a client that waits on
+    /// each ticket before the next under `Always`, so that it runs its
+    /// drivers' passes itself.  On two drivers, shards 0 and 2 share one
+    /// and 1 and 3 the other, so the stream's two-shard pairs are
+    /// co-resident and cross-driver both.  Every ticket resolves once and
+    /// `Ok`, every commit lands once on each touched shard, strict 2PL
+    /// holds on each shard, and no homes entry or hub residue is left.  No
+    /// client runs a pass under `Hybrid`.
     ///
     /// One client, because SS2PL orders conflicting pending requests by
     /// transaction id: clients whose ids reach a shard out of order can
@@ -405,14 +428,16 @@ mod tests {
         let co_resident = pairs.iter().filter(|(a, b)| a % 2 == b % 2).count();
         assert!(co_resident > 0 && co_resident < pairs.len(), "{pairs:?}");
 
-        for drivers in [1, 2] {
-            let router = start_on(testkit::config(), drivers);
+        let runs = [(testkit::config(), DEPTH), (always(testkit::config()), 1)];
+        for ((config, depth), drivers) in runs.iter().flat_map(|run| [(run, 1), (run, 2)]) {
+            let caller_runs = config.scheduler.trigger == TriggerPolicy::Always;
+            let (router, registry) = start_on(config.clone(), drivers);
             assert_eq!(router.driver_threads(), drivers);
             within(120, "a fleet on shared drivers hung", || {
                 let mut tickets = std::collections::VecDeque::new();
                 for requests in &stream {
                     tickets.push_back(router.submit_transaction(requests.clone()).unwrap());
-                    if tickets.len() == DEPTH {
+                    if tickets.len() == *depth {
                         let ticket = tickets.pop_front().unwrap();
                         assert_eq!(ticket.wait(), Ok(()), "{drivers} driver(s)");
                     }
@@ -431,7 +456,132 @@ mod tests {
             assert_eq!(metrics.unreclaimed_homes, 0, "{drivers} driver(s)");
             let logs: Vec<&[Request]> = report.shards.iter().map(|s| &s.executed_log[..]).collect();
             testkit::check_logs(&stream, &logs);
+            let (caller, _) = passes(&registry);
+            assert_eq!(caller > 0, caller_runs, "{drivers} driver(s): {caller}");
         }
+    }
+
+    /// Caller passes lose no letter: four client threads race for the
+    /// desks of a fleet of one shard on one driver, of four shards on one
+    /// driver and of four shards on two, trigger `Always`.  Two clients
+    /// wait on each ticket before the next, so they run passes whenever
+    /// they find their driver idle; two keep three in flight, so on two
+    /// drivers their letters go through the channels.  SS2PL, each client
+    /// on its own rows: clients that share rows can reach a shard out of
+    /// id order and deadlock SS2PL (see `CHANGES.md`).  Every ticket
+    /// resolves once and `Ok`, every statement and commit executes once,
+    /// strict 2PL holds on each shard, and no homes entry or hub residue is
+    /// left.
+    #[test]
+    fn caller_passes_under_concurrent_clients_lose_no_letter() {
+        const CLIENTS: u64 = 4;
+        const PER_CLIENT: u64 = 400;
+        const ROWS: i64 = 64;
+        // Client c's transactions: ids c·PER_CLIENT + 1, … in order, two
+        // statements on rows ≡ c (mod CLIENTS) and a commit.
+        let transactions = |client: u64| -> Vec<Vec<Request>> {
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64 ^ client;
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            (1..=PER_CLIENT)
+                .map(|i| {
+                    let ta = client * PER_CLIENT + i;
+                    let mut requests: Vec<Request> = (0..2)
+                        .map(|intra| {
+                            let row = (next(ROWS as u64 / CLIENTS) * CLIENTS + client) as i64;
+                            if next(2) == 0 {
+                                Request::read(0, ta, intra, row)
+                            } else {
+                                Request::write(0, ta, intra, row)
+                            }
+                        })
+                        .collect();
+                    requests.push(Request::commit(0, ta, 2));
+                    requests
+                })
+                .collect()
+        };
+        let streams: Vec<Vec<Vec<Request>>> = (0..CLIENTS).map(transactions).collect();
+        for (shards, drivers) in [(1, 1), (4, 1), (4, 2)] {
+            let config = ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Ss2pl))
+                .with_table("bench", ROWS as usize);
+            let (router, registry) = start_on(always(config), drivers);
+            within(10, "a client or driver lost a letter", || {
+                std::thread::scope(|scope| {
+                    for (client, stream) in streams.iter().enumerate() {
+                        let handle = router.handle();
+                        let depth = if client < 2 { 1 } else { 3 };
+                        scope.spawn(move || {
+                            let mut tickets = std::collections::VecDeque::new();
+                            for requests in stream {
+                                let ticket = handle.submit_transaction(requests.clone());
+                                tickets.push_back(ticket.unwrap());
+                                if tickets.len() == depth {
+                                    assert_eq!(tickets.pop_front().unwrap().wait(), Ok(()));
+                                }
+                            }
+                            for ticket in tickets {
+                                assert_eq!(ticket.wait(), Ok(()));
+                            }
+                        });
+                    }
+                });
+            });
+            let hub = router.hub();
+            let report = router.shutdown();
+            let fleet = format!("{shards} shard(s) on {drivers} driver(s)");
+            assert_eq!(hub.residue(), 0, "{fleet}");
+            let metrics = &report.metrics;
+            assert_eq!(metrics.unreclaimed_homes, 0, "{fleet}");
+            assert_eq!(metrics.escalation.failed, 0, "{fleet}");
+            let all = || streams.iter().flatten();
+            let touched = |requests: &Vec<Request>| {
+                let data = requests.iter().filter(|r| r.op.is_data());
+                let homes: std::collections::BTreeSet<usize> =
+                    data.map(|r| shard_of(r.object, shards)).collect();
+                homes.len() as u64
+            };
+            assert_eq!(
+                metrics.dispatch.commits,
+                all().map(touched).sum(),
+                "{fleet}"
+            );
+            let statements = (all().count() * 2) as u64;
+            assert_eq!(
+                metrics.dispatch.reads + metrics.dispatch.writes,
+                statements,
+                "{fleet}"
+            );
+            for shard in &report.shards {
+                let violations = testkit::strict_2pl_violations(&shard.executed_log);
+                assert!(violations.is_empty(), "{fleet}: {violations:?}");
+            }
+            let (caller, _) = passes(&registry);
+            assert!(caller > 0, "{fleet}: no client ran a pass");
+        }
+    }
+
+    /// A client that waits on each ticket before the next, alone on an
+    /// unsharded fleet, runs at least 90 % of the passes itself: its
+    /// driver's thread stays parked.
+    #[test]
+    fn a_depth_one_client_runs_its_own_passes() {
+        let config =
+            ShardConfig::new(1, Protocol::algebra(ProtocolKind::Ss2pl)).with_table("bench", 1_000);
+        let (router, registry) = start_on(always(config), 1);
+        for ta in 1..=2_000u64 {
+            exec(&router, txn(ta, &[(ta % 1_000) as i64], true)).unwrap();
+        }
+        let (caller, driver) = passes(&registry);
+        router.shutdown();
+        assert!(
+            caller * 10 >= (caller + driver) * 9,
+            "{caller} caller passes, {driver} driver passes"
+        );
     }
 
     /// The backlog the session layer's shedding reads stays per shard when
@@ -449,7 +599,7 @@ mod tests {
         let config = ShardConfig::new(2, Protocol::algebra(ProtocolKind::Fcfs))
             .with_table("bench", 1_000)
             .with_chaos(Arc::clone(&injector));
-        let router = start_on(config, 1);
+        let (router, _) = start_on(config, 1);
         let submit = |ta: u64, shard: usize| {
             let object = object_on_shard(shard, 2);
             router.submit_transaction(txn(ta, &[object], true)).unwrap()

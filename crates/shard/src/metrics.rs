@@ -16,11 +16,14 @@ pub struct ShardReport {
     pub dispatch: DispatchReport,
     /// Microseconds this worker spent *processing* — draining its mailbox,
     /// running rounds, executing batches and handshake slices — excluding
-    /// time blocked waiting for traffic.  The fleet's critical path (the
-    /// busiest shard's `busy_us`) is what the shard-scaling bench reports
-    /// as wall time: on a one-core CI box the elapsed time of N timeshared
-    /// workers measures the machine, not the deployment, while the maximum
-    /// per-shard busy time projects what an N-core deployment achieves.
+    /// time blocked waiting for traffic: the wall time of the core's own
+    /// `handle` and `tick` calls, on whichever thread ran them (its
+    /// driver's, or a client's that ran the pass).  The fleet's critical
+    /// path (the busiest shard's `busy_us`) is what the shard-scaling bench
+    /// reports as wall time: on a one-core CI box the elapsed time of N
+    /// timeshared workers measures the machine, not the deployment, while
+    /// the maximum per-shard busy time projects what an N-core deployment
+    /// achieves.
     pub busy_us: u64,
     /// Final value of every benchmark-table row on this shard's engine
     /// (index = row key).  Only rows whose home shard is this one were ever

@@ -9,9 +9,10 @@
 //! that shard's mailbox as one [`ShardMessage::Submit`], from the client's
 //! own thread.  The router buffers nothing and runs no thread of its own:
 //! the shard's driver empties its whole mailbox before each step, so the
-//! receiving side batches whatever piled up meanwhile.  Completions come
-//! back through the shared [`CompletionHub`], one hub synchronization per
-//! worker step.
+//! receiving side batches whatever piled up meanwhile.  Under the `Always`
+//! trigger a client that finds the shard's driver idle runs the driver's
+//! pass itself (see [`crate::driver`]).  Completions come back through the
+//! shared [`CompletionHub`], one hub synchronization per worker step.
 //!
 //! A fleet of **one** shard — which is also what the unsharded deployment
 //! runs — has nothing to route: [`RouterCore::submit`] posts the
@@ -25,11 +26,18 @@ use crate::metrics::{RouterSnapshot, ShardReport, ShardedMetrics};
 use crate::worker::{Context, ShardMessage, Submission, WorkerCore};
 use declsched::{shard_of, Request, SchedError, SchedResult};
 use obs::FastIdMap;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+thread_local! {
+    /// Tickets this thread has opened and not yet waited on or dropped
+    /// (a ticket waited on another thread stays open here).
+    static OPEN_TICKETS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// A pending completion for one submitted transaction, waited on through
 /// the fleet's shared completion hub.
@@ -52,6 +60,7 @@ impl TxnTicket {
 
 impl Drop for TxnTicket {
     fn drop(&mut self) {
+        OPEN_TICKETS.with(|open| open.set(open.get().saturating_sub(1)));
         if !self.waited {
             self.hub.abandon(self.token);
         }
@@ -140,11 +149,10 @@ impl TxnHomes {
 /// incrementally), so client handles route directly without a central
 /// router thread hop.
 pub(crate) struct RouterCore {
+    /// The fleet's mailboxes and drivers, with its completion hub and clock.
     post_office: Arc<PostOffice>,
     /// The cross-shard handshake's shared state: admission and counters.
     lane: Arc<Lane>,
-    /// The fleet clock the lane's phase timings are stamped with.
-    clock: Clock,
     shards: usize,
     counters: Counters,
     /// Per-transaction homes (also the per-transaction submission lock:
@@ -154,8 +162,6 @@ pub(crate) struct RouterCore {
     /// Live per-shard queue depth (incoming + pending), written by each
     /// worker around every round.
     depths: Vec<Arc<AtomicU64>>,
-    /// The shared completion hub tickets wait on.
-    hub: Arc<CompletionHub>,
     /// Requests currently in flight fleet-wide (submitted, not resolved) —
     /// decremented by the hub replies.
     inflight: Arc<AtomicU64>,
@@ -181,18 +187,15 @@ impl RouterCore {
     /// Allocate a hub token for a transaction of `weight` requests and
     /// count it in flight: the fleet-side reply and the client-side ticket.
     fn open_ticket(&self, weight: u64) -> (HubReply, TxnTicket) {
+        OPEN_TICKETS.with(|open| open.set(open.get() + 1));
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let before = self.inflight.fetch_add(weight, Ordering::Relaxed);
         self.peak_inflight
             .fetch_max(before + weight, Ordering::Relaxed);
-        let reply = HubReply::new(
-            Arc::clone(&self.hub),
-            token,
-            weight,
-            Arc::clone(&self.inflight),
-        );
+        let hub = &self.post_office.hub;
+        let reply = HubReply::new(Arc::clone(hub), token, weight, Arc::clone(&self.inflight));
         let ticket = TxnTicket {
-            hub: Arc::clone(&self.hub),
+            hub: Arc::clone(hub),
             token,
             waited: false,
         };
@@ -211,13 +214,17 @@ impl RouterCore {
     /// Route one transaction: a single-shard footprint is posted onto its
     /// shard's mailbox, a spanning one goes to the escalation lane.  A fleet
     /// of one has no routing decision to make and posts the transaction
-    /// straight onto its only worker's mailbox.
+    /// straight onto its only worker's mailbox.  A single-shard post that
+    /// takes an idle driver's desk runs the driver's passes on this thread
+    /// before returning, once no homes stripe is held.
     pub(crate) fn submit(&self, requests: Vec<Request>) -> SchedResult<TxnTicket> {
         if self.closed.load(Ordering::Acquire) {
             return Err(SchedError::ChannelClosed {
                 endpoint: "shard router (shutting down)",
             });
         }
+        // Whether this thread will only wait on the ticket it opens next.
+        let alone = OPEN_TICKETS.with(Cell::get) == 0;
         let weight = requests.len().max(1) as u64;
         if self.shards == 1 {
             // Nothing below applies: every object lives on shard 0, so
@@ -229,10 +236,18 @@ impl RouterCore {
                 reply.resolve_now(Err(closed("shard worker (chaos send failure)")));
                 return Ok(ticket);
             }
-            self.wire()
-                .post(0, ShardMessage::Submit(Submission { requests, reply }))
+            let turn = self
+                .post_office
+                .client_post(
+                    0,
+                    ShardMessage::Submit(Submission { requests, reply }),
+                    alone,
+                )
                 .map_err(|_| closed("shard worker"))?;
             self.counters.transactions.fetch_add(1, Ordering::Relaxed);
+            if let Some(turn) = turn {
+                turn.run();
+            }
             return Ok(ticket);
         }
         let mut touched: BTreeSet<usize> = requests
@@ -275,9 +290,14 @@ impl RouterCore {
             }
             // Fast path: the whole transaction lives on one shard
             // (terminal-only transactions with no recorded home default to
-            // shard 0).
-            self.wire()
-                .post(target, ShardMessage::Submit(Submission { requests, reply }))
+            // shard 0).  The stripe is held, so a busy desk is not waited
+            // for (`client_post` only tries its lock).
+            self.post_office
+                .client_post(
+                    target,
+                    ShardMessage::Submit(Submission { requests, reply }),
+                    alone,
+                )
                 .map_err(|_| closed("shard worker"))
         } else {
             // Every earlier submission of this transaction was posted under
@@ -290,13 +310,14 @@ impl RouterCore {
                 driver::stall(millis);
             }
             let touched = touched.iter().copied().collect();
-            let now_us = self.clock.now_us();
+            let now_us = self.post_office.clock.now_us();
             self.lane
                 .submit(requests, touched, reply, now_us, &mut self.wire())
+                .map(|()| None)
         };
 
         match sent {
-            Ok(()) => {
+            Ok(turn) => {
                 // Count and record homes only once the submission is
                 // actually in flight: a failed send must neither inflate
                 // the routed-transaction counters nor leak a homes entry.
@@ -330,6 +351,11 @@ impl RouterCore {
                         homes.insert(ta, touched);
                     }
                 }
+                // A pass may reclaim homes entries: the stripe goes first.
+                drop(homes);
+                if let Some(turn) = turn {
+                    turn.run();
+                }
                 Ok(ticket)
             }
             Err(e) => {
@@ -346,7 +372,7 @@ impl RouterCore {
 
     /// The threaded context a client thread drives the lane through.
     fn wire(&self) -> Wire<'_> {
-        Wire::client(&self.post_office, &self.hub)
+        Wire::client(&self.post_office)
     }
 
     /// The deepest backlog anywhere in the fleet: the worst shard queue or
@@ -476,10 +502,6 @@ impl ShardRouter {
         let shards = config.shards.max(1);
         let drivers = drivers.clamp(1, shards);
         let homes = Arc::new(TxnHomes::new());
-        let hub = CompletionHub::new();
-        let clock = Clock::start();
-        let (post_office, receivers) = PostOffice::new(shards, drivers);
-        let post_office = Arc::new(post_office);
         let lane = Lane::new(&config, &sink, &registry);
         // Every core is built before any thread starts, so a failed build
         // leaves no worker behind.
@@ -487,19 +509,20 @@ impl ShardRouter {
             .map(|shard| WorkerCore::new(shard, &config, &lane, &homes, &sink, &registry))
             .collect::<SchedResult<Vec<_>>>()?;
         let depths = cores.iter().map(WorkerCore::depth_gauge).collect();
-        let mut seated: Vec<Vec<WorkerCore>> = (0..drivers).map(|_| Vec::new()).collect();
-        for (shard, core) in cores.into_iter().enumerate() {
-            seated[shard % drivers].push(core);
-        }
-        let driver_handles = seated
-            .into_iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(driver, (cores, receiver))| {
-                let (post_office, hub) = (Arc::clone(&post_office), Arc::clone(&hub));
+        let post_office = Arc::new(PostOffice::new(
+            cores,
+            drivers,
+            &config.scheduler.trigger,
+            CompletionHub::new(),
+            Clock::start(),
+            &registry,
+        ));
+        let driver_handles = (0..drivers)
+            .map(|driver| {
+                let post_office = Arc::clone(&post_office);
                 std::thread::Builder::new()
                     .name(format!("declsched-driver-{driver}"))
-                    .spawn(move || run_driver(driver, cores, receiver, &post_office, &hub, clock))
+                    .spawn(move || run_driver(&post_office, driver))
                     .expect("spawning a shard driver cannot fail")
             })
             .collect();
@@ -516,7 +539,6 @@ impl ShardRouter {
         let core = Arc::new(RouterCore {
             post_office,
             lane,
-            clock,
             shards,
             counters: Counters {
                 transactions,
@@ -524,7 +546,6 @@ impl ShardRouter {
             },
             homes,
             depths,
-            hub,
             closed: AtomicBool::new(false),
             inflight,
             peak_inflight,
@@ -587,7 +608,7 @@ impl ShardRouter {
         // Every worker has drained and published its completions; close
         // the hub so any ticket whose completion never arrived (e.g. a
         // submission raced the shutdown) fails instead of blocking.
-        self.core.hub.close();
+        self.core.post_office.hub.close();
 
         let router = RouterSnapshot {
             transactions: self.core.counters.transactions.load(Ordering::Relaxed),
@@ -595,7 +616,7 @@ impl ShardRouter {
             unreclaimed_homes: self.core.homes.len() as u64,
             peak_inflight: self.core.peak_inflight.load(Ordering::Relaxed),
         };
-        let elapsed = Duration::from_micros(self.core.clock.now_us());
+        let elapsed = Duration::from_micros(self.core.post_office.clock.now_us());
         let metrics = ShardedMetrics::aggregate(&reports, router, escalation, elapsed);
         ShardedReport {
             shards: reports,
@@ -613,7 +634,7 @@ impl ShardRouter {
 
     /// The completion hub the fleet's tickets wait on.
     pub(crate) fn hub(&self) -> Arc<CompletionHub> {
-        Arc::clone(&self.core.hub)
+        Arc::clone(&self.core.post_office.hub)
     }
 }
 
@@ -632,7 +653,7 @@ mod tests {
             let config = ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Ss2pl))
                 .with_table("bench", 1_000);
             let router = ShardRouter::start(config).unwrap();
-            let hub = Arc::clone(&router.core.hub);
+            let hub = router.hub();
             for ta in 1..=10_000u64 {
                 let object = (ta % 1_000) as i64;
                 let ticket = router

@@ -71,7 +71,7 @@ pub(crate) fn stream() -> Vec<Vec<Request>> {
 /// Strict two-phase locking on one shard's log: from a transaction's
 /// access of an object until its terminal there, no other transaction
 /// accesses the object in conflict.
-fn strict_2pl_violations(log: &[Request]) -> Vec<String> {
+pub(crate) fn strict_2pl_violations(log: &[Request]) -> Vec<String> {
     let mut violations = Vec::new();
     for (at, holder) in log.iter().enumerate().filter(|(_, r)| r.op.is_data()) {
         let later = log[at + 1..].iter();

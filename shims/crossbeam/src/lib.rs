@@ -6,6 +6,13 @@
 //! `recv_deadline` and `recv_timeout`, plus disconnect detection on both
 //! ends.  Built on `std::sync::{Mutex, Condvar}`.
 //!
+//! Three additions are not crossbeam API: [`channel::Receiver::wait_ready`]
+//! blocks until the channel has a message *without taking it*,
+//! [`channel::Sender::wake`] ends such a wait with nothing sent, and
+//! [`channel::Receiver::drain_into`] takes every buffered message under one
+//! lock.  The shard drivers need them: whoever holds a driver may take its
+//! letters, so the driver thread only waits for them.
+//!
 //! A condvar notify costs a futex wake-up syscall even when nobody waits,
 //! which is an order of magnitude more than the lock around it.  So each
 //! channel counts its parked receivers and senders under its lock, and a
@@ -31,6 +38,8 @@ pub mod channel {
         /// Senders parked on a full bounded channel: a receive notifies
         /// `not_full` only while one is.
         parked_senders: usize,
+        /// A [`Sender::wake`] that no [`Receiver::wait_ready`] has seen yet.
+        woken: bool,
     }
 
     struct Inner<T> {
@@ -112,6 +121,7 @@ pub mod channel {
                 cap,
                 parked_receivers: 0,
                 parked_senders: 0,
+                woken: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -163,6 +173,19 @@ pub mod channel {
                     .wait(state)
                     .expect("channel lock poisoned");
                 state.parked_senders -= 1;
+            }
+        }
+    }
+
+    impl<T> Sender<T> {
+        /// End the receiver's current or next [`Receiver::wait_ready`]
+        /// without sending anything.  The wake is kept until a wait sees
+        /// it, so one sent before the receiver parks is not lost.
+        pub fn wake(&self) {
+            let mut state = self.inner.state.lock().expect("channel lock poisoned");
+            state.woken = true;
+            if state.parked_receivers > 0 {
+                self.inner.not_empty.notify_one();
             }
         }
     }
@@ -224,6 +247,55 @@ pub mod channel {
             } else {
                 Err(TryRecvError::Empty)
             }
+        }
+
+        /// Block until a message is buffered, a [`Sender::wake`] arrives,
+        /// every sender is gone or `deadline` (if any) passes — without
+        /// taking a message.  Consumes the pending wake, if any.
+        pub fn wait_ready(&self, deadline: Option<Instant>) {
+            let mut state = self.inner.state.lock().expect("channel lock poisoned");
+            loop {
+                if !state.queue.is_empty() || state.woken || state.senders == 0 {
+                    state.woken = false;
+                    return;
+                }
+                let timeout = match deadline {
+                    Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                        Some(left) if !left.is_zero() => Some(left),
+                        _ => return,
+                    },
+                    None => None,
+                };
+                state.parked_receivers += 1;
+                state = match timeout {
+                    Some(left) => {
+                        self.inner
+                            .not_empty
+                            .wait_timeout(state, left)
+                            .expect("channel lock poisoned")
+                            .0
+                    }
+                    None => self
+                        .inner
+                        .not_empty
+                        .wait(state)
+                        .expect("channel lock poisoned"),
+                };
+                state.parked_receivers -= 1;
+            }
+        }
+
+        /// Move every buffered message, in order, onto the back of `into`
+        /// under one lock; returns how many moved.
+        pub fn drain_into(&self, into: &mut VecDeque<T>) -> usize {
+            let mut state = self.inner.state.lock().expect("channel lock poisoned");
+            let moved = state.queue.len();
+            into.extend(state.queue.drain(..));
+            // Every freed slot may have a parked sender waiting for it.
+            if moved > 0 && state.parked_senders > 0 {
+                self.inner.not_full.notify_all();
+            }
+            moved
         }
 
         /// Receive, blocking for at most `timeout`.
@@ -397,6 +469,31 @@ pub mod channel {
                 assert!(sent, "try_recv: {try_recv}");
                 assert_eq!(rx.recv(), Ok(1));
             }
+        }
+
+        #[test]
+        fn wait_ready_takes_nothing_and_ends_on_mail_a_wake_or_its_deadline() {
+            let (tx, rx) = unbounded();
+            let soon = Instant::now() + Duration::from_millis(5);
+            rx.wait_ready(Some(soon));
+            tx.send(4).unwrap();
+            tx.send(5).unwrap();
+            rx.wait_ready(None);
+            let mut drained = VecDeque::from([3]);
+            assert_eq!(rx.drain_into(&mut drained), 2);
+            assert_eq!(drained, [3, 4, 5]);
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            // A wake sent before the wait is kept for it, and seen once.
+            tx.wake();
+            rx.wait_ready(None);
+            let rx = std::sync::Arc::new(rx);
+            let waiter = std::sync::Arc::clone(&rx);
+            let probe = tx.clone();
+            parked_waiter_is_woken(
+                move || waiter.wait_ready(None),
+                move || parked_receivers(&probe),
+                move || tx.wake(),
+            );
         }
 
         #[test]
