@@ -18,19 +18,18 @@
 //!   the driver is busy, or the lock is, the submit is a channel send.  If
 //!   the client gets the lock, it moves what the channel holds onto the
 //!   local queue, puts its own letter behind that, and runs passes until
-//!   no core of the driver is due: at depth 1 it handles, executes and
-//!   resolves its own transaction with no send, no wake and no park.
+//!   no core of the driver is due, at most [`CALLER_PASSES`] of them: at
+//!   depth 1 it handles, executes and resolves its own transaction with no
+//!   send, no wake and no park.
 //!
 //! Which clients run passes:
 //!
 //! * Only under `Always`.  Under `TimeElapsed`, `FillLevel` and `Hybrid` no
 //!   client runs a pass: those triggers batch on purpose, and an open-loop
 //!   pacer must never run a round.
-//! * A client with another ticket open (one it has neither waited on nor
-//!   dropped) is pipelining.  On a fleet of several drivers it leaves the
-//!   passes to them: they run beside it and beside each other, and a
-//!   client running them would run them one after another.  On a fleet of
-//!   one driver there is no such overlap to lose, and it runs them too.
+//! * Only on a fleet of one driver.  Several drivers run their passes
+//!   beside the client and beside each other; a client that ran them would
+//!   run them one after another.
 //! * Cross-shard submissions and every other message are channel sends.
 //!
 //! The rules both kinds keep:
@@ -47,10 +46,11 @@
 //!   queue before it takes the next letter from the channel, so a letter
 //!   sent after it lands behind it.
 //! * **No lost letter, no lost deadline.**  A send to a parked driver wakes
-//!   it.  A client leaves the desk only once no core is due, and if its
-//!   passes stopped a core or left a deadline earlier than the one the
-//!   driver sleeps on, it wakes the driver (a wake is kept until the
-//!   driver's next wait sees it).
+//!   it.  A client wakes the driver (a wake is kept until the driver's next
+//!   wait sees it) if it leaves a core still due — its turn is bounded, so
+//!   that under several clients' load no submit serves the others' traffic
+//!   for as long as they keep sending — or if its passes stopped a core or
+//!   left a deadline earlier than the one the driver sleeps on.
 //! * **Lock order.**  Only a driver's own thread blocks on its desk, and
 //!   it holds no other lock then.  A client takes a desk by `try_lock` —
 //!   the sharded fast path does so while it holds its transaction's homes
@@ -67,6 +67,13 @@
 //!   calls, whichever thread runs them (its report's `busy_us`).
 //! * A post to a core that has stopped is handed back, as a post to an
 //!   exited worker thread was: each shard's [`Mailbox`] has a closed flag.
+//! * **A pass that panics stops its driver**, as a panicking driver thread
+//!   did: its cores, its local queue and its channel's letters are dropped,
+//!   so every reply they hold resolves `ChannelClosed`; its channel is
+//!   closed and its mailboxes are marked closed, so later posts are handed
+//!   back.  The panic then goes on: out of the submit of a client whose
+//!   pass it was, and the driver thread, which wakes on the closed channel,
+//!   panics too.
 
 use crate::hub::CompletionHub;
 use crate::metrics::ShardReport;
@@ -75,8 +82,9 @@ use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use declsched::TriggerPolicy;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 /// The fleet clock: one epoch for every thread of a fleet, so the lane can
@@ -108,6 +116,11 @@ type Letter = (usize, ShardMessage);
 
 /// No deadline: a desk whose cores wait only for mail.
 const NEVER: u64 = u64::MAX;
+
+/// The most passes a client runs in one turn at the desk.  A depth-1
+/// transaction without conflicts needs one; a client that leaves a core
+/// still due wakes the driver for the rest.
+const CALLER_PASSES: usize = 8;
 
 /// One shard's mailbox.  Aligned so that two shards' counters, written by
 /// different threads, never share a cache line.
@@ -227,16 +240,31 @@ impl Desk {
         mark / 1_000
     }
 
-    /// Run passes until no core is due, counting each in `passes`.
-    fn serve(&mut self, driver: usize, office: &PostOffice, passes: &obs::Counter) {
-        loop {
-            let now_us = self.pass(driver, office);
-            passes.inc();
-            let due = !self.local.is_empty() || self.seats.iter().any(|s| s.due(now_us));
-            if self.live == 0 || !due {
-                return;
+    /// Run passes until no core is due, or for at most `limit` passes,
+    /// counting each in `passes`.  Returns whether a core is still due.  A
+    /// pass that panics condemns the desk before the panic goes on.
+    fn serve(
+        &mut self,
+        driver: usize,
+        office: &PostOffice,
+        passes: &obs::Counter,
+        limit: usize,
+    ) -> bool {
+        let served = panic::catch_unwind(AssertUnwindSafe(|| {
+            for _ in 0..limit {
+                let now_us = self.pass(driver, office);
+                passes.inc();
+                let due = !self.local.is_empty() || self.seats.iter().any(|s| s.due(now_us));
+                if self.live == 0 || !due {
+                    return false;
+                }
             }
-        }
+            true
+        }));
+        served.unwrap_or_else(|panic| {
+            office.condemn(driver, self);
+            panic::resume_unwind(panic)
+        })
     }
 
     /// The earliest `Wake::At` of the cores, in fleet milliseconds.
@@ -272,7 +300,8 @@ pub(crate) struct PostOffice {
     channels: Vec<Sender<Letter>>,
     mailboxes: Vec<Mailbox>,
     drivers: Vec<Driver>,
-    /// Clients run passes: the fleet's trigger is `Always`.
+    /// Clients run passes: the fleet's trigger is `Always` and it has one
+    /// driver.
     caller_runs: bool,
     /// Where every pass publishes its resolved tickets.
     pub(crate) hub: Arc<CompletionHub>,
@@ -286,7 +315,7 @@ pub(crate) struct PostOffice {
 impl PostOffice {
     /// Seat `cores` (shard i's at index i) on `drivers` desks, shard i on
     /// desk i mod `drivers`, and register the pass counters.  Clients run
-    /// passes only under the `Always` trigger.
+    /// passes only under the `Always` trigger on a fleet of one driver.
     pub(crate) fn new(
         cores: Vec<WorkerCore>,
         drivers: usize,
@@ -313,6 +342,7 @@ impl PostOffice {
                 busy_ns: 0,
             });
         }
+        let caller_runs = *trigger == TriggerPolicy::Always && drivers == 1;
         let drivers = seated
             .into_iter()
             .zip(receivers)
@@ -331,7 +361,7 @@ impl PostOffice {
             channels,
             mailboxes,
             drivers,
-            caller_runs: *trigger == TriggerPolicy::Always,
+            caller_runs,
             hub,
             clock,
             caller_passes: registry.counter("shard.caller_passes"),
@@ -349,19 +379,32 @@ impl PostOffice {
     }
 
     /// The desk of `driver`, for its own thread.  A pass that panicked
-    /// leaves it poisoned, and the driver panics with it.
+    /// leaves it poisoned (and condemned), and the driver panics with it.
     fn desk(&self, driver: usize) -> MutexGuard<'_, Desk> {
-        self.drivers[driver]
-            .desk
-            .lock()
-            .expect("a pass panicked on this driver")
+        self.drivers[driver].desk.lock().unwrap_or_else(|poisoned| {
+            self.condemn(driver, &mut poisoned.into_inner());
+            panic!("a pass panicked on this driver")
+        })
     }
 
-    /// Post a client's letter to `shard`.  `alone`: the caller has no
-    /// other ticket open, so it would only block on this one.  On a
-    /// caller-runs fleet whose driver is idle (its thread waits for mail
-    /// and its desk is free), a caller that is alone, or whose fleet has
-    /// one driver, takes the desk: the channel's letters move onto the
+    /// Stop every core of `driver` after a panic: drop its cores, its
+    /// local queue and its channel's letters, so every reply they hold
+    /// resolves `ChannelClosed`; close its channel and its mailboxes, so
+    /// later posts are handed back and its thread wakes.  Idempotent.
+    fn condemn(&self, driver: usize, desk: &mut Desk) {
+        let mailboxes = self.mailboxes.iter().filter(|m| m.driver == driver);
+        for mailbox in mailboxes {
+            mailbox.closed.store(true, Ordering::Release);
+        }
+        drop(self.drivers[driver].receiver.close());
+        desk.local.clear();
+        desk.seats.clear();
+        desk.live = 0;
+    }
+
+    /// Post a client's letter to `shard`.  On a caller-runs fleet whose
+    /// driver is idle (its thread waits for mail and its desk is free),
+    /// the caller takes the desk: the channel's letters move onto the
     /// local queue, this one goes behind them, and the taken desk comes
     /// back for [`CallerTurn::run`], which the caller calls once it holds
     /// no other lock.  Otherwise the letter is a channel send.  A stopped
@@ -370,25 +413,28 @@ impl PostOffice {
         &self,
         shard: usize,
         message: ShardMessage,
-        alone: bool,
     ) -> Result<Option<CallerTurn<'_>>, ShardMessage> {
         let driver = self.mailboxes[shard].driver;
-        // A pipelining caller on a fleet of several drivers leaves the
-        // passes to them: they run beside it and beside each other, and a
-        // caller running them would run them one after another.
-        let may_run = self.caller_runs && (alone || self.drivers.len() == 1);
-        if may_run && self.drivers[driver].idle.load(Ordering::Acquire) {
-            if let Ok(mut desk) = self.drivers[driver].desk.try_lock() {
-                let mut wire = Wire {
-                    own: Some((driver, &mut desk.local)),
-                    ..Wire::client(self)
-                };
-                wire.post(shard, message)?;
-                return Ok(Some(CallerTurn {
-                    office: self,
-                    driver,
-                    desk,
-                }));
+        if self.caller_runs && self.drivers[driver].idle.load(Ordering::Acquire) {
+            match self.drivers[driver].desk.try_lock() {
+                Ok(mut desk) => {
+                    let mut wire = Wire {
+                        own: Some((driver, &mut desk.local)),
+                        ..Wire::client(self)
+                    };
+                    wire.post(shard, message)?;
+                    return Ok(Some(CallerTurn {
+                        office: self,
+                        driver,
+                        desk,
+                    }));
+                }
+                // Condemned already, unless the panic was outside a pass:
+                // the post below is handed back.
+                Err(TryLockError::Poisoned(poisoned)) => {
+                    self.condemn(driver, &mut poisoned.into_inner());
+                }
+                Err(TryLockError::WouldBlock) => {}
             }
         }
         Wire::client(self).post(shard, message).map(|()| None)
@@ -413,7 +459,7 @@ impl PostOffice {
         idle.store(false, Ordering::Release);
         let mut desk = self.desk(driver);
         if desk.live > 0 {
-            desk.serve(driver, self, &self.driver_passes);
+            desk.serve(driver, self, &self.driver_passes, usize::MAX);
         }
         if desk.live == 0 {
             let seats = std::mem::take(&mut desk.seats);
@@ -437,13 +483,17 @@ pub(crate) struct CallerTurn<'a> {
 }
 
 impl CallerTurn<'_> {
-    /// Run passes until no core of the driver is due, then wake the driver
+    /// Run passes until no core of the driver is due, at most
+    /// [`CALLER_PASSES`], then wake the driver if a core is still due, or
     /// if these passes stopped a core or left a deadline earlier than the
     /// one it sleeps on.
     pub(crate) fn run(mut self) {
         let (office, driver) = (self.office, self.driver);
-        self.desk.serve(driver, office, &office.caller_passes);
-        let earliest = self.desk.earliest();
+        let due = self
+            .desk
+            .serve(driver, office, &office.caller_passes, CALLER_PASSES);
+        // A core still due is a deadline of now.
+        let earliest = if due { 0 } else { self.desk.earliest() };
         if self.desk.live == 0 || earliest < self.desk.sleeps_until {
             self.desk.sleeps_until = earliest;
             office.channels[driver].wake();
@@ -545,9 +595,10 @@ mod tests {
     use crate::escalation::Lane;
     use crate::hub::HubReply;
     use crate::router::TxnHomes;
+    use crate::tests::{always, within};
     use crate::worker::Submission;
     use crate::ShardConfig;
-    use declsched::{Protocol, ProtocolKind, Request, SchedulerConfig};
+    use declsched::{Protocol, ProtocolKind, Request, SchedError};
     use std::sync::atomic::AtomicU64;
 
     /// The mailboxes and desks of a fleet configured by `config`, on
@@ -572,6 +623,28 @@ mod tests {
 
     fn fcfs(shards: usize) -> ShardConfig {
         ShardConfig::new(shards, Protocol::algebra(ProtocolKind::Fcfs)).with_table("bench", 16)
+    }
+
+    fn ss2pl() -> ShardConfig {
+        ShardConfig::new(1, Protocol::algebra(ProtocolKind::Ss2pl)).with_table("bench", 16)
+    }
+
+    /// A `Submit` letter of `requests` whose reply resolves token `ta` on
+    /// the office's hub.
+    fn submit(office: &PostOffice, ta: u64, requests: Vec<Request>) -> ShardMessage {
+        let weight = requests.len() as u64;
+        let hub = Arc::clone(&office.hub);
+        let reply = HubReply::new(hub, ta, weight, Arc::new(AtomicU64::new(weight)));
+        ShardMessage::Submit(Submission { requests, reply })
+    }
+
+    /// Transaction `ta`: a write of `row`, and a commit unless `open`.
+    fn write(ta: u64, row: i64, open: bool) -> Vec<Request> {
+        let mut requests = vec![Request::write(0, ta, 0, row)];
+        if !open {
+            requests.push(Request::commit(0, ta, 1));
+        }
+        requests
     }
 
     fn job(letter: Option<Letter>) -> Option<(usize, u64)> {
@@ -623,32 +696,20 @@ mod tests {
     /// ticket resolves once.
     #[test]
     fn a_callers_pass_handles_earlier_letters_first_and_a_woken_driver_none_twice() {
-        let config = fcfs(1).with_scheduler(SchedulerConfig {
-            trigger: TriggerPolicy::Always,
-            ..SchedulerConfig::default()
-        });
-        let post_office = office(&config, 1);
+        let post_office = office(&always(fcfs(1)), 1);
         let hub = Arc::clone(&post_office.hub);
-        let inflight = Arc::new(AtomicU64::new(0));
-        let submit = |ta: u64| {
-            let requests = vec![Request::write(0, ta, 0, 5), Request::commit(0, ta, 1)];
-            let reply = HubReply::new(Arc::clone(&hub), ta, 2, Arc::clone(&inflight));
-            ShardMessage::Submit(Submission { requests, reply })
-        };
+        let submit = |ta: u64| submit(&post_office, ta, write(ta, 5, false));
 
         // T1's client finds the desk busy: its letter is a channel send.
         let busy = post_office.desk(0);
-        assert!(matches!(
-            post_office.client_post(0, submit(1), true),
-            Ok(None)
-        ));
+        assert!(matches!(post_office.client_post(0, submit(1)), Ok(None)));
         drop(busy);
         // The driver wakes on that mail and takes no letter; it is still
         // idle until it goes for the desk.
         post_office.wait_for_mail(0, NEVER);
         // T2's client finds the desk free and serves it before the driver
         // gets there.
-        let Ok(Some(turn)) = post_office.client_post(0, submit(2), true) else {
+        let Ok(Some(turn)) = post_office.client_post(0, submit(2)) else {
             panic!("the desk is free");
         };
         turn.run();
@@ -674,6 +735,88 @@ mod tests {
             .map(|r| (r.ta, r.intra))
             .collect();
         assert_eq!(log, [(1, 0), (1, 1), (2, 0), (2, 1)]);
+        assert_eq!(hub.residue(), 0);
+    }
+
+    /// A client's turn at the desk is bounded.  With more conflicting
+    /// transactions queued than its passes can run (SS2PL runs one of them
+    /// per round), the client runs `CALLER_PASSES` passes and wakes the
+    /// driver, whose turn runs the rest.
+    #[test]
+    fn a_callers_turn_is_bounded_and_wakes_the_driver_for_the_rest() {
+        let post_office = office(&always(ss2pl()), 1);
+        let last = 3 * CALLER_PASSES as u64;
+        for ta in 1..last {
+            let letter = submit(&post_office, ta, write(ta, 0, false));
+            assert!(Wire::client(&post_office).post(0, letter).is_ok());
+        }
+        let own = submit(&post_office, last, write(last, 0, false));
+        let Ok(Some(turn)) = post_office.client_post(0, own) else {
+            panic!("the desk is free");
+        };
+        turn.run();
+        assert_eq!(post_office.caller_passes.get(), CALLER_PASSES as u64);
+        // The driver's wait ends at once, on the client's wake.
+        let waited = Instant::now();
+        let later_ms = post_office.clock.now_us() / 1_000 + 10_000;
+        post_office.wait_for_mail(0, later_ms);
+        assert!(waited.elapsed() < Duration::from_secs(5), "no wake");
+        assert!(matches!(
+            post_office.driver_turn(0),
+            ControlFlow::Continue(NEVER)
+        ));
+        for ta in 1..=last {
+            assert_eq!(post_office.hub.wait(ta), Ok(()), "T{ta}");
+        }
+    }
+
+    /// A pass that panics stops its driver, as a panicking driver thread
+    /// did.  Here a client's pass meets a letter for a shard the fleet does
+    /// not have.  Every reply the driver held resolves `ChannelClosed`: T2
+    /// waiting in its core behind T1's lock, T3 sent while the desk was
+    /// busy, T4 sent behind the bad letter, and the client's own T5.  A
+    /// later post is handed back, and the driver thread, parked on its
+    /// channel, wakes and panics too.
+    #[test]
+    fn a_pass_that_panics_fails_the_tickets_it_held_and_refuses_later_ones() {
+        let post_office = office(&always(ss2pl()), 1);
+        let hub = Arc::clone(&post_office.hub);
+        let caller_runs = |letter| {
+            let Ok(Some(turn)) = post_office.client_post(0, letter) else {
+                panic!("the desk is free");
+            };
+            turn.run();
+        };
+        caller_runs(submit(&post_office, 1, write(1, 0, true)));
+        assert_eq!(hub.wait(1), Ok(()));
+        caller_runs(submit(&post_office, 2, write(2, 0, false)));
+        let busy = post_office.desk(0);
+        let letter = submit(&post_office, 3, write(3, 1, false));
+        assert!(matches!(post_office.client_post(0, letter), Ok(None)));
+        drop(busy);
+        assert!(post_office.channels[0]
+            .send((1, ShardMessage::LastCall))
+            .is_ok());
+        let letter = submit(&post_office, 4, write(4, 2, false));
+        assert!(Wire::client(&post_office).post(0, letter).is_ok());
+
+        let own = submit(&post_office, 5, write(5, 3, false));
+        let pass = panic::catch_unwind(AssertUnwindSafe(|| caller_runs(own)));
+        assert!(pass.is_err(), "the bad letter did not panic the pass");
+        within(10, "a ticket of the panicked driver hung", || {
+            for ta in 2..=5 {
+                let result = hub.wait(ta);
+                let closed = matches!(result, Err(SchedError::ChannelClosed { .. }));
+                assert!(closed, "T{ta}: {result:?}");
+            }
+            let later = submit(&post_office, 6, write(6, 4, false));
+            assert!(post_office.client_post(0, later).is_err());
+            let result = hub.wait(6);
+            assert!(matches!(result, Err(SchedError::ChannelClosed { .. })));
+            post_office.wait_for_mail(0, NEVER);
+        });
+        let turn = panic::catch_unwind(AssertUnwindSafe(|| post_office.driver_turn(0)));
+        assert!(turn.is_err(), "the driver thread went on");
         assert_eq!(hub.residue(), 0);
     }
 }

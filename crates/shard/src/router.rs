@@ -10,9 +10,10 @@
 //! own thread.  The router buffers nothing and runs no thread of its own:
 //! the shard's driver empties its whole mailbox before each step, so the
 //! receiving side batches whatever piled up meanwhile.  Under the `Always`
-//! trigger a client that finds the shard's driver idle runs the driver's
-//! pass itself (see [`crate::driver`]).  Completions come back through the
-//! shared [`CompletionHub`], one hub synchronization per worker step.
+//! trigger, on a fleet of one driver, a client that finds the driver idle
+//! runs the driver's pass itself (see [`crate::driver`]).  Completions come
+//! back through the shared [`CompletionHub`], one hub synchronization per
+//! worker step.
 //!
 //! A fleet of **one** shard — which is also what the unsharded deployment
 //! runs — has nothing to route: [`RouterCore::submit`] posts the
@@ -26,18 +27,11 @@ use crate::metrics::{RouterSnapshot, ShardReport, ShardedMetrics};
 use crate::worker::{Context, ShardMessage, Submission, WorkerCore};
 use declsched::{shard_of, Request, SchedError, SchedResult};
 use obs::FastIdMap;
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-thread_local! {
-    /// Tickets this thread has opened and not yet waited on or dropped
-    /// (a ticket waited on another thread stays open here).
-    static OPEN_TICKETS: Cell<usize> = const { Cell::new(0) };
-}
 
 /// A pending completion for one submitted transaction, waited on through
 /// the fleet's shared completion hub.
@@ -60,7 +54,6 @@ impl TxnTicket {
 
 impl Drop for TxnTicket {
     fn drop(&mut self) {
-        OPEN_TICKETS.with(|open| open.set(open.get().saturating_sub(1)));
         if !self.waited {
             self.hub.abandon(self.token);
         }
@@ -187,7 +180,6 @@ impl RouterCore {
     /// Allocate a hub token for a transaction of `weight` requests and
     /// count it in flight: the fleet-side reply and the client-side ticket.
     fn open_ticket(&self, weight: u64) -> (HubReply, TxnTicket) {
-        OPEN_TICKETS.with(|open| open.set(open.get() + 1));
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let before = self.inflight.fetch_add(weight, Ordering::Relaxed);
         self.peak_inflight
@@ -223,8 +215,6 @@ impl RouterCore {
                 endpoint: "shard router (shutting down)",
             });
         }
-        // Whether this thread will only wait on the ticket it opens next.
-        let alone = OPEN_TICKETS.with(Cell::get) == 0;
         let weight = requests.len().max(1) as u64;
         if self.shards == 1 {
             // Nothing below applies: every object lives on shard 0, so
@@ -238,11 +228,7 @@ impl RouterCore {
             }
             let turn = self
                 .post_office
-                .client_post(
-                    0,
-                    ShardMessage::Submit(Submission { requests, reply }),
-                    alone,
-                )
+                .client_post(0, ShardMessage::Submit(Submission { requests, reply }))
                 .map_err(|_| closed("shard worker"))?;
             self.counters.transactions.fetch_add(1, Ordering::Relaxed);
             if let Some(turn) = turn {
@@ -293,11 +279,7 @@ impl RouterCore {
             // shard 0).  The stripe is held, so a busy desk is not waited
             // for (`client_post` only tries its lock).
             self.post_office
-                .client_post(
-                    target,
-                    ShardMessage::Submit(Submission { requests, reply }),
-                    alone,
-                )
+                .client_post(target, ShardMessage::Submit(Submission { requests, reply }))
                 .map_err(|_| closed("shard worker"))
         } else {
             // Every earlier submission of this transaction was posted under

@@ -6,12 +6,14 @@
 //! `recv_deadline` and `recv_timeout`, plus disconnect detection on both
 //! ends.  Built on `std::sync::{Mutex, Condvar}`.
 //!
-//! Three additions are not crossbeam API: [`channel::Receiver::wait_ready`]
+//! Four additions are not crossbeam API: [`channel::Receiver::wait_ready`]
 //! blocks until the channel has a message *without taking it*,
-//! [`channel::Sender::wake`] ends such a wait with nothing sent, and
+//! [`channel::Sender::wake`] ends such a wait with nothing sent,
 //! [`channel::Receiver::drain_into`] takes every buffered message under one
-//! lock.  The shard drivers need them: whoever holds a driver may take its
-//! letters, so the driver thread only waits for them.
+//! lock, and [`channel::Receiver::close`] disconnects a receiver that stays
+//! shared.  The shard drivers need them: whoever holds a driver may take
+//! its letters, so the driver thread only waits for them, and a driver
+//! whose pass panicked refuses its later letters.
 //!
 //! A condvar notify costs a futex wake-up syscall even when nobody waits,
 //! which is an order of magnitude more than the lock around it.  So each
@@ -40,6 +42,9 @@ pub mod channel {
         parked_senders: usize,
         /// A [`Sender::wake`] that no [`Receiver::wait_ready`] has seen yet.
         woken: bool,
+        /// [`Receiver::close`] was called: sends fail as if every receiver
+        /// were gone.
+        closed: bool,
     }
 
     struct Inner<T> {
@@ -122,6 +127,7 @@ pub mod channel {
                 parked_receivers: 0,
                 parked_senders: 0,
                 woken: false,
+                closed: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -155,7 +161,7 @@ pub mod channel {
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut state = self.inner.state.lock().expect("channel lock poisoned");
             loop {
-                if state.receivers == 0 {
+                if state.receivers == 0 || state.closed {
                     return Err(SendError(value));
                 }
                 let full = state.cap.is_some_and(|c| state.queue.len() >= c);
@@ -255,7 +261,7 @@ pub mod channel {
         pub fn wait_ready(&self, deadline: Option<Instant>) {
             let mut state = self.inner.state.lock().expect("channel lock poisoned");
             loop {
-                if !state.queue.is_empty() || state.woken || state.senders == 0 {
+                if !state.queue.is_empty() || state.woken || state.senders == 0 || state.closed {
                     state.woken = false;
                     return;
                 }
@@ -296,6 +302,18 @@ pub mod channel {
                 self.inner.not_full.notify_all();
             }
             moved
+        }
+
+        /// Disconnect the channel as dropping every receiver would, while
+        /// this one stays shared: every later send fails and hands its
+        /// message back, and every [`Receiver::wait_ready`] ends at once.
+        /// Returns what was buffered, in order.
+        pub fn close(&self) -> VecDeque<T> {
+            let mut state = self.inner.state.lock().expect("channel lock poisoned");
+            state.closed = true;
+            self.inner.not_empty.notify_all();
+            self.inner.not_full.notify_all();
+            std::mem::take(&mut state.queue)
         }
 
         /// Receive, blocking for at most `timeout`.
@@ -493,6 +511,24 @@ pub mod channel {
                 move || waiter.wait_ready(None),
                 move || parked_receivers(&probe),
                 move || tx.wake(),
+            );
+        }
+
+        #[test]
+        fn close_hands_back_later_sends_and_ends_waits() {
+            let (tx, rx) = unbounded();
+            tx.send(1).unwrap();
+            assert_eq!(rx.close(), [1]);
+            assert!(matches!(tx.send(2), Err(SendError(2))));
+            rx.wait_ready(None);
+            // A receiver parked before the close is woken by it.
+            let (tx, rx) = unbounded::<i32>();
+            let rx = std::sync::Arc::new(rx);
+            let waiter = std::sync::Arc::clone(&rx);
+            parked_waiter_is_woken(
+                move || waiter.wait_ready(None),
+                || parked_receivers(&tx),
+                || assert!(rx.close().is_empty()),
             );
         }
 
